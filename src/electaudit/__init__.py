@@ -29,7 +29,6 @@ from .census import (
     census_rla,
     comparison_assorter_value,
     generate_census_population,
-    sample_household,
 )
 from .core import (
     Assorter,

@@ -3,7 +3,7 @@
 Each assertion keeps a statistic T, the inverse of a p-value for the null
 that its assorter mean is at most 1/2.  Drawing a ballot worth ``a`` updates
 
-    T <- T * ( (a / mu) * (eta - mu) / (u - mu)  +  (u - eta) / (u - mu) )
+    T <- T * (1/u) * ( a * eta / mu  +  (u - a) * (u - eta) / (u - mu) )
 
 where ``mu`` is the mean of the remaining ballots under the null, ``eta`` the
 mean of the remaining ballots if the reported tally is exact, and ``u`` a
@@ -11,8 +11,16 @@ bound kept strictly above ``eta``.  An assertion is approved once T exceeds
 1/alpha, or with certainty once ``mu`` goes negative (the ballots already
 seen force the full mean above 1/2 no matter what remains).
 
+One kernel, :func:`sequential_path`, runs this test for every audit in the
+package: it takes one assertion's whole draw sequence and computes T as a
+running product of the factors above, with mu, eta and u from running sums.
+The ballot-level audit, both batch audits and the census audit call it.
+:func:`alpha_step` is the step-by-step reference it is tested against; it
+writes the same factor in the equivalent form
+``(a / mu) * (eta - mu) / (u - mu) + (u - eta) / (u - mu)``.
+
 The batch variant draws whole batches with probability proportional to size
-and feeds each batch's true assorter mean through the same update, with the
+and feeds each batch's true assorter mean through the same test, with the
 running sums weighted by batch size.  It uses only the overall reported
 tally, never per-batch reported tallies; the comparison audit that does use
 them lives in :mod:`electaudit.batchcomp`.
@@ -21,9 +29,9 @@ them lives in :mod:`electaudit.batchcomp`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +79,6 @@ class AssertionState:
     active: bool = True
     approvable: bool = True
     approved: bool = False
-    examined_at_approval: int | None = None
     eta_budget: float = 0.0
 
 
@@ -183,41 +190,129 @@ def alpha_step(
     return state
 
 
-def _alpha_trajectory(x: np.ndarray, n: int, reported_mean: float, u0: float, eps: float):
-    """Whole-audit path for one assertion, vectorised.
+class SequentialPath(NamedTuple):
+    """One assertion's test run by :func:`sequential_path`.
 
-    Index j of each returned array holds the values in effect at draw j+1 (T
-    after that draw).  The sequential updates are reproduced exactly: mu and
-    eta depend on past draws only through their running sum, and u is a
-    running max of eta + eps seeded with the initial bound.
+    ``T[j]`` is T after draw j+1; ``mu[j]``, ``eta[j]`` and ``u[j]`` are the
+    values that draw j+1 was tested with.  The arrays stop at the last draw
+    examined.
+    """
+
+    approved: bool
+    examined: int  # draws taken
+    T_max: float
+    T: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+    u: np.ndarray
+
+
+def sequential_path(
+    x: np.ndarray,
+    seen: np.ndarray,
+    n: int,
+    eta0: float,
+    u0: float,
+    eps: float,
+    threshold: float,
+    eta_floor: float | None = None,
+) -> SequentialPath:
+    """The sequential test over one assertion's draws, in array form.
+
+    ``x[j]`` is the value of draw j+1 and ``seen[j]`` the ballots examined
+    after it (strictly increasing, at most ``n``), so a draw weighs
+    ``seen[j] - seen[j-1]`` ballots.  ``eta_floor`` of None selects the
+    remaining-reported-mean guess with ``eta0`` as the reported mean; a float
+    selects the fixed target of the comparison audits.  The test approves on
+    the first draw after which T exceeds ``threshold``, or after which mu
+    falls below 0 while ballots remain.
+
+    Each quantity is the one :func:`_advance` computes step by step: mu and
+    eta depend on past draws only through their running weighted sum, u is a
+    running max, and T a running product of the factors
+    ``(1/u) (x eta/mu + (u - x)(u - eta)/(u - mu))``.
     """
     m = len(x)
-    S = np.concatenate(([0.0], np.cumsum(x)))[:-1]
-    rem = (n - np.arange(m)).astype(np.float64)
-    mu = (0.5 * n - S) / rem
-    eta = np.maximum(mu + eps, (n * reported_mean - S) / rem)
-    eta[0] = reported_mean
-    u = np.maximum.accumulate(np.concatenate(([u0], eta[1:] + eps)))
+    if m == 0:
+        return SequentialPath(False, 0, 1.0, x, x, x, x)
+    if seen[-1] == m:  # one ballot per draw
+        S = np.cumsum(x)
+    else:
+        S = np.cumsum(x * np.diff(seen, prepend=0))
+    # Entry i of mu/eta/u is the state after i draws, which draw i+1 is
+    # tested with; no state follows a draw that exhausts the ballots.  The
+    # arrays are filled in place to keep full-length temporaries few.
+    k = m if seen[-1] < n else m - 1
+    mu, eta, u = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    mu[0], eta[0], u[0] = 0.5, eta0, u0
+    mu_next, eta_next, u_next = mu[1 : k + 1], eta[1 : k + 1], u[1 : k + 1]
+    remaining = u_next
+    np.subtract(n, seen[:k], out=remaining)
+    np.subtract(0.5 * n, S[:k], out=mu_next)
+    mu_next /= remaining
+    if eta_floor is None:
+        np.subtract(n * eta0, S[:k], out=eta_next)
+        eta_next /= remaining
+    else:
+        eta_next.fill(eta_floor)
+    np.maximum(np.add(mu_next, eps, out=u_next), eta_next, out=eta_next)
+    np.add(eta_next, eps, out=u_next)
+    np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
+
+    mu, eta, u = mu[:m], eta[:m], u[:m]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grow = np.where(x > 0, (x / mu) * (eta - mu) / (u - mu), 0.0)
-        factor = grow + (u - eta) / (u - mu)
-        T = np.exp(np.cumsum(np.log(factor)))
-    return T, mu, eta, u
+        T = np.multiply(x, eta)
+        T /= mu
+        rest = np.subtract(u, x, out=S)  # the running sum is no longer needed
+        scratch = np.subtract(u, eta)
+        rest *= scratch
+        rest /= np.subtract(u, mu, out=scratch)
+        T += rest
+        T *= np.divide(1.0, u, out=scratch)
+        # mu exactly 0: a positive draw is infinite evidence, a zero one is not
+        zero = np.flatnonzero(mu == 0.0)
+        T[zero] = np.where(x[zero] > 0, np.inf, (u[zero] - eta[zero]) / (u[zero] - mu[zero]))
+        np.cumprod(T, out=T)
+
+    stop = m
+    for hit in (T > threshold, mu_next < 0):
+        hit = hit[:stop]
+        if hit.any():
+            stop = int(hit.argmax())
+    approved = stop < m
+    examined = stop + 1 if approved else m
+    T_max = max(1.0, float(T[:examined].max()))
+    return SequentialPath(
+        approved, examined, T_max, T[:examined], mu[:examined], eta[:examined], u[:examined]
+    )
 
 
-def _first_crossing(T: np.ndarray, mu: np.ndarray, alpha: float) -> tuple[bool, int, float]:
-    """(approved, draws examined, T_max at stop) read off a full trajectory."""
-    hits_T = np.flatnonzero(T > 1.0 / alpha)
-    stop_T = int(hits_T[0]) + 1 if hits_T.size else None
-    # mu[j] is the value computed after draw j, so a negative entry at index j
-    # means approval upon the j-th draw
-    hits_mu = np.flatnonzero(mu < 0)
-    stop_mu = int(hits_mu[0]) if hits_mu.size else None
-    stops = [s for s in (stop_T, stop_mu) if s is not None]
-    if stops:
-        stop = min(stops)
-        return True, stop, float(np.max(T[:stop])) if stop else 1.0
-    return False, len(T), float(np.max(T)) if len(T) else 1.0
+def _emit_trace(trace: TraceHook, label: str, path: SequentialPath) -> None:
+    """One row per examined draw: its number, T after it, the state it was tested with."""
+    rows = zip(path.T.tolist(), path.mu.tolist(), path.eta.tolist(), path.u.tolist())
+    for j, (T, mu, eta, u) in enumerate(rows, start=1):
+        trace(j, label, T, mu, eta, u)
+
+
+def conclude_audit(
+    results: list[AssertionOutcome],
+    assorters: Sequence[Assorter],
+    n: int,
+    truth: Callable[[], Tally],
+) -> AuditOutcome:
+    """The audit's outcome; unless every assertion was approved it ends in a
+    full count, which reveals whether each assertion truly holds."""
+    approved = all(r.approved for r in results)
+    if approved:
+        examined = max((r.examined for r in results), default=0)
+    else:
+        examined = n
+        full = truth()
+        results = [
+            replace(r, truly_satisfied=assorter_mean(a, full) > _HALF)
+            for r, a in zip(results, assorters)
+        ]
+    return AuditOutcome(approved, not approved, examined, n, tuple(results))
 
 
 def alpha_audit(
@@ -246,61 +341,26 @@ def alpha_audit(
     )
     type_idx = np.array([index[b] for b in ballots], dtype=np.intp)
     drawn = type_idx[rng.permutation(n)]
+    seen = np.arange(1, n + 1)
 
     results: list[AssertionOutcome] = []
-    overall_examined = 0
-    all_approved = True
-    for k, (a, st) in enumerate(zip(assorters, states)):
+    for k, st in enumerate(states):
         if not st.approvable:
-            results.append(AssertionOutcome(a.label, False, False, n))
-            all_approved = False
+            results.append(AssertionOutcome(st.label, False, False, n))
             continue
-        x = values[k][drawn]
-        if trace is None:
-            T, mu, _, _ = _alpha_trajectory(x, n, st.eta, st.u, cfg.epsilon)
-            approved, examined, _ = _first_crossing(T, mu, cfg.alpha)
-        else:
-            approved, examined = _traced_single(x, n, st, cfg, trace, a.label)
-        results.append(AssertionOutcome(a.label, True, approved, examined))
-        all_approved &= approved
-        overall_examined = max(overall_examined, examined)
+        path = sequential_path(
+            values[k][drawn], seen, n, st.eta, st.u, cfg.epsilon, 1.0 / cfg.alpha
+        )
+        if trace is not None:
+            _emit_trace(trace, st.label, path)
+        results.append(AssertionOutcome(st.label, True, path.approved, path.examined))
+        del path  # frees its n-length arrays before the next assertion's
 
-    full_count = not all_approved
-    if full_count:
-        overall_examined = n
+    def truth() -> Tally:
         counts = np.bincount(type_idx, minlength=len(contest_types))
-        truth = Tally({bt: int(c) for bt, c in zip(contest_types, counts)})
-        results = [
-            AssertionOutcome(
-                r.label,
-                r.approvable,
-                r.approved,
-                r.examined,
-                truly_satisfied=assorter_mean(assorters[i], truth) > _HALF,
-            )
-            for i, r in enumerate(results)
-        ]
-    return AuditOutcome(
-        approved=all_approved,
-        full_count=full_count,
-        ballots_examined=overall_examined,
-        total_ballots=n,
-        assertions=tuple(results),
-    )
+        return Tally({bt: int(c) for bt, c in zip(contest_types, counts)})
 
-
-def _traced_single(x, n, init_state, cfg, trace, label):
-    """Step-by-step evaluation emitting one trace row per draw."""
-    st = AssertionState(
-        label=label, eta=init_state.eta, u=init_state.u, eta_budget=init_state.eta_budget
-    )
-    reported_mean = init_state.eta
-    for j, value in enumerate(x, start=1):
-        alpha_step(st, float(value), cfg, n, reported_mean)
-        trace(j, label, st.T, st.mu, st.eta, st.u)
-        if not st.active:
-            return True, j
-    return False, n
+    return conclude_audit(results, assorters, n, truth)
 
 
 def _draw_batches_without_replacement(batches: Sequence[BatchRecord], rng) -> list[int]:
@@ -323,45 +383,32 @@ def batch_audit_loop(
     cfg: AuditConfig,
     eta_floors: Sequence[float | None],
     trace: TraceHook | None = None,
-) -> tuple[list[AssertionOutcome], bool, int]:
-    """Shared engine for both batch audits; they differ in values and eta rule."""
+) -> list[AssertionOutcome]:
+    """Shared engine for both batch audits; they differ in values and eta rule.
+
+    Batches are drawn once, with probability proportional to size, and every
+    assertion is tested along that one draw order.
+    """
     rng = make_rng(cfg.seed)
     order = _draw_batches_without_replacement(batches, rng)
-    ballots_seen = 0
-    examined = [n] * len(states)
-    batches_at = [len(batches)] * len(states)
-    for step, i in enumerate(order, start=1):
-        batch = batches[i]
-        ballots_seen += batch.size
-        live = False
-        for k, st in enumerate(states):
-            if not st.active:
-                continue
-            _advance(st, float(batch_values[k, i]), batch.size, n, cfg, eta_floors[k])
-            if trace is not None:
-                trace(step, st.label, st.T, st.mu, st.eta, st.u)
-            if st.approved and st.examined_at_approval is None:
-                st.examined_at_approval = ballots_seen
-                examined[k] = ballots_seen
-                batches_at[k] = step
-            live = live or st.active
-        if not live:
-            break
+    seen = np.cumsum([batches[i].size for i in order])
     results = []
-    all_approved = True
     for k, st in enumerate(states):
-        results.append(
-            AssertionOutcome(
-                st.label,
-                st.approvable,
-                st.approved,
-                examined[k] if st.approved else n,
-                batches_examined=batches_at[k] if st.approved else len(batches),
+        approved, examined, batches_at = False, n, len(batches)
+        if st.approvable:
+            path = sequential_path(
+                batch_values[k, order], seen, n, st.eta, st.u, cfg.epsilon,
+                1.0 / cfg.alpha, eta_floors[k],
             )
+            if trace is not None:
+                _emit_trace(trace, st.label, path)
+            if path.approved:
+                approved, batches_at = True, path.examined
+                examined = int(seen[batches_at - 1])
+        results.append(
+            AssertionOutcome(st.label, st.approvable, approved, examined, batches_examined=batches_at)
         )
-        all_approved &= st.approved
-    overall = max((r.examined for r in results), default=0)
-    return results, all_approved, overall
+    return results
 
 
 def alpha_batch_audit(
@@ -390,25 +437,8 @@ def alpha_batch_audit(
     batch_values = np.array(
         [[float(assorter_mean(a, b.truth)) for b in batches] for a in assorters]
     )
-    results, all_approved, overall = batch_audit_loop(
-        batches, states, batch_values, n, cfg, [None] * len(states), trace
-    )
-    full_count = not all_approved
-    if full_count:
-        overall = n
-        truth = combined_truth(batches)
-        results = [
-            AssertionOutcome(
-                r.label,
-                r.approvable,
-                r.approved,
-                r.examined,
-                batches_examined=r.batches_examined,
-                truly_satisfied=assorter_mean(assorters[i], truth) > _HALF,
-            )
-            for i, r in enumerate(results)
-        ]
-    return AuditOutcome(all_approved, full_count, overall, n, tuple(results))
+    results = batch_audit_loop(batches, states, batch_values, n, cfg, [None] * len(states), trace)
+    return conclude_audit(results, assorters, n, lambda: combined_truth(batches))
 
 
 def check_batches_padded(batches: Sequence[BatchRecord]) -> None:

@@ -94,53 +94,3 @@ def highest_averages(
             alloc[u] += 1
     return alloc
 
-
-def brute_force_highest_averages(
-    values: Mapping[str, Fraction], seats: int, divisor: Divisor = dhondt
-) -> dict[str, int] | None:
-    """Independent oracle: score every composition of seats, keep the best.
-
-    The greedy coloring maximizes the summed quotients of colored cells, so
-    the optimal composition must match it.  Returns None when two different
-    compositions achieve the maximum (an allocation tie).  Exponential in the
-    unit count; only for small test instances.
-    """
-    units = list(values)
-    values = {
-        u: int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-        for u, v in values.items()
-    }
-    divisors = [divisor(r) for r in range(1, seats + 1)]
-    exact_ints = all(isinstance(values[u], int) for u in units) and all(
-        isinstance(d, int) for d in divisors
-    )
-    scale = math.lcm(*divisors) if exact_ints else None
-    prefix = {}
-    for u in units:
-        acc = [0 if exact_ints else Fraction(0)]
-        for d in divisors:
-            step = values[u] * (scale // d) if exact_ints else Fraction(values[u]) / d
-            acc.append(acc[-1] + step)
-        prefix[u] = acc
-
-    best_score = None
-    best = None
-    tie = False
-
-    def compositions(k: int, remaining: int):
-        if k == len(units) - 1:
-            yield (remaining,)
-            return
-        for take in range(remaining + 1):
-            for rest in compositions(k + 1, remaining - take):
-                yield (take,) + rest
-
-    for comp in compositions(0, seats):
-        score = sum(prefix[u][s] for u, s in zip(units, comp))
-        if best_score is None or score > best_score:
-            best_score, best, tie = score, comp, False
-        elif score == best_score:
-            tie = True
-    if tie:
-        return None
-    return dict(zip(units, best))

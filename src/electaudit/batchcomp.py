@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .alpha import (
-    AssertionOutcome,
     AssertionState,
     AuditConfig,
     AuditOutcome,
@@ -32,6 +31,7 @@ from .alpha import (
     check_batches_padded,
     combined_reported,
     combined_truth,
+    conclude_audit,
 )
 from .core import Assorter, BatchRecord, Contest, assorter_mean
 
@@ -179,25 +179,8 @@ def batchcomp_audit(
             continue
         batch_values[k] = [batch_assorter_value(A, b) for b in batches]
 
-    results, all_approved, overall = batch_audit_loop(
-        batches, states, batch_values, n, cfg, eta_floors, trace
-    )
-    full_count = not all_approved
-    if full_count:
-        overall = n
-        truth = combined_truth(batches)
-        results = [
-            AssertionOutcome(
-                r.label,
-                r.approvable,
-                r.approved,
-                r.examined,
-                batches_examined=r.batches_examined,
-                truly_satisfied=assorter_mean(assorters[i], truth) > _HALF,
-            )
-            for i, r in enumerate(results)
-        ]
-    return AuditOutcome(all_approved, full_count, overall, n, tuple(results))
+    results = batch_audit_loop(batches, states, batch_values, n, cfg, eta_floors, trace)
+    return conclude_audit(results, assorters, n, lambda: combined_truth(batches))
 
 
 def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list[BatchRecord]:

@@ -19,7 +19,14 @@ census margin m of that pair:
 with z the scale bound making A non-negative.  Households where the survey
 agrees with the census all score the same constant, so agreement compounds
 multiplicatively exactly as accurate batches do in the batch-comparison
-audit.  All constants are exact rationals; the sequential loop runs floats.
+audit.  All constants are exact rationals; the test runs floats.
+
+Every pair is tested by the one sequential test of the election audits,
+:func:`electaudit.alpha.sequential_path`, with eta fixed at the agreement
+constant (floored at mu + epsilon) and no risk limit to stop at: T is the
+running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
+and the pair's risk is 1 / max T, or 0 once the sample alone forces the
+pair's mean above 1/2.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alpha import AuditConfig
+from .alpha import AuditConfig, sequential_path
 from .apportionment import DIVISORS, Divisor, highest_averages
 from .randomness import make_rng
 
@@ -192,70 +199,6 @@ def comparison_assorter_value(pair: CensusPair, household: Household, pes_count:
     return Fraction(1, 2) + (pair.m + diff) / (2 * (pair.z - pair.m))
 
 
-def sample_household(
-    h1: Sequence[Household],
-    hcen: Sequence[Household],
-    hpes: Sequence[Household],
-    hsurveyed: Sequence[Household],
-    rng,
-) -> Household:
-    """Draw the next household so the auditor sees a uniform pick from ``h1``.
-
-    With probability |frame ∩ h1| / |h1| the draw is uniform over the
-    surveyed households still in ``h1``; otherwise it is uniform over the
-    not-in-frame households still in ``h1``.  Because the survey itself chose
-    its households uniformly from the frame, the composition is a uniform
-    draw from ``h1`` that never lands on an unsurveyed frame household.
-    """
-    h1_set = set(h1)
-    if not h1_set:
-        raise ValueError("no households left to sample")
-    pes_set = set(hpes)
-    everything = set(hcen) | pes_set
-    p = len(pes_set & h1_set) / len(h1_set)
-    if rng.random() < p:
-        pool = sorted(set(hsurveyed) & h1_set, key=lambda h: h.id)
-    else:
-        pool = sorted((everything - pes_set) & h1_set, key=lambda h: h.id)
-    if not pool:
-        raise ValueError("sampling frame exhausted: the chosen branch has no household left")
-    return pool[int(rng.integers(len(pool)))]
-
-
-@dataclass
-class _PairTest:
-    """Sequential state for one pair; the T update uses the product form
-    T <- (T/U) (A eta/mu + (U - A)(U - eta)/(U - mu))."""
-
-    pair: CensusPair
-    agree: float
-    T: float = 1.0
-    T_max: float = 1.0
-    mu: float = 0.5
-    eta: float = 0.0
-    U: float = 0.0
-    cum: float = 0.0
-    live: bool = True
-
-    def update(self, A: float, n: int, seen: int, eps: float) -> None:
-        T, mu, eta, U = self.T, self.mu, self.eta, self.U
-        if mu <= 0.0:
-            factor = math.inf if A > 0 else (1.0 / U) * (U - A) * (U - eta) / (U - mu)
-        else:
-            factor = (1.0 / U) * (A * eta / mu + (U - A) * (U - eta) / (U - mu))
-        self.T = T * factor
-        if self.T > self.T_max:
-            self.T_max = self.T
-        self.cum += A
-        if seen < n:
-            self.mu = (0.5 * n - self.cum) / (n - seen)
-            self.eta = max(self.agree, self.mu + eps)
-            self.U = max(self.U, self.eta + eps)
-            if self.mu < 0:
-                self.T_max = math.inf
-                self.live = False
-
-
 @dataclass(frozen=True)
 class CensusOutcome:
     """Smallest approvable risk limit overall, per pair and per state."""
@@ -318,7 +261,8 @@ def census_rla(
     """Process the survey sample and return the risk limit it supports.
 
     Households are drawn without replacement until every surveyed household
-    has been seen; each draw updates every pair assertion.  ``cfg.alpha`` is
+    has been seen; then each pair assertion is tested along that one draw
+    sequence by :func:`electaudit.alpha.sequential_path`.  ``cfg.alpha`` is
     ignored (this audit outputs the risk limit instead of testing one);
     ``cfg.seed`` drives the sampling and ``cfg.epsilon`` the guess ordering.
     A pair whose census margin is not positive gets risk limit 1: the census
@@ -350,39 +294,12 @@ def census_rla(
         seats = dict(census_seats)
         if sorted(seats) != sorted(model.states) or sum(seats.values()) != model.representatives:
             raise ValueError("census_seats must allocate every representative to a known state")
-    state_of = model.states
-
-    pair_risks: dict[tuple[str, str], float] = {}
-    tests: list[_PairTest] = []
-    for s1 in model.states:
-        for s2 in model.states:
-            if s1 == s2:
-                continue
-            if seats[s1] == 0:
-                continue  # no seat of s1 to defend; the pair condition is vacuous
-            pair = census_pair(model, seats, data.census_pops, n, s1, s2)
-            if pair.m <= 0:
-                pair_risks[(s1, s2)] = 1.0
-                continue
-            agree = float(pair.agree_value)
-            u0 = float(
-                Fraction(1, 2) + (pair.m + Fraction(delta)) / (2 * (pair.z - pair.m))
-            )
-            tests.append(_PairTest(pair=pair, agree=agree, eta=agree, U=u0))
-
-    # disagreement adjustment per pair: A = agree + (pes - cen) * slope(state)
-    slopes = np.zeros((len(tests), len(state_of)))
-    for t_i, t in enumerate(tests):
-        scale = 2 * (t.pair.z - t.pair.m)
-        slopes[t_i, state_of.index(t.pair.s1)] = float(1 / (Fraction(t.pair.d1) * t.pair.c * scale))
-        slopes[t_i, state_of.index(t.pair.s2)] = float(-1 / (Fraction(t.pair.d2) * t.pair.c * scale))
-
     rng = make_rng(cfg.seed)
     surveyed_pool = list(np.flatnonzero(surveyed_mask))
     nonframe_pool = list(np.flatnonzero(~data.in_frame))
     frame_in_h1 = int(data.in_frame.sum())
     h1_count = n
-    seen = 0
+    drawn = []
     while surveyed_pool:
         p = frame_in_h1 / h1_count
         if rng.random() < p:
@@ -394,26 +311,40 @@ def census_rla(
                     "sampling frame exhausted: no unaudited household outside the survey frame"
                 )
         j = int(rng.integers(len(pool)))
-        idx = pool[j]
+        drawn.append(pool[j])
         pool[j] = pool[-1]
         pool.pop()
         h1_count -= 1
         if from_frame:
             frame_in_h1 -= 1
-        seen += 1
+    drawn = np.array(drawn, dtype=np.intp)
+    seen = np.arange(1, len(drawn) + 1)
+    # frame-absent draws carry no survey count and score as agreement
+    diff = np.where(surveyed_mask[drawn], data.pes[drawn] - data.cen[drawn], 0)
+    drawn_state = data.state_idx[drawn]
 
-        # frame-absent draws carry no survey count and score as agreement
-        diff = int(data.pes[idx] - data.cen[idx]) if surveyed_mask[idx] else 0
-        s_idx = int(data.state_idx[idx])
-        for t_i, t in enumerate(tests):
-            if not t.live:
+    pair_risks: dict[tuple[str, str], float] = {}
+    for s1 in model.states:
+        for s2 in model.states:
+            if s1 == s2:
                 continue
-            A = t.agree if diff == 0 else t.agree + diff * slopes[t_i, s_idx]
-            t.update(A, n, seen, cfg.epsilon)
-
-    for t in tests:
-        risk = 0.0 if math.isinf(t.T_max) else min(1.0, 1.0 / t.T_max)
-        pair_risks[(t.pair.s1, t.pair.s2)] = risk
+            if seats[s1] == 0:
+                continue  # no seat of s1 to defend; the pair condition is vacuous
+            pair = census_pair(model, seats, data.census_pops, n, s1, s2)
+            if pair.m <= 0:
+                pair_risks[(s1, s2)] = 1.0
+                continue
+            agree = float(pair.agree_value)
+            scale = 2 * (pair.z - pair.m)
+            u0 = float(Fraction(1, 2) + (pair.m + Fraction(delta)) / scale)
+            # disagreement adjustment: A = agree + (pes - cen) * slope(state)
+            slope = np.zeros(len(model.states))
+            slope[model.states.index(s1)] = float(1 / (Fraction(pair.d1) * pair.c * scale))
+            slope[model.states.index(s2)] = float(-1 / (Fraction(pair.d2) * pair.c * scale))
+            A = agree + diff * slope[drawn_state]
+            path = sequential_path(A, seen, n, agree, u0, cfg.epsilon, math.inf, eta_floor=agree)
+            # approval here means mu fell below 0: the sample alone settles the pair
+            pair_risks[(s1, s2)] = 0.0 if path.approved else min(1.0, 1.0 / path.T_max)
 
     state_risks = {
         s: max(
@@ -427,7 +358,7 @@ def census_rla(
         risk_limit=overall,
         pair_risks=pair_risks,
         state_risks=state_risks,
-        households_examined=seen,
+        households_examined=len(drawn),
         total_households=n,
         census_seats=seats,
     )

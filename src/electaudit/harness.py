@@ -162,10 +162,6 @@ def plurality_assertions(contest: Contest, reported: Tally) -> list[Assorter]:
     return [plurality_assorter(winner, loser, contest) for loser in parties[1:]]
 
 
-def _knesset_margins(assertions, reported: Tally) -> dict[str, int]:
-    return {a.label: assertion_margin(a, reported) for a in assertions}
-
-
 def run_election_trial(
     kind: str,
     batches: list[BatchRecord],

@@ -1,11 +1,12 @@
 """The package-wide PRNG contract.
 
-Every random choice flows from numpy's PCG64 generator, seeded explicitly
-with a 64-bit integer.  Monte Carlo trials derive independent streams by
-spawning ``SeedSequence(root_seed)``: trial i always receives child i, so a
-run is reproducible for any trial count and trials can execute in any order
-(or concurrently) without changing results.  Golden tests pin this generator;
-do not substitute platform defaults.
+Every random choice flows from numpy's PCG64 generator, seeded explicitly.
+A Monte Carlo trial with seed ``s`` draws its data from stream ``(s, 0)``
+and its audit sampling from stream ``(s, 1)``, so two audit methods run on
+the same trial see identical data and identical draw randomness, and a
+trial's results depend on its seed alone, not on the trial count or the
+order trials run in.  Golden tests pin this generator; do not substitute
+platform defaults.
 """
 
 from __future__ import annotations
@@ -24,9 +25,3 @@ def make_rng(seed: Seed) -> np.random.Generator:
     and (trial_seed, 1) for audit sampling.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def spawn_rngs(root_seed: int, n: int) -> list[np.random.Generator]:
-    """Independent per-trial generators: child streams of the root seed."""
-    children = np.random.SeedSequence(root_seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]

@@ -1,10 +1,14 @@
-"""Shared test utilities: tally enumeration and small brute-force oracles."""
+"""Shared test utilities: tally enumeration and small brute-force and reference oracles."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Mapping, Sequence
 
+from electaudit.apportionment import Divisor, dhondt
+from electaudit.census import Household
 from electaudit.core import Assorter, Contest, Tally, assorter_mean
 
 
@@ -45,3 +49,84 @@ def brute_force_margin(assorter: Assorter, truth: Tally) -> int:
                 best = dist
     assert best is not None, "no falsifying tally exists"
     return best
+
+
+def brute_force_highest_averages(
+    values: Mapping[str, Fraction], seats: int, divisor: Divisor = dhondt
+) -> dict[str, int] | None:
+    """Independent oracle: score every composition of seats, keep the best.
+
+    The greedy coloring maximizes the summed quotients of colored cells, so
+    the optimal composition must match it.  Returns None when two different
+    compositions achieve the maximum (an allocation tie).  Exponential in the
+    unit count; only for small test instances.
+    """
+    units = list(values)
+    values = {
+        u: int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+        for u, v in values.items()
+    }
+    divisors = [divisor(r) for r in range(1, seats + 1)]
+    exact_ints = all(isinstance(values[u], int) for u in units) and all(
+        isinstance(d, int) for d in divisors
+    )
+    scale = math.lcm(*divisors) if exact_ints else None
+    prefix = {}
+    for u in units:
+        acc = [0 if exact_ints else Fraction(0)]
+        for d in divisors:
+            step = values[u] * (scale // d) if exact_ints else Fraction(values[u]) / d
+            acc.append(acc[-1] + step)
+        prefix[u] = acc
+
+    best_score = None
+    best = None
+    tie = False
+
+    def compositions(k: int, remaining: int):
+        if k == len(units) - 1:
+            yield (remaining,)
+            return
+        for take in range(remaining + 1):
+            for rest in compositions(k + 1, remaining - take):
+                yield (take,) + rest
+
+    for comp in compositions(0, seats):
+        score = sum(prefix[u][s] for u, s in zip(units, comp))
+        if best_score is None or score > best_score:
+            best_score, best, tie = score, comp, False
+        elif score == best_score:
+            tie = True
+    if tie:
+        return None
+    return dict(zip(units, best))
+
+
+def sample_household(
+    h1: Sequence[Household],
+    hcen: Sequence[Household],
+    hpes: Sequence[Household],
+    hsurveyed: Sequence[Household],
+    rng,
+) -> Household:
+    """Draw the next household so the auditor sees a uniform pick from ``h1``.
+
+    With probability |frame ∩ h1| / |h1| the draw is uniform over the
+    surveyed households still in ``h1``; otherwise it is uniform over the
+    not-in-frame households still in ``h1``.  Because the survey itself chose
+    its households uniformly from the frame, the composition is a uniform
+    draw from ``h1`` that never lands on an unsurveyed frame household.
+    """
+    h1_set = set(h1)
+    if not h1_set:
+        raise ValueError("no households left to sample")
+    pes_set = set(hpes)
+    everything = set(hcen) | pes_set
+    p = len(pes_set & h1_set) / len(h1_set)
+    if rng.random() < p:
+        pool = sorted(set(hsurveyed) & h1_set, key=lambda h: h.id)
+    else:
+        pool = sorted((everything - pes_set) & h1_set, key=lambda h: h.id)
+    if not pool:
+        raise ValueError("sampling frame exhausted: the chosen branch has no household left")
+    return pool[int(rng.integers(len(pool)))]

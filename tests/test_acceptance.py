@@ -17,11 +17,7 @@ import pytest
 
 import electaudit as ea
 from electaudit.alpha import AuditConfig, alpha_audit, alpha_batch_audit, combined_reported
-from electaudit.apportionment import (
-    AllocationTieError,
-    brute_force_highest_averages,
-    highest_averages,
-)
+from electaudit.apportionment import AllocationTieError, highest_averages
 from electaudit.batchcomp import batchcomp_audit, batch_assorter_value_exact, make_batch_assorter
 from electaudit.census import (
     CensusData,
@@ -41,6 +37,8 @@ from electaudit.harness import (
 )
 from electaudit.knesset import KnessetContest, allocate_seats, generate_assertions
 from electaudit.randomness import make_rng
+
+from .helpers import brute_force_highest_averages
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electaudit.alpha import (
+    AssertionState,
     AuditConfig,
-    _alpha_trajectory,
-    _first_crossing,
+    _advance,
     alpha_audit,
     alpha_batch_audit,
     alpha_init,
     alpha_step,
+    sequential_path,
 )
 from electaudit.core import BatchRecord, Contest, plurality_assorter
 from electaudit.randomness import make_rng
@@ -133,7 +136,8 @@ def test_vectorised_trajectory_matches_stepwise(two_party):
     rep_mean = 0.57
     rep = c.tally({"Alice": 171, "Bob": 129})
     st = alpha_init([a], rep, n, cfg)[0]
-    T, mu, eta, u = _alpha_trajectory(x, n, rep_mean, st.u, cfg.epsilon)
+    path = sequential_path(x, np.arange(1, n + 1), n, rep_mean, st.u, cfg.epsilon, 1 / cfg.alpha)
+    T, mu, eta, u = path.T, path.mu, path.eta, path.u
     for j in range(n):
         if not st.active:
             break
@@ -143,6 +147,7 @@ def test_vectorised_trajectory_matches_stepwise(two_party):
             assert st.mu == pytest.approx(mu[j + 1], rel=1e-11)
             assert st.eta == pytest.approx(eta[j + 1], rel=1e-11)
             assert st.u == pytest.approx(u[j + 1], rel=1e-11)
+    assert (path.approved, path.examined) == (st.approved, st.seen)
 
 
 def test_update_form_matches_census_form():
@@ -172,16 +177,14 @@ def test_supermartingale_mean_stays_at_one(two_party):
     rng = make_rng(99)
     eps = 1e-9
     rep_mean = 0.54
+    seen = np.arange(1, n + 1)
     paths = np.empty((runs, n))
     for r in range(runs):
         x = rng.permutation(ballots)
-        T, mu, _, _ = _alpha_trajectory(x, n, rep_mean, 1.0, eps)
-        neg = np.flatnonzero(mu < 0)
-        if neg.size:
-            stop = int(neg[0])
-            T = T.copy()
-            T[stop:] = T[stop - 1] if stop > 0 else 1.0
-        paths[r] = T
+        # no risk limit: the path runs on until mu < 0 stops it
+        path = sequential_path(x, seen, n, rep_mean, 1.0, eps, math.inf)
+        paths[r, : path.examined] = path.T
+        paths[r, path.examined :] = path.T[-1]
     means = paths.mean(axis=0)
     se = paths.std(axis=0, ddof=1) / math.sqrt(runs)
     assert np.all(means <= 1.0 + 3 * se)
@@ -220,12 +223,20 @@ def test_audit_wrong_winner_rarely_approves(two_party):
 
 
 def test_first_crossing_prefers_earliest_rule():
-    T = np.array([1.0, 5.0, 30.0, 40.0])
-    mu = np.array([0.5, 0.4, -0.1, -0.2])
-    approved, examined, t_max = _first_crossing(T, mu, alpha=0.05)
-    # mu goes negative after draw 2; T crosses 20 at draw 3
-    assert approved and examined == 2
-    assert t_max == 5.0
+    # 4 ballots, bound 3: mu goes negative after draw 2, before T reaches 1/alpha
+    x = np.array([1.5, 1.5, 3.0, 3.0])
+    cfg = AuditConfig(alpha=0.1)
+    path = sequential_path(x, np.arange(1, 5), 4, 1.0, 3.0, cfg.epsilon, 1 / cfg.alpha)
+    assert path.approved and path.examined == 2
+    assert path.T_max == path.T[1] < 1 / cfg.alpha
+    ref = AssertionState("ref", eta=1.0, u=3.0)
+    for value in x[:2]:
+        alpha_step(ref, float(value), cfg, 4, 1.0)
+    assert ref.approved and ref.mu < 0 and ref.T < 1 / cfg.alpha
+    assert path.T_max == pytest.approx(ref.T_max, rel=1e-12)
+    # with a threshold T passes at draw 1, the T rule comes first
+    early = sequential_path(x, np.arange(1, 5), 4, 1.0, 3.0, cfg.epsilon, path.T[0] / 2)
+    assert early.approved and early.examined == 1
 
 
 def test_golden_values_pin_generator():
@@ -285,3 +296,86 @@ def test_alpha_batch_wrong_winner_rarely_approves(two_party):
         out = alpha_batch_audit(rep_batches, [a], reported, AuditConfig(alpha=0.05, seed=s))
         wrong += out.approved
     assert wrong / trials <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / trials)
+
+
+@st.composite
+def kernel_cases(draw):
+    """One assertion's draws: unit or batch weights, values on a half-integer
+    grid (so mu hits 0 exactly) or anywhere up to twice the bound, reported
+    means up to the bound (so u grows), and ballots left undrawn."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        sizes = [1] * len(sizes)
+    n = sum(sizes) + draw(st.integers(0, 8))
+    u0 = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(0.6, 3.0))
+    eta0 = 0.5 + draw(st.sampled_from([0.999, 0.5, 0.02]) | st.floats(0.001, 0.999)) * (u0 - 0.5)
+    value = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0.0, 2 * u0)
+    x = draw(st.lists(value, min_size=len(sizes), max_size=len(sizes)))
+    alpha = draw(st.sampled_from([0.05, 0.2, 1e-6]))
+    floor = eta0 if draw(st.booleans()) else None
+    return np.array(x), np.array(sizes), n, eta0, u0, alpha, floor
+
+
+@given(kernel_cases())
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_stepwise_reference(case):
+    """sequential_path reproduces _advance draw by draw, for both eta rules."""
+    x, sizes, n, eta0, u0, alpha, floor = case
+    cfg = AuditConfig(alpha=alpha)
+    ref = AssertionState("ref", eta=eta0, u=u0, eta_budget=n * eta0)
+    rows = []  # T after each draw, then the (mu, eta, u) it was tested with
+    for value, weight in zip(x, sizes):
+        tested = (ref.mu, ref.eta, ref.u)
+        _advance(ref, float(value), int(weight), n, cfg, floor)
+        rows.append((ref.T, *tested))
+        if not ref.active:
+            break
+    rows = np.array(rows)
+
+    path = sequential_path(x, np.cumsum(sizes), n, eta0, u0, cfg.epsilon, 1 / alpha, floor)
+    common = len(rows)
+    if (path.approved, path.examined) != (ref.approved, len(rows)):
+        # the two forms of the factor round differently; only a T sitting on
+        # the threshold may decide differently
+        common = min(path.examined, len(rows))
+        assert rows[common - 1, 0] == pytest.approx(1 / alpha, rel=1e-9)
+    else:
+        assert path.T_max == pytest.approx(ref.T_max, rel=1e-9)
+    for col, got in enumerate((path.T, path.mu, path.eta, path.u)):
+        np.testing.assert_allclose(got[:common], rows[:common, col], rtol=1e-9)
+
+
+def test_kernel_zero_mu_special_cases():
+    """mu exactly 0: a zero draw keeps the (u - eta)/(u - mu) factor, a
+    positive one approves; no NaN either way."""
+    cfg = AuditConfig(alpha=0.05)
+    for last, approved in ((0.0, False), (0.5, True)):
+        x = np.array([1.0, 1.0, last, 0.0])
+        path = sequential_path(x, np.arange(1, 5), 4, 0.9, 1.0, cfg.epsilon, 1 / cfg.alpha)
+        assert path.mu[2] == 0.0
+        assert not np.isnan(path.T).any()
+        assert (path.approved, path.examined) == (approved, 3 if approved else 4)
+        ref = AssertionState("ref", eta=0.9, u=1.0)
+        for value in x[: path.examined]:
+            alpha_step(ref, float(value), cfg, 4, 0.9)
+        assert ref.approved == approved
+        assert path.T[-1] == pytest.approx(ref.T, rel=1e-12)
+
+
+def test_alpha_audit_trace_changes_nothing(two_party):
+    """A trace hook only observes: same outcome, rows assertion-major, one per
+    examined draw, each with T after the draw and the state it was tested with."""
+    c, a = two_party
+    loser_first = plurality_assorter(c.by_name("Bob"), c.by_name("Alice"), c)
+    rep = c.tally({"Alice": 560, "Bob": 440})
+    ballots = [c.by_name("Alice")] * 540 + [c.by_name("Bob")] * 460
+    for seed in range(5):
+        cfg = AuditConfig(alpha=0.05, seed=seed)
+        rows = []
+        traced = alpha_audit(ballots, [a, loser_first], rep, cfg, trace=lambda *r: rows.append(r))
+        assert traced == alpha_audit(ballots, [a, loser_first], rep, cfg)
+        examined = traced.assertions[0].examined
+        assert [r[0] for r in rows] == list(range(1, examined + 1))
+        assert {r[1] for r in rows} == {a.label}  # the refuted assertion is never tested
+        assert rows[0][3:] == (0.5, 0.56, 1.0)
+        assert all(type(v) is float for r in rows for v in r[2:])

@@ -21,9 +21,10 @@ from electaudit.census import (
     inject_survey_disagreement,
     load_districts_csv,
     load_households_csv,
-    sample_household,
 )
 from electaudit.randomness import make_rng
+
+from .helpers import sample_household
 
 HALF = Fraction(1, 2)
 

@@ -1,10 +1,17 @@
 import csv
 import json
 import math
+import statistics
 
+import numpy as np
 import pytest
 
-from electaudit.alpha import combined_reported, combined_truth
+from electaudit.alpha import AuditConfig, combined_reported, combined_truth
+from electaudit.census import (
+    census_rla,
+    generate_census_population,
+    inject_survey_disagreement,
+)
 from electaudit.core import Contest
 from electaudit.harness import (
     ConfigError,
@@ -16,6 +23,7 @@ from electaudit.harness import (
     load_household_distribution,
     run_experiment,
     trial_rngs,
+    write_census_outcome_csv,
 )
 from electaudit.randomness import make_rng
 
@@ -239,6 +247,52 @@ def test_census_experiment_outputs(tmp_path):
     assert rows[0] == ["sample_fraction", "median_risk_limit"]
     medians = [float(r[1]) for r in rows[1:]]
     assert medians[1] <= medians[0]  # more survey, never worse
+
+
+def test_census_outputs_write_plain_floats(tmp_path):
+    """With survey disagreement, every risk cell of the census tables is a
+    plain float literal equal to the value the audit reported."""
+    districts = tmp_path / "d.csv"
+    districts.write_text(
+        "district,population,c_constant\nX,41000,0\nY,23000,0\nZ,17000,0\n"
+    )
+    dist = tmp_path / "sizes.csv"
+    dist.write_text("size,probability\n1,0.4\n2,0.4\n3,0.2\n")
+    config = {
+        "audit": "census",
+        "districts": str(districts),
+        "representatives": 8,
+        "households": {"generate": {"household_dist": str(dist), "nonresponse": 0.01}},
+        "sample_fractions": [0.05, 0.1],
+        "disagreement_rate": 0.02,
+        "trials": 2,
+    }
+    reports = run_experiment(config, tmp_path / "out", seed=0)
+    with open(tmp_path / "out/risk_curve.csv") as f:
+        curve = [float(row["risk_limit"]) for row in csv.DictReader(f)]
+    assert curve == [r.risk_limit for r in reports]
+    assert any(0 < risk < 1 for risk in curve)
+    with open(tmp_path / "out/risk_summary.csv") as f:
+        medians = [float(row["median_risk_limit"]) for row in csv.DictReader(f)]
+    assert medians == [
+        statistics.median(r.risk_limit for r in reports if r.sample_fraction == frac)
+        for frac in config["sample_fractions"]
+    ]
+
+    rng = make_rng(5)
+    pops = {"X": 41000, "Y": 23000, "Z": 17000}
+    sizes = {1: 0.4, 2: 0.4, 3: 0.2}
+    households, model = generate_census_population(pops, sizes, 0.01, rng, 8)
+    households = inject_survey_disagreement(households, 0.02, sizes, rng)
+    mask = np.zeros(len(households), dtype=bool)
+    mask[rng.choice(len(households), size=len(households) // 10, replace=False)] = True
+    outcome = census_rla(model, households, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
+    write_census_outcome_csv(outcome, tmp_path / "pairs.csv")
+    with open(tmp_path / "pairs.csv") as f:
+        rows = list(csv.DictReader(f))
+    expected = {**outcome.pair_risks, ("OVERALL", ""): outcome.risk_limit}
+    assert {(r["pair_s1"], r["pair_s2"]): float(r["risk_limit"]) for r in rows} == expected
+    assert any(0 < risk < 1 for risk in expected.values())
 
 
 def test_accurate_batchcomp_spread_small(tmp_path):

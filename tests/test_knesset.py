@@ -3,11 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from electaudit.apportionment import (
-    AllocationTieError,
-    brute_force_highest_averages,
-    highest_averages,
-)
+from electaudit.apportionment import AllocationTieError, highest_averages
 from electaudit.core import Contest, assorter_mean
 from electaudit.knesset import (
     KnessetContest,
@@ -19,7 +15,7 @@ from electaudit.knesset import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import all_tallies, brute_force_margin
+from .helpers import all_tallies, brute_force_highest_averages, brute_force_margin
 
 HALF = Fraction(1, 2)
 
