@@ -21,6 +21,7 @@ from .batchcomp import (
     pad_missing_ballots,
 )
 from .census import (
+    CensusData,
     CensusModel,
     CensusOutcome,
     Household,

@@ -27,13 +27,18 @@ constant (floored at mu + epsilon) and no risk limit to stop at: T is the
 running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
 and the pair's risk is 1 / max T, or 0 once the sample alone forces the
 pair's mean above 1/2.
+
+Populations are columnar :class:`CensusData` from generation through the
+audit.  :class:`Household` is the row type of a household CSV, which
+``CensusData.from_households`` converts, and the input of the exact
+``Fraction`` assorters the float audit is checked against.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -62,6 +67,8 @@ class CensusModel:
     divisor_name: str = "dhondt"
 
     def __post_init__(self):
+        if not self.states:
+            raise ValueError("no states")
         if self.representatives <= 0:
             raise ValueError("representative count must be positive")
         if self.g_max <= 0:
@@ -181,14 +188,9 @@ def census_assorter_value(pair: CensusPair, household: Household, use_pes: bool)
     return Fraction(g1, pair.d1) / pair.c + Fraction(pair.g_max - g2, pair.d2) / pair.c
 
 
-def comparison_assorter_value(pair: CensusPair, household: Household, pes_count: int | None = None):
-    """Discrepancy assorter 1/2 + (m + a_pes - a_cen) / (2 (z - m)).
-
-    ``pes_count`` overrides the household's recorded survey count; the audit
-    uses this to score frame-absent draws as agreeing with the census.
-    """
-    if pes_count is None:
-        pes_count = household.pes_count
+def comparison_assorter_value(pair: CensusPair, household: Household):
+    """Discrepancy assorter 1/2 + (m + a_pes - a_cen) / (2 (z - m))."""
+    pes_count = household.pes_count
     if pes_count is None:
         raise ValueError(f"household {household.id!r} has no survey count")
     diff = Fraction(0)
@@ -212,47 +214,71 @@ class CensusOutcome:
 
 
 class CensusData:
-    """Array view of a household list, reusable across audit runs."""
+    """Columnar households: entry i of every array is household i.
 
-    def __init__(self, model: CensusModel, households: Sequence[Household]):
+    ``state_idx`` indexes ``model.states``; ``pes`` is the survey count where
+    ``has_pes`` is set and the census count ``cen`` elsewhere; ``in_frame``
+    marks households the survey could reach.  Defaults: ``pes = cen``, flags set.
+    """
+
+    def __init__(self, model: CensusModel, state_idx, cen, pes=None, has_pes=None, in_frame=None):
         self.model = model
-        self.households = list(households)
+        self.state_idx = np.asarray(state_idx, dtype=np.intp)
+        self.cen = np.asarray(cen, dtype=np.int64)
+        self.pes = self.cen if pes is None else np.asarray(pes, dtype=np.int64)
+        n = self.cen.size
+        self.has_pes = np.ones(n, bool) if has_pes is None else np.asarray(has_pes, dtype=bool)
+        self.in_frame = np.ones(n, bool) if in_frame is None else np.asarray(in_frame, dtype=bool)
+        columns = (self.state_idx, self.cen, self.pes, self.has_pes, self.in_frame)
+        if any(col.shape != (n,) for col in columns):
+            raise ValueError("household arrays must be one-dimensional and of one length")
+        if n == 0:
+            raise ValueError("no households")
+        checks = (
+            ("state index", self.state_idx, True, len(model.states) - 1),
+            ("census count", self.cen, True, model.g_max),
+            ("survey count", self.pes, self.has_pes, model.g_max),
+        )
+        for what, col, rows, top in checks:
+            bad = np.flatnonzero(rows & ((col < 0) | (col > top)))
+            if bad.size:
+                raise ValueError(f"household {bad[0]} {what} {col[bad[0]]} outside [0, {top}]")
+        self.census_pops = self.state_totals(self.cen)
+
+    @classmethod
+    def from_households(cls, model: CensusModel, households: Sequence[Household]) -> CensusData:
+        """Columns of a household list, such as the rows of a household CSV."""
+        state_index = {s: i for i, s in enumerate(model.states)}
         ids = set()
-        for h in self.households:
+        for h in households:
             if h.id in ids:
                 raise ValueError(f"duplicate household id {h.id!r}")
             ids.add(h.id)
-            if h.state not in model.states:
+            if h.state not in state_index:
                 raise ValueError(f"household {h.id!r} names unknown state {h.state!r}")
-            if not 0 <= h.census_count <= model.g_max:
-                raise ValueError(
-                    f"household {h.id!r} census count {h.census_count} outside [0, {model.g_max}]"
-                )
-            if h.pes_count is not None and not 0 <= h.pes_count <= model.g_max:
-                raise ValueError(
-                    f"household {h.id!r} survey count {h.pes_count} outside [0, {model.g_max}]"
-                )
-        state_index = {s: i for i, s in enumerate(model.states)}
-        self.state_idx = np.array([state_index[h.state] for h in self.households], dtype=np.intp)
-        self.cen = np.array([h.census_count for h in self.households], dtype=np.int64)
-        self.pes = np.array(
-            [h.census_count if h.pes_count is None else h.pes_count for h in self.households],
-            dtype=np.int64,
+        return cls(
+            model,
+            [state_index[h.state] for h in households],
+            [h.census_count for h in households],
+            [h.census_count if h.pes_count is None else h.pes_count for h in households],
+            [h.surveyed for h in households],
+            [h.in_pes_frame for h in households],
         )
-        self.has_pes = np.array([h.pes_count is not None for h in self.households], dtype=bool)
-        self.in_frame = np.array([h.in_pes_frame for h in self.households], dtype=bool)
-        self.census_pops = {
-            s: int(self.cen[self.state_idx == i].sum()) for i, s in enumerate(model.states)
-        }
 
     @property
     def n(self) -> int:
-        return len(self.households)
+        return len(self.cen)
+
+    def state_totals(self, counts: np.ndarray) -> dict[str, int]:
+        """Per-state sums of one count per household."""
+        # exact in floats: every partial sum is an integer <= n * g_max < 2**53
+        sums = np.bincount(self.state_idx, weights=counts, minlength=len(self.model.states))
+        return {s: int(v) for s, v in zip(self.model.states, sums)}
 
 
 def census_rla(
     model: CensusModel,
-    households: Sequence[Household] | CensusData,
+    data: CensusData,
     cfg: AuditConfig,
     delta: float = DEFAULT_DELTA,
     surveyed_mask: np.ndarray | None = None,
@@ -273,10 +299,7 @@ def census_rla(
     census implies (some nations amend seat allocations by law rather than
     recompute them).
     """
-    data = households if isinstance(households, CensusData) else CensusData(model, households)
     n = data.n
-    if n == 0:
-        raise ValueError("no households")
     if surveyed_mask is None:
         surveyed_mask = data.has_pes
     else:
@@ -347,10 +370,7 @@ def census_rla(
             pair_risks[(s1, s2)] = 0.0 if path.approved else min(1.0, 1.0 / path.T_max)
 
     state_risks = {
-        s: max(
-            (r for (a, b), r in pair_risks.items() if s in (a, b)),
-            default=0.0,
-        )
+        s: max((r for pair, r in pair_risks.items() if s in pair), default=0.0)
         for s in model.states
     }
     overall = max(pair_risks.values()) if pair_risks else 0.0
@@ -372,7 +392,7 @@ def generate_census_population(
     representatives: int,
     g_max: int = DEFAULT_GMAX,
     divisor_name: str = "dhondt",
-) -> tuple[list[Household], CensusModel]:
+) -> tuple[CensusData, CensusModel]:
     """Synthesize per-household census data matching real district totals.
 
     Each district gets round(population / mean household size) households,
@@ -397,22 +417,14 @@ def generate_census_population(
     if mean_size <= 0:
         raise ValueError("household size distribution must have positive mean")
 
-    households: list[Household] = []
+    counts: list[np.ndarray] = []
     constants: dict[str, Fraction] = {}
     for district, pop in district_pops.items():
         count = round(pop / mean_size)
         drawn = rng.choice(sizes, size=count, p=probs)
         silent = rng.random(count) < nonresponse
         recorded = np.where(silent, 0, drawn)
-        for i, g in enumerate(recorded):
-            households.append(
-                Household(
-                    id=f"{district}-{i}",
-                    state=district,
-                    census_count=int(g),
-                    pes_count=int(g),
-                )
-            )
+        counts.append(recorded)
         constants[district] = Fraction(pop - int(recorded.sum()))
     model = CensusModel(
         states=tuple(district_pops),
@@ -421,27 +433,26 @@ def generate_census_population(
         g_max=g_max,
         divisor_name=divisor_name,
     )
-    return households, model
+    state_idx = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    return CensusData(model, state_idx, np.concatenate(counts)), model
 
 
 def inject_survey_disagreement(
-    households: Sequence[Household],
+    data: CensusData,
     rate: float,
     household_dist: Mapping[int, float],
     rng,
-) -> list[Household]:
-    """Re-draw the survey count of a random ``rate`` share of households."""
+) -> CensusData:
+    """Re-draw the survey count of a random ``rate`` share of surveyed households."""
     if not 0 <= rate <= 1:
         raise ValueError("disagreement rate must be in [0, 1]")
     sizes = np.array(sorted(household_dist), dtype=np.int64)
     probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
     probs = probs / probs.sum()
-    hit = rng.random(len(households)) < rate
-    redrawn = rng.choice(sizes, size=len(households), p=probs)
-    out = []
-    for h, flip, g in zip(households, hit, redrawn):
-        out.append(replace(h, pes_count=int(g)) if flip else h)
-    return out
+    hit = rng.random(data.n) < rate
+    redrawn = rng.choice(sizes, size=data.n, p=probs)
+    pes = np.where(hit & data.has_pes, redrawn, data.pes)
+    return CensusData(data.model, data.state_idx, data.cen, pes, data.has_pes, data.in_frame)
 
 
 def load_districts_csv(path) -> tuple[dict[str, int], dict[str, Fraction]]:

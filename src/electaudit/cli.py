@@ -134,16 +134,14 @@ def _cmd_census(args) -> int:
         return 0
 
     pops, constants = census_mod.load_districts_csv(args.model)
-    households = census_mod.load_households_csv(args.households)
     model = census_mod.CensusModel(
-        states=tuple(pops),
-        representatives=args.representatives,
-        constants=constants,
-        g_max=args.g_max,
-        divisor_name=args.divisor,
+        tuple(pops), args.representatives, constants, args.g_max, args.divisor
+    )
+    data = census_mod.CensusData.from_households(
+        model, census_mod.load_households_csv(args.households)
     )
     cfg = AuditConfig(alpha=1.0, seed=args.seed)
-    outcome = census_mod.census_rla(model, households, cfg, delta=args.delta)
+    outcome = census_mod.census_rla(model, data, cfg, delta=args.delta)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

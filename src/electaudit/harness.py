@@ -481,6 +481,18 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
         raise ConfigError("sample_fractions only apply to generated households; "
                           "a household file fixes the surveyed set")
     fractions = [float(x) for x in fractions] if fractions else [None]
+    for frac in fractions:
+        if frac is not None and not 0 < frac <= 1:
+            raise ConfigError(f"sample fraction {frac!r} is not in (0, 1]")
+
+    if generate:
+        gen = households_spec["generate"]
+        dist = load_household_distribution(gen["household_dist"])
+    else:
+        model = census_mod.CensusModel(tuple(pops), representatives, constants, g_max, divisor)
+        data = census_mod.CensusData.from_households(
+            model, census_mod.load_households_csv(households_spec)
+        )
 
     reports: list[TrialReport] = []
     rows: list[list] = []
@@ -488,34 +500,18 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
         t0 = time.perf_counter()
         data_rng, audit_seed = trial_rngs(trial_seed)
         if generate:
-            gen = households_spec["generate"]
-            dist = load_household_distribution(gen["household_dist"])
-            households, model = census_mod.generate_census_population(
+            data, model = census_mod.generate_census_population(
                 pops, dist, float(gen.get("nonresponse", 0.0)), data_rng,
                 representatives, g_max, divisor,
             )
             if disagree > 0:
-                households = _inject_agreeing_disagreement(
-                    households, model, disagree, dist, data_rng
-                )
-        else:
-            households = census_mod.load_households_csv(households_spec)
-            model = census_mod.CensusModel(
-                states=tuple(pops),
-                representatives=representatives,
-                constants=constants,
-                g_max=g_max,
-                divisor_name=divisor,
-            )
-        data = census_mod.CensusData(model, households)
+                data = _inject_agreeing_disagreement(data, disagree, dist, data_rng)
         n = data.n
         for frac in fractions:
-            if frac is None:
-                mask = None
-            else:
-                k = max(1, round(frac * n))
+            mask = None
+            if frac is not None:
                 mask = np.zeros(n, dtype=bool)
-                mask[data_rng.choice(n, size=k, replace=False)] = True
+                mask[data_rng.choice(n, size=max(1, round(frac * n)), replace=False)] = True
             cfg = AuditConfig(alpha=1.0, seed=audit_seed)
             outcome = census_mod.census_rla(model, data, cfg, delta=delta, surveyed_mask=mask)
             frac_label = repr(frac) if frac is not None else "file"
@@ -550,33 +546,21 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
     return reports
 
 
-def _inject_agreeing_disagreement(households, model, rate, dist, rng, max_tries: int = 50):
+def _inject_agreeing_disagreement(data, rate, dist, rng, max_tries: int = 50):
     """Disagreement injection conditioned on an unchanged full-survey allocation.
 
     The efficiency question is only meaningful when the full survey would
     confirm the census, so redraws that flip a seat are rejected and retried.
     """
-    base = census_mod.apportion(
-        model, _pops_from(households, model, lambda h: h.census_count)
-    )
+    base = census_mod.apportion(data.model, data.census_pops)
     for _ in range(max_tries):
-        candidate = census_mod.inject_survey_disagreement(households, rate, dist, rng)
-        pes_alloc = census_mod.apportion(
-            model, _pops_from(candidate, model, lambda h: h.pes_count)
-        )
-        if pes_alloc == base:
+        candidate = census_mod.inject_survey_disagreement(data, rate, dist, rng)
+        if census_mod.apportion(data.model, candidate.state_totals(candidate.pes)) == base:
             return candidate
     raise ValueError(
         "could not inject survey disagreement without changing the seat allocation; "
         "margins are too tight for this disagreement rate"
     )
-
-
-def _pops_from(households, model, count_of):
-    pops = {s: 0 for s in model.states}
-    for h in households:
-        pops[h.state] += count_of(h)
-    return pops
 
 
 def write_census_outcome_csv(outcome: census_mod.CensusOutcome, path) -> None:

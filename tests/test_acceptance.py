@@ -102,7 +102,7 @@ def test_criterion_03_census_risk_guarantee():
         households.append(Household(f"x{i}", "X", 2, 2 if i < 180 else 1))
     for i in range(200):
         households.append(Household(f"y{i}", "Y", 2, 3 if i < 120 else 2))
-    data = CensusData(model, households)
+    data = CensusData.from_households(model, households)
     assert apportion(model, data.census_pops) == {"X": 2, "Y": 1}
     assert apportion(model, {"X": int(data.pes.sum() - data.pes[data.state_idx == 1].sum()),
                              "Y": int(data.pes[data.state_idx == 1].sum())}) == {"X": 1, "Y": 2}
@@ -331,16 +331,13 @@ def _cyprus_medians(fractions, disagreement, trials=10):
     risks = {f: [] for f in fractions}
     for trial in range(trials):
         data_rng, audit_seed = trial_rngs(trial)
-        households, model = generate_census_population(
+        data, model = generate_census_population(
             pops, dist, 0.01, data_rng, representatives=56
         )
         if disagreement:
             from electaudit.harness import _inject_agreeing_disagreement
 
-            households = _inject_agreeing_disagreement(
-                households, model, disagreement, dist, data_rng
-            )
-        data = CensusData(model, households)
+            data = _inject_agreeing_disagreement(data, disagreement, dist, data_rng)
         for frac in fractions:
             k = round(frac * data.n)
             mask = np.zeros(data.n, dtype=bool)

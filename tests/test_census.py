@@ -63,7 +63,7 @@ def _household_fixture():
 
 def test_pair_constants_positive():
     model, hh = _household_fixture()
-    data = CensusData(model, hh)
+    data = CensusData.from_households(model, hh)
     seats = apportion(model, data.census_pops)
     for s1, s2 in (("X", "Y"), ("Y", "X")):
         pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
@@ -73,7 +73,7 @@ def test_pair_constants_positive():
 
 def test_census_assorter_boundary_values():
     model, hh = _household_fixture()
-    data = CensusData(model, hh)
+    data = CensusData.from_households(model, hh)
     seats = apportion(model, data.census_pops)
     pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
     # maximal-occupancy household in s2 zeroes the second term entirely
@@ -88,7 +88,7 @@ def test_census_assorter_constant_off_pair():
     hh = [Household(f"x{i}", "X", c, c) for i, c in enumerate([3, 2, 2, 1])]
     hh += [Household(f"y{i}", "Y", c, c) for i, c in enumerate([1, 1, 2])]
     hh += [Household(f"w{i}", "W", c, c) for i, c in enumerate([3, 3, 1])]
-    data = CensusData(model3, hh)
+    data = CensusData.from_households(model3, hh)
     seats = apportion(model3, data.census_pops)
     pair = census_pair(model3, seats, data.census_pops, data.n, "X", "Y")
     expected = Fraction(model3.g_max, pair.d2) / pair.c
@@ -111,7 +111,7 @@ def test_household_assorter_matches_inequality_exhaustively():
     """
     model, base = _household_fixture()
     base = base + [Household("y3", "Y", 1, 1)]
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
     c1, c2 = model.constants["X"], model.constants["Y"]
     for s1, s2 in (("X", "Y"), ("Y", "X")):
@@ -149,7 +149,7 @@ def _counts_with_sum(total, slots, g_max):
 
 def test_assorter_mean_depends_only_on_state_sums():
     model, base = _household_fixture()
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
     pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
     rng = make_rng(8)
@@ -179,7 +179,7 @@ def _random_counts(rng, total, slots, g_max):
 def test_comparison_assorter_never_negative():
     """Exhaustive sweep over census/survey count pairs in every pair role."""
     model, base = _household_fixture()
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
     g = model.g_max
     for s1, s2 in (("X", "Y"), ("Y", "X")):
@@ -192,7 +192,7 @@ def test_comparison_assorter_never_negative():
 
 def test_comparison_assorter_agreement_constant():
     model, base = _household_fixture()
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
     pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
     values = {
@@ -206,7 +206,7 @@ def test_comparison_assorter_agreement_constant():
 def test_comparison_mean_crosses_half_with_survey_mean():
     """mean A > 1/2 iff mean a_pes > 1/2, swept over survey sums."""
     model, base = _household_fixture()
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
     pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
     xs = [h for h in base if h.state == "X"]
@@ -232,7 +232,7 @@ def test_allocation_equivalence_theorem_small():
     over sums is exhaustive for 2 states, 7 households, counts up to 3.
     """
     model, base = _household_fixture()
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     census_seats = apportion(model, data.census_pops)
     pairs = {}
     for s1, s2 in (("X", "Y"), ("Y", "X")):
@@ -300,7 +300,8 @@ def test_sample_household_exhausted_branch_errors():
 def test_census_rla_no_survey_gives_risk_one():
     model, base = _household_fixture()
     silent = [Household(h.id, h.state, h.census_count, None) for h in base]
-    out = census_rla(model, silent, AuditConfig(alpha=1.0, seed=0))
+    data = CensusData.from_households(model, silent)
+    out = census_rla(model, data, AuditConfig(alpha=1.0, seed=0))
     assert out.risk_limit == 1.0
     assert all(r == 1.0 for r in out.pair_risks.values())
     assert out.households_examined == 0
@@ -311,7 +312,7 @@ def test_census_rla_agreement_improves_with_more_survey():
     big = [
         Household(f"X{i}", "X", 2, 2) for i in range(300)
     ] + [Household(f"Y{i}", "Y", 1, 1) for i in range(150)]
-    data = CensusData(model, big)
+    data = CensusData.from_households(model, big)
     risks = []
     for k in (50, 150, 300):
         mask = np.zeros(data.n, dtype=bool)
@@ -323,7 +324,7 @@ def test_census_rla_agreement_improves_with_more_survey():
 
 def test_census_rla_supplied_allocation_with_nonpositive_margin():
     model, base = _household_fixture()
-    data = CensusData(model, base)
+    data = CensusData.from_households(model, base)
     honest = apportion(model, data.census_pops)
     assert honest == {"X": 2, "Y": 1}
     skewed = {"X": 1, "Y": 2}  # census numbers refute this allocation outright
@@ -353,10 +354,9 @@ def test_census_rla_agreement_risk_matches_closed_form():
     form, so the reported risk depends on the inputs only through each pair's
     m/z, the household count and the sample size."""
     rng = make_rng(41)
-    hh, model = generate_census_population(
+    data, model = generate_census_population(
         {"X": 6100, "Y": 3900, "Z": 2300}, {1: 0.3, 2: 0.4, 3: 0.3}, 0.01, rng, representatives=7
     )
-    data = CensusData(model, hh)
     seats = apportion(model, data.census_pops)
     for frac in (0.05, 0.1):
         k = round(frac * data.n)
@@ -377,7 +377,7 @@ def test_census_rla_agreement_risk_matches_closed_form():
 
 def test_census_rla_state_risks_cover_pairs():
     model, base = _household_fixture()
-    out = census_rla(model, base, AuditConfig(alpha=1.0, seed=0))
+    out = census_rla(model, CensusData.from_households(model, base), AuditConfig(alpha=1.0, seed=0))
     for s in model.states:
         relevant = [r for (a, b), r in out.pair_risks.items() if s in (a, b)]
         assert out.state_risks[s] == max(relevant)
@@ -385,12 +385,11 @@ def test_census_rla_state_risks_cover_pairs():
 
 def test_generation_degenerate_distribution():
     rng = make_rng(10)
-    hh, model = generate_census_population(
+    data, model = generate_census_population(
         {"X": 1000, "Y": 600}, {2: 1.0}, nonresponse=0.0, rng=rng, representatives=3, g_max=5
     )
-    assert all(h.census_count == 2 and h.pes_count == 2 for h in hh)
-    assert len([h for h in hh if h.state == "X"]) == 500
-    data = CensusData(model, hh)
+    assert np.all(data.cen == 2) and np.all(data.pes == 2) and np.all(data.has_pes)
+    assert np.count_nonzero(data.state_idx == model.states.index("X")) == 500
     assert apportion(model, data.census_pops) == apportion(model, {"X": 1000, "Y": 600})
 
 
@@ -398,8 +397,7 @@ def test_generation_constant_fixes_apportionment():
     rng = make_rng(11)
     pops = {"X": 5000, "Y": 3100, "Z": 900}
     dist = {1: 0.3, 2: 0.4, 3: 0.3}
-    hh, model = generate_census_population(pops, dist, 0.01, rng, representatives=5)
-    data = CensusData(model, hh)
+    data, model = generate_census_population(pops, dist, 0.01, rng, representatives=5)
     generated = apportion(model, data.census_pops)
     real = apportion(model, pops)
     assert generated == real
@@ -407,25 +405,33 @@ def test_generation_constant_fixes_apportionment():
 
 def test_generation_nonresponse_rate():
     rng = make_rng(12)
-    hh, _ = generate_census_population(
+    data, _ = generate_census_population(
         {"X": 40000}, {2: 1.0}, nonresponse=0.1, rng=rng, representatives=1
     )
-    zeros = sum(1 for h in hh if h.census_count == 0)
-    n = len(hh)
+    zeros = np.count_nonzero(data.cen == 0)
+    n = data.n
     assert abs(zeros - 0.1 * n) <= 4 * math.sqrt(n * 0.1 * 0.9)
 
 
 def test_inject_disagreement_rate():
     rng = make_rng(13)
-    hh, _ = generate_census_population(
+    data, _ = generate_census_population(
         {"X": 30000}, {1: 0.5, 2: 0.5}, nonresponse=0.0, rng=rng, representatives=1
     )
-    bumped = inject_survey_disagreement(hh, 0.25, {1: 0.5, 2: 0.5}, rng)
-    changed = sum(1 for a, b in zip(hh, bumped) if a.pes_count != b.pes_count)
+    bumped = inject_survey_disagreement(data, 0.25, {1: 0.5, 2: 0.5}, rng)
+    changed = np.count_nonzero(data.pes != bumped.pes)
     redrawn_same = 0.5  # a redraw matches the old count half the time here
-    n = len(hh)
+    n = data.n
     expect = 0.25 * n * redrawn_same
     assert abs(changed - expect) <= 5 * math.sqrt(n)
+
+
+def test_inject_disagreement_leaves_unsurveyed_households():
+    model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
+    data = CensusData(model, [0] * 4, [1] * 4, has_pes=[True, False, True, False])
+    bumped = inject_survey_disagreement(data, 1.0, {3: 1.0}, make_rng(0))
+    assert bumped.pes.tolist() == [3, 1, 3, 1]
+    assert bumped.has_pes.tolist() == data.has_pes.tolist()
 
 
 def test_median_risk_monotone_in_sample_size():
@@ -440,9 +446,8 @@ def test_median_risk_monotone_in_sample_size():
     risks = {f: [] for f in fractions}
     for trial in range(11):
         data_rng = make_rng((trial, 0))
-        hh, model = generate_census_population(pops, dist, 0.01, data_rng, representatives=8)
-        hh = inject_survey_disagreement(hh, 0.05, dist, data_rng)
-        data = CensusData(model, hh)
+        data, model = generate_census_population(pops, dist, 0.01, data_rng, representatives=8)
+        data = inject_survey_disagreement(data, 0.05, dist, data_rng)
         for f in fractions:
             k = round(f * data.n)
             mask = np.zeros(data.n, dtype=bool)
@@ -458,7 +463,54 @@ def test_median_risk_monotone_in_sample_size():
 def test_counts_above_gmax_rejected():
     model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
     with pytest.raises(ValueError, match="outside"):
-        CensusData(model, [Household("h", "X", 4, None)])
+        CensusData.from_households(model, [Household("h", "X", 4, None)])
+    # arrays are checked by vectorised tests that name the first bad household
+    with pytest.raises(ValueError, match=r"household 1 census count 4 outside \[0, 3\]"):
+        CensusData(model, [0, 0], [2, 4])
+    with pytest.raises(ValueError, match=r"household 0 survey count -1 outside \[0, 3\]"):
+        CensusData(model, [0, 0], [2, 2], pes=[-1, 2])
+    # an unsurveyed household's survey entry is not a count
+    assert CensusData(model, [0], [2], pes=[-1], has_pes=[False]).census_pops == {"X": 2}
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (([0, 1], [1, 1]), r"household 1 state index 1 outside \[0, 0\]"),
+        (([-1], [1]), r"household 0 state index -1 outside \[0, 0\]"),
+        (([0, 0], [1]), "one length"),
+        (([0], [1], [1, 1]), "one length"),
+        (([0], [1], None, [True], [True, False]), "one length"),
+        (([[0]], [[1]]), "one-dimensional"),
+        (([], []), "no households"),
+    ],
+)
+def test_census_data_rejects_malformed_arrays(columns, message):
+    model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
+    with pytest.raises(ValueError, match=message):
+        CensusData(model, *columns)
+
+
+def test_model_needs_a_state():
+    with pytest.raises(ValueError, match="no states"):
+        CensusModel(states=(), representatives=1, constants={})
+    with pytest.raises(ValueError, match="no states"):
+        generate_census_population({}, {1: 1.0}, 0.0, make_rng(0), representatives=1)
+
+
+def test_census_data_from_arrays_matches_household_rows():
+    model, hh = _household_fixture()
+    hh = hh + [Household("z", "Y", 2, None, in_pes_frame=False)]
+    rows = CensusData.from_households(model, hh)
+    assert rows.state_idx.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert rows.pes.tolist() == rows.cen.tolist() == [3, 2, 2, 1, 1, 1, 2, 2]
+    assert rows.has_pes.tolist() == rows.in_frame.tolist() == [True] * 7 + [False]
+    assert rows.census_pops == {"X": 8, "Y": 6}
+    assert rows.state_totals(np.ones(rows.n, dtype=np.int64)) == {"X": 4, "Y": 4}
+    with pytest.raises(ValueError, match="unknown state 'W'"):
+        CensusData.from_households(model, [Household("w", "W", 1, 1)])
+    with pytest.raises(ValueError, match="duplicate household id 'x0'"):
+        CensusData.from_households(model, hh + [hh[0]])
 
 
 def test_district_and_household_csv(tmp_path):

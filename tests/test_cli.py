@@ -104,3 +104,41 @@ def test_census_generate_requires_args(tmp_path):
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,13,0\n")
     assert main(["census", "--model", str(districts), "--generate"]) == 2
+
+
+def _generated_census_inputs(tmp_path):
+    districts = tmp_path / "d.csv"
+    districts.write_text("district,population,c_constant\nX,4100,0\nY,2300,0\nZ,1700,0\n")
+    sizes = tmp_path / "sizes.csv"
+    sizes.write_text("size,probability\n1,0.4\n2,0.4\n3,0.2\n")
+    return ["census", "--model", str(districts), "--generate", "--household-dist", str(sizes),
+            "--representatives", "5", "--trials", "2", "--out", str(tmp_path / "out")]
+
+
+def test_census_generate_runs_to_completion(tmp_path):
+    assert main(_generated_census_inputs(tmp_path) + ["--sample-frac", "0.05,0.1"]) == 0
+    with open(tmp_path / "out/risk_curve.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert sorted((r["sample_fraction"], r["trial"]) for r in rows) == [
+        ("0.05", "0"), ("0.05", "1"), ("0.1", "0"), ("0.1", "1")
+    ]
+    assert all(0.0 <= float(r["risk_limit"]) <= 1.0 for r in rows)
+
+
+def test_census_generate_rejects_zero_sample_fraction(tmp_path, capsys):
+    assert main(_generated_census_inputs(tmp_path) + ["--sample-frac", "0,0.01"]) == 2
+    assert "audit: error:" in capsys.readouterr().err
+
+
+def test_census_file_mode_unknown_district_exits_2(tmp_path, capsys):
+    districts = tmp_path / "d.csv"
+    districts.write_text("district,population,c_constant\nX,13,0\n")
+    households = tmp_path / "h.csv"
+    households.write_text(
+        "household_id,district,census_count,pes_count,surveyed\nx0,X,2,2,1\nw0,W,1,1,1\n"
+    )
+    rc = main(["census", "--model", str(districts), "--households", str(households),
+               "--representatives", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("audit: error:") and "unknown state 'W'" in err

@@ -249,16 +249,15 @@ def test_census_experiment_outputs(tmp_path):
     assert medians[1] <= medians[0]  # more survey, never worse
 
 
-def test_census_outputs_write_plain_floats(tmp_path):
-    """With survey disagreement, every risk cell of the census tables is a
-    plain float literal equal to the value the audit reported."""
+def _disagreeing_census_config(tmp_path):
+    """Three generated districts with 2% survey disagreement, two trials."""
     districts = tmp_path / "d.csv"
     districts.write_text(
         "district,population,c_constant\nX,41000,0\nY,23000,0\nZ,17000,0\n"
     )
     dist = tmp_path / "sizes.csv"
     dist.write_text("size,probability\n1,0.4\n2,0.4\n3,0.2\n")
-    config = {
+    return {
         "audit": "census",
         "districts": str(districts),
         "representatives": 8,
@@ -267,6 +266,12 @@ def test_census_outputs_write_plain_floats(tmp_path):
         "disagreement_rate": 0.02,
         "trials": 2,
     }
+
+
+def test_census_outputs_write_plain_floats(tmp_path):
+    """With survey disagreement, every risk cell of the census tables is a
+    plain float literal equal to the value the audit reported."""
+    config = _disagreeing_census_config(tmp_path)
     reports = run_experiment(config, tmp_path / "out", seed=0)
     with open(tmp_path / "out/risk_curve.csv") as f:
         curve = [float(row["risk_limit"]) for row in csv.DictReader(f)]
@@ -282,17 +287,44 @@ def test_census_outputs_write_plain_floats(tmp_path):
     rng = make_rng(5)
     pops = {"X": 41000, "Y": 23000, "Z": 17000}
     sizes = {1: 0.4, 2: 0.4, 3: 0.2}
-    households, model = generate_census_population(pops, sizes, 0.01, rng, 8)
-    households = inject_survey_disagreement(households, 0.02, sizes, rng)
-    mask = np.zeros(len(households), dtype=bool)
-    mask[rng.choice(len(households), size=len(households) // 10, replace=False)] = True
-    outcome = census_rla(model, households, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
+    data, model = generate_census_population(pops, sizes, 0.01, rng, 8)
+    data = inject_survey_disagreement(data, 0.02, sizes, rng)
+    mask = np.zeros(data.n, dtype=bool)
+    mask[rng.choice(data.n, size=data.n // 10, replace=False)] = True
+    outcome = census_rla(model, data, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
     write_census_outcome_csv(outcome, tmp_path / "pairs.csv")
     with open(tmp_path / "pairs.csv") as f:
         rows = list(csv.DictReader(f))
     expected = {**outcome.pair_risks, ("OVERALL", ""): outcome.risk_limit}
     assert {(r["pair_s1"], r["pair_s2"]): float(r["risk_limit"]) for r in rows} == expected
     assert any(0 < risk < 1 for risk in expected.values())
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5])
+def test_census_sample_fraction_outside_unit_interval_rejected(tmp_path, bad):
+    config = _disagreeing_census_config(tmp_path)
+    config["sample_fractions"] = [0.05, bad]
+    with pytest.raises(ConfigError, match=f"sample fraction {bad!r} is not in"):
+        run_experiment(config, tmp_path / "out", seed=0)
+
+
+def test_census_output_bytes_pinned(tmp_path):
+    """The census tables of a fixed config and seed stay byte-for-byte the
+    same: generation, disagreement injection, survey selection and the audit
+    draws must keep their random calls and their order."""
+    run_experiment(_disagreeing_census_config(tmp_path), tmp_path / "out", seed=0)
+    assert (tmp_path / "out/risk_curve.csv").read_bytes() == (
+        b"sample_fraction,trial,seed,risk_limit\r\n"
+        b"0.05,0,0,0.10656625429092789\r\n"
+        b"0.1,0,0,0.01728081976798592\r\n"
+        b"0.05,1,1,0.1288396657512587\r\n"
+        b"0.1,1,1,0.02784306212688362\r\n"
+    )
+    assert (tmp_path / "out/risk_summary.csv").read_bytes() == (
+        b"sample_fraction,median_risk_limit\r\n"
+        b"0.05,0.11770296002109329\r\n"
+        b"0.1,0.022561940947434772\r\n"
+    )
 
 
 def test_accurate_batchcomp_spread_small(tmp_path):
