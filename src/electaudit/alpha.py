@@ -24,6 +24,12 @@ and feeds each batch's true assorter mean through the same test, with the
 running sums weighted by batch size.  It uses only the overall reported
 tally, never per-batch reported tallies; the comparison audit that does use
 them lives in :mod:`electaudit.batchcomp`.
+
+Both audits here take a batch list and read it once as integer count
+matrices (:func:`electaudit.core.batch_matrix`).  The ballot-level audit
+expands the true counts into one type index per ballot; the batch variant
+gets every true batch mean of an assertion from one integer matrix product.
+Each value is the float of its exact ``Fraction``, which stays the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Assorter, BallotType, BatchRecord, Tally, assorter_mean
+from .core import Assorter, BatchRecord, Tally, assorter_mean, batch_matrix, batch_means
 from .randomness import Seed, make_rng
 
 TraceHook = Callable[[int, str, float, float, float, float], None]
@@ -316,31 +322,32 @@ def conclude_audit(
 
 
 def alpha_audit(
-    ballots: Sequence[BallotType],
+    batches: Sequence[BatchRecord],
     assorters: Sequence[Assorter],
     reported: Tally,
     cfg: AuditConfig,
     trace: TraceHook | None = None,
 ) -> AuditOutcome:
-    """Audit the full true ballot list against the reported tally.
+    """Audit every true ballot of the padded batches against the reported tally.
 
-    Ballots are drawn without replacement via a seeded shuffle and consumed in
+    The ballots are taken in batch order, and within a batch by type name.
+    They are drawn without replacement via a seeded shuffle and consumed in
     order.  Returns per-assertion approval and the ballots examined when each
     was approved; the overall outcome is approved only if every assertion is.
     Failing to approve is not an error: the audit then ends in a full count
     and reports the truth it found.
     """
-    n = len(ballots)
+    m = batch_matrix(batches)
+    n = int(m.sizes.sum())
     states = alpha_init(assorters, reported, n, cfg)
     rng = make_rng(cfg.seed)
 
-    contest_types = sorted(set(ballots), key=lambda bt: bt.name)
-    index = {bt: i for i, bt in enumerate(contest_types)}
     values = np.array(
-        [[float(a.value(bt)) for bt in contest_types] for a in assorters], dtype=np.float64
+        [[float(a.value(bt)) for bt in m.types] for a in assorters], dtype=np.float64
     )
-    type_idx = np.array([index[b] for b in ballots], dtype=np.intp)
+    type_idx = np.repeat(np.tile(np.arange(len(m.types)), len(batches)), m.truth.ravel())
     drawn = type_idx[rng.permutation(n)]
+    del type_idx
     seen = np.arange(1, n + 1)
 
     results: list[AssertionOutcome] = []
@@ -356,11 +363,7 @@ def alpha_audit(
         results.append(AssertionOutcome(st.label, True, path.approved, path.examined))
         del path  # frees its n-length arrays before the next assertion's
 
-    def truth() -> Tally:
-        counts = np.bincount(type_idx, minlength=len(contest_types))
-        return Tally({bt: int(c) for bt, c in zip(contest_types, counts)})
-
-    return conclude_audit(results, assorters, n, truth)
+    return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
 
 
 def _draw_batches_without_replacement(batches: Sequence[BatchRecord], rng) -> list[int]:
@@ -426,43 +429,22 @@ def alpha_batch_audit(
     bound, which is what makes this baseline slow: per-batch means hug the
     overall mean far below that bound, so T moves in tiny steps.
     """
-    if not batches:
-        raise ValueError("batch list is empty")
-    check_batches_padded(batches)
-    combined = combined_reported(batches)
-    if dict(reported.counts) != dict(combined.counts):
+    m = batch_matrix(batches)
+    n = int(m.sizes.sum())
+    totals = m.reported.sum(axis=0).tolist()
+    if reported.total != n or [reported.get(bt) for bt in m.types] != totals:
         raise ValueError("overall reported tally is inconsistent with the batch tallies")
-    n = sum(b.size for b in batches)
     states = alpha_init(assorters, reported, n, cfg)
-    batch_values = np.array(
-        [[float(assorter_mean(a, b.truth)) for b in batches] for a in assorters]
-    )
+    batch_values = np.array([batch_means(a, m, m.truth) for a in assorters])
     results = batch_audit_loop(batches, states, batch_values, n, cfg, [None] * len(states), trace)
-    return conclude_audit(results, assorters, n, lambda: combined_truth(batches))
-
-
-def check_batches_padded(batches: Sequence[BatchRecord]) -> None:
-    ids = set()
-    for b in batches:
-        if b.id in ids:
-            raise ValueError(f"duplicate batch id {b.id!r}")
-        ids.add(b.id)
-        if not (b.reported.total == b.truth.total == b.size):
-            raise ValueError(
-                f"batch {b.id!r} is not padded: reported {b.reported.total}, "
-                f"true {b.truth.total}, size {b.size}"
-            )
+    return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
 
 
 def combined_reported(batches: Sequence[BatchRecord]) -> Tally:
-    out = batches[0].reported
-    for b in batches[1:]:
-        out = out.combined(b.reported)
-    return out
+    m = batch_matrix(batches)
+    return m.combined(m.reported)
 
 
 def combined_truth(batches: Sequence[BatchRecord]) -> Tally:
-    out = batches[0].truth
-    for b in batches[1:]:
-        out = out.combined(b.truth)
-    return out
+    m = batch_matrix(batches)
+    return m.combined(m.truth)

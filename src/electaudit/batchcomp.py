@@ -11,6 +11,13 @@ guess eta can be set to exactly that constant, the bound U barely above it,
 and T then grows at near-maximal rate for as long as no discrepancies show
 up.  The size-weighted mean of A over any set of batches equals A of their
 union, so the usual sequential machinery applies with batches as draws.
+
+The audit works on the integer count matrices of
+:func:`electaudit.core.batch_matrix`.  Per assertion, ``rs = R @ num`` and
+``ts = T @ num`` hold each batch's reported and true assorter sums over the
+common denominator ``den``; M, w and every A(B) follow exactly from them,
+and each float is the correctly rounded value of the exact rational.
+:func:`batch_assorter_value_exact` over ``Fraction`` is the reference.
 """
 
 from __future__ import annotations
@@ -28,12 +35,19 @@ from .alpha import (
     AuditOutcome,
     TraceHook,
     batch_audit_loop,
-    check_batches_padded,
-    combined_reported,
-    combined_truth,
     conclude_audit,
 )
-from .core import Assorter, BatchRecord, Contest, assorter_mean
+from .core import (
+    Assorter,
+    BatchMatrix,
+    BatchRecord,
+    Contest,
+    assorter_mean,
+    assorter_vector,
+    batch_matrix,
+    exact_matmul,
+    exact_quotients,
+)
 
 _HALF = Fraction(1, 2)
 
@@ -77,10 +91,48 @@ def make_batch_assorter(
     base: Assorter, batches: Sequence[BatchRecord], delta: float = DEFAULT_DELTA
 ) -> BatchAssorter:
     """Constants from the padded batches: M over the union, w over batch means."""
-    overall = combined_reported(batches)
-    M = assorter_mean(base, overall) - _HALF
-    w = max(assorter_mean(base, b.reported) for b in batches)
+    m = batch_matrix(batches)
+    num, den = assorter_vector(base, m.types)
+    return _lift(base, exact_matmul(m.reported, num), den, m.sizes, delta)
+
+
+def _lift(
+    base: Assorter, rs: np.ndarray, den: int, sizes: np.ndarray, delta: float
+) -> BatchAssorter:
+    """The batch assorter from the reported sums ``rs[b] = den * sizes[b] * mean_b``.
+
+    w is found by an exact argmax: rounding is monotone, so the largest
+    exact mean is among the batches whose correctly rounded mean is largest.
+    """
+    M = Fraction(sum(rs.tolist()), den * int(sizes.sum())) - _HALF
+    means = exact_quotients(rs, 1, sizes)
+    top = np.flatnonzero(means == means.max())
+    w = max(Fraction(int(rs[b]), den * int(sizes[b])) for b in top)
     return BatchAssorter(base=base, M=M, w=w, delta=delta)
+
+
+def _batch_values(
+    A: BatchAssorter, rs: np.ndarray, ts: np.ndarray, den: int, sizes: np.ndarray
+) -> np.ndarray:
+    """A(B) of every batch, each the float of its exact value.
+
+    With d = ts - rs, A(B) = c0 + c1 d / s for the accurate-batch value c0
+    and c1 = 1 / (2 den (w - M)), that is (a s + b d) / (q s) over integers
+    a, b and q.  Batches with d = 0 score c0 itself.
+    """
+    values = np.full(len(sizes), float(A.accurate_value))
+    wrong = np.flatnonzero(ts != rs)
+    if wrong.size:
+        s, d = sizes[wrong], (ts - rs)[wrong]  # sums are non-negative: d fits rs's dtype
+        c0, c1 = A.accurate_value, 1 / (2 * den * (A.w - A.M))
+        a, b = c0.numerator * c1.denominator, c1.numerator * c0.denominator
+        q = c0.denominator * c1.denominator
+        if d.dtype != object and a * int(s.max()) + b * int(np.abs(d).max()) < 2**63:
+            p = a * s + b * d
+        else:
+            p = a * s.astype(object) + b * d.astype(object)
+        values[wrong] = exact_quotients(p, q, s)
+    return values
 
 
 def pad_missing_ballots(batch: BatchRecord, declared_size: int) -> BatchRecord:
@@ -148,39 +200,44 @@ def batchcomp_audit(
     or mu < 0.  An assertion whose reported margin is not positive is flagged
     un-approvable, since the reported tallies refute it before any sampling.
     """
-    if not batches:
-        raise ValueError("batch list is empty")
-    check_batches_padded(batches)
-    n = sum(b.size for b in batches)
-
-    overall = combined_reported(batches)
+    m = batch_matrix(batches)
+    n = int(m.sizes.sum())
+    lifted, batch_values = lift_assertions(assorters, m, delta)
     states: list[AssertionState] = []
     eta_floors: list[float | None] = []
-    lifted: list[BatchAssorter | None] = []
-    for a in assorters:
-        if assorter_mean(a, overall) <= _HALF:
-            # non-positive reported margin: the reported tallies already refute it
-            st = AssertionState(label=a.label)
-            st.approvable = False
-            st.active = False
-            states.append(st)
+    for a, A in zip(assorters, lifted):
+        if A is None:
+            states.append(AssertionState(label=a.label, active=False, approvable=False))
             eta_floors.append(None)
+        else:
+            target = float(A.accurate_value)
+            states.append(AssertionState(label=a.label, eta=target, u=A.U))
+            eta_floors.append(target)
+    results = batch_audit_loop(batches, states, batch_values, n, cfg, eta_floors, trace)
+    return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
+
+
+def lift_assertions(
+    assorters: Sequence[Assorter], m: BatchMatrix, delta: float = DEFAULT_DELTA
+) -> tuple[list[BatchAssorter | None], np.ndarray]:
+    """Each assertion's batch assorter and its A(B) for every batch of ``m``.
+
+    An assertion whose reported margin is not positive gets None and a row
+    of zeros: the reported tallies refute it before any sampling.
+    """
+    n = int(m.sizes.sum())
+    lifted: list[BatchAssorter | None] = []
+    values = np.zeros((len(assorters), len(m.sizes)))
+    for k, a in enumerate(assorters):
+        num, den = assorter_vector(a, m.types)
+        rs = exact_matmul(m.reported, num)
+        if 2 * sum(rs.tolist()) <= den * n:
             lifted.append(None)
             continue
-        A = make_batch_assorter(a, batches, delta)
-        target = float(A.accurate_value)
-        states.append(AssertionState(label=a.label, eta=target, u=A.U))
-        eta_floors.append(target)
+        A = _lift(a, rs, den, m.sizes, delta)
         lifted.append(A)
-
-    batch_values = np.zeros((len(assorters), len(batches)))
-    for k, A in enumerate(lifted):
-        if A is None:
-            continue
-        batch_values[k] = [batch_assorter_value(A, b) for b in batches]
-
-    results = batch_audit_loop(batches, states, batch_values, n, cfg, eta_floors, trace)
-    return conclude_audit(results, assorters, n, lambda: combined_truth(batches))
+        values[k] = _batch_values(A, rs, exact_matmul(m.truth, num), den, m.sizes)
+    return lifted, values
 
 
 def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list[BatchRecord]:

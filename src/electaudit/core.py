@@ -1,4 +1,4 @@
-"""Ballot-level domain types and assorter construction.
+"""Ballot-level domain types, assorter construction and exact tally matrices.
 
 An assorter is a non-negative scoring function over ballot types.  An
 assertion is the statement that the assorter's mean over all cast ballots
@@ -6,14 +6,26 @@ exceeds 1/2; full election outcomes are verified by checking a set of such
 assertions.  Assorter values are kept as exact rationals at construction so
 that assertion equivalences can be checked without rounding; the sequential
 tests elsewhere in this package evaluate them in floating point.
+
+The election audits run on integer count matrices: :func:`batch_matrix`
+turns a batch list into batch-by-type counts over one sorted type index, and
+:func:`assorter_vector` writes an assorter as integer numerators over one
+common denominator.  An assorter is linear in the tally, so its sums over
+every batch are one integer matrix product, and every float the audits use
+is the correctly rounded quotient of two integers: bit for bit the float of
+the exact ``Fraction``.  :func:`assorter_mean` over a ``Tally`` is the exact
+reference these fast paths are tested against.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 INVALID_ID = "__invalid__"
 
@@ -97,10 +109,6 @@ class Tally:
     def get(self, bt: BallotType) -> int:
         return self.counts.get(bt, 0)
 
-    def combined(self, other: "Tally") -> "Tally":
-        keys = set(self.counts) | set(other.counts)
-        return Tally({bt: self.get(bt) + other.get(bt) for bt in keys})
-
     def with_added(self, bt: BallotType, extra: int) -> "Tally":
         merged = dict(self.counts)
         merged[bt] = merged.get(bt, 0) + extra
@@ -175,6 +183,110 @@ class BatchRecord:
     def __post_init__(self):
         if self.size <= 0:
             raise ValueError(f"batch {self.id!r} has non-positive size")
+
+
+# Integers below 2**53 convert to float64 exactly, so one IEEE division of two
+# of them is the correctly rounded quotient; int64 arithmetic is exact below 2**63.
+_FLOAT_EXACT = 2**53
+_INT64_LIMIT = 2**63
+
+
+class BatchMatrix(NamedTuple):
+    """A batch list as integer counts over one type index.
+
+    ``types`` is every ballot type in the batches, sorted by name;
+    ``reported`` and ``truth`` are batch-by-type int64 count matrices in
+    batch order, and ``sizes`` the batch sizes.
+    """
+
+    types: tuple[BallotType, ...]
+    reported: np.ndarray
+    truth: np.ndarray
+    sizes: np.ndarray
+
+    def combined(self, counts: np.ndarray) -> Tally:
+        """The tally of all batches together, from ``reported`` or ``truth``."""
+        return Tally(dict(zip(self.types, counts.sum(axis=0).tolist())))
+
+
+def batch_matrix(batches: Sequence[BatchRecord]) -> BatchMatrix:
+    """Count matrices of padded batches with unique ids.
+
+    A batch is padded when its reported and true tallies both cover exactly
+    its size.  The ballot total must stay below 2**63, so that every count
+    and every row or column sum fits in int64.
+    """
+    if not batches:
+        raise ValueError("batch list is empty")
+    ids, types = set(), set()
+    for b in batches:
+        if b.id in ids:
+            raise ValueError(f"duplicate batch id {b.id!r}")
+        ids.add(b.id)
+        if not (b.reported.total == b.truth.total == b.size):
+            raise ValueError(
+                f"batch {b.id!r} is not padded: reported {b.reported.total}, "
+                f"true {b.truth.total}, size {b.size}"
+            )
+        types.update(b.reported.counts)
+        types.update(b.truth.counts)
+    sizes = [b.size for b in batches]
+    if (n := sum(sizes)) >= _INT64_LIMIT:
+        raise ValueError(f"{n} ballots overflow the int64 count matrices")
+    types = tuple(sorted(types, key=lambda bt: bt.name))
+
+    def counts(side: str) -> np.ndarray:
+        rows = [[getattr(b, side).counts.get(bt, 0) for bt in types] for b in batches]
+        return np.array(rows, dtype=np.int64)
+
+    return BatchMatrix(types, counts("reported"), counts("truth"), np.array(sizes, dtype=np.int64))
+
+
+def assorter_vector(assorter: Assorter, types: Sequence[BallotType]) -> tuple[np.ndarray, int]:
+    """``(num, den)`` with ``num[i] / den`` the assorter's value for ``types[i]``.
+
+    ``den`` is the lcm of the values' denominators.  ``num`` is int64 when
+    every numerator fits, otherwise an object array of Python ints.
+    """
+    values = [assorter.value(bt) for bt in types]
+    den = math.lcm(*(v.denominator for v in values))
+    num = [v.numerator * (den // v.denominator) for v in values]
+    fits = max(num, default=0) < _INT64_LIMIT  # assorter values are non-negative
+    return np.array(num, dtype=np.int64 if fits else object), den
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def exact_matmul(counts: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """``counts @ num`` without overflow, for non-negative ``counts``.
+
+    Each product is bounded by its row's count total times ``max|num|``; the
+    int64 product is used only when that bound stays below 2**63, and
+    Python-int arithmetic otherwise.
+    """
+    bound = int(counts.sum(axis=1).max(initial=0)) * _max_abs(num)
+    if num.dtype != object and bound < _INT64_LIMIT:
+        return counts @ num
+    return counts.astype(object) @ num.astype(object)
+
+
+def exact_quotients(p: np.ndarray, scale: int, q: np.ndarray) -> np.ndarray:
+    """Floats ``p[i] / (scale * q[i])``, each equal to ``float(Fraction(p[i], scale * q[i]))``.
+
+    numpy divides only when every operand is below 2**53; otherwise Python's
+    correctly rounded ``int / int`` does.
+    """
+    if p.dtype != object and _max_abs(p) < _FLOAT_EXACT and scale * _max_abs(q) < _FLOAT_EXACT:
+        return p / (scale * q)
+    return np.array([a / (scale * b) for a, b in zip(p.tolist(), q.tolist())], dtype=np.float64)
+
+
+def batch_means(assorter: Assorter, m: BatchMatrix, counts: np.ndarray) -> np.ndarray:
+    """The assorter's mean over each batch of ``counts``, as the float of the exact mean."""
+    num, den = assorter_vector(assorter, m.types)
+    return exact_quotients(exact_matmul(counts, num), den, m.sizes)
 
 
 def assorter_mean(assorter: Assorter, tally: Tally) -> Fraction:

@@ -130,6 +130,8 @@ def deal_batches(
     rng.shuffle(deck)
     if sizes is None:
         lo, hi = size_range
+        if lo < 1:
+            raise ValueError(f"batch size range {tuple(size_range)} must start at 1 or more")
         if hi < 2 * lo:
             raise ValueError("size range too narrow: need max >= 2 * min to always partition")
         if n < lo:
@@ -177,11 +179,7 @@ def run_election_trial(
     if kind == "alpha_batch":
         return alpha_batch_audit(batches, assertions, combined_reported(batches), cfg, trace=trace)
     if kind == "alpha":
-        ballots = []
-        for b in batches:
-            for bt, c in sorted(b.truth.counts.items(), key=lambda kv: kv[0].name):
-                ballots.extend([bt] * c)
-        return alpha_audit(ballots, assertions, combined_reported(batches), cfg, trace=trace)
+        return alpha_audit(batches, assertions, combined_reported(batches), cfg, trace=trace)
     raise ValueError(f"unknown audit kind {kind!r}")
 
 

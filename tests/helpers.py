@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from electaudit.apportionment import Divisor, dhondt
 from electaudit.census import Household
-from electaudit.core import Assorter, Contest, Tally, assorter_mean
+from electaudit.core import Assorter, BatchRecord, Contest, Tally, assorter_mean
 
 
 def compositions(total: int, parts: int):
@@ -31,6 +31,15 @@ def all_tallies(contest: Contest, total: int):
 def vote_multisets(max_votes: int, parties: int):
     """Non-increasing vote vectors, one representative per label permutation."""
     return combinations_with_replacement(range(max_votes, -1, -1), parties)
+
+
+def ballot_batch(truth: Tally) -> list[BatchRecord]:
+    """The true ballots as the one padded batch ``alpha_audit`` takes.
+
+    The audit lays a batch's ballots out by type name, so this is the ballot
+    list ``[A] * a + [B] * b + ...`` with the names in sorted order.
+    """
+    return [BatchRecord("ballots", truth, truth, truth.total)]
 
 
 def brute_force_margin(assorter: Assorter, truth: Tally) -> int:

@@ -38,7 +38,7 @@ from electaudit.harness import (
 from electaudit.knesset import KnessetContest, allocate_seats, generate_assertions
 from electaudit.randomness import make_rng
 
-from .helpers import brute_force_highest_averages
+from .helpers import ballot_batch, brute_force_highest_averages
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -58,10 +58,10 @@ def test_criterion_01_alpha_risk_guarantee():
     c = Contest.from_party_names(["A", "B"])
     a = plurality_assorter(c.by_name("A"), c.by_name("B"), c)
     reported = c.tally({"A": 1010, "B": 990})
-    ballots = [c.by_name("A")] * 990 + [c.by_name("B")] * 1010
+    batches = ballot_batch(c.tally({"A": 990, "B": 1010}))
     trials = 2000
     wrong = sum(
-        alpha_audit(ballots, [a], reported, AuditConfig(alpha=0.05, seed=s)).approved
+        alpha_audit(batches, [a], reported, AuditConfig(alpha=0.05, seed=s)).approved
         for s in range(trials)
     )
     rate = wrong / trials

@@ -15,8 +15,10 @@ from electaudit.alpha import (
     alpha_step,
     sequential_path,
 )
-from electaudit.core import BatchRecord, Contest, plurality_assorter
+from electaudit.core import BatchRecord, Contest, Tally, plurality_assorter
 from electaudit.randomness import make_rng
+
+from .helpers import ballot_batch
 
 
 @pytest.fixture
@@ -193,10 +195,10 @@ def test_supermartingale_mean_stays_at_one(two_party):
 def test_audit_wide_margin_finishes_early(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 6000, "Bob": 4000})
-    ballots = [c.by_name("Alice")] * 6000 + [c.by_name("Bob")] * 4000
+    batches = ballot_batch(rep)
     early = 0
     for seed in range(100):
-        out = alpha_audit(ballots, [a], rep, AuditConfig(alpha=0.05, seed=seed))
+        out = alpha_audit(batches, [a], rep, AuditConfig(alpha=0.05, seed=seed))
         assert out.approved
         early += out.ballots_examined < 10000
     assert early >= 99
@@ -205,7 +207,7 @@ def test_audit_wide_margin_finishes_early(two_party):
 def test_audit_single_ballot_terminates(two_party):
     c, a = two_party
     rep = c.tally({"__invalid__": 1})
-    out = alpha_audit([c.invalid], [a], rep, AuditConfig(alpha=0.05, seed=0))
+    out = alpha_audit(ballot_batch(rep), [a], rep, AuditConfig(alpha=0.05, seed=0))
     assert out.full_count and out.ballots_examined == 1
     assert out.assertions[0].truly_satisfied is False
 
@@ -214,9 +216,9 @@ def test_audit_wrong_winner_rarely_approves(two_party):
     """Smaller-scale risk check; the acceptance suite runs the full one."""
     c, a = two_party
     rep = c.tally({"Alice": 210, "Bob": 190})
-    ballots = [c.by_name("Alice")] * 190 + [c.by_name("Bob")] * 210
+    batches = ballot_batch(c.tally({"Alice": 190, "Bob": 210}))
     wrong = sum(
-        alpha_audit(ballots, [a], rep, AuditConfig(alpha=0.05, seed=s)).approved
+        alpha_audit(batches, [a], rep, AuditConfig(alpha=0.05, seed=s)).approved
         for s in range(400)
     )
     assert wrong / 400 <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / 400)
@@ -274,6 +276,23 @@ def test_alpha_batch_checks_reported_consistency(two_party):
     bad = c.tally({"Alice": 200})
     with pytest.raises(ValueError, match="inconsistent"):
         alpha_batch_audit(batches, [a], bad, AuditConfig(alpha=0.05, seed=0))
+
+
+def test_alpha_batch_accepts_reported_tally_without_zero_entries():
+    """A consistent reported tally may leave zero-count types out: the counts
+    are compared over the batches' type index, absent types counting 0."""
+    c = Contest.from_party_names(["Alice", "Bob", "Carol"])
+    a = plurality_assorter(c.by_name("Alice"), c.by_name("Bob"), c)
+    t1 = c.tally({"Alice": 70, "Bob": 30})
+    t2 = c.tally({"Alice": 40, "Bob": 60})
+    batches = [BatchRecord("b1", t1, t1, 100), BatchRecord("b2", t2, t2, 100)]
+    rep = Tally({c.by_name("Alice"): 110, c.by_name("Bob"): 90})  # no Carol, no invalid
+    cfg = AuditConfig(alpha=0.05, seed=0)
+    assert alpha_batch_audit(batches, [a], rep, cfg) == alpha_batch_audit(
+        batches, [a], c.tally({"Alice": 110, "Bob": 90}), cfg
+    )
+    with pytest.raises(ValueError, match="inconsistent"):
+        alpha_batch_audit(batches, [a], rep.with_added(c.by_name("Carol"), 1), cfg)
 
 
 def test_alpha_batch_empty_list(two_party):
@@ -368,12 +387,12 @@ def test_alpha_audit_trace_changes_nothing(two_party):
     c, a = two_party
     loser_first = plurality_assorter(c.by_name("Bob"), c.by_name("Alice"), c)
     rep = c.tally({"Alice": 560, "Bob": 440})
-    ballots = [c.by_name("Alice")] * 540 + [c.by_name("Bob")] * 460
+    batches = ballot_batch(c.tally({"Alice": 540, "Bob": 460}))
     for seed in range(5):
         cfg = AuditConfig(alpha=0.05, seed=seed)
         rows = []
-        traced = alpha_audit(ballots, [a, loser_first], rep, cfg, trace=lambda *r: rows.append(r))
-        assert traced == alpha_audit(ballots, [a, loser_first], rep, cfg)
+        traced = alpha_audit(batches, [a, loser_first], rep, cfg, trace=lambda *r: rows.append(r))
+        assert traced == alpha_audit(batches, [a, loser_first], rep, cfg)
         examined = traced.assertions[0].examined
         assert [r[0] for r in rows] == list(range(1, examined + 1))
         assert {r[1] for r in rows} == {a.label}  # the refuted assertion is never tested

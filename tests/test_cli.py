@@ -59,6 +59,22 @@ def test_run_bad_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
 
 
+def test_run_bad_batch_size_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "audit": "batchcomp",
+                "contest": str(_contest(tmp_path)),
+                "batches": {"generate": {"size_range": [-10, 0]}},
+                "trials": 2,
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "audit: error: batch size range (-10, 0) must start at 1 or more" in capsys.readouterr().err
+
+
 def test_census_file_mode(tmp_path, capsys):
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,13,0\nY,5,0\n")

@@ -165,7 +165,7 @@ def test_assorter_mean_is_linear(counts1, counts2):
     if t1.total == 0 or t2.total == 0:
         return
     a = plurality_assorter(c.by_name("A"), c.by_name("B"), c)
-    merged = t1.combined(t2)
+    merged = Tally({bt: t1.get(bt) + t2.get(bt) for bt in c.ballot_types})
     weighted = (
         assorter_mean(a, t1) * t1.total + assorter_mean(a, t2) * t2.total
     ) / merged.total

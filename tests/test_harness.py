@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_deal_batches_explicit_sizes(abc):
     assert [b.size for b in batches] == [500, 300, 200]
     with pytest.raises(ValueError):
         deal_batches(tally, make_rng(2), sizes=[500, 300])
+
+
+@pytest.mark.parametrize("size_range", [(-10, 0), (0, 10)])
+def test_deal_batches_rejects_size_range_below_one(abc, size_range):
+    """(-10, 0) used to loop forever and (0, hi) to deal an empty batch."""
+    tally = abc.tally({"A": 60, "B": 40})
+    with pytest.raises(ValueError, match="must start at 1 or more"):
+        deal_batches(tally, make_rng(2), size_range=size_range)
 
 
 def test_inject_no_misreads_is_identity(abc):
@@ -325,6 +334,36 @@ def test_census_output_bytes_pinned(tmp_path):
         b"0.05,0.11770296002109329\r\n"
         b"0.1,0.022561940947434772\r\n"
     )
+
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+KNESSET_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "batchcomp_knesset.json"
+
+
+def test_election_output_bytes_pinned(tmp_path, monkeypatch):
+    """The election tables of a fixed config and seed stay byte-for-byte the
+    same: batch dealing, error injection, assertion generation, the draw order
+    and every assorter value must keep their random calls and their floats.
+
+    The pinned files were written by the exact ``Fraction`` implementation, so
+    this also joins the integer tally matrices to it end to end."""
+    monkeypatch.chdir(KNESSET_CONFIG.parent.parent)
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nA,5200\nB,4500\nC,1300\n__invalid__,300\n")
+    plurality = {
+        "contest": str(contest),
+        "batches": {"generate": {"size_range": [250, 550]}},
+        "error_model": {"kind": "ballot_misread", "p_misread": 0.02, "p_invalid": 0.2},
+        "alpha": 0.05,
+    }
+    knesset = json.loads(KNESSET_CONFIG.read_text())
+    for name, config in (("knesset", knesset), ("plurality", plurality)):
+        for kind in ("alpha", "alpha_batch", "batchcomp"):
+            out = tmp_path / f"{name}_{kind}"
+            run_experiment(dict(config, audit=kind), out, seed=0, trials=2)
+            for table in ("results", "summary"):
+                expected = (PINNED / f"{name}_{kind}_{table}.csv").read_bytes()
+                assert (out / f"{table}.csv").read_bytes() == expected, (name, kind, table)
 
 
 def test_accurate_batchcomp_spread_small(tmp_path):

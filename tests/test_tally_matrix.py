@@ -1,0 +1,167 @@
+"""The integer tally matrices against the exact ``Fraction`` references.
+
+The audits compute assorter sums as integer matrix products and every float
+as one correctly rounded quotient of two integers.  These tests hold each of
+those floats to ``float`` of the exact reference with ``==``, including
+counts large enough to push the products past 2**53 and 2**63.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from electaudit.batchcomp import (
+    batch_assorter_value_exact,
+    lift_assertions,
+    make_batch_assorter,
+)
+from electaudit.core import (
+    BatchRecord,
+    Contest,
+    Tally,
+    assorter_mean,
+    assorter_vector,
+    batch_matrix,
+    batch_means,
+    exact_matmul,
+    exact_quotients,
+    plurality_assorter,
+)
+from electaudit.knesset import KnessetContest, allocate_seats, generate_assertions
+
+HALF = Fraction(1, 2)
+PARTIES = ("A", "B", "C", "D")
+CONTEST = Contest.from_party_names(PARTIES)
+# A, B and C clear the 3.25% threshold and D does not; no seat count from 31
+# to 120 ties the allocation
+KNESSET_REPORTED = {"A": 6011, "B": 3517, "C": 401, "D": 103, "__invalid__": 53}
+
+
+def knesset_assertions(seats: int, weaken: bool):
+    kc = KnessetContest(parties=PARTIES, seats=seats, threshold=Fraction(13, 400))
+    reported = kc.ballot_contest().tally(KNESSET_REPORTED)
+    return generate_assertions(
+        kc, reported, allocate_seats(kc, reported), [("A", "B")] if weaken else []
+    )
+
+
+def plurality_assertions():
+    by = CONTEST.by_name
+    return [plurality_assorter(by(w), by(lo), CONTEST) for w, lo in (("A", "B"), ("C", "A"))]
+
+
+def total(tallies) -> Tally:
+    """Exact reference for a column sum: add the count dicts."""
+    out: dict = {}
+    for t in tallies:
+        for bt, c in t.counts.items():
+            out[bt] = out.get(bt, 0) + c
+    return Tally(out)
+
+
+@st.composite
+def batch_lists(draw):
+    """1 to 4 padded batches.  Counts are small, near 2**48 (past the 2**53
+    quotient guard once scaled by an assorter numerator) or near 2**58 (past
+    the 2**63 product guard); some types are absent, some batches all invalid."""
+    scale = draw(st.sampled_from([40, 2**48, 2**58]))
+    count = st.just(0) | st.integers(0, scale) | st.integers(scale // 2, scale)
+    batches = []
+    for i in range(draw(st.integers(1, 4))):
+        sides = []
+        for _ in range(2):
+            counts = dict(zip(CONTEST.ballot_types, draw(st.lists(count, min_size=5, max_size=5))))
+            if draw(st.booleans()):  # all-invalid batch
+                counts = {bt: (c if bt.is_invalid else 0) for bt, c in counts.items()}
+            sides.append(counts)
+        size = max(1, *(sum(c.values()) for c in sides)) + draw(st.integers(0, 3))
+        tallies = []
+        for counts in sides:
+            counts[CONTEST.invalid] += size - sum(counts.values())  # pad with invalid ballots
+            if draw(st.booleans()):  # leave zero-count types out of the tally
+                counts = {bt: c for bt, c in counts.items() if c}
+            tallies.append(Tally(counts))
+        batches.append(BatchRecord(f"b{i}", tallies[0], tallies[1], size))
+    return batches
+
+
+@given(
+    batch_lists(),
+    st.integers(31, 120),
+    st.booleans(),
+    st.sampled_from([1e-10, 0.25]),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
+    """Every batch mean, M, w, U and A(B) equals float of its exact Fraction."""
+    assertions = plurality_assertions() + knesset_assertions(seats, weaken)
+    m = batch_matrix(batches)
+    for a in assertions:
+        for counts, side in ((m.truth, "truth"), (m.reported, "reported")):
+            exact = [float(assorter_mean(a, getattr(b, side))) for b in batches]
+            assert batch_means(a, m, counts).tolist() == exact, (a.label, side)
+
+    reported = total(b.reported for b in batches)
+    lifted, values = lift_assertions(assertions, m, delta)
+    for a, A, row in zip(assertions, lifted, values):
+        M = assorter_mean(a, reported) - HALF
+        if M <= 0:
+            assert A is None and not row.any()
+            continue
+        w = max(assorter_mean(a, b.reported) for b in batches)
+        assert (A.M, A.w) == (M, w)
+        assert A.U == float(HALF + (M + Fraction(delta)) / (2 * (w - M)))
+        assert make_batch_assorter(a, batches, delta) == A
+        assert row.tolist() == [float(batch_assorter_value_exact(A, b)) for b in batches]
+
+
+def test_batch_matrix_layout():
+    c = Contest.from_party_names(["Zed", "Amy"])
+    t1 = c.tally({"Zed": 3, "Amy": 1})
+    t2 = Tally({c.by_name("Zed"): 2})  # no entries for Amy or invalid
+    m = batch_matrix([BatchRecord("x", t1, t1, 4), BatchRecord("y", t2, t2, 2)])
+    assert [bt.name for bt in m.types] == ["Amy", "Zed", "__invalid__"]
+    assert m.truth.tolist() == [[1, 3, 0], [0, 2, 0]]
+    assert m.sizes.tolist() == [4, 2]
+    assert m.combined(m.reported).counts == {c.by_name("Amy"): 1, c.by_name("Zed"): 5, c.invalid: 0}
+
+
+def test_batch_matrix_rejects_bad_batch_lists():
+    t = CONTEST.tally({"A": 2})
+    with pytest.raises(ValueError, match="batch list is empty"):
+        batch_matrix([])
+    with pytest.raises(ValueError, match="duplicate batch id 'x'"):
+        batch_matrix([BatchRecord("x", t, t, 2), BatchRecord("x", t, t, 2)])
+    with pytest.raises(ValueError, match="not padded"):
+        batch_matrix([BatchRecord("x", t, t, 3)])
+    huge = CONTEST.tally({"A": 2**62})
+    with pytest.raises(ValueError, match="overflow"):
+        batch_matrix([BatchRecord(f"b{i}", huge, huge, 2**62) for i in range(2)])
+
+
+def test_assorter_vector_common_denominator():
+    a = knesset_assertions(120, False)[0]  # above-threshold:A scores 200/13, 1/2 and 0
+    num, den = assorter_vector(a, CONTEST.ballot_types)
+    assert den == 26 and num.dtype == np.int64
+    assert [Fraction(int(x), den) for x in num] == [a.value(bt) for bt in CONTEST.ballot_types]
+
+
+def test_exact_matmul_switches_to_python_ints_past_int64():
+    counts = np.array([[2**60, 1]], dtype=np.int64)
+    num = np.array([16, 3], dtype=np.int64)
+    product = exact_matmul(counts, num)
+    assert product.dtype == object and product.tolist() == [2**64 + 3]
+    assert exact_matmul(counts, np.array([4, 3])).tolist() == [2**62 + 3]
+
+
+def test_exact_quotients_round_like_fraction_past_2_53():
+    # 2**53 + 1 is not a float64: dividing its float would round twice
+    p = np.array([2**53 + 1, 7], dtype=np.int64)
+    q = np.array([3, 1], dtype=np.int64)
+    expected = float(Fraction(2**53 + 1, 3))
+    assert exact_quotients(p, 1, q).tolist() == [expected, 7.0]
+    assert (p / q)[0] != expected
+    assert exact_quotients(np.array([7]), 3 * 2**60, np.array([1]))[0] == float(Fraction(7, 3 * 2**60))
