@@ -443,8 +443,3 @@ def alpha_batch_audit(
 def combined_reported(batches: Sequence[BatchRecord]) -> Tally:
     m = batch_matrix(batches)
     return m.combined(m.reported)
-
-
-def combined_truth(batches: Sequence[BatchRecord]) -> Tally:
-    m = batch_matrix(batches)
-    return m.combined(m.truth)

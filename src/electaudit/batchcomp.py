@@ -116,23 +116,23 @@ def _batch_values(
 ) -> np.ndarray:
     """A(B) of every batch, each the float of its exact value.
 
-    With d = ts - rs, A(B) = c0 + c1 d / s for the accurate-batch value c0
-    and c1 = 1 / (2 den (w - M)), that is (a s + b d) / (q s) over integers
-    a, b and q.  Batches with d = 0 score c0 itself.
+    Write w = Y / (den s*) over integers and M = R / (den N) - 1/2, with R
+    the reported sum over all N ballots.  For a batch of size s with
+    d = ts - rs,
+
+        A(B) = (w + d / (den s)) / (2 (w - M)) = N (Y s + s* d) / (s C)
+
+    with C = 2 Y N - 2 R s* + den N s*, so every value is one quotient of
+    integers.  The numerators are int64 when their bound stays below 2**63,
+    Python ints otherwise.
     """
-    values = np.full(len(sizes), float(A.accurate_value))
-    wrong = np.flatnonzero(ts != rs)
-    if wrong.size:
-        s, d = sizes[wrong], (ts - rs)[wrong]  # sums are non-negative: d fits rs's dtype
-        c0, c1 = A.accurate_value, 1 / (2 * den * (A.w - A.M))
-        a, b = c0.numerator * c1.denominator, c1.numerator * c0.denominator
-        q = c0.denominator * c1.denominator
-        if d.dtype != object and a * int(s.max()) + b * int(np.abs(d).max()) < 2**63:
-            p = a * s + b * d
-        else:
-            p = a * s.astype(object) + b * d.astype(object)
-        values[wrong] = exact_quotients(p, q, s)
-    return values
+    N, R = int(sizes.sum()), sum(rs.tolist())
+    Y, s_star = den * A.w.numerator, A.w.denominator
+    C = 2 * Y * N - 2 * R * s_star + den * N * s_star
+    d = ts - rs  # sums are non-negative: d fits rs's dtype
+    if d.dtype == object or N * (Y * int(sizes.max()) + s_star * int(np.abs(d).max())) >= 2**63:
+        sizes, d = sizes.astype(object), d.astype(object)
+    return exact_quotients(N * (Y * sizes + s_star * d), C, sizes)
 
 
 def pad_missing_ballots(batch: BatchRecord, declared_size: int) -> BatchRecord:

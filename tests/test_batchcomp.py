@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electaudit.alpha import AuditConfig, combined_reported, combined_truth
+from electaudit.alpha import AuditConfig, combined_reported
 from electaudit.batchcomp import (
     BatchAssorter,
     batch_assorter_value,
@@ -16,7 +16,7 @@ from electaudit.batchcomp import (
     make_batch_assorter,
     pad_missing_ballots,
 )
-from electaudit.core import BatchRecord, Contest, assorter_mean, plurality_assorter
+from electaudit.core import BatchRecord, Contest, assorter_mean, batch_matrix, plurality_assorter
 from electaudit.harness import deal_batches
 from electaudit.randomness import make_rng
 
@@ -127,7 +127,8 @@ def test_sign_equivalence_over_random_partitions(ab):
         A = make_batch_assorter(a, batches)
         n = sum(b.size for b in batches)
         weighted = sum(batch_assorter_value_exact(A, b) * b.size for b in batches) / n
-        base_mean = assorter_mean(a, combined_truth(batches))
+        m = batch_matrix(batches)
+        base_mean = assorter_mean(a, m.combined(m.truth))
         assert (weighted > HALF) == (base_mean > HALF)
 
 
@@ -147,9 +148,8 @@ def test_size_weighted_mean_equals_union_value(ab):
         A = make_batch_assorter(a, batches)
         n = sum(b.size for b in batches)
         weighted = sum(batch_assorter_value_exact(A, b) * b.size for b in batches) / n
-        union = BatchRecord(
-            "union", combined_reported(batches), combined_truth(batches), n
-        )
+        m = batch_matrix(batches)
+        union = BatchRecord("union", m.combined(m.reported), m.combined(m.truth), n)
         assert weighted == batch_assorter_value_exact(A, union)
 
 

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from electaudit.alpha import AuditConfig, combined_reported, combined_truth
+from electaudit.alpha import AuditConfig, combined_reported
 from electaudit.census import (
     census_rla,
     generate_census_population,
     inject_survey_disagreement,
 )
-from electaudit.core import Contest
+from electaudit.core import Contest, batch_matrix
 from electaudit.harness import (
     ConfigError,
     ErrorModel,
@@ -47,7 +47,8 @@ def test_deal_batches_partitions_exactly(abc):
     batches = deal_batches(tally, rng)
     assert sum(b.size for b in batches) == 10000
     assert all(250 <= b.size <= 550 for b in batches)
-    assert combined_truth(batches).counts == tally.counts
+    m = batch_matrix(batches)
+    assert m.combined(m.truth).counts == tally.counts
     assert combined_reported(batches).counts == tally.counts
 
 
