@@ -9,7 +9,6 @@ from .alpha import (
     alpha_audit,
     alpha_batch_audit,
     alpha_init,
-    alpha_step,
 )
 from .apportionment import AllocationTieError, highest_averages
 from .batchcomp import (

@@ -12,12 +12,27 @@ bound kept strictly above ``eta``.  An assertion is approved once T exceeds
 seen force the full mean above 1/2 no matter what remains).
 
 One kernel, :func:`sequential_path`, runs this test for every audit in the
-package: it takes one assertion's whole draw sequence and computes T as a
-running product of the factors above, with mu, eta and u from running sums.
-The ballot-level audit, both batch audits and the census audit call it.
-:func:`alpha_step` is the step-by-step reference it is tested against; it
-writes the same factor in the equivalent form
+package: it takes one assertion's draw sequence and computes T as a running
+product of the factors above, with mu, eta and u from running sums.  The
+ballot-level audit, both batch audits and the census audit call it.  The
+step-by-step reference it is tested against lives in ``tests/helpers.py``;
+it writes the same factor in the equivalent form
 ``(a / mu) * (eta - mu) / (u - mu) + (u - eta) / (u - mu)``.
+
+The kernel evaluates the draws block by block, ``_BLOCK`` draws at a time,
+and stops after the first block that holds the stop, so an assertion that
+approves early costs one block, not the whole sequence.  Between blocks it
+carries the running weighted sum S, the (mu, eta, u) the next draw is tested
+with, the running max of u, T and the max of T.  Each carry enters where a
+single pass would have used it: S heads the next block's weighted values in
+its ``cumsum``, T multiplies its first factor before its ``cumprod``, and
+the carried u heads its ``maximum.accumulate`` span.
+``cumsum``, ``cumprod`` and ``maximum.accumulate`` run left to right, so
+every element goes through the same float operations in the same order as
+in one pass, and the result is identical bit for bit.  The T/mu/eta/u path
+arrays are kept, for the examined draws only, when a trace hook or a caller
+of :func:`sequential_path` asks for them; an untraced audit holds one
+block's arrays at a time.
 
 The batch variant draws whole batches with probability proportional to size
 and feeds each batch's true assorter mean through the same test, with the
@@ -27,8 +42,10 @@ them lives in :mod:`electaudit.batchcomp`.
 
 Both audits here take a batch list and read it once as integer count
 matrices (:func:`electaudit.core.batch_matrix`).  The ballot-level audit
-expands the true counts into one type index per ballot; the batch variant
-gets every true batch mean of an assertion from one integer matrix product.
+expands the true counts into one type index per ballot, shuffles it once,
+and hands the kernel each block's values as a gather from that order, so no
+full-length value row is built; the batch variant gets every true batch
+mean of an assertion from one integer matrix product.
 Each value is the float of its exact ``Fraction``, which stays the reference.
 """
 
@@ -137,65 +154,6 @@ def alpha_init(
     return states
 
 
-def _advance(
-    state: AssertionState,
-    value: float,
-    weight: int,
-    n: int,
-    cfg: AuditConfig,
-    eta_floor: float | None,
-) -> None:
-    """One update: T from the current (mu, eta, u), then the forward guesses.
-
-    ``eta_floor`` of None selects the remaining-reported-mean rule driven by
-    ``state.eta_budget``; a float selects the fixed-target rule used by the
-    comparison audits.  The guesses are refreshed in the order mu, eta, u so
-    each uses the value just computed before it.
-    """
-    if not state.active:
-        raise ValueError(f"assertion {state.label!r} is no longer active")
-    if state.seen >= n:
-        raise ValueError("all ballots consumed; caller must stop sampling first")
-    if value < 0:
-        raise ValueError("assorter values are non-negative")
-    mu, eta, u = state.mu, state.eta, state.u
-    if mu <= 0.0:
-        # mu has hit zero exactly: any positive draw is infinite evidence
-        factor = math.inf if value > 0 else (u - eta) / (u - mu)
-    else:
-        factor = (value / mu) * (eta - mu) / (u - mu) + (u - eta) / (u - mu)
-    state.T *= factor
-    if state.T > state.T_max:
-        state.T_max = state.T
-    state.cum_sum += value * weight
-    state.seen += weight
-    if state.T > 1.0 / cfg.alpha:
-        state.active = False
-        state.approved = True
-        return
-    if state.seen < n:
-        remaining = n - state.seen
-        state.mu = (0.5 * n - state.cum_sum) / remaining
-        if eta_floor is None:
-            target = (state.eta_budget - state.cum_sum) / remaining
-        else:
-            target = eta_floor
-        state.eta = max(state.mu + cfg.epsilon, target)
-        state.u = max(state.u, state.eta + cfg.epsilon)
-        if state.mu < 0:
-            state.active = False
-            state.approved = True
-
-
-def alpha_step(
-    state: AssertionState, value: float, cfg: AuditConfig, n: int, reported_mean: float
-) -> AssertionState:
-    """Consume one ballot worth ``value``; mutates and returns ``state``."""
-    state.eta_budget = n * reported_mean
-    _advance(state, value, 1, n, cfg, eta_floor=None)
-    return state
-
-
 class SequentialPath(NamedTuple):
     """One assertion's test run by :func:`sequential_path`.
 
@@ -213,8 +171,26 @@ class SequentialPath(NamedTuple):
     u: np.ndarray
 
 
+# Draws evaluated per block.  A block's arrays stay in L2 cache, and a test
+# that stops early wastes at most one block of work.
+_BLOCK = 8192
+
+
+class _Gather:
+    """``values[index]`` one slice at a time, so no full value row is built."""
+
+    def __init__(self, values: np.ndarray, index: np.ndarray):
+        self.values, self.index = values, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        return self.values[self.index[s]]
+
+
 def sequential_path(
-    x: np.ndarray,
+    x,
     seen: np.ndarray,
     n: int,
     eta0: float,
@@ -227,77 +203,127 @@ def sequential_path(
 
     ``x[j]`` is the value of draw j+1 and ``seen[j]`` the ballots examined
     after it (strictly increasing, at most ``n``), so a draw weighs
-    ``seen[j] - seen[j-1]`` ballots.  ``eta_floor`` of None selects the
-    remaining-reported-mean guess with ``eta0`` as the reported mean; a float
-    selects the fixed target of the comparison audits.  The test approves on
-    the first draw after which T exceeds ``threshold``, or after which mu
-    falls below 0 while ballots remain.
+    ``seen[j] - seen[j-1]`` ballots.  ``x`` is an array, or anything whose
+    slice ``x[i:j]`` is the array of draws i+1..j.  ``eta_floor`` of None
+    selects the remaining-reported-mean guess with ``eta0`` as the reported
+    mean; a float selects the fixed target of the comparison audits.  The
+    test approves on the first draw after which T exceeds ``threshold``, or
+    after which mu falls below 0 while ballots remain.
 
-    Each quantity is the one :func:`_advance` computes step by step: mu and
-    eta depend on past draws only through their running weighted sum, u is a
-    running max, and T a running product of the factors
+    Each quantity is the one the step-by-step reference in the tests
+    (``tests/helpers.py``, ``advance``) computes: mu and eta depend on past
+    draws only through their running weighted sum, u is a running max, and
+    T a running product of the factors
     ``(1/u) (x eta/mu + (u - x)(u - eta)/(u - mu))``.
+
+    The draws are evaluated in blocks of ``_BLOCK``, and no block after the
+    one holding the stop is evaluated.  Only the examined draws' arrays are
+    returned; :func:`_run_path` runs the same test without keeping them.
+    """
+    blocks: list = []
+    approved, examined, T_max = _run_path(x, seen, n, eta0, u0, eps, threshold, eta_floor, blocks)
+    if len(blocks) != 1:
+        blocks = [[np.concatenate(c) for c in zip(*blocks)] if blocks else [np.empty(0)] * 4]
+    return SequentialPath(approved, examined, T_max, *blocks[0])
+
+
+def _run_path(
+    x,
+    seen: np.ndarray,
+    n: int,
+    eta0: float,
+    u0: float,
+    eps: float,
+    threshold: float,
+    eta_floor: float | None = None,
+    keep: list | None = None,
+) -> tuple[bool, int, float]:
+    """:func:`sequential_path`'s test as (approved, examined, T_max).
+
+    ``keep``, when a list, receives each evaluated block's (T, mu, eta, u)
+    up to the last draw examined; otherwise the arrays live one block long.
     """
     m = len(x)
-    if m == 0:
-        return SequentialPath(False, 0, 1.0, x, x, x, x)
-    if seen[-1] == m:  # one ballot per draw
-        S = np.cumsum(x)
-    else:
-        S = np.cumsum(x * np.diff(seen, prepend=0))
-    # Entry i of mu/eta/u is the state after i draws, which draw i+1 is
-    # tested with; no state follows a draw that exhausts the ballots.  The
-    # arrays are filled in place to keep full-length temporaries few.
-    k = m if seen[-1] < n else m - 1
-    mu, eta, u = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
-    mu[0], eta[0], u[0] = 0.5, eta0, u0
-    mu_next, eta_next, u_next = mu[1 : k + 1], eta[1 : k + 1], u[1 : k + 1]
-    remaining = u_next
-    np.subtract(n, seen[:k], out=remaining)
-    np.subtract(0.5 * n, S[:k], out=mu_next)
-    mu_next /= remaining
-    if eta_floor is None:
-        np.subtract(n * eta0, S[:k], out=eta_next)
-        eta_next /= remaining
-    else:
-        eta_next.fill(eta_floor)
-    np.maximum(np.add(mu_next, eps, out=u_next), eta_next, out=eta_next)
-    np.add(eta_next, eps, out=u_next)
-    np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
+    unit = m > 0 and seen[-1] == m  # one ballot per draw
+    state = (0.5, eta0, u0)  # the (mu, eta, u) the next draw is tested with
+    S_carry = T_carry = None
+    peak = -math.inf  # max of T so far, NaN propagating as in one T.max()
+    for i in range(0, m, _BLOCK):
+        j = min(i + _BLOCK, m)
+        b = j - i
+        xb = x[i:j]
+        w = xb if unit else xb * np.diff(seen[i:j], prepend=seen[i - 1] if i else 0)
+        # the carried sum goes first, so draw i+1 adds to it as in one pass
+        S = np.cumsum(np.concatenate(([S_carry], w)))[1:] if i else np.cumsum(w)
+        # Entry t of mu/eta/u is the state after i+t draws, which draw i+t+1
+        # is tested with; entry 0 is carried over.  No state follows a draw
+        # that exhausts the ballots.  The arrays are filled in place to keep
+        # temporaries few.
+        k = b if seen[j - 1] < n else b - 1
+        mu, eta, u = np.empty(b + 1), np.empty(b + 1), np.empty(b + 1)
+        mu[0], eta[0], u[0] = state
+        mu_next, eta_next, u_next = mu[1 : k + 1], eta[1 : k + 1], u[1 : k + 1]
+        remaining = u_next
+        np.subtract(n, seen[i : i + k], out=remaining)
+        np.subtract(0.5 * n, S[:k], out=mu_next)
+        mu_next /= remaining
+        if eta_floor is None:
+            np.subtract(n * eta0, S[:k], out=eta_next)
+            eta_next /= remaining
+        else:
+            eta_next.fill(eta_floor)
+        np.maximum(np.add(mu_next, eps, out=u_next), eta_next, out=eta_next)
+        np.add(eta_next, eps, out=u_next)
+        # the carried u heads the span, so the running max is one pass's
+        np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
+        # mu[b] is unset only when draw j exhausts the ballots, and no block follows
+        S_carry, state = S[-1], (mu[b], eta[b], u[b])
 
-    mu, eta, u = mu[:m], eta[:m], u[:m]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        T = np.multiply(x, eta)
-        T /= mu
-        rest = np.subtract(u, x, out=S)  # the running sum is no longer needed
-        scratch = np.subtract(u, eta)
-        rest *= scratch
-        rest /= np.subtract(u, mu, out=scratch)
-        T += rest
-        T *= np.divide(1.0, u, out=scratch)
-        # mu exactly 0: a positive draw is infinite evidence, a zero one is not
-        zero = np.flatnonzero(mu == 0.0)
-        T[zero] = np.where(x[zero] > 0, np.inf, (u[zero] - eta[zero]) / (u[zero] - mu[zero]))
-        np.cumprod(T, out=T)
+        mu, eta, u = mu[:b], eta[:b], u[:b]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            T = np.multiply(xb, eta)
+            T /= mu
+            rest = np.subtract(u, xb, out=S)  # the running sum is no longer needed
+            scratch = np.subtract(u, eta)
+            rest *= scratch
+            rest /= np.subtract(u, mu, out=scratch)
+            T += rest
+            T *= np.divide(1.0, u, out=scratch)
+            # mu exactly 0: a positive draw is infinite evidence, a zero one is not
+            zero = np.flatnonzero(mu == 0.0)
+            T[zero] = np.where(xb[zero] > 0, np.inf, (u[zero] - eta[zero]) / (u[zero] - mu[zero]))
+            if i:  # the carried T times the first factor, as in one pass
+                T[0] *= T_carry
+            np.cumprod(T, out=T)
 
-    stop = m
-    for hit in (T > threshold, mu_next < 0):
-        hit = hit[:stop]
-        if hit.any():
-            stop = int(hit.argmax())
-    approved = stop < m
-    examined = stop + 1 if approved else m
-    T_max = max(1.0, float(T[:examined].max()))
-    return SequentialPath(
-        approved, examined, T_max, T[:examined], mu[:examined], eta[:examined], u[:examined]
-    )
+        stop = b
+        for hit in (T > threshold, mu_next < 0):
+            hit = hit[:stop]
+            if hit.any():
+                stop = int(hit.argmax())
+        e = min(stop + 1, b)  # draws of this block examined
+        peak = np.maximum(peak, T[:e].max()) if i else T[:e].max()
+        if keep is not None:
+            keep.append((T[:e], mu[:e], eta[:e], u[:e]))
+        if stop < b:
+            return True, i + e, max(1.0, float(peak))
+        T_carry = T[-1]
+    return False, m, max(1.0, float(peak))
 
 
-def _emit_trace(trace: TraceHook, label: str, path: SequentialPath) -> None:
-    """One row per examined draw: its number, T after it, the state it was tested with."""
+def _test_assertion(trace: TraceHook | None, label: str, *args) -> tuple[bool, int]:
+    """Approval and draws taken for one assertion, by :func:`sequential_path`.
+
+    The path arrays are built only for a trace hook, which gets one row per
+    examined draw: its number, T after it, the state it was tested with.
+    """
+    if trace is None:
+        return _run_path(*args)[:2]
+    path = sequential_path(*args)
     rows = zip(path.T.tolist(), path.mu.tolist(), path.eta.tolist(), path.u.tolist())
     for j, (T, mu, eta, u) in enumerate(rows, start=1):
         trace(j, label, T, mu, eta, u)
+    return path.approved, path.examined
 
 
 def conclude_audit(
@@ -355,13 +381,11 @@ def alpha_audit(
         if not st.approvable:
             results.append(AssertionOutcome(st.label, False, False, n))
             continue
-        path = sequential_path(
-            values[k][drawn], seen, n, st.eta, st.u, cfg.epsilon, 1.0 / cfg.alpha
+        approved, examined = _test_assertion(
+            trace, st.label, _Gather(values[k], drawn), seen, n, st.eta, st.u, cfg.epsilon,
+            1.0 / cfg.alpha,
         )
-        if trace is not None:
-            _emit_trace(trace, st.label, path)
-        results.append(AssertionOutcome(st.label, True, path.approved, path.examined))
-        del path  # frees its n-length arrays before the next assertion's
+        results.append(AssertionOutcome(st.label, True, approved, examined))
 
     return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
 
@@ -399,14 +423,11 @@ def batch_audit_loop(
     for k, st in enumerate(states):
         approved, examined, batches_at = False, n, len(batches)
         if st.approvable:
-            path = sequential_path(
-                batch_values[k, order], seen, n, st.eta, st.u, cfg.epsilon,
+            approved, batches_at = _test_assertion(
+                trace, st.label, batch_values[k, order], seen, n, st.eta, st.u, cfg.epsilon,
                 1.0 / cfg.alpha, eta_floors[k],
             )
-            if trace is not None:
-                _emit_trace(trace, st.label, path)
-            if path.approved:
-                approved, batches_at = True, path.examined
+            if approved:
                 examined = int(seen[batches_at - 1])
         results.append(
             AssertionOutcome(st.label, st.approvable, approved, examined, batches_examined=batches_at)

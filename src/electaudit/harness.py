@@ -167,19 +167,21 @@ def plurality_assertions(contest: Contest, reported: Tally) -> list[Assorter]:
 def run_election_trial(
     kind: str,
     batches: list[BatchRecord],
+    reported: Tally,
     assertions: list[Assorter],
     alpha: float,
     delta: float,
     audit_seed,
     trace=None,
 ) -> AuditOutcome:
+    """One audit of ``batches``; ``reported`` is their combined reported tally."""
     cfg = AuditConfig(alpha=alpha, seed=audit_seed)
     if kind == "batchcomp":
         return batchcomp_audit(batches, assertions, cfg, delta=delta, trace=trace)
     if kind == "alpha_batch":
-        return alpha_batch_audit(batches, assertions, combined_reported(batches), cfg, trace=trace)
+        return alpha_batch_audit(batches, assertions, reported, cfg, trace=trace)
     if kind == "alpha":
-        return alpha_audit(batches, assertions, combined_reported(batches), cfg, trace=trace)
+        return alpha_audit(batches, assertions, reported, cfg, trace=trace)
     raise ValueError(f"unknown audit kind {kind!r}")
 
 
@@ -337,7 +339,7 @@ def _election_trial(args) -> TrialReport:
 
     try:
         outcome = run_election_trial(
-            kind, batches, assertions, alpha, delta, audit_seed, trace_hook
+            kind, batches, reported, assertions, alpha, delta, audit_seed, trace_hook
         )
     finally:
         if trace_file:

@@ -209,8 +209,9 @@ def generate_assertions(
     """The full assertion set certifying ``reported_seats`` for ``reported``.
 
     ``weaken`` lists ordered (gainer, keeper) unit-label pairs whose move-seat
-    assertion should use the weakened one-seat form.  The reported allocation
-    is recomputed and must match ``reported_seats``.
+    assertion should use the weakened one-seat form; a pair that names no
+    move-seat assertion of the set is a ``ValueError``.  The reported
+    allocation is recomputed and must match ``reported_seats``.
 
     A zero-seat party outside every apparentment is certified by "cannot win
     a seat" rather than by its threshold status when t * valid is below
@@ -229,6 +230,7 @@ def generate_assertions(
     if dict(check.seats) != dict(reported_seats.seats):
         raise ValueError("reported_seats does not match the allocation of the reported tally")
     weaken = set(weaken)
+    unmatched = set(weaken)
 
     ballot_contest = contest.ballot_contest()
     above = above_threshold_parties(contest, reported)
@@ -272,7 +274,9 @@ def generate_assertions(
     def add_move(gainer: tuple[str, ...], keeper: tuple[str, ...], s_g: int, s_k: int):
         if s_k == 0:
             return  # no seat to defend
-        weakened = (unit_label(gainer), unit_label(keeper)) in weaken
+        pair = (unit_label(gainer), unit_label(keeper))
+        weakened = pair in weaken
+        unmatched.discard(pair)
         assertions.append(
             _move_seat_assorter(ballot_contest, gainer, keeper, s_g, s_k, weakened)
         )
@@ -291,6 +295,9 @@ def generate_assertions(
         if p not in above:
             for u in units:
                 add_move((p,), u, 0, unit_seats[unit_label(u)])
+    if unmatched:
+        pairs = ", ".join(f"{g}:{k}" for g, k in sorted(unmatched))
+        raise ValueError(f"weaken pair names no move-seat assertion: {pairs}")
     return assertions
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
+from electaudit.alpha import AssertionState, AuditConfig
 from electaudit.apportionment import Divisor, dhondt
 from electaudit.census import Household
 from electaudit.core import Assorter, BatchRecord, Contest, Tally, assorter_mean
@@ -40,6 +41,68 @@ def ballot_batch(truth: Tally) -> list[BatchRecord]:
     list ``[A] * a + [B] * b + ...`` with the names in sorted order.
     """
     return [BatchRecord("ballots", truth, truth, truth.total)]
+
+
+def advance(
+    state: AssertionState,
+    value: float,
+    weight: int,
+    n: int,
+    cfg: AuditConfig,
+    eta_floor: float | None,
+) -> None:
+    """One update of the sequential test, the step-by-step reference for
+    :func:`electaudit.alpha.sequential_path`: T from the current (mu, eta, u),
+    then the forward guesses.
+
+    ``eta_floor`` of None selects the remaining-reported-mean rule driven by
+    ``state.eta_budget``; a float selects the fixed-target rule used by the
+    comparison audits.  The guesses are refreshed in the order mu, eta, u so
+    each uses the value just computed before it.
+    """
+    if not state.active:
+        raise ValueError(f"assertion {state.label!r} is no longer active")
+    if state.seen >= n:
+        raise ValueError("all ballots consumed; caller must stop sampling first")
+    if value < 0:
+        raise ValueError("assorter values are non-negative")
+    mu, eta, u = state.mu, state.eta, state.u
+    if mu <= 0.0:
+        # mu has hit zero exactly: any positive draw is infinite evidence
+        factor = math.inf if value > 0 else (u - eta) / (u - mu)
+    else:
+        factor = (value / mu) * (eta - mu) / (u - mu) + (u - eta) / (u - mu)
+    state.T *= factor
+    if state.T > state.T_max:
+        state.T_max = state.T
+    state.cum_sum += value * weight
+    state.seen += weight
+    if state.T > 1.0 / cfg.alpha:
+        state.active = False
+        state.approved = True
+        return
+    if state.seen < n:
+        remaining = n - state.seen
+        state.mu = (0.5 * n - state.cum_sum) / remaining
+        if eta_floor is None:
+            target = (state.eta_budget - state.cum_sum) / remaining
+        else:
+            target = eta_floor
+        state.eta = max(state.mu + cfg.epsilon, target)
+        state.u = max(state.u, state.eta + cfg.epsilon)
+        if state.mu < 0:
+            state.active = False
+            state.approved = True
+
+
+def alpha_step(
+    state: AssertionState, value: float, cfg: AuditConfig, n: int, reported_mean: float
+) -> AssertionState:
+    """Consume one ballot worth ``value`` under the remaining-reported-mean
+    rule; mutates and returns ``state``."""
+    state.eta_budget = n * reported_mean
+    advance(state, value, 1, n, cfg, eta_floor=None)
+    return state
 
 
 def brute_force_margin(assorter: Assorter, truth: Tally) -> int:

@@ -1,24 +1,25 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electaudit import alpha as alpha_mod
 from electaudit.alpha import (
     AssertionState,
     AuditConfig,
-    _advance,
     alpha_audit,
     alpha_batch_audit,
     alpha_init,
-    alpha_step,
     sequential_path,
 )
+from electaudit.batchcomp import batchcomp_audit
 from electaudit.core import BatchRecord, Contest, Tally, plurality_assorter
 from electaudit.randomness import make_rng
 
-from .helpers import ballot_batch
+from .helpers import advance, alpha_step, ballot_batch
 
 
 @pytest.fixture
@@ -338,14 +339,14 @@ def kernel_cases(draw):
 @given(kernel_cases())
 @settings(max_examples=400, deadline=None)
 def test_kernel_matches_stepwise_reference(case):
-    """sequential_path reproduces _advance draw by draw, for both eta rules."""
+    """sequential_path reproduces the stepwise advance draw by draw, for both eta rules."""
     x, sizes, n, eta0, u0, alpha, floor = case
     cfg = AuditConfig(alpha=alpha)
     ref = AssertionState("ref", eta=eta0, u=u0, eta_budget=n * eta0)
     rows = []  # T after each draw, then the (mu, eta, u) it was tested with
     for value, weight in zip(x, sizes):
         tested = (ref.mu, ref.eta, ref.u)
-        _advance(ref, float(value), int(weight), n, cfg, floor)
+        advance(ref, float(value), int(weight), n, cfg, floor)
         rows.append((ref.T, *tested))
         if not ref.active:
             break
@@ -398,3 +399,78 @@ def test_alpha_audit_trace_changes_nothing(two_party):
         assert {r[1] for r in rows} == {a.label}  # the refuted assertion is never tested
         assert rows[0][3:] == (0.5, 0.56, 1.0)
         assert all(type(v) is float for r in rows for v in r[2:])
+
+
+def _in_blocks(size, fn, *args):
+    with mock.patch.object(alpha_mod, "_BLOCK", size):
+        return fn(*args)
+
+
+def _assert_same_path(got, want):
+    """Bit for bit: the same stop, T_max and path arrays."""
+    assert (got.approved, got.examined, got.T_max) == (want.approved, want.examined, want.T_max)
+    for name in ("T", "mu", "eta", "u"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b, equal_nan=True) and a.tobytes() == b.tobytes(), name
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_blocks_match_one_pass(case):
+    """Evaluating the draws in blocks of 1, 2, 3 or 7 carries the running sum,
+    the (mu, eta, u) state and T across block edges without changing a bit."""
+    x, sizes, n, eta0, u0, alpha, floor = case
+    args = (x, np.cumsum(sizes), n, eta0, u0, 1e-9, 1 / alpha, floor)
+    assert len(x) <= alpha_mod._BLOCK
+    whole = sequential_path(*args)
+    for size in (1, 2, 3, 7):
+        _assert_same_path(_in_blocks(size, sequential_path, *args), whole)
+        got = _in_blocks(size, alpha_mod._run_path, *args)
+        assert got == (whole.approved, whole.examined, whole.T_max)
+
+
+@pytest.mark.parametrize(
+    "x, sizes, n, eta0, u0, threshold, approved, examined",
+    [
+        (np.ones(50), [1] * 50, 50, 0.9, 1.0, 20.0, True, 5),  # T passes 20 at draw 5
+        (np.full(12, 1.6), [1] * 12, 12, 0.9, 3.0, 1e9, True, 4),  # mu < 0 after draw 4
+        (np.full(4, 1.6), [1] * 4, 12, 0.9, 3.0, 1e9, True, 4),  # ... the last draw, 8 left
+        (np.tile([1.0, 0.0, 0.0], 4), [1] * 12, 12, 0.55, 1.0, 20.0, False, 12),  # exhausted
+        (np.array([1.0, 0, 0, 1, 0, 0]), [2, 1, 3, 1, 2, 3], 12, 0.55, 1.0, 20.0, False, 6),
+    ],
+    ids=["T-crossing", "mu-negative", "mu-negative-last", "exhausted-unit", "exhausted-weighted"],
+)
+def test_kernel_stop_on_block_edge(x, sizes, n, eta0, u0, threshold, approved, examined):
+    """The stopping draw as the last draw of a block and as the first of the
+    next: the same stop and the same path as one pass."""
+    args = (x, np.cumsum(sizes), n, eta0, u0, 1e-9, threshold)
+    whole = sequential_path(*args)
+    assert (whole.approved, whole.examined) == (approved, examined)
+    for size in (examined - 1, examined, 1, 2, 3, 7):
+        _assert_same_path(_in_blocks(size, sequential_path, *args), whole)
+
+
+def test_audits_in_blocks_match_one_pass(two_party):
+    """All three election audits give the same outcome and trace rows when
+    the kernel runs in blocks of 7 draws, traced or not."""
+    c, a = two_party
+    rep = c.tally({"Alice": 560, "Bob": 440})
+    truth = c.tally({"Alice": 540, "Bob": 460})
+    ballots = ballot_batch(truth)
+    batches = [
+        BatchRecord(f"b{i}", c.tally({"Alice": 28, "Bob": 22}), c.tally({"Alice": 27, "Bob": 23}), 50)
+        for i in range(20)
+    ]
+    audits = [
+        lambda cfg, trace: alpha_audit(ballots, [a], rep, cfg, trace=trace),
+        lambda cfg, trace: alpha_batch_audit(batches, [a], rep, cfg, trace=trace),
+        lambda cfg, trace: batchcomp_audit(batches, [a], cfg, trace=trace),
+    ]
+    for audit in audits:
+        for seed in range(3):
+            cfg = AuditConfig(alpha=0.05, seed=seed)
+            rows, block_rows = [], []
+            whole = audit(cfg, lambda *r: rows.append(r))
+            assert _in_blocks(7, audit, cfg, lambda *r: block_rows.append(r)) == whole
+            assert _in_blocks(7, audit, cfg, None) == whole
+            assert block_rows == rows and len(rows) > 7  # several blocks

@@ -33,6 +33,43 @@ def test_margins_knesset_weaken(tmp_path, capsys):
     assert "no-seat-move:P2->P1 (one-seat)" in out
 
 
+def _knesset_inputs(tmp_path):
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nP1,500\nP2,380\n__invalid__,20\n")
+    kcfg = tmp_path / "k.json"
+    kcfg.write_text(json.dumps({"parties": ["P1", "P2"], "seats": 9}))
+    return contest, kcfg
+
+
+def test_margins_unknown_weaken_pair_exits_2(tmp_path, capsys):
+    contest, kcfg = _knesset_inputs(tmp_path)
+    argv = ["margins", "--contest", str(contest), "--knesset", str(kcfg), "--weaken", "Nope:P2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "audit: error: weaken pair names no move-seat assertion: Nope:P2" in captured.err
+
+
+def test_run_unknown_weaken_pair_exits_2(tmp_path, capsys):
+    contest, kcfg = _knesset_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "audit": "batchcomp",
+                "contest": str(contest),
+                "knesset": str(kcfg),
+                "batches": {"generate": {"sizes": [100] * 9}},
+                "weaken": [["P1", "P2"], ["P2", "Nope"]],
+                "trials": 2,
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "audit: error: weaken pair names no move-seat assertion: P2:Nope" in err
+
+
 def test_run_subcommand_writes_outputs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
