@@ -15,7 +15,6 @@ from .batchcomp import (
     BatchAssorter,
     batch_assorter_value,
     batchcomp_audit,
-    batchcomp_simplified_step,
     make_batch_assorter,
     pad_missing_ballots,
 )
@@ -25,19 +24,19 @@ from .census import (
     CensusOutcome,
     Household,
     apportion,
-    census_assorter_value,
     census_rla,
-    comparison_assorter_value,
     generate_census_population,
 )
 from .core import (
     Assorter,
     BallotType,
+    BatchMatrix,
     BatchRecord,
     Contest,
     LinearInequality,
     Tally,
     assorter_mean,
+    batch_matrix,
     inequality_to_assorter,
     plurality_assorter,
 )

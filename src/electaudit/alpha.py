@@ -40,12 +40,13 @@ running sums weighted by batch size.  It uses only the overall reported
 tally, never per-batch reported tallies; the comparison audit that does use
 them lives in :mod:`electaudit.batchcomp`.
 
-Both audits here take a batch list and read it once as integer count
-matrices (:func:`electaudit.core.batch_matrix`).  The ballot-level audit
+Both audits here, like the batch-comparison audit, take the trial's one
+batch store, a :class:`electaudit.core.BatchMatrix`.  The ballot-level audit
 expands the true counts into one type index per ballot, shuffles it once,
 and hands the kernel each block's values as a gather from that order, so no
 full-length value row is built; the batch variant gets every true batch
-mean of an assertion from one integer matrix product.
+mean of an assertion from one integer matrix product.  The reported mean
+eta and the full count's verdict are integer sums over the column sums.
 Each value is the float of its exact ``Fraction``, which stays the reference.
 """
 
@@ -53,17 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Assorter, BatchRecord, Tally, assorter_mean, batch_matrix, batch_means
+from .core import Assorter, BatchMatrix, BatchRecord, Tally, assorter_sum, batch_matrix, batch_means
 from .randomness import Seed, make_rng
 
 TraceHook = Callable[[int, str, float, float, float, float], None]
-
-_HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -138,9 +136,11 @@ def alpha_init(
         raise ValueError("ballot count must be positive")
     if reported.total != n:
         raise ValueError(f"reported tally covers {reported.total} ballots, expected {n}")
+    types, counts = tuple(reported.counts), tuple(reported.counts.values())
     states = []
     for a in assorters:
-        eta = float(assorter_mean(a, reported))
+        S, den = assorter_sum(a, types, counts)
+        eta = S / (den * n)  # int / int is correctly rounded: the float of the exact mean
         u = float(a.upper)
         state = AssertionState(label=a.label, eta=eta, u=u, eta_budget=n * eta)
         if eta <= 0.5:
@@ -327,34 +327,36 @@ def _test_assertion(trace: TraceHook | None, label: str, *args) -> tuple[bool, i
 
 
 def conclude_audit(
-    results: list[AssertionOutcome],
-    assorters: Sequence[Assorter],
-    n: int,
-    truth: Callable[[], Tally],
+    results: list[AssertionOutcome], assorters: Sequence[Assorter], m: BatchMatrix
 ) -> AuditOutcome:
     """The audit's outcome; unless every assertion was approved it ends in a
-    full count, which reveals whether each assertion truly holds."""
+    full count, which reveals whether each assertion truly holds.
+
+    The full count is the column sum of ``m.truth``, and an assertion holds
+    when its exact sum over it exceeds half the ballots.
+    """
+    n = int(m.sizes.sum())
     approved = all(r.approved for r in results)
     if approved:
         examined = max((r.examined for r in results), default=0)
     else:
         examined = n
-        full = truth()
+        totals = m.truth.sum(axis=0).tolist()
+        sums = [assorter_sum(a, m.types, totals) for a in assorters]
         results = [
-            replace(r, truly_satisfied=assorter_mean(a, full) > _HALF)
-            for r, a in zip(results, assorters)
+            replace(r, truly_satisfied=2 * S > den * n) for r, (S, den) in zip(results, sums)
         ]
     return AuditOutcome(approved, not approved, examined, n, tuple(results))
 
 
 def alpha_audit(
-    batches: Sequence[BatchRecord],
+    m: BatchMatrix,
     assorters: Sequence[Assorter],
     reported: Tally,
     cfg: AuditConfig,
     trace: TraceHook | None = None,
 ) -> AuditOutcome:
-    """Audit every true ballot of the padded batches against the reported tally.
+    """Audit every true ballot of the batches ``m`` against the reported tally.
 
     The ballots are taken in batch order, and within a batch by type name.
     They are drawn without replacement via a seeded shuffle and consumed in
@@ -363,7 +365,6 @@ def alpha_audit(
     Failing to approve is not an error: the audit then ends in a full count
     and reports the truth it found.
     """
-    m = batch_matrix(batches)
     n = int(m.sizes.sum())
     states = alpha_init(assorters, reported, n, cfg)
     rng = make_rng(cfg.seed)
@@ -371,7 +372,7 @@ def alpha_audit(
     values = np.array(
         [[float(a.value(bt)) for bt in m.types] for a in assorters], dtype=np.float64
     )
-    type_idx = np.repeat(np.tile(np.arange(len(m.types)), len(batches)), m.truth.ravel())
+    type_idx = np.repeat(np.tile(np.arange(len(m.types)), len(m)), m.truth.ravel())
     drawn = type_idx[rng.permutation(n)]
     del type_idx
     seen = np.arange(1, n + 1)
@@ -387,23 +388,38 @@ def alpha_audit(
         )
         results.append(AssertionOutcome(st.label, True, approved, examined))
 
-    return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
+    return conclude_audit(results, assorters, m)
 
 
-def _draw_batches_without_replacement(batches: Sequence[BatchRecord], rng) -> list[int]:
-    """Order of batch indices, each drawn with probability proportional to size."""
-    sizes = np.array([b.size for b in batches], dtype=np.float64)
-    remaining = list(range(len(batches)))
-    order = []
-    while remaining:
-        weights = sizes[remaining]
-        pick = rng.choice(len(remaining), p=weights / weights.sum())
-        order.append(remaining.pop(int(pick)))
+def _draw_batches_without_replacement(sizes: np.ndarray, rng) -> np.ndarray:
+    """Batch indices in draw order, each drawn with probability proportional
+    to its size among the batches not yet drawn.
+
+    Each draw is the step ``rng.choice(k, p=w / w.sum())`` takes over the
+    sizes w of the k batches left, in batch order: one ``rng.random()``, the
+    ``cumsum`` of p divided by its last element, and ``searchsorted`` with
+    ``side="right"``.  A drawn batch keeps its place with weight 0.  Its p is
+    then exactly 0, which leaves every other cumulative sum as it is over the
+    batches left alone, so the search lands on the same batch.  The sizes sum
+    below 2**53, so their float total is exact.  Each draw is O(B) for B
+    batches.
+    """
+    weights = sizes.astype(np.float64)
+    total = weights.sum()
+    order = np.empty(len(sizes), dtype=np.int64)
+    cdf = np.empty_like(weights)
+    for t in range(len(sizes)):
+        np.divide(weights, total, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        k = order[t] = cdf.searchsorted(rng.random(), side="right")
+        total -= weights[k]
+        weights[k] = 0.0
     return order
 
 
 def batch_audit_loop(
-    batches: Sequence[BatchRecord],
+    sizes: np.ndarray,
     states: list[AssertionState],
     batch_values: np.ndarray,
     n: int,
@@ -417,11 +433,11 @@ def batch_audit_loop(
     assertion is tested along that one draw order.
     """
     rng = make_rng(cfg.seed)
-    order = _draw_batches_without_replacement(batches, rng)
-    seen = np.cumsum([batches[i].size for i in order])
+    order = _draw_batches_without_replacement(sizes, rng)
+    seen = np.cumsum(sizes[order])
     results = []
     for k, st in enumerate(states):
-        approved, examined, batches_at = False, n, len(batches)
+        approved, examined, batches_at = False, n, len(sizes)
         if st.approvable:
             approved, batches_at = _test_assertion(
                 trace, st.label, batch_values[k, order], seen, n, st.eta, st.u, cfg.epsilon,
@@ -436,7 +452,7 @@ def batch_audit_loop(
 
 
 def alpha_batch_audit(
-    batches: Sequence[BatchRecord],
+    m: BatchMatrix,
     assorters: Sequence[Assorter],
     reported: Tally,
     cfg: AuditConfig,
@@ -450,15 +466,14 @@ def alpha_batch_audit(
     bound, which is what makes this baseline slow: per-batch means hug the
     overall mean far below that bound, so T moves in tiny steps.
     """
-    m = batch_matrix(batches)
     n = int(m.sizes.sum())
     totals = m.reported.sum(axis=0).tolist()
     if reported.total != n or [reported.get(bt) for bt in m.types] != totals:
         raise ValueError("overall reported tally is inconsistent with the batch tallies")
     states = alpha_init(assorters, reported, n, cfg)
     batch_values = np.array([batch_means(a, m, m.truth) for a in assorters])
-    results = batch_audit_loop(batches, states, batch_values, n, cfg, [None] * len(states), trace)
-    return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
+    results = batch_audit_loop(m.sizes, states, batch_values, n, cfg, [None] * len(states), trace)
+    return conclude_audit(results, assorters, m)
 
 
 def combined_reported(batches: Sequence[BatchRecord]) -> Tally:

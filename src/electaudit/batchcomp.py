@@ -23,6 +23,7 @@ and each float is the correctly rounded value of the exact rational.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,8 +76,8 @@ class BatchAssorter:
             raise ValueError(
                 f"batch assorter {self.base.label!r} needs w > M > 0, got w={self.w}, M={self.M}"
             )
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
     @property
     def accurate_value(self) -> Fraction:
@@ -170,28 +171,14 @@ def batch_assorter_value_exact(A: BatchAssorter, batch: BatchRecord) -> Fraction
     return _HALF + (A.M + true_mean - rep_mean) / (2 * (A.w - A.M))
 
 
-def batchcomp_simplified_step(T: float, A_value: float, mu: float) -> float:
-    """The delta-free shortcut update T <- T * A/mu.
-
-    Equivalent to letting the bound U tend to the accurate-batch value from
-    above.  Cheap and essentially as powerful on honest errors, but a single
-    batch scoring exactly zero (reportedly best possible, truly worst
-    possible, which practically indicates malice) kills T for good and forces
-    a full recount.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return T * A_value / mu
-
-
 def batchcomp_audit(
-    batches: Sequence[BatchRecord],
+    m: BatchMatrix,
     assorters: Sequence[Assorter],
     cfg: AuditConfig,
     delta: float = DEFAULT_DELTA,
     trace: TraceHook | None = None,
 ) -> AuditOutcome:
-    """Run the comparison audit over padded batches.
+    """Run the comparison audit over the batches ``m``.
 
     Batches are drawn with probability proportional to size, without
     replacement.  Per assertion, T is updated from the batch-assorter value
@@ -200,7 +187,6 @@ def batchcomp_audit(
     or mu < 0.  An assertion whose reported margin is not positive is flagged
     un-approvable, since the reported tallies refute it before any sampling.
     """
-    m = batch_matrix(batches)
     n = int(m.sizes.sum())
     lifted, batch_values = lift_assertions(assorters, m, delta)
     states: list[AssertionState] = []
@@ -213,8 +199,8 @@ def batchcomp_audit(
             target = float(A.accurate_value)
             states.append(AssertionState(label=a.label, eta=target, u=A.U))
             eta_floors.append(target)
-    results = batch_audit_loop(batches, states, batch_values, n, cfg, eta_floors, trace)
-    return conclude_audit(results, assorters, n, lambda: m.combined(m.truth))
+    results = batch_audit_loop(m.sizes, states, batch_values, n, cfg, eta_floors, trace)
+    return conclude_audit(results, assorters, m)
 
 
 def lift_assertions(
@@ -249,7 +235,7 @@ def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list
     """
     per_batch: dict[str, dict[str, tuple[int, int]]] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         expected = ["batch_id", "party", "reported_votes", "true_votes"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:4]] != expected:
             raise ValueError(f"{path}: expected columns {','.join(expected)}")

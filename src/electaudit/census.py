@@ -31,7 +31,7 @@ pair's mean above 1/2.
 Populations are columnar :class:`CensusData` from generation through the
 audit.  :class:`Household` is the row type of a household CSV, which
 ``CensusData.from_households`` converts, and the input of the exact
-``Fraction`` assorters the float audit is checked against.
+``Fraction`` assorters in the tests that the float audit is checked against.
 """
 
 from __future__ import annotations
@@ -169,36 +169,6 @@ def census_pair(
     if z <= m:
         raise ValueError(f"degenerate pair ({s1}, {s2}): z={z} does not exceed margin m={m}")
     return CensusPair(s1=s1, s2=s2, r1=r1, r2=r2, d1=d1, d2=d2, g_max=g, c=c, m=m, z=z)
-
-
-def census_assorter_value(pair: CensusPair, household: Household, use_pes: bool):
-    """Household-level assorter: g_s1/(c d1) + (g_max - g_s2)/(c d2).
-
-    ``use_pes`` selects the survey count; the census count otherwise.  Exact
-    when the pair constants are exact.
-    """
-    if use_pes:
-        if household.pes_count is None:
-            raise ValueError(f"household {household.id!r} has no survey count")
-        count = household.pes_count
-    else:
-        count = household.census_count
-    g1 = count if household.state == pair.s1 else 0
-    g2 = count if household.state == pair.s2 else 0
-    return Fraction(g1, pair.d1) / pair.c + Fraction(pair.g_max - g2, pair.d2) / pair.c
-
-
-def comparison_assorter_value(pair: CensusPair, household: Household):
-    """Discrepancy assorter 1/2 + (m + a_pes - a_cen) / (2 (z - m))."""
-    pes_count = household.pes_count
-    if pes_count is None:
-        raise ValueError(f"household {household.id!r} has no survey count")
-    diff = Fraction(0)
-    if household.state == pair.s1:
-        diff = Fraction(pes_count - household.census_count, pair.d1) / pair.c
-    elif household.state == pair.s2:
-        diff = Fraction(household.census_count - pes_count, pair.d2) / pair.c
-    return Fraction(1, 2) + (pair.m + diff) / (2 * (pair.z - pair.m))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,18 @@ assertions.  Assorter values are kept as exact rationals at construction so
 that assertion equivalences can be checked without rounding; the sequential
 tests elsewhere in this package evaluate them in floating point.
 
-The election audits run on integer count matrices: :func:`batch_matrix`
-turns a batch list into batch-by-type counts over one sorted type index, and
-:func:`assorter_vector` writes an assorter as integer numerators over one
-common denominator.  An assorter is linear in the tally, so its sums over
-every batch are one integer matrix product, and every float the audits use
-is the correctly rounded quotient of two integers: bit for bit the float of
-the exact ``Fraction``.  :func:`assorter_mean` over a ``Tally`` is the exact
-reference these fast paths are tested against.
+An election trial keeps its batches in one :class:`BatchMatrix`, from
+dealing to the verdict: reported and true batch-by-type integer counts over
+one sorted type index.  :func:`batch_matrix` reads a list of
+:class:`BatchRecord` into one; records and ``Tally`` dicts remain at the
+CSV boundary and in the exact references.  :func:`assorter_vector` writes
+an assorter as integer numerators over one common denominator.  An assorter
+is linear in the tally, so its sums over every batch are one integer matrix
+product, and its sum over a column sum (:func:`assorter_sum`) is an integer
+dot product.  Every float the audits use is the correctly rounded quotient
+of two integers: bit for bit the float of the exact ``Fraction``.
+:func:`assorter_mean` over a ``Tally`` is the exact reference these fast
+paths are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -191,12 +195,15 @@ _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
 
 
-class BatchMatrix(NamedTuple):
-    """A batch list as integer counts over one type index.
+@dataclass(frozen=True, eq=False)
+class BatchMatrix:
+    """The batches of an election as integer counts over one type index.
 
-    ``types`` is every ballot type in the batches, sorted by name;
+    ``types`` is every ballot type of the batches, sorted by name;
     ``reported`` and ``truth`` are batch-by-type int64 count matrices in
-    batch order, and ``sizes`` the batch sizes.
+    batch order, and ``sizes`` the batch sizes.  ``len()`` is the batch
+    count.  Every constructor checks that the ballot total is below 2**63,
+    so that every count and every row or column sum fits in int64.
     """
 
     types: tuple[BallotType, ...]
@@ -204,20 +211,34 @@ class BatchMatrix(NamedTuple):
     truth: np.ndarray
     sizes: np.ndarray
 
+    def __post_init__(self):
+        if not len(self.sizes):
+            raise ValueError("batch list is empty")
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
     def combined(self, counts: np.ndarray) -> Tally:
         """The tally of all batches together, from ``reported`` or ``truth``."""
         return Tally(dict(zip(self.types, counts.sum(axis=0).tolist())))
 
+    def tallies(self, counts: np.ndarray) -> list[Tally]:
+        """One tally per batch, from ``reported`` or ``truth``."""
+        return [Tally(dict(zip(self.types, row))) for row in counts.tolist()]
+
+
+def check_int64_total(n: int) -> None:
+    """Reject a ballot total whose int64 count matrices could overflow."""
+    if n >= _INT64_LIMIT:
+        raise ValueError(f"{n} ballots overflow the int64 count matrices")
+
 
 def batch_matrix(batches: Sequence[BatchRecord]) -> BatchMatrix:
-    """Count matrices of padded batches with unique ids.
+    """Count matrices of padded batches with unique ids: the batch-list boundary.
 
     A batch is padded when its reported and true tallies both cover exactly
-    its size.  The ballot total must stay below 2**63, so that every count
-    and every row or column sum fits in int64.
+    its size.
     """
-    if not batches:
-        raise ValueError("batch list is empty")
     ids, types = set(), set()
     for b in batches:
         if b.id in ids:
@@ -231,8 +252,7 @@ def batch_matrix(batches: Sequence[BatchRecord]) -> BatchMatrix:
         types.update(b.reported.counts)
         types.update(b.truth.counts)
     sizes = [b.size for b in batches]
-    if (n := sum(sizes)) >= _INT64_LIMIT:
-        raise ValueError(f"{n} ballots overflow the int64 count matrices")
+    check_int64_total(sum(sizes))
     types = tuple(sorted(types, key=lambda bt: bt.name))
 
     def counts(side: str) -> np.ndarray:
@@ -253,6 +273,20 @@ def assorter_vector(assorter: Assorter, types: Sequence[BallotType]) -> tuple[np
     num = [v.numerator * (den // v.denominator) for v in values]
     fits = max(num, default=0) < _INT64_LIMIT  # assorter values are non-negative
     return np.array(num, dtype=np.int64 if fits else object), den
+
+
+def assorter_sum(
+    assorter: Assorter, types: Sequence[BallotType], counts: Sequence[int]
+) -> tuple[int, int]:
+    """``(S, den)`` with ``S / den`` the assorter's exact sum over ``counts[i]``
+    ballots of ``types[i]``, in Python ints.
+
+    A type counted zero times needs no value.  The assorter's mean over those
+    ballots exceeds 1/2 exactly when ``2 * S > den * sum(counts)``.
+    """
+    kept = [(bt, int(c)) for bt, c in zip(types, counts) if c]
+    num, den = assorter_vector(assorter, [bt for bt, _ in kept])
+    return sum(x * c for x, (_, c) in zip(num.tolist(), kept)), den
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -348,7 +382,7 @@ def load_contest_csv(path) -> tuple[Contest, Tally]:
     """Read a ``party,reported_votes`` CSV; the ``__invalid__`` row is required."""
     rows: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != [
             "party",
             "reported_votes",

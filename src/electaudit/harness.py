@@ -5,24 +5,33 @@ Randomness contract: trial i draws its seed from the config's ``seeds`` list
 generates data and stream 1 drives the audit's sampling, so two audit methods
 run on the same trial see identical batches and identical draw randomness;
 comparisons between them are paired by construction.
+
+A trial deals (:func:`deal_matrix`) or loads its batches once into one
+:class:`electaudit.core.BatchMatrix` and injects misreads into its rows
+(:func:`inject_misreads`).  The reported tally is the matrix's column sum,
+and the same matrix goes to whichever audit runs.  :func:`deal_batches` and
+:func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
+lists.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import census as census_mod
-from .alpha import AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit, combined_reported
+from .alpha import AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit
 from .batchcomp import batchcomp_audit, load_batches_csv
-from .core import Assorter, BatchRecord, Contest, Tally, load_contest_csv, plurality_assorter
+from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
+from .core import check_int64_total, load_contest_csv, plurality_assorter
 from .knesset import allocate_seats, assertion_margin, generate_assertions, load_knesset_config
 from .randomness import make_rng
 
@@ -73,59 +82,25 @@ def trial_rngs(seed: int) -> tuple[np.random.Generator, tuple[int, int]]:
     return data_rng, (seed, 1)
 
 
-def inject_ballot_errors(
-    truth: Sequence[BatchRecord], model: ErrorModel, rng
-) -> list[BatchRecord]:
-    """Recompute reported tallies by misreading true ballots; truth unchanged.
-
-    Batch totals are preserved: every misread ballot stays in its batch,
-    only its recorded category moves.
-    """
-    if model.kind != "ballot_misread":
-        raise ValueError("error model is not ballot_misread")
-    out = []
-    for batch in truth:
-        types = sorted(batch.truth.counts, key=lambda bt: bt.name)
-        parties = [bt for bt in types if not bt.is_invalid]
-        invalid = next(bt for bt in types if bt.is_invalid)
-        reported = {bt: batch.truth.get(bt) for bt in types}
-        for bt in types:
-            count = batch.truth.get(bt)
-            if count == 0:
-                continue
-            misread = int(rng.binomial(count, model.p_misread))
-            if misread == 0:
-                continue
-            reported[bt] -= misread
-            to_invalid = int(rng.binomial(misread, model.p_invalid))
-            reported[invalid] += to_invalid
-            remaining = misread - to_invalid
-            if remaining:
-                split = rng.multinomial(remaining, [1.0 / len(parties)] * len(parties))
-                for p, extra in zip(parties, split):
-                    reported[p] += int(extra)
-        out.append(
-            BatchRecord(id=batch.id, reported=Tally(reported), truth=batch.truth, size=batch.size)
-        )
-    return out
-
-
-def deal_batches(
+def deal_matrix(
     truth: Tally,
     rng,
     sizes: Sequence[int] | None = None,
     size_range: tuple[int, int] = (250, 550),
-) -> list[BatchRecord]:
+) -> BatchMatrix:
     """Partition a true tally into batches by dealing a shuffled deck.
 
     Batch composition is hypergeometric around the overall vote shares, the
     way single polling places scatter around a national result.  Reported
-    tallies start out equal to the truth; inject errors separately.  Without
+    counts start out equal to the truth; inject errors separately.  Without
     explicit ``sizes``, draws are uniform over ``size_range`` with the tail
-    merged into the final batch.
+    merged into the final batch.  The deck holds one type index per ballot,
+    types sorted by name, and batch b takes the next ``sizes[b]`` cards; one
+    ``bincount`` of ``b * K + type`` counts every batch.
     """
-    types = sorted(truth.counts, key=lambda bt: bt.name)
+    types = tuple(sorted(truth.counts, key=lambda bt: bt.name))
     n = truth.total
+    check_int64_total(n)
     deck = np.repeat(np.arange(len(types)), [truth.get(bt) for bt in types])
     rng.shuffle(deck)
     if sizes is None:
@@ -146,27 +121,83 @@ def deal_batches(
         sizes.append(left)
     elif sum(sizes) != n:
         raise ValueError(f"batch sizes sum to {sum(sizes)}, expected {n}")
-    batches = []
-    offset = 0
-    for i, size in enumerate(sizes):
-        chunk = deck[offset : offset + size]
-        offset += size
-        counts = np.bincount(chunk, minlength=len(types))
-        tally = Tally({bt: int(c) for bt, c in zip(types, counts)})
-        batches.append(BatchRecord(id=f"batch-{i:05d}", reported=tally, truth=tally, size=size))
-    return batches
+    sizes = np.array(sizes, dtype=np.int64)
+    if (sizes <= 0).any():
+        raise ValueError("batch sizes must be positive")
+    k = len(types)
+    cells = np.repeat(np.arange(0, len(sizes) * k, k), sizes)
+    cells += deck
+    counts = np.bincount(cells, minlength=len(sizes) * k).reshape(len(sizes), k)
+    return BatchMatrix(types, counts, counts, sizes)
+
+
+def inject_misreads(m: BatchMatrix, model: ErrorModel, rng) -> BatchMatrix:
+    """``m`` with its reported counts recomputed by misreading the true ballots.
+
+    Batch totals are preserved: every misread ballot stays in its batch,
+    only its recorded category moves.  The cells are visited batch by batch
+    and, within a batch, in type order; each nonzero true count draws its
+    misreads, then their invalid share, then the party split.
+    """
+    if model.kind != "ballot_misread":
+        raise ValueError("error model is not ballot_misread")
+    invalid = next((k for k, bt in enumerate(m.types) if bt.is_invalid), None)
+    if invalid is None:
+        raise ValueError("the batches have no invalid ballot type")
+    parties = [k for k, bt in enumerate(m.types) if not bt.is_invalid]
+    uniform = [1.0 / len(parties)] * len(parties)
+    reported = []
+    for row in m.truth.tolist():
+        out = list(row)
+        for k, count in enumerate(row):
+            if count == 0:
+                continue
+            misread = int(rng.binomial(count, model.p_misread))
+            if misread == 0:
+                continue
+            out[k] -= misread
+            to_invalid = int(rng.binomial(misread, model.p_invalid))
+            out[invalid] += to_invalid
+            if misread > to_invalid:
+                split = rng.multinomial(misread - to_invalid, uniform).tolist()
+                for p, extra in zip(parties, split):
+                    out[p] += extra
+        reported.append(out)
+    return replace(m, reported=np.array(reported, dtype=np.int64))
+
+
+def deal_batches(
+    truth: Tally,
+    rng,
+    sizes: Sequence[int] | None = None,
+    size_range: tuple[int, int] = (250, 550),
+) -> list[BatchRecord]:
+    """:func:`deal_matrix` as a batch list, ids ``batch-00000`` on: the same draws."""
+    m = deal_matrix(truth, rng, sizes, size_range)
+    return [BatchRecord(f"batch-{i:05d}", t, t, t.total) for i, t in enumerate(m.tallies(m.truth))]
+
+
+def inject_ballot_errors(
+    truth: Sequence[BatchRecord], model: ErrorModel, rng
+) -> list[BatchRecord]:
+    """:func:`inject_misreads` on padded batches; truth unchanged.  On batches
+    that all count the same types, as dealt or loaded ones do, the same draws."""
+    m = inject_misreads(batch_matrix(truth), model, rng)
+    return [replace(b, reported=t) for b, t in zip(truth, m.tallies(m.reported))]
 
 
 def plurality_assertions(contest: Contest, reported: Tally) -> list[Assorter]:
     """One winner-vs-loser assorter per reported loser."""
     parties = sorted(contest.parties, key=lambda bt: (-reported.get(bt), bt.name))
+    if not parties:
+        raise ValueError("a plurality contest needs at least one party")
     winner = parties[0]
     return [plurality_assorter(winner, loser, contest) for loser in parties[1:]]
 
 
 def run_election_trial(
     kind: str,
-    batches: list[BatchRecord],
+    m: BatchMatrix,
     reported: Tally,
     assertions: list[Assorter],
     alpha: float,
@@ -174,14 +205,14 @@ def run_election_trial(
     audit_seed,
     trace=None,
 ) -> AuditOutcome:
-    """One audit of ``batches``; ``reported`` is their combined reported tally."""
+    """One audit of the batches ``m``; ``reported`` is their combined reported tally."""
     cfg = AuditConfig(alpha=alpha, seed=audit_seed)
     if kind == "batchcomp":
-        return batchcomp_audit(batches, assertions, cfg, delta=delta, trace=trace)
+        return batchcomp_audit(m, assertions, cfg, delta=delta, trace=trace)
     if kind == "alpha_batch":
-        return alpha_batch_audit(batches, assertions, reported, cfg, trace=trace)
+        return alpha_batch_audit(m, assertions, reported, cfg, trace=trace)
     if kind == "alpha":
-        return alpha_audit(batches, assertions, reported, cfg, trace=trace)
+        return alpha_audit(m, assertions, reported, cfg, trace=trace)
     raise ValueError(f"unknown audit kind {kind!r}")
 
 
@@ -193,6 +224,31 @@ def _require(cfg: Mapping, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing {key!r}")
     return cfg[key]
+
+
+def _read(cfg: Mapping, key: str, convert, default=None):
+    """``convert(cfg[key])``, or of ``default`` when the key is absent.  A value
+    that ``convert`` rejects is a :class:`ConfigError`, a wrong type included."""
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config {key!r} is malformed: {value!r}") from exc
+
+
+def _path(cfg: Mapping, key: str) -> str:
+    """A file path from the config.  Only a string is one: ``open`` takes an
+    int as a file descriptor."""
+    path = _require(cfg, key)
+    if not isinstance(path, str):
+        raise ConfigError(f"config {key!r} must be a file path, got {path!r}")
+    return path
+
+
+def _mapping(value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError("not an object")
+    return value
 
 
 def load_household_distribution(path) -> dict[int, float]:
@@ -231,18 +287,20 @@ def run_experiment(
     if not isinstance(config, Mapping):
         with open(config, encoding="utf-8") as f:
             config = json.load(f)
+    if not isinstance(config, Mapping):
+        raise ConfigError("config must be a JSON object")
     kind = _require(config, "audit")
     if kind not in AUDIT_KINDS:
         raise ConfigError(f"audit kind must be one of {AUDIT_KINDS}, got {kind!r}")
-    trials = trials if trials is not None else int(config.get("trials", 10))
+    trials = trials if trials is not None else _read(config, "trials", int, 10)
     if trials <= 0:
         raise ConfigError("trials must be positive")
     seeds = config.get("seeds")
     if seeds is None:
-        base = seed if seed is not None else int(config.get("seed", 0))
+        base = seed if seed is not None else _read(config, "seed", int, 0)
         seeds = [base + i for i in range(trials)]
     else:
-        seeds = [int(s) for s in seeds][:trials]
+        seeds = _read(config, "seeds", lambda v: [int(s) for s in v])[:trials]
         if len(seeds) < trials:
             raise ConfigError("seed list is shorter than the trial count")
     out_dir = Path(out_dir)
@@ -274,10 +332,10 @@ def _jsonable(obj):
 
 
 def _load_election_inputs(config: Mapping):
-    contest, tally = load_contest_csv(_require(config, "contest"))
+    contest, tally = load_contest_csv(_path(config, "contest"))
     knesset = None
     if config.get("knesset"):
-        knesset = load_knesset_config(config["knesset"])
+        knesset = load_knesset_config(_path(config, "knesset"))
         missing = set(knesset.parties) ^ {bt.name for bt in contest.parties}
         if missing:
             raise ConfigError(f"contest and knesset config disagree on parties: {sorted(missing)}")
@@ -288,7 +346,7 @@ def load_declared_sizes(path) -> dict[str, int]:
     """``batch_id,declared_size`` CSV used to pad short batches."""
     out: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         expected = ["batch_id", "declared_size"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != expected:
             raise ConfigError(f"{path}: expected columns {','.join(expected)}")
@@ -297,18 +355,20 @@ def load_declared_sizes(path) -> dict[str, int]:
     return out
 
 
-def _trial_batches(config: Mapping, contest, tally, data_rng) -> list[BatchRecord]:
+def _trial_batches(config: Mapping, contest, tally, data_rng) -> BatchMatrix:
+    """The trial's batches, loaded from a batch CSV or dealt from the true tally."""
     batches_spec = _require(config, "batches")
     if isinstance(batches_spec, str):
-        return load_batches_csv(batches_spec)
+        return batch_matrix(load_batches_csv(batches_spec))
+    batches_spec = _read(config, "batches", _mapping)
     if "file" in batches_spec:
         declared = batches_spec.get("declared_sizes")
-        sizes = load_declared_sizes(declared) if declared else None
-        return load_batches_csv(batches_spec["file"], declared_sizes=sizes)
-    gen = batches_spec.get("generate", {})
-    sizes = gen.get("sizes")
-    size_range = tuple(gen.get("size_range", (250, 550)))
-    return deal_batches(tally, data_rng, sizes=sizes, size_range=size_range)
+        sizes = load_declared_sizes(_path(batches_spec, "declared_sizes")) if declared else None
+        return batch_matrix(load_batches_csv(_path(batches_spec, "file"), declared_sizes=sizes))
+    gen = _read(batches_spec, "generate", _mapping, {})
+    sizes = _read(gen, "sizes", lambda v: v if v is None else [operator.index(x) for x in v])
+    size_range = _read(gen, "size_range", lambda v: tuple(map(operator.index, v)), (250, 550))
+    return deal_matrix(tally, data_rng, sizes=sizes, size_range=size_range)
 
 
 def _election_trial(args) -> TrialReport:
@@ -316,10 +376,10 @@ def _election_trial(args) -> TrialReport:
      trial_seed, trace_path) = args
     t0 = time.perf_counter()
     data_rng, audit_seed = trial_rngs(trial_seed)
-    batches = _trial_batches(config, contest, truth_tally, data_rng)
+    m = _trial_batches(config, contest, truth_tally, data_rng)
     if error_model.kind == "ballot_misread":
-        batches = inject_ballot_errors(batches, error_model, data_rng)
-    reported = combined_reported(batches)
+        m = inject_misreads(m, error_model, data_rng)
+    reported = m.combined(m.reported)
     if knesset is not None:
         reported_seats = allocate_seats(knesset, reported)
         assertions = generate_assertions(knesset, reported, reported_seats, weaken)
@@ -339,7 +399,7 @@ def _election_trial(args) -> TrialReport:
 
     try:
         outcome = run_election_trial(
-            kind, batches, reported, assertions, alpha, delta, audit_seed, trace_hook
+            kind, m, reported, assertions, alpha, delta, audit_seed, trace_hook
         )
     finally:
         if trace_file:
@@ -367,11 +427,10 @@ def _election_trial(args) -> TrialReport:
 
 def _run_election_experiment(config, kind, seeds, out_dir, trace, jobs=1) -> list[TrialReport]:
     contest, truth_tally, knesset = _load_election_inputs(config)
-    alpha = float(config.get("alpha", 0.05))
-    delta = float(config.get("delta", 1e-10))
-    error_cfg = config.get("error_model") or {"kind": "none"}
-    error_model = ErrorModel(**error_cfg)
-    weaken = [tuple(p) for p in config.get("weaken", [])]
+    alpha = _read(config, "alpha", float, 0.05)
+    delta = _read(config, "delta", float, 1e-10)
+    error_model = _read(config, "error_model", lambda v: ErrorModel(**(v or {"kind": "none"})))
+    weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
 
     tasks = [
         (

@@ -32,13 +32,12 @@ types, ready for any of the sequential tests in this package.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .apportionment import dhondt, highest_averages
-from .core import Assorter, Contest, Tally, assorter_mean
+from .core import Assorter, Contest, Tally, assorter_vector
 
 DEFAULT_SEATS = 120
 DEFAULT_THRESHOLD = Fraction(13, 400)  # 3.25% of valid votes
@@ -308,39 +307,54 @@ def assertion_margin(assorter: Assorter, truth: Tally) -> int:
     moving ballots from the highest-valued category into the lowest-valued
     one is optimal, since each move's effect is exactly the value difference.
     Returns 0 when the mean is already at most 1/2.
+
+    The greedy runs on integers: with the assorter's values written as
+    ``num / den`` (:func:`electaudit.core.assorter_vector`), the sum's excess
+    over n/2 and each move's effect are counted in units of 1/(2 den).
     """
-    total = truth.total
-    mean = assorter_mean(assorter, truth)
-    if mean <= Fraction(1, 2):
-        return 0
-    deficit = sum(assorter.value(bt) * c for bt, c in truth.counts.items()) - Fraction(total, 2)
-    lo = min(assorter.values.values())
+    types = tuple(assorter.values)
+    counts = [truth.get(bt) for bt in types]
+    if sum(counts) != truth.total:
+        raise KeyError(f"assorter {assorter.label!r} has no value for a counted ballot type")
+    if not truth.total:
+        raise ValueError("empty contest: cannot take an assorter mean over zero ballots")
+    num, den = assorter_vector(assorter, types)
+    num = num.tolist()
+    deficit = 2 * sum(x * c for x, c in zip(num, counts)) - den * truth.total
+    lo = min(num)
     moves = 0
-    by_value = sorted(truth.counts, key=lambda bt: assorter.value(bt), reverse=True)
-    for bt in by_value:
-        gain = assorter.value(bt) - lo
-        count = truth.get(bt)
-        if gain <= 0 or count == 0:
-            continue
-        need = math.ceil(deficit / gain)
-        take = min(count, need)
+    for value, count in sorted(zip(num, counts), reverse=True):
+        if deficit <= 0 or value == lo:
+            break
+        gain = 2 * (value - lo)
+        take = min(count, -(-deficit // gain))
         moves += take
         deficit -= take * gain
-        if deficit <= 0:
-            return moves
-    raise ValueError(
-        f"assertion {assorter.label!r} cannot be falsified by relabelling ballots"
-    )
+    if deficit > 0:
+        raise ValueError(
+            f"assertion {assorter.label!r} cannot be falsified by relabelling ballots"
+        )
+    return moves
 
 
 def load_knesset_config(path) -> KnessetContest:
     """JSON config: ``seats``, ``threshold``, ``apparentments`` (pairs), ``parties``."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    parties = raw["parties"]
+    if not isinstance(parties, list) or not all(isinstance(p, str) for p in parties):
+        raise ValueError(f"{path}: 'parties' must be a list of names")
     threshold = raw.get("threshold", None)
+    try:
+        seats = int(raw.get("seats", DEFAULT_SEATS))
+        apparentments = tuple(frozenset(pair) for pair in raw.get("apparentments", []))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed 'seats' or 'apparentments'") from exc
     return KnessetContest(
-        parties=tuple(raw["parties"]),
-        seats=int(raw.get("seats", DEFAULT_SEATS)),
+        parties=tuple(parties),
+        seats=seats,
         threshold=Fraction(str(threshold)) if threshold is not None else DEFAULT_THRESHOLD,
-        apparentments=tuple(frozenset(pair) for pair in raw.get("apparentments", [])),
+        apparentments=apparentments,
     )

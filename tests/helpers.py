@@ -1,4 +1,8 @@
-"""Shared test utilities: tally enumeration and small brute-force and reference oracles."""
+"""Shared test utilities: tally enumeration and small brute-force and reference oracles.
+
+The references are the slow, exact or one-call-at-a-time forms that the
+package's fast paths are tested against.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +11,20 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from electaudit.alpha import AssertionState, AuditConfig
 from electaudit.apportionment import Divisor, dhondt
-from electaudit.census import Household
-from electaudit.core import Assorter, BatchRecord, Contest, Tally, assorter_mean
+from electaudit.census import CensusPair, Household
+from electaudit.core import (
+    Assorter,
+    BatchMatrix,
+    BatchRecord,
+    Contest,
+    Tally,
+    assorter_mean,
+    batch_matrix,
+)
 
 
 def compositions(total: int, parts: int):
@@ -34,13 +48,13 @@ def vote_multisets(max_votes: int, parties: int):
     return combinations_with_replacement(range(max_votes, -1, -1), parties)
 
 
-def ballot_batch(truth: Tally) -> list[BatchRecord]:
-    """The true ballots as the one padded batch ``alpha_audit`` takes.
+def ballot_batch(truth: Tally) -> BatchMatrix:
+    """The true ballots as the one batch ``alpha_audit`` takes.
 
     The audit lays a batch's ballots out by type name, so this is the ballot
     list ``[A] * a + [B] * b + ...`` with the names in sorted order.
     """
-    return [BatchRecord("ballots", truth, truth, truth.total)]
+    return batch_matrix([BatchRecord("ballots", truth, truth, truth.total)])
 
 
 def advance(
@@ -202,3 +216,177 @@ def sample_household(
     if not pool:
         raise ValueError("sampling frame exhausted: the chosen branch has no household left")
     return pool[int(rng.integers(len(pool)))]
+
+
+def inject_ballot_errors_reference(truth: Sequence[BatchRecord], model, rng) -> list[BatchRecord]:
+    """Misread injection over ``Tally`` dicts, one batch at a time: the reference
+    for :func:`electaudit.harness.inject_misreads`.  Truth unchanged.
+
+    Batch totals are preserved: every misread ballot stays in its batch,
+    only its recorded category moves.
+    """
+    if model.kind != "ballot_misread":
+        raise ValueError("error model is not ballot_misread")
+    out = []
+    for batch in truth:
+        types = sorted(batch.truth.counts, key=lambda bt: bt.name)
+        parties = [bt for bt in types if not bt.is_invalid]
+        invalid = next(bt for bt in types if bt.is_invalid)
+        reported = {bt: batch.truth.get(bt) for bt in types}
+        for bt in types:
+            count = batch.truth.get(bt)
+            if count == 0:
+                continue
+            misread = int(rng.binomial(count, model.p_misread))
+            if misread == 0:
+                continue
+            reported[bt] -= misread
+            to_invalid = int(rng.binomial(misread, model.p_invalid))
+            reported[invalid] += to_invalid
+            remaining = misread - to_invalid
+            if remaining:
+                split = rng.multinomial(remaining, [1.0 / len(parties)] * len(parties))
+                for p, extra in zip(parties, split):
+                    reported[p] += int(extra)
+        out.append(
+            BatchRecord(id=batch.id, reported=Tally(reported), truth=batch.truth, size=batch.size)
+        )
+    return out
+
+
+def deal_batches_reference(
+    truth: Tally,
+    rng,
+    sizes: Sequence[int] | None = None,
+    size_range: tuple[int, int] = (250, 550),
+) -> list[BatchRecord]:
+    """Dealing into one ``Tally`` dict per batch: the reference for
+    :func:`electaudit.harness.deal_matrix`.
+
+    Batch composition is hypergeometric around the overall vote shares, the
+    way single polling places scatter around a national result.  Reported
+    tallies start out equal to the truth; inject errors separately.  Without
+    explicit ``sizes``, draws are uniform over ``size_range`` with the tail
+    merged into the final batch.
+    """
+    types = sorted(truth.counts, key=lambda bt: bt.name)
+    n = truth.total
+    deck = np.repeat(np.arange(len(types)), [truth.get(bt) for bt in types])
+    rng.shuffle(deck)
+    if sizes is None:
+        lo, hi = size_range
+        if lo < 1:
+            raise ValueError(f"batch size range {tuple(size_range)} must start at 1 or more")
+        if hi < 2 * lo:
+            raise ValueError("size range too narrow: need max >= 2 * min to always partition")
+        if n < lo:
+            raise ValueError(f"{n} ballots cannot fill a batch of at least {lo}")
+        sizes = []
+        left = n
+        while left > hi:
+            # cap at left - lo so the remainder always stays partitionable
+            take = min(int(rng.integers(lo, hi + 1)), left - lo)
+            sizes.append(take)
+            left -= take
+        sizes.append(left)
+    elif sum(sizes) != n:
+        raise ValueError(f"batch sizes sum to {sum(sizes)}, expected {n}")
+    batches = []
+    offset = 0
+    for i, size in enumerate(sizes):
+        chunk = deck[offset : offset + size]
+        offset += size
+        counts = np.bincount(chunk, minlength=len(types))
+        tally = Tally({bt: int(c) for bt, c in zip(types, counts)})
+        batches.append(BatchRecord(id=f"batch-{i:05d}", reported=tally, truth=tally, size=size))
+    return batches
+
+
+def fraction_margin(assorter: Assorter, truth: Tally) -> int:
+    """The ``Fraction`` greedy: the reference for the integer
+    :func:`electaudit.knesset.assertion_margin`.
+
+    Relabeling moves one ballot between categories; n stays fixed.  Greedily
+    moving ballots from the highest-valued category into the lowest-valued
+    one is optimal, since each move's effect is exactly the value difference.
+    Returns 0 when the mean is already at most 1/2.
+    """
+    total = truth.total
+    mean = assorter_mean(assorter, truth)
+    if mean <= Fraction(1, 2):
+        return 0
+    deficit = sum(assorter.value(bt) * c for bt, c in truth.counts.items()) - Fraction(total, 2)
+    lo = min(assorter.values.values())
+    moves = 0
+    by_value = sorted(truth.counts, key=lambda bt: assorter.value(bt), reverse=True)
+    for bt in by_value:
+        gain = assorter.value(bt) - lo
+        count = truth.get(bt)
+        if gain <= 0 or count == 0:
+            continue
+        need = math.ceil(deficit / gain)
+        take = min(count, need)
+        moves += take
+        deficit -= take * gain
+        if deficit <= 0:
+            return moves
+    raise ValueError(
+        f"assertion {assorter.label!r} cannot be falsified by relabelling ballots"
+    )
+
+
+def draw_order_reference(sizes, rng) -> list[int]:
+    """Batch draw order by one ``rng.choice`` per draw over the batches left:
+    the reference for :func:`electaudit.alpha._draw_batches_without_replacement`."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    remaining = list(range(len(sizes)))
+    order = []
+    while remaining:
+        weights = sizes[remaining]
+        pick = rng.choice(len(remaining), p=weights / weights.sum())
+        order.append(remaining.pop(int(pick)))
+    return order
+
+
+def batchcomp_simplified_step(T: float, A_value: float, mu: float) -> float:
+    """The delta-free shortcut update T <- T * A/mu.
+
+    Equivalent to letting the bound U tend to the accurate-batch value from
+    above.  Cheap and essentially as powerful on honest errors, but a single
+    batch scoring exactly zero (reportedly best possible, truly worst
+    possible, which practically indicates malice) kills T for good and forces
+    a full recount.
+    """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return T * A_value / mu
+
+
+def census_assorter_value(pair: CensusPair, household: Household, use_pes: bool):
+    """Household-level assorter: g_s1/(c d1) + (g_max - g_s2)/(c d2).
+
+    ``use_pes`` selects the survey count; the census count otherwise.  Exact
+    when the pair constants are exact.
+    """
+    if use_pes:
+        if household.pes_count is None:
+            raise ValueError(f"household {household.id!r} has no survey count")
+        count = household.pes_count
+    else:
+        count = household.census_count
+    g1 = count if household.state == pair.s1 else 0
+    g2 = count if household.state == pair.s2 else 0
+    return Fraction(g1, pair.d1) / pair.c + Fraction(pair.g_max - g2, pair.d2) / pair.c
+
+
+def comparison_assorter_value(pair: CensusPair, household: Household):
+    """Discrepancy assorter 1/2 + (m + a_pes - a_cen) / (2 (z - m))."""
+    pes_count = household.pes_count
+    if pes_count is None:
+        raise ValueError(f"household {household.id!r} has no survey count")
+    diff = Fraction(0)
+    if household.state == pair.s1:
+        diff = Fraction(pes_count - household.census_count, pair.d1) / pair.c
+    elif household.state == pair.s2:
+        diff = Fraction(household.census_count - pes_count, pair.d2) / pair.c
+    return Fraction(1, 2) + (pair.m + diff) / (2 * (pair.z - pair.m))

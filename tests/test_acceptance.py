@@ -28,9 +28,10 @@ from electaudit.census import (
     generate_census_population,
 )
 from electaudit.cli import main as cli_main
-from electaudit.core import BatchRecord, Contest, plurality_assorter
+from electaudit.core import BatchRecord, Contest, batch_matrix, plurality_assorter
 from electaudit.harness import (
     deal_batches,
+    deal_matrix,
     load_household_distribution,
     plurality_assertions,
     trial_rngs,
@@ -83,6 +84,7 @@ def test_criterion_02_batchcomp_risk_guarantee():
         truth = c.tally({"A": 49, "B": 51})
         reported = c.tally({"A": 69, "B": 31}) if i == 0 else truth
         batches.append(BatchRecord(f"b{i}", reported, truth, 100))
+    batches = batch_matrix(batches)
     trials = 2000
     wrong = sum(
         batchcomp_audit(batches, [a], AuditConfig(alpha=0.05, seed=s)).approved
@@ -272,15 +274,16 @@ def test_criterion_06_batchcomp_constancy():
         floats = [float(batch_assorter_value_exact(A, b)) for b in batches]
         rel = (max(floats) - min(floats)) / max(floats)
         spread_ok &= rel <= 1e-12
+    m = batch_matrix(batches)
     counts = {
-        batchcomp_audit(batches, assertions, AuditConfig(alpha=0.05, seed=s)).assertions[0].batches_examined
+        batchcomp_audit(m, assertions, AuditConfig(alpha=0.05, seed=s)).assertions[0].batches_examined
         for s in range(10)
     }
     for a in assertions:
         per_assertion = {
             next(
                 r.batches_examined
-                for r in batchcomp_audit(batches, assertions, AuditConfig(alpha=0.05, seed=s)).assertions
+                for r in batchcomp_audit(m, assertions, AuditConfig(alpha=0.05, seed=s)).assertions
                 if r.label == a.label
             )
             for s in range(10)
@@ -306,11 +309,12 @@ def test_criterion_07_batchcomp_beats_alpha_batch():
     trials = 100
     for trial in range(trials):
         data_rng, audit_seed = trial_rngs(trial)
-        batches = deal_batches(tally, data_rng, sizes=[400] * 250)
-        assertions = plurality_assertions(c, combined_reported(batches))
+        m = deal_matrix(tally, data_rng, sizes=[400] * 250)
+        reported = m.combined(m.reported)
+        assertions = plurality_assertions(c, reported)
         cfg = AuditConfig(alpha=0.05, seed=audit_seed)
-        bc = batchcomp_audit(batches, assertions, cfg)
-        ab = alpha_batch_audit(batches, assertions, combined_reported(batches), cfg)
+        bc = batchcomp_audit(m, assertions, cfg)
+        ab = alpha_batch_audit(m, assertions, reported, cfg)
         wins += bc.ballots_examined < ab.ballots_examined
     elapsed = time.perf_counter() - start
     report(

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electaudit import alpha as alpha_mod
@@ -16,10 +16,10 @@ from electaudit.alpha import (
     sequential_path,
 )
 from electaudit.batchcomp import batchcomp_audit
-from electaudit.core import BatchRecord, Contest, Tally, plurality_assorter
+from electaudit.core import BatchRecord, Contest, Tally, batch_matrix, plurality_assorter
 from electaudit.randomness import make_rng
 
-from .helpers import advance, alpha_step, ballot_batch
+from .helpers import advance, alpha_step, ballot_batch, draw_order_reference
 
 
 @pytest.fixture
@@ -252,6 +252,55 @@ def test_golden_values_pin_generator():
     assert make_rng((5, 1)).integers(0, 1000, size=4).tolist() == [132, 774, 778, 470]
 
 
+@given(
+    st.lists(st.integers(1, 1000), min_size=1, max_size=80)
+    | st.builds(lambda b, s: [s] * b, st.integers(1, 80), st.integers(1, 1000))
+    | st.lists(st.sampled_from([1, 10**6]), min_size=1, max_size=80),
+    st.integers(0, 2**32),
+)
+@example([7], 0)
+@settings(max_examples=300, deadline=None)
+def test_draw_order_matches_rng_choice(sizes, seed):
+    """The inverse-CDF draw order equals one ``rng.choice`` per draw over the
+    batches left, and consumes the same random numbers."""
+    rng, ref = make_rng(seed), make_rng(seed)
+    order = alpha_mod._draw_batches_without_replacement(np.array(sizes, dtype=np.int64), rng)
+    assert order.tolist() == draw_order_reference(sizes, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _OnTheEdge:
+    """A stand-in for the generator whose every ``random()`` lands exactly on,
+    or one ulp below, a cumulative sum of ``Generator.choice``'s inverse-CDF
+    step over the batches left: ``p = w / w.sum()``, ``cumsum``, divided by
+    its last element.  It records the batch that step picks, so an order
+    that differs from it in any bit of those sums picks another batch."""
+
+    def __init__(self, sizes, seed):
+        self.left = list(range(len(sizes)))
+        self.sizes, self.rng, self.order = np.asarray(sizes, dtype=np.float64), make_rng(seed), []
+
+    def random(self):
+        w = self.sizes[self.left]
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        u = float(cdf[self.rng.integers(len(cdf))])
+        if self.rng.integers(2):
+            u = math.nextafter(u, 0.0)
+        u = min(u, math.nextafter(1.0, 0.0))
+        self.order.append(self.left.pop(int(cdf.searchsorted(u, side="right"))))
+        return u
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=60), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_draw_order_on_cumulative_edges(sizes, seed):
+    """The cumulative sums equal choice's bit for bit, not only in law."""
+    edge = _OnTheEdge(sizes, seed)
+    order = alpha_mod._draw_batches_without_replacement(np.array(sizes, dtype=np.int64), edge)
+    assert order.tolist() == edge.order
+
+
 def _two_batches(c):
     t1 = c.tally({"Alice": 70, "Bob": 30})
     t2 = c.tally({"Alice": 40, "Bob": 60})
@@ -265,7 +314,7 @@ def test_alpha_batch_single_batch_full_count(two_party):
     c, a = two_party
     t = c.tally({"Alice": 120, "Bob": 80})
     out = alpha_batch_audit(
-        [BatchRecord("only", t, t, 200)], [a], t, AuditConfig(alpha=0.05, seed=0)
+        batch_matrix([BatchRecord("only", t, t, 200)]), [a], t, AuditConfig(alpha=0.05, seed=0)
     )
     assert out.assertions[0].batches_examined == 1
     assert out.full_count and out.assertions[0].truly_satisfied
@@ -273,7 +322,7 @@ def test_alpha_batch_single_batch_full_count(two_party):
 
 def test_alpha_batch_checks_reported_consistency(two_party):
     c, a = two_party
-    batches = _two_batches(c)
+    batches = batch_matrix(_two_batches(c))
     bad = c.tally({"Alice": 200})
     with pytest.raises(ValueError, match="inconsistent"):
         alpha_batch_audit(batches, [a], bad, AuditConfig(alpha=0.05, seed=0))
@@ -286,7 +335,7 @@ def test_alpha_batch_accepts_reported_tally_without_zero_entries():
     a = plurality_assorter(c.by_name("Alice"), c.by_name("Bob"), c)
     t1 = c.tally({"Alice": 70, "Bob": 30})
     t2 = c.tally({"Alice": 40, "Bob": 60})
-    batches = [BatchRecord("b1", t1, t1, 100), BatchRecord("b2", t2, t2, 100)]
+    batches = batch_matrix([BatchRecord("b1", t1, t1, 100), BatchRecord("b2", t2, t2, 100)])
     rep = Tally({c.by_name("Alice"): 110, c.by_name("Bob"): 90})  # no Carol, no invalid
     cfg = AuditConfig(alpha=0.05, seed=0)
     assert alpha_batch_audit(batches, [a], rep, cfg) == alpha_batch_audit(
@@ -299,7 +348,7 @@ def test_alpha_batch_accepts_reported_tally_without_zero_entries():
 def test_alpha_batch_empty_list(two_party):
     _, a = two_party
     with pytest.raises(ValueError):
-        alpha_batch_audit([], [a], None, AuditConfig(alpha=0.05, seed=0))
+        alpha_batch_audit(batch_matrix([]), [a], None, AuditConfig(alpha=0.05, seed=0))
 
 
 def test_alpha_batch_wrong_winner_rarely_approves(two_party):
@@ -313,7 +362,9 @@ def test_alpha_batch_wrong_winner_rarely_approves(two_party):
     wrong = 0
     trials = 400
     for s in range(trials):
-        out = alpha_batch_audit(rep_batches, [a], reported, AuditConfig(alpha=0.05, seed=s))
+        out = alpha_batch_audit(
+            batch_matrix(rep_batches), [a], reported, AuditConfig(alpha=0.05, seed=s)
+        )
         wrong += out.approved
     assert wrong / trials <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / trials)
 
@@ -457,10 +508,10 @@ def test_audits_in_blocks_match_one_pass(two_party):
     rep = c.tally({"Alice": 560, "Bob": 440})
     truth = c.tally({"Alice": 540, "Bob": 460})
     ballots = ballot_batch(truth)
-    batches = [
+    batches = batch_matrix([
         BatchRecord(f"b{i}", c.tally({"Alice": 28, "Bob": 22}), c.tally({"Alice": 27, "Bob": 23}), 50)
         for i in range(20)
-    ]
+    ])
     audits = [
         lambda cfg, trace: alpha_audit(ballots, [a], rep, cfg, trace=trace),
         lambda cfg, trace: alpha_batch_audit(batches, [a], rep, cfg, trace=trace),

@@ -11,14 +11,15 @@ from electaudit.batchcomp import (
     batch_assorter_value,
     batch_assorter_value_exact,
     batchcomp_audit,
-    batchcomp_simplified_step,
     load_batches_csv,
     make_batch_assorter,
     pad_missing_ballots,
 )
 from electaudit.core import BatchRecord, Contest, assorter_mean, batch_matrix, plurality_assorter
-from electaudit.harness import deal_batches
+from electaudit.harness import deal_matrix
 from electaudit.randomness import make_rng
+
+from .helpers import batchcomp_simplified_step
 
 HALF = Fraction(1, 2)
 
@@ -192,7 +193,8 @@ def test_simplified_step():
 def test_single_batch_decides_after_one_sample(ab):
     c, a = ab
     t = c.tally({"A": 120, "B": 80})
-    out = batchcomp_audit([BatchRecord("only", t, t, 200)], [a], AuditConfig(alpha=0.05, seed=0))
+    m = batch_matrix([BatchRecord("only", t, t, 200)])
+    out = batchcomp_audit(m, [a], AuditConfig(alpha=0.05, seed=0))
     assert out.assertions[0].batches_examined == 1
     assert out.full_count and out.assertions[0].truly_satisfied
 
@@ -201,7 +203,7 @@ def test_accurate_audit_is_order_invariant(ab):
     c, a = ab
     rng = make_rng(7)
     tally = c.tally({"A": 2600, "B": 2400})
-    batches = deal_batches(tally, rng, sizes=[100] * 50)
+    batches = deal_matrix(tally, rng, sizes=[100] * 50)
     counts = {
         batchcomp_audit(batches, [a], AuditConfig(alpha=0.05, seed=s)).assertions[0].batches_examined
         for s in range(10)
@@ -216,6 +218,7 @@ def test_wrong_winner_rarely_approved(ab):
         true = c.tally({"A": 19, "B": 21})
         rep = c.tally({"A": 21, "B": 19}) if i < 5 else true
         batches.append(BatchRecord(f"b{i}", rep, true, 40))
+    batches = batch_matrix(batches)
     trials = 400
     wrong = sum(
         batchcomp_audit(batches, [a], AuditConfig(alpha=0.05, seed=s)).approved
@@ -228,7 +231,8 @@ def test_negative_reported_margin_flagged(ab):
     c, a = ab
     t_rep = c.tally({"A": 40, "B": 60})
     t_true = c.tally({"A": 60, "B": 40})
-    out = batchcomp_audit([BatchRecord("b", t_rep, t_true, 100)], [a], AuditConfig(alpha=0.05, seed=0))
+    m = batch_matrix([BatchRecord("b", t_rep, t_true, 100)])
+    out = batchcomp_audit(m, [a], AuditConfig(alpha=0.05, seed=0))
     assert not out.assertions[0].approvable
     assert out.full_count
     assert out.assertions[0].truly_satisfied  # the full count knows the truth
@@ -238,7 +242,7 @@ def test_unpadded_batch_rejected(ab):
     c, a = ab
     bad = BatchRecord("b", c.tally({"A": 5}), c.tally({"A": 4}), 5)
     with pytest.raises(ValueError, match="not padded"):
-        batchcomp_audit([bad], [a], AuditConfig(alpha=0.05, seed=0))
+        batchcomp_audit(batch_matrix([bad]), [a], AuditConfig(alpha=0.05, seed=0))
 
 
 def test_load_batches_csv(tmp_path, ab):

@@ -1,14 +1,19 @@
-"""The layers the benchmark traces exist in the package.
+"""The benchmark's hooks into the package still hold.
 
-``bench/tracer.py`` rebinds each ``TARGETS`` entry at run time; one that no
-longer resolves would only fail when a traced benchmark run starts.
+``bench/tracer.py`` rebinds each ``TARGETS`` entry at run time, and
+``bench/workloads.py`` checks a trial's margins by dealing its batches again
+through ``deal_batches`` and ``inject_ballot_errors``.  A break in either
+would otherwise show only when a benchmark run starts.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -26,3 +31,12 @@ def test_every_traced_layer_resolves_to_a_callable():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"span {span}: {module_name}.{attr} is not a callable"
+
+
+def test_bench_selftest_passes():
+    """One small seed through the runner, untraced and traced: every trial
+    passes its checks and every metric of ``BENCHMARK.json`` is emitted."""
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")], capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -13,10 +13,8 @@ from electaudit.census import (
     CensusPair,
     Household,
     apportion,
-    census_assorter_value,
     census_pair,
     census_rla,
-    comparison_assorter_value,
     generate_census_population,
     inject_survey_disagreement,
     load_districts_csv,
@@ -24,7 +22,7 @@ from electaudit.census import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import sample_household
+from .helpers import census_assorter_value, comparison_assorter_value, sample_household
 
 HALF = Fraction(1, 2)
 

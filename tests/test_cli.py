@@ -1,6 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electaudit.cli import main
 
@@ -195,3 +202,112 @@ def test_census_file_mode_unknown_district_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("audit: error:") and "unknown state 'W'" in err
+
+
+FUZZ_CONTEST = [["party", "reported_votes"], ["P1", "500"], ["P2", "380"], ["P3", "60"], ["__invalid__", "20"]]
+FUZZ_BATCHES = [["batch_id", "party", "reported_votes", "true_votes"]] + [
+    [f"b{i}", party, str(votes), str(votes - (party == "P1"))]
+    for i in range(3)
+    for party, votes in (("P1", 170), ("P2", 120), ("P3", 20), ("__invalid__", 10))
+]
+FUZZ_KNESSET = {"parties": ["P1", "P2", "P3"], "seats": 9, "threshold": 0.05, "apparentments": [["P1", "P2"]]}
+FUZZ_PATHS = (
+    ("audit",), ("contest",), ("knesset",), ("batches",), ("batches", "generate"),
+    ("batches", "generate", "size_range"), ("batches", "generate", "sizes"), ("alpha",),
+    ("delta",), ("trials",), ("seeds",), ("weaken",), ("error_model",), ("error_model", "kind"),
+    ("error_model", "p_misread"), ("error_model", "p_invalid"), ("knesset_file", "parties"),
+    ("knesset_file", "seats"), ("knesset_file", "threshold"), ("knesset_file", "apparentments"),
+)
+json_values = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.sampled_from([0.5, -0.1, 1.5, float("nan"), float("inf")])
+    | st.text(max_size=4)
+    | st.lists(st.integers(-2, 3), max_size=3)
+    | st.sampled_from([{}, [[0, 1]], ["P1", "P2"], [["P1", "P2"]], [["P3", "Nope"]], {"kind": "none"}])
+)
+csv_cells = st.sampled_from(["", "-1", "0", "x", "3.5", " 7 ", "P1", "__invalid__", "1e3"]) | st.text(max_size=4)
+
+
+@st.composite
+def csv_mutation(draw, rows, mutate):
+    rows = [list(r) for r in rows]
+    r = draw(st.integers(0, len(rows) - 1))
+    op = draw(st.sampled_from(["cell", "drop", "dup"])) if mutate else None
+    if op == "cell":
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(csv_cells)
+    elif op == "drop":
+        del rows[r]
+    elif op == "dup":
+        rows.insert(r, rows[r])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """The contest, batch, Knesset and experiment files of a small run, each
+    possibly mutated: a cell replaced, a row dropped or doubled, a config
+    value replaced by another JSON value or deleted.  One or two of the four
+    files are mutated.  Every value stays small, so no mutation asks for a
+    large run."""
+    mutated = draw(st.sets(st.sampled_from(["contest", "batches", "knesset", "config"]), min_size=1, max_size=2))
+    config = {
+        "audit": draw(st.sampled_from(["alpha", "alpha_batch", "batchcomp"])),
+        "contest": "contest.csv",
+        "knesset": "knesset.json",
+        "batches": draw(st.sampled_from(["batches.csv", {"generate": {"size_range": [50, 120]}}])),
+        "alpha": 0.05,
+        "delta": 1e-10,
+        "trials": 2,
+        "error_model": {"kind": "ballot_misread", "p_misread": 0.02, "p_invalid": 0.2},
+    }
+    files = {"config": config, "knesset_file": json.loads(json.dumps(FUZZ_KNESSET))}
+    paths = [p for p in FUZZ_PATHS if ("knesset" if p[0] == "knesset_file" else "config") in mutated]
+    for _ in range(draw(st.integers(1, 2)) if paths else 0):
+        path = draw(st.sampled_from(paths))
+        if path[0] != "knesset_file":
+            path = ("config",) + path
+        parent = files
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if draw(st.booleans()):
+                parent[path[-1]] = draw(json_values)
+            else:
+                parent.pop(path[-1], None)
+    return (
+        draw(csv_mutation(FUZZ_CONTEST, "contest" in mutated)),
+        draw(csv_mutation(FUZZ_BATCHES, "batches" in mutated)),
+        files["knesset_file"],
+        files["config"],
+    )
+
+
+@given(fuzz_inputs())
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_exit_0_or_2(inputs):
+    """Malformed input ends in exit code 2 and an ``audit: error:`` line,
+    never in a traceback, for ``audit run`` and ``audit margins``."""
+    contest, batches, knesset, config = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "contest.csv").write_text(contest, encoding="utf-8")
+        (tmp / "batches.csv").write_text(batches, encoding="utf-8")
+        (tmp / "knesset.json").write_text(json.dumps(knesset), encoding="utf-8")
+        (tmp / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        runs = (
+            ["run", "--config", "cfg.json", "--out", "out"],
+            ["margins", "--contest", "contest.csv", "--knesset", "knesset.json"],
+        )
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = main(argv)
+                assert rc in (0, 2), argv
+                assert (rc == 2) == ("audit: error: " in err.getvalue()), (argv, err.getvalue())
+        finally:
+            os.chdir(cwd)

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import re
 import statistics
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electaudit.alpha import AuditConfig, combined_reported
 from electaudit.census import (
@@ -20,13 +23,17 @@ from electaudit.harness import (
     TrialReport,
     assertion_stats,
     deal_batches,
+    deal_matrix,
     inject_ballot_errors,
+    inject_misreads,
     load_household_distribution,
     run_experiment,
     trial_rngs,
     write_census_outcome_csv,
 )
 from electaudit.randomness import make_rng
+
+from .helpers import deal_batches_reference, inject_ballot_errors_reference
 
 
 @pytest.fixture
@@ -66,6 +73,61 @@ def test_deal_batches_rejects_size_range_below_one(abc, size_range):
     tally = abc.tally({"A": 60, "B": 40})
     with pytest.raises(ValueError, match="must start at 1 or more"):
         deal_batches(tally, make_rng(2), size_range=size_range)
+
+
+@st.composite
+def deal_cases(draw):
+    """A tally over 1 to 4 parties, some of them with no votes, dealt by
+    explicit sizes or by a size range, and a misread model."""
+    names = [f"P{i}" for i in range(draw(st.integers(1, 4)))] + ["__invalid__"]
+    counts = draw(st.lists(st.just(0) | st.integers(0, 3000), min_size=len(names), max_size=len(names)))
+    counts[0] += 1
+    tally = Contest.from_party_names(names[:-1]).tally(dict(zip(names, counts)))
+    sizes, size_range = None, (250, 550)
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, tally.total - 1), max_size=20))) if tally.total > 1 else []
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [tally.total])]
+    else:
+        lo = draw(st.integers(1, 300))
+        size_range = (lo, 2 * lo + draw(st.integers(0, 300)))
+    p_misread = draw(st.sampled_from([0.0, 0.02, 0.5, 1.0]))
+    p_invalid = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    model = ErrorModel(kind="ballot_misread", p_misread=p_misread, p_invalid=p_invalid)
+    return tally, sizes, size_range, model, draw(st.integers(0, 2**32))
+
+
+@given(deal_cases())
+@settings(max_examples=150, deadline=None)
+def test_matrix_dealer_and_injector_match_tally_references(case):
+    """Dealing and misread injection on the count matrix give the counts of
+    the per-batch ``Tally`` references and leave the generator in the same
+    state; the batch-list views return the references' batches."""
+    tally, sizes, size_range, model, seed = case
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    try:
+        want = deal_batches_reference(tally, ref_rng, sizes, size_range)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            deal_matrix(tally, rng, sizes, size_range)
+        return
+    m = deal_matrix(tally, rng, sizes, size_range)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    ref = batch_matrix(want)
+    assert m.types == ref.types
+    for got, expected in ((m.reported, ref.reported), (m.truth, ref.truth), (m.sizes, ref.sizes)):
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert deal_batches(tally, make_rng(seed), sizes, size_range) == want
+
+    state = rng.bit_generator.state
+    misread = inject_misreads(m, model, rng)
+    want = inject_ballot_errors_reference(want, model, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    ref = batch_matrix(want)
+    assert np.array_equal(misread.reported, ref.reported) and misread.reported.dtype == np.int64
+    assert np.array_equal(misread.truth, m.truth)
+    views = make_rng(0)
+    views.bit_generator.state = state
+    assert inject_ballot_errors(deal_batches(tally, make_rng(seed), sizes, size_range), model, views) == want
 
 
 def test_inject_no_misreads_is_identity(abc):

@@ -1,10 +1,13 @@
 import os
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from electaudit.apportionment import AllocationTieError, highest_averages
-from electaudit.core import Contest, assorter_mean
+from electaudit.core import Assorter, Contest, Tally, assorter_mean
 from electaudit.knesset import (
     KnessetContest,
     SeatAllocation,
@@ -15,7 +18,12 @@ from electaudit.knesset import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import all_tallies, brute_force_highest_averages, brute_force_margin
+from .helpers import (
+    all_tallies,
+    brute_force_highest_averages,
+    brute_force_margin,
+    fraction_margin,
+)
 
 HALF = Fraction(1, 2)
 
@@ -255,6 +263,69 @@ def test_margin_on_knesset_assertions_small():
     seats = allocate_seats(kc, t)
     for a in generate_assertions(kc, t, seats):
         assert assertion_margin(a, t) == brute_force_margin(a, t)
+
+
+MARGIN_CONTEST = Contest.from_party_names(["P1", "P2", "P3", "P4"])
+
+
+def _margin_case(values, counts):
+    values = dict(zip(MARGIN_CONTEST.ballot_types, values))
+    assorter = Assorter(values=values, upper=max(values.values()), label="case")
+    return assorter, Tally(dict(zip(MARGIN_CONTEST.ballot_types, counts)))
+
+
+@st.composite
+def margin_cases(draw):
+    """An assorter on a grid of sixths up to 2, so values tie and several
+    types can share the lowest value, and a tally with zero counts; some
+    assorters cannot be falsified."""
+    values = draw(st.lists(st.sampled_from([Fraction(k, 6) for k in range(13)]), min_size=5, max_size=5))
+    if not any(values):
+        values[0] = Fraction(1)
+    counts = draw(st.lists(st.just(0) | st.integers(0, 40) | st.integers(0, 2**62), min_size=5, max_size=5))
+    if not any(counts):
+        counts[-1] = 1
+    return _margin_case(values, counts)
+
+
+def _same_margin(assorter, tally):
+    try:
+        want = fraction_margin(assorter, tally)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            assertion_margin(assorter, tally)
+        return
+    assert assertion_margin(assorter, tally) == want
+
+
+@given(margin_cases())
+@example(_margin_case([1, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)], [3, 3, 5, 0, 1]))  # mean 1/2
+@example(_margin_case([1, 0, 0, Fraction(1, 2), 0], [2, 0, 1, 0, 1]))  # mean 1/2, zero counts
+@example(_margin_case([1, 1, 1, 1, 1], [4, 0, 1, 0, 2]))  # cannot be falsified
+@settings(max_examples=300, deadline=None)
+def test_integer_margin_matches_fraction_greedy(case):
+    """The integer greedy gives the ``Fraction`` greedy's margin, and the same
+    ``ValueError`` for an assorter that no relabelling falsifies."""
+    _same_margin(*case)
+
+
+@given(
+    st.lists(st.integers(0, 5000), min_size=4, max_size=4),
+    st.integers(0, 200),
+    st.integers(3, 40),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_margin_matches_fraction_greedy_on_knesset_assertions(votes, invalid, seats, pact):
+    """Every generated threshold and move-seat assertion, on random reported tallies."""
+    kc = _contest(["A", "B", "C", "D"], seats=seats, apparentments=[("A", "B")] if pact else [])
+    tally = kc.ballot_contest().tally(dict(zip(("A", "B", "C", "D", "__invalid__"), votes + [invalid])))
+    try:
+        assertions = generate_assertions(kc, tally, allocate_seats(kc, tally))
+    except ValueError:  # no party clears the threshold, or an allocation tie
+        return
+    for a in assertions:
+        _same_margin(a, tally)
 
 
 def _above(kc, tally):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electaudit.alpha import AssertionOutcome, AuditConfig, alpha_init, conclude_audit
 from electaudit.batchcomp import (
     batch_assorter_value_exact,
     lift_assertions,
@@ -30,7 +31,9 @@ from electaudit.core import (
     exact_quotients,
     plurality_assorter,
 )
+from electaudit.harness import deal_matrix
 from electaudit.knesset import KnessetContest, allocate_seats, generate_assertions
+from electaudit.randomness import make_rng
 
 HALF = Fraction(1, 2)
 PARTIES = ("A", "B", "C", "D")
@@ -96,7 +99,9 @@ def batch_lists(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
-    """Every batch mean, M, w, U and A(B) equals float of its exact Fraction."""
+    """Every batch mean, M, w, U and A(B) equals float of its exact Fraction,
+    and so does every reported mean eta; the full count's verdicts are the
+    exact ones."""
     assertions = plurality_assertions() + knesset_assertions(seats, weaken)
     m = batch_matrix(batches)
     for a in assertions:
@@ -117,13 +122,28 @@ def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
         assert make_batch_assorter(a, batches, delta) == A
         assert row.tolist() == [float(batch_assorter_value_exact(A, b)) for b in batches]
 
+    n = int(m.sizes.sum())
+    for a in assertions:
+        eta = float(assorter_mean(a, reported))
+        if eta >= float(a.upper):  # no room for mu < eta < u
+            with pytest.raises(ValueError, match="degenerate"):
+                alpha_init([a], reported, n, AuditConfig(alpha=0.05))
+        else:
+            assert alpha_init([a], reported, n, AuditConfig(alpha=0.05))[0].eta == eta
+    refused = [AssertionOutcome(a.label, True, False, n) for a in assertions]
+    full_count = conclude_audit(refused, assertions, m).assertions
+    truth = total(b.truth for b in batches)
+    assert [r.truly_satisfied for r in full_count] == [
+        assorter_mean(a, truth) > HALF for a in assertions
+    ]
+
 
 def test_batch_matrix_layout():
     c = Contest.from_party_names(["Zed", "Amy"])
     t1 = c.tally({"Zed": 3, "Amy": 1})
     t2 = Tally({c.by_name("Zed"): 2})  # no entries for Amy or invalid
     m = batch_matrix([BatchRecord("x", t1, t1, 4), BatchRecord("y", t2, t2, 2)])
-    assert [bt.name for bt in m.types] == ["Amy", "Zed", "__invalid__"]
+    assert len(m) == 2 and [bt.name for bt in m.types] == ["Amy", "Zed", "__invalid__"]
     assert m.truth.tolist() == [[1, 3, 0], [0, 2, 0]]
     assert m.sizes.tolist() == [4, 2]
     assert m.combined(m.reported).counts == {c.by_name("Amy"): 1, c.by_name("Zed"): 5, c.invalid: 0}
@@ -140,6 +160,8 @@ def test_batch_matrix_rejects_bad_batch_lists():
     huge = CONTEST.tally({"A": 2**62})
     with pytest.raises(ValueError, match="overflow"):
         batch_matrix([BatchRecord(f"b{i}", huge, huge, 2**62) for i in range(2)])
+    with pytest.raises(ValueError, match="overflow"):  # before the deck is built
+        deal_matrix(CONTEST.tally({"A": 2**63}), make_rng(0))
 
 
 def test_assorter_vector_common_denominator():
