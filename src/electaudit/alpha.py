@@ -34,11 +34,12 @@ arrays are kept, for the examined draws only, when a trace hook or a caller
 of :func:`sequential_path` asks for them; an untraced audit holds one
 block's arrays at a time.
 
-The batch variant draws whole batches with probability proportional to size
-and feeds each batch's true assorter mean through the same test, with the
-running sums weighted by batch size.  It uses only the overall reported
-tally, never per-batch reported tallies; the comparison audit that does use
-them lives in :mod:`electaudit.batchcomp`.
+The batch variant draws whole batches with probability proportional to size,
+all at once by sorting exponential keys, and feeds each batch's true
+assorter mean through the same test, with the running sums weighted by batch
+size.  It uses only the overall reported tally, never per-batch reported
+tallies; the comparison audit that does use them lives in
+:mod:`electaudit.batchcomp`.
 
 Both audits here, like the batch-comparison audit, take the trial's one
 batch store, a :class:`electaudit.core.BatchMatrix`.  The ballot-level audit
@@ -395,27 +396,13 @@ def _draw_batches_without_replacement(sizes: np.ndarray, rng) -> np.ndarray:
     """Batch indices in draw order, each drawn with probability proportional
     to its size among the batches not yet drawn.
 
-    Each draw is the step ``rng.choice(k, p=w / w.sum())`` takes over the
-    sizes w of the k batches left, in batch order: one ``rng.random()``, the
-    ``cumsum`` of p divided by its last element, and ``searchsorted`` with
-    ``side="right"``.  A drawn batch keeps its place with weight 0.  Its p is
-    then exactly 0, which leaves every other cumulative sum as it is over the
-    batches left alone, so the search lands on the same batch.  The sizes sum
-    below 2**53, so their float total is exact.  Each draw is O(B) for B
-    batches.
+    Batch i gets the key E_i / size_i with E_i ~ Exp(1), an exponential of
+    rate size_i; the smallest key left falls to batch i with probability
+    size_i over the sizes left, so the order of the keys is successive PPS
+    sampling (Efraimidis and Spirakis, "Weighted random sampling with a
+    reservoir", IPL 2006).  One draw of B exponentials and one stable sort.
     """
-    weights = sizes.astype(np.float64)
-    total = weights.sum()
-    order = np.empty(len(sizes), dtype=np.int64)
-    cdf = np.empty_like(weights)
-    for t in range(len(sizes)):
-        np.divide(weights, total, out=cdf)
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        k = order[t] = cdf.searchsorted(rng.random(), side="right")
-        total -= weights[k]
-        weights[k] = 0.0
-    return order
+    return np.argsort(rng.standard_exponential(len(sizes)) / sizes, kind="stable")
 
 
 def batch_audit_loop(

@@ -28,6 +28,10 @@ running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
 and the pair's risk is 1 / max T, or 0 once the sample alone forces the
 pair's mean above 1/2.
 
+The survey sample is drawn in one vectorised step, a shuffle of the
+surveyed households interleaved with one of the households outside the
+survey frame, so the auditor sees a uniform draw of all households.
+
 Populations are columnar :class:`CensusData` from generation through the
 audit.  :class:`Household` is the row type of a household CSV, which
 ``CensusData.from_households`` converts, and the input of the exact
@@ -246,6 +250,30 @@ class CensusData:
         return {s: int(v) for s, v in zip(self.model.states, sums)}
 
 
+def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndarray:
+    """Household indices in draw order, until every surveyed household is drawn.
+
+    Each draw is uniform over the households not yet drawn, as the auditor
+    sees it: it falls in the survey frame with probability the frame's share
+    of them, and is then uniform over the surveyed households left, else
+    uniform over the non-frame households left.  So the draw interleaves a
+    uniform order of the surveyed households with one of the non-frame
+    households, the frame/non-frame pattern being that of a uniform shuffle
+    of all households, cut after its last surveyed draw.  With every
+    household in the frame it is one shuffle of the surveyed households.
+    """
+    order = rng.permutation(np.flatnonzero(surveyed))
+    if order.size == 0 or in_frame.all():
+        return order
+    outside = np.flatnonzero(~in_frame)
+    from_frame = rng.permutation(in_frame.size) < in_frame.size - outside.size
+    from_frame = from_frame[: np.flatnonzero(from_frame)[order.size - 1] + 1]
+    drawn = np.empty(from_frame.size, dtype=np.intp)
+    drawn[from_frame] = order
+    drawn[~from_frame] = rng.permutation(outside)[: from_frame.size - order.size]
+    return drawn
+
+
 def census_rla(
     model: CensusModel,
     data: CensusData,
@@ -256,10 +284,11 @@ def census_rla(
 ) -> CensusOutcome:
     """Process the survey sample and return the risk limit it supports.
 
-    Households are drawn without replacement until every surveyed household
-    has been seen; then each pair assertion is tested along that one draw
-    sequence by :func:`electaudit.alpha.sequential_path`.  ``cfg.alpha`` is
-    ignored (this audit outputs the risk limit instead of testing one);
+    Households are drawn without replacement (:func:`_draw_households`)
+    until every surveyed household has been seen; then each pair assertion
+    is tested along that one draw sequence by
+    :func:`electaudit.alpha.sequential_path`.  ``cfg.alpha`` is ignored
+    (this audit outputs the risk limit instead of testing one);
     ``cfg.seed`` drives the sampling and ``cfg.epsilon`` the guess ordering.
     A pair whose census margin is not positive gets risk limit 1: the census
     contradicts the allocation on that pair by itself.  ``surveyed_mask``
@@ -269,6 +298,8 @@ def census_rla(
     census implies (some nations amend seat allocations by law rather than
     recompute them).
     """
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     n = data.n
     if surveyed_mask is None:
         surveyed_mask = data.has_pes
@@ -287,30 +318,7 @@ def census_rla(
         seats = dict(census_seats)
         if sorted(seats) != sorted(model.states) or sum(seats.values()) != model.representatives:
             raise ValueError("census_seats must allocate every representative to a known state")
-    rng = make_rng(cfg.seed)
-    surveyed_pool = list(np.flatnonzero(surveyed_mask))
-    nonframe_pool = list(np.flatnonzero(~data.in_frame))
-    frame_in_h1 = int(data.in_frame.sum())
-    h1_count = n
-    drawn = []
-    while surveyed_pool:
-        p = frame_in_h1 / h1_count
-        if rng.random() < p:
-            pool, from_frame = surveyed_pool, True
-        else:
-            pool, from_frame = nonframe_pool, False
-            if not pool:
-                raise ValueError(
-                    "sampling frame exhausted: no unaudited household outside the survey frame"
-                )
-        j = int(rng.integers(len(pool)))
-        drawn.append(pool[j])
-        pool[j] = pool[-1]
-        pool.pop()
-        h1_count -= 1
-        if from_frame:
-            frame_in_h1 -= 1
-    drawn = np.array(drawn, dtype=np.intp)
+    drawn = _draw_households(surveyed_mask, data.in_frame, make_rng(cfg.seed))
     seen = np.arange(1, len(drawn) + 1)
     # frame-absent draws carry no survey count and score as agreement
     diff = np.where(surveyed_mask[drawn], data.pes[drawn] - data.cen[drawn], 0)
@@ -430,7 +438,7 @@ def load_districts_csv(path) -> tuple[dict[str, int], dict[str, Fraction]]:
     pops: dict[str, int] = {}
     constants: dict[str, Fraction] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         expected = ["district", "population", "c_constant"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:3]] != expected:
             raise ValueError(f"{path}: expected columns {','.join(expected)}")
@@ -452,7 +460,7 @@ def load_households_csv(path) -> list[Household]:
     truthy = {"1", "true", "yes"}
     falsy = {"0", "false", "no", ""}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         expected = ["household_id", "district", "census_count", "pes_count", "surveyed"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:5]] != expected:
             raise ValueError(f"{path}: expected columns {','.join(expected)}")

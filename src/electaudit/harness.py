@@ -7,8 +7,8 @@ run on the same trial see identical batches and identical draw randomness;
 comparisons between them are paired by construction.
 
 A trial deals (:func:`deal_matrix`) or loads its batches once into one
-:class:`electaudit.core.BatchMatrix` and injects misreads into its rows
-(:func:`inject_misreads`).  The reported tally is the matrix's column sum,
+:class:`electaudit.core.BatchMatrix` and injects misreads into all its rows
+at once (:func:`inject_misreads`).  The reported tally is the column sum,
 and the same matrix goes to whichever audit runs.  :func:`deal_batches` and
 :func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
 lists.
@@ -135,35 +135,25 @@ def inject_misreads(m: BatchMatrix, model: ErrorModel, rng) -> BatchMatrix:
     """``m`` with its reported counts recomputed by misreading the true ballots.
 
     Batch totals are preserved: every misread ballot stays in its batch,
-    only its recorded category moves.  The cells are visited batch by batch
-    and, within a batch, in type order; each nonzero true count draws its
-    misreads, then their invalid share, then the party split.
+    only its recorded category moves.  One binomial draw over the whole
+    count matrix gives each cell's misreads, one per batch their invalid
+    share, and one multinomial per batch row splits the rest uniformly over
+    the parties: the ballots misread in a batch share one split law, and a
+    sum of multinomials with equal p is a multinomial.
     """
     if model.kind != "ballot_misread":
         raise ValueError("error model is not ballot_misread")
     invalid = next((k for k, bt in enumerate(m.types) if bt.is_invalid), None)
-    if invalid is None:
-        raise ValueError("the batches have no invalid ballot type")
     parties = [k for k, bt in enumerate(m.types) if not bt.is_invalid]
-    uniform = [1.0 / len(parties)] * len(parties)
-    reported = []
-    for row in m.truth.tolist():
-        out = list(row)
-        for k, count in enumerate(row):
-            if count == 0:
-                continue
-            misread = int(rng.binomial(count, model.p_misread))
-            if misread == 0:
-                continue
-            out[k] -= misread
-            to_invalid = int(rng.binomial(misread, model.p_invalid))
-            out[invalid] += to_invalid
-            if misread > to_invalid:
-                split = rng.multinomial(misread - to_invalid, uniform).tolist()
-                for p, extra in zip(parties, split):
-                    out[p] += extra
-        reported.append(out)
-    return replace(m, reported=np.array(reported, dtype=np.int64))
+    if invalid is None or not parties:
+        raise ValueError("misreads need an invalid ballot type and a party to land on")
+    misread = rng.binomial(m.truth, model.p_misread)
+    lost = misread.sum(axis=1)
+    to_invalid = rng.binomial(lost, model.p_invalid)
+    reported = m.truth - misread
+    reported[:, invalid] += to_invalid
+    reported[:, parties] += rng.multinomial(lost - to_invalid, [1.0 / len(parties)] * len(parties))
+    return replace(m, reported=reported)
 
 
 def deal_batches(
@@ -180,8 +170,8 @@ def deal_batches(
 def inject_ballot_errors(
     truth: Sequence[BatchRecord], model: ErrorModel, rng
 ) -> list[BatchRecord]:
-    """:func:`inject_misreads` on padded batches; truth unchanged.  On batches
-    that all count the same types, as dealt or loaded ones do, the same draws."""
+    """:func:`inject_misreads` on padded batches as a batch list: the same
+    draws, truth unchanged."""
     m = inject_misreads(batch_matrix(truth), model, rng)
     return [replace(b, reported=t) for b, t in zip(truth, m.tallies(m.reported))]
 
@@ -255,7 +245,7 @@ def load_household_distribution(path) -> dict[int, float]:
     """``size,probability`` CSV for residents per household."""
     out: dict[int, float] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != [
             "size",
             "probability",
@@ -523,34 +513,34 @@ def assertion_stats(reports: Sequence[TrialReport]) -> list[list]:
 
 
 def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
-    districts_path = _require(config, "districts")
-    pops, constants = census_mod.load_districts_csv(districts_path)
-    representatives = int(_require(config, "representatives"))
-    g_max = int(config.get("g_max", census_mod.DEFAULT_GMAX))
-    divisor = config.get("divisor", "dhondt")
-    delta = float(config.get("delta", census_mod.DEFAULT_DELTA))
-    disagree = float(config.get("disagreement_rate", 0.0))
+    pops, constants = census_mod.load_districts_csv(_path(config, "districts"))
+    _require(config, "representatives")
+    representatives = _read(config, "representatives", int)
+    g_max = _read(config, "g_max", int, census_mod.DEFAULT_GMAX)
+    divisor = _read(config, "divisor", str, "dhondt")
+    delta = _read(config, "delta", float, census_mod.DEFAULT_DELTA)
+    disagree = _read(config, "disagreement_rate", float, 0.0)
 
-    households_spec = _require(config, "households")
-    generate = isinstance(households_spec, Mapping)
-    fractions = config.get("sample_fractions")
+    generate = isinstance(_require(config, "households"), Mapping)
+    fractions = _read(config, "sample_fractions", lambda v: [float(x) for x in v] if v else [])
     if generate and not fractions:
         raise ConfigError("generated census runs need sample_fractions")
     if not generate and fractions:
         raise ConfigError("sample_fractions only apply to generated households; "
                           "a household file fixes the surveyed set")
-    fractions = [float(x) for x in fractions] if fractions else [None]
+    fractions = fractions or [None]
     for frac in fractions:
         if frac is not None and not 0 < frac <= 1:
             raise ConfigError(f"sample fraction {frac!r} is not in (0, 1]")
 
     if generate:
-        gen = households_spec["generate"]
-        dist = load_household_distribution(gen["household_dist"])
+        gen = _read(config["households"], "generate", _mapping)
+        dist = load_household_distribution(_path(gen, "household_dist"))
+        nonresponse = _read(gen, "nonresponse", float, 0.0)
     else:
         model = census_mod.CensusModel(tuple(pops), representatives, constants, g_max, divisor)
         data = census_mod.CensusData.from_households(
-            model, census_mod.load_households_csv(households_spec)
+            model, census_mod.load_households_csv(_path(config, "households"))
         )
 
     reports: list[TrialReport] = []
@@ -560,8 +550,7 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
         data_rng, audit_seed = trial_rngs(trial_seed)
         if generate:
             data, model = census_mod.generate_census_population(
-                pops, dist, float(gen.get("nonresponse", 0.0)), data_rng,
-                representatives, g_max, divisor,
+                pops, dist, nonresponse, data_rng, representatives, g_max, divisor
             )
             if disagree > 0:
                 data = _inject_agreeing_disagreement(data, disagree, dist, data_rng)

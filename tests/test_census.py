@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from electaudit.alpha import AuditConfig
 from electaudit.apportionment import AllocationTieError
+from electaudit import census as census_mod
 from electaudit.census import (
     CensusData,
     CensusModel,
@@ -22,7 +23,7 @@ from electaudit.census import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import census_assorter_value, comparison_assorter_value, sample_household
+from .helpers import chi_square, census_assorter_value, comparison_assorter_value, sample_household
 
 HALF = Fraction(1, 2)
 
@@ -293,6 +294,51 @@ def test_sample_household_exhausted_branch_errors():
     rng = make_rng(4)
     with pytest.raises(ValueError, match="sampling frame exhausted|no household"):
         sample_household(lone, lone, lone, [], rng)
+
+
+# 99.9% quantile of chi-square with 101 degrees of freedom, fixed before any run
+CHI2_999_DF101 = 150.67
+
+
+@pytest.mark.parametrize("draw", ["vectorised", "sample_household_reference"])
+def test_household_draw_follows_sample_household_law(draw):
+    """Households 0-2 are surveyed, 3-5 in the frame but not surveyed, 6-9
+    outside the frame.  A draw ends after its 3rd frame draw, having taken K
+    non-frame households first, where K is negative hypergeometric:
+    P(K = k) = C(2 + k, k) C(7 - k, 4 - k) / C(10, 4).  Given K, the surveyed
+    order is uniform over the 3! orders and the first non-frame household
+    uniform over the 4.  The cells are (K, surveyed order, first non-frame)."""
+    frame = np.arange(10) < 6
+    surveyed = np.arange(10) < 3
+    split = {k: math.comb(2 + k, k) * math.comb(7 - k, 4 - k) / math.comb(10, 4) for k in range(5)}
+    probs = {}
+    for k, p_k in split.items():
+        for order in permutations(range(3)):
+            for first in range(6, 10) if k else [None]:
+                probs[(k, order, first)] = p_k / 6 / (4 if k else 1)
+    households = [Household(str(i), "X", 1, 1 if i < 3 else None, bool(frame[i])) for i in range(10)]
+    rng, draws, counts = make_rng(21), 10_000, {}
+    for _ in range(draws):
+        if draw == "vectorised":
+            drawn = census_mod._draw_households(surveyed, frame, rng).tolist()
+        else:
+            left, drawn = list(households), []
+            while any(h.surveyed for h in left):
+                pick = sample_household(left, households, households[:6], households[:3], rng)
+                left.remove(pick)
+                drawn.append(int(pick.id))
+        outside = [i for i in drawn if i >= 6]
+        assert sorted(i for i in drawn if i < 6) == [0, 1, 2]
+        key = (len(outside), tuple(i for i in drawn if i < 3), outside[0] if outside else None)
+        counts[key] = counts.get(key, 0) + 1
+    assert chi_square(counts, probs, draws) < CHI2_999_DF101
+
+
+def test_household_draw_all_in_frame_is_one_shuffle_of_the_surveyed():
+    surveyed = make_rng(1).random(50) < 0.3
+    drawn = census_mod._draw_households(surveyed, np.ones(50, bool), make_rng(9))
+    assert drawn.tolist() == make_rng(9).permutation(np.flatnonzero(surveyed)).tolist()
+    assert census_mod._draw_households(np.zeros(50, bool), np.ones(50, bool), make_rng(9)).size == 0
 
 
 def test_census_rla_no_survey_gives_risk_one():

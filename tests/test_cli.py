@@ -6,6 +6,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +245,21 @@ def csv_mutation(draw, rows, mutate):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def mutate_json(draw, root: dict, paths) -> None:
+    """Once or twice, replace the value at one of ``paths`` under ``root``
+    by another JSON value, or delete it."""
+    for _ in range(draw(st.integers(1, 2)) if paths else 0):
+        path = draw(st.sampled_from(paths))
+        parent = root
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if draw(st.booleans()):
+                parent[path[-1]] = draw(json_values)
+            else:
+                parent.pop(path[-1], None)
+
+
 @st.composite
 def fuzz_inputs(draw):
     """The contest, batch, Knesset and experiment files of a small run, each
@@ -264,18 +280,7 @@ def fuzz_inputs(draw):
     }
     files = {"config": config, "knesset_file": json.loads(json.dumps(FUZZ_KNESSET))}
     paths = [p for p in FUZZ_PATHS if ("knesset" if p[0] == "knesset_file" else "config") in mutated]
-    for _ in range(draw(st.integers(1, 2)) if paths else 0):
-        path = draw(st.sampled_from(paths))
-        if path[0] != "knesset_file":
-            path = ("config",) + path
-        parent = files
-        for key in path[:-1]:
-            parent = parent.get(key) if isinstance(parent, dict) else None
-        if isinstance(parent, dict):
-            if draw(st.booleans()):
-                parent[path[-1]] = draw(json_values)
-            else:
-                parent.pop(path[-1], None)
+    mutate_json(draw, files, [p if p[0] == "knesset_file" else ("config",) + p for p in paths])
     return (
         draw(csv_mutation(FUZZ_CONTEST, "contest" in mutated)),
         draw(csv_mutation(FUZZ_BATCHES, "batches" in mutated)),
@@ -284,22 +289,14 @@ def fuzz_inputs(draw):
     )
 
 
-@given(fuzz_inputs())
-@settings(max_examples=150, deadline=None)
-def test_mutated_inputs_exit_0_or_2(inputs):
-    """Malformed input ends in exit code 2 and an ``audit: error:`` line,
-    never in a traceback, for ``audit run`` and ``audit margins``."""
-    contest, batches, knesset, config = inputs
+def _exit_0_or_2(files: dict, runs) -> list[tuple[int, str]]:
+    """Write ``files`` (name -> text) to a fresh directory and require every
+    ``main(argv)`` of ``runs`` there to exit 0, or 2 with an error line.
+    Returns each run's exit code and standard error."""
+    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        (tmp / "contest.csv").write_text(contest, encoding="utf-8")
-        (tmp / "batches.csv").write_text(batches, encoding="utf-8")
-        (tmp / "knesset.json").write_text(json.dumps(knesset), encoding="utf-8")
-        (tmp / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
-        runs = (
-            ["run", "--config", "cfg.json", "--out", "out"],
-            ["margins", "--contest", "contest.csv", "--knesset", "knesset.json"],
-        )
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
@@ -309,5 +306,122 @@ def test_mutated_inputs_exit_0_or_2(inputs):
                     rc = main(argv)
                 assert rc in (0, 2), argv
                 assert (rc == 2) == ("audit: error: " in err.getvalue()), (argv, err.getvalue())
+                outcomes.append((rc, err.getvalue()))
         finally:
             os.chdir(cwd)
+    return outcomes
+
+
+@given(fuzz_inputs())
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_exit_0_or_2(inputs):
+    """Malformed input ends in exit code 2 and an ``audit: error:`` line,
+    never in a traceback, for ``audit run`` and ``audit margins``."""
+    contest, batches, knesset, config = inputs
+    files = {
+        "contest.csv": contest,
+        "batches.csv": batches,
+        "knesset.json": json.dumps(knesset),
+        "cfg.json": json.dumps(config),
+    }
+    _exit_0_or_2(files, (
+        ["run", "--config", "cfg.json", "--out", "out"],
+        ["margins", "--contest", "contest.csv", "--knesset", "knesset.json"],
+    ))
+
+
+FUZZ_DISTRICTS = [["district", "population", "c_constant"], ["X", "260", "0"], ["Y", "150", "1/2"], ["Z", "90", "0"]]
+FUZZ_SIZES = [["size", "probability"], ["1", "0.4"], ["2", "0.4"], ["3", "0.2"]]
+FUZZ_HOUSEHOLDS = [["household_id", "district", "census_count", "pes_count", "surveyed"]] + [
+    [f"h{i}", "XYZ"[i % 3], str(c), str(c + (i == 5)) if i % 2 else "", str(i % 2)]
+    for i, c in enumerate(1 + (i + i // 3) % 3 for i in range(12))
+]
+FUZZ_CENSUS_PATHS = (
+    ("audit",), ("districts",), ("representatives",), ("g_max",), ("divisor",), ("delta",),
+    ("disagreement_rate",), ("households",), ("households", "generate"),
+    ("households", "generate", "household_dist"), ("households", "generate", "nonresponse"),
+    ("sample_fractions",), ("trials",), ("seeds",),
+)
+CENSUS_RUNS = (
+    ["run", "--config", "cfg.json", "--out", "out"],
+    ["census", "--model", "districts.csv", "--households", "households.csv", "--representatives", "5"],
+)
+
+
+def _census_config(generate: bool) -> dict:
+    """A small census run that generates households or reads the household file."""
+    config = {
+        "audit": "census",
+        "districts": "districts.csv",
+        "representatives": 5,
+        "g_max": 15,
+        "divisor": "dhondt",
+        "delta": 1e-10,
+        "households": {"generate": {"household_dist": "sizes.csv", "nonresponse": 0.01}} if generate else "households.csv",
+        "disagreement_rate": 0.02,
+        "trials": 2,
+    }
+    if generate:
+        config["sample_fractions"] = [0.2, 0.5]
+    return config
+
+
+def _census_files(config, districts=FUZZ_DISTRICTS, sizes=FUZZ_SIZES, households=FUZZ_HOUSEHOLDS) -> dict:
+    csv_text = lambda rows: rows if isinstance(rows, str) else "".join(",".join(r) + "\n" for r in rows)
+    return {
+        "districts.csv": csv_text(districts),
+        "sizes.csv": csv_text(sizes),
+        "households.csv": csv_text(households),
+        "cfg.json": json.dumps(config),
+    }
+
+
+@st.composite
+def census_fuzz_inputs(draw):
+    """The district, household-size, household and census config files of a
+    small census run, one or two of them mutated as in :func:`fuzz_inputs`."""
+    mutated = draw(st.sets(st.sampled_from(["districts", "sizes", "households", "config"]), min_size=1, max_size=2))
+    config = _census_config(draw(st.booleans()))
+    if "config" in mutated:
+        mutate_json(draw, config, FUZZ_CENSUS_PATHS)
+    return _census_files(
+        config,
+        draw(csv_mutation(FUZZ_DISTRICTS, "districts" in mutated)),
+        draw(csv_mutation(FUZZ_SIZES, "sizes" in mutated)),
+        draw(csv_mutation(FUZZ_HOUSEHOLDS, "households" in mutated)),
+    )
+
+
+@given(census_fuzz_inputs())
+@settings(max_examples=150, deadline=None)
+def test_mutated_census_inputs_exit_0_or_2(files):
+    """The same for ``audit run`` on a census config and for ``audit census``
+    on a household file."""
+    _exit_0_or_2(files, CENSUS_RUNS)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("representatives", [56]),
+    ("delta", {}),
+    ("delta", float("inf")),
+    ("disagreement_rate", [1]),
+    ("sample_fractions", 0.5),
+    ("household_dist", 3),
+])
+def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
+    """A value of the wrong kind is an error that names its key, not a
+    traceback; a number is no file path, though ``open`` takes it for a file
+    descriptor."""
+    config = _census_config(True)
+    (config["households"]["generate"] if key == "household_dist" else config)[key] = value
+    [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+    assert rc == 2 and key in err
+
+
+@pytest.mark.parametrize("short", ["districts", "sizes", "households"])
+def test_census_csv_row_missing_a_cell_exits_0_or_2(short):
+    """A row one cell short reads as a blank last cell, not as a traceback."""
+    rows = {"districts": FUZZ_DISTRICTS, "sizes": FUZZ_SIZES, "households": FUZZ_HOUSEHOLDS}
+    rows[short] = [row[:-1] if i == 1 else row for i, row in enumerate(rows[short])]
+    for generate in (True, False):
+        _exit_0_or_2(_census_files(_census_config(generate), **rows), CENSUS_RUNS)

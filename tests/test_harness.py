@@ -33,7 +33,7 @@ from electaudit.harness import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import deal_batches_reference, inject_ballot_errors_reference
+from .helpers import deal_batches_reference
 
 
 @pytest.fixture
@@ -98,11 +98,11 @@ def deal_cases(draw):
 
 @given(deal_cases())
 @settings(max_examples=150, deadline=None)
-def test_matrix_dealer_and_injector_match_tally_references(case):
-    """Dealing and misread injection on the count matrix give the counts of
-    the per-batch ``Tally`` references and leave the generator in the same
-    state; the batch-list views return the references' batches."""
-    tally, sizes, size_range, model, seed = case
+def test_matrix_dealer_matches_tally_reference(case):
+    """Dealing on the count matrix gives the counts of the per-batch ``Tally``
+    reference and leaves the generator in the same state; the batch-list
+    view returns the reference's batches."""
+    tally, sizes, size_range, _, seed = case
     rng, ref_rng = make_rng(seed), make_rng(seed)
     try:
         want = deal_batches_reference(tally, ref_rng, sizes, size_range)
@@ -118,16 +118,40 @@ def test_matrix_dealer_and_injector_match_tally_references(case):
         assert got.dtype == np.int64 and np.array_equal(got, expected)
     assert deal_batches(tally, make_rng(seed), sizes, size_range) == want
 
-    state = rng.bit_generator.state
-    misread = inject_misreads(m, model, rng)
-    want = inject_ballot_errors_reference(want, model, ref_rng)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    ref = batch_matrix(want)
-    assert np.array_equal(misread.reported, ref.reported) and misread.reported.dtype == np.int64
-    assert np.array_equal(misread.truth, m.truth)
-    views = make_rng(0)
-    views.bit_generator.state = state
-    assert inject_ballot_errors(deal_batches(tally, make_rng(seed), sizes, size_range), model, views) == want
+
+@given(deal_cases())
+@settings(max_examples=100, deadline=None)
+def test_inject_ballot_errors_is_a_view_of_inject_misreads(case):
+    """From one seed, the batch-list injector reports the matrix injector's
+    counts; both leave the truth and every batch total as they were."""
+    tally, sizes, size_range, model, seed = case
+    try:
+        batches = deal_batches(tally, make_rng(seed), sizes, size_range)
+    except ValueError:
+        return
+    m = batch_matrix(batches)
+    misread = inject_misreads(m, model, make_rng((seed, 1)))
+    out = inject_ballot_errors(batches, model, make_rng((seed, 1)))
+    assert misread.reported.dtype == np.int64
+    assert np.array_equal(batch_matrix(out).reported, misread.reported)
+    assert np.array_equal(misread.truth, m.truth) and [b.truth for b in out] == [b.truth for b in batches]
+    assert np.array_equal(misread.reported.sum(axis=1), m.sizes)
+
+
+def test_inject_misreads_cell_means_match_closed_form(abc):
+    """A batch of size s with t ballots of a type reports t (1 - p) of it,
+    plus p p_invalid s if the type is invalid, or p (1 - p_invalid) s / 3 if
+    it is one of the 3 parties.  Over 4,000 injections every cell's mean lies
+    within 4.5 standard errors of that, and every batch keeps its total."""
+    m = deal_matrix(abc.tally({"A": 600, "B": 300, "C": 80, "__invalid__": 20}), make_rng(0), sizes=[500, 400, 100])
+    p, p_invalid = 0.3, 0.25
+    model = ErrorModel(kind="ballot_misread", p_misread=p, p_invalid=p_invalid)
+    runs = np.array([inject_misreads(m, model, make_rng((7, r))).reported for r in range(4000)])
+    assert (runs.sum(axis=2) == m.sizes).all()
+    invalid = [bt.is_invalid for bt in m.types]
+    expected = m.truth * (1 - p) + np.where(invalid, p * p_invalid, p * (1 - p_invalid) / 3) * m.sizes[:, None]
+    se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+    assert (np.abs(runs.mean(axis=0) - expected) <= 4.5 * se).all()
 
 
 def test_inject_no_misreads_is_identity(abc):
@@ -147,6 +171,13 @@ def test_inject_everything_invalid(abc):
     for b in out:
         assert b.reported.get(abc.invalid) == b.size
         assert b.truth.counts == dict(b.truth.counts)  # truth untouched
+
+
+def test_inject_misreads_without_a_party_is_rejected():
+    """Misreads of an all-invalid contest have no party to land on."""
+    m = deal_matrix(Contest.from_party_names([]).tally({"__invalid__": 100}), make_rng(0), sizes=[100])
+    with pytest.raises(ValueError, match="a party to land on"):
+        inject_misreads(m, ErrorModel(kind="ballot_misread", p_misread=0.1), make_rng(1))
 
 
 def test_inject_preserves_batch_totals_and_rate(abc):
@@ -383,19 +414,20 @@ def test_census_sample_fraction_outside_unit_interval_rejected(tmp_path, bad):
 def test_census_output_bytes_pinned(tmp_path):
     """The census tables of a fixed config and seed stay byte-for-byte the
     same: generation, disagreement injection, survey selection and the audit
-    draws must keep their random calls and their order."""
+    draws must keep their random calls and their order.  The bytes were
+    re-recorded when the audit's household draw became one shuffle."""
     run_experiment(_disagreeing_census_config(tmp_path), tmp_path / "out", seed=0)
     assert (tmp_path / "out/risk_curve.csv").read_bytes() == (
         b"sample_fraction,trial,seed,risk_limit\r\n"
-        b"0.05,0,0,0.10656625429092789\r\n"
-        b"0.1,0,0,0.01728081976798592\r\n"
-        b"0.05,1,1,0.1288396657512587\r\n"
-        b"0.1,1,1,0.02784306212688362\r\n"
+        b"0.05,0,0,0.10688291386990915\r\n"
+        b"0.1,0,0,0.013534390300257956\r\n"
+        b"0.05,1,1,0.12850017156669827\r\n"
+        b"0.1,1,1,0.032139174376817604\r\n"
     )
     assert (tmp_path / "out/risk_summary.csv").read_bytes() == (
         b"sample_fraction,median_risk_limit\r\n"
-        b"0.05,0.11770296002109329\r\n"
-        b"0.1,0.022561940947434772\r\n"
+        b"0.05,0.1176915427183037\r\n"
+        b"0.1,0.02283678233853778\r\n"
     )
 
 
@@ -408,8 +440,10 @@ def test_election_output_bytes_pinned(tmp_path, monkeypatch):
     same: batch dealing, error injection, assertion generation, the draw order
     and every assorter value must keep their random calls and their floats.
 
-    The pinned files were written by the exact ``Fraction`` implementation, so
-    this also joins the integer tally matrices to it end to end."""
+    ``knesset_alpha_*`` were written by the exact ``Fraction`` implementation,
+    so they also join the integer tally matrices to it end to end.  The other
+    files were re-recorded when the batch draw order and the misread
+    injection became vectorised draws of the same laws."""
     monkeypatch.chdir(KNESSET_CONFIG.parent.parent)
     contest = tmp_path / "contest.csv"
     contest.write_text("party,reported_votes\nA,5200\nB,4500\nC,1300\n__invalid__,300\n")
