@@ -32,6 +32,10 @@ The survey sample is drawn in one vectorised step, a shuffle of the
 surveyed households interleaved with one of the households outside the
 survey frame, so the auditor sees a uniform draw of all households.
 
+A trial audits one census at many sample fractions; the allocation and the
+pair constants do not depend on the survey, so they are built once per
+census, and each survey mask moves only its disagreeing draws off them.
+
 Populations are columnar :class:`CensusData` from generation through the
 audit.  :class:`Household` is the row type of a household CSV, which
 ``CensusData.from_households`` converts, and the input of the exact
@@ -40,10 +44,12 @@ audit.  :class:`Household` is the row type of a household CSV, which
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -208,16 +214,22 @@ class CensusData:
             raise ValueError("household arrays must be one-dimensional and of one length")
         if n == 0:
             raise ValueError("no households")
-        checks = (
-            ("state index", self.state_idx, True, len(model.states) - 1),
-            ("census count", self.cen, True, model.g_max),
-            ("survey count", self.pes, self.has_pes, model.g_max),
-        )
-        for what, col, rows, top in checks:
-            bad = np.flatnonzero(rows & ((col < 0) | (col > top)))
-            if bad.size:
-                raise ValueError(f"household {bad[0]} {what} {col[bad[0]]} outside [0, {top}]")
+        _check_range("state index", self.state_idx, True, len(model.states) - 1)
+        _check_range("census count", self.cen, True, model.g_max)
+        _check_range("survey count", self.pes, self.has_pes, model.g_max)
         self.census_pops = self.state_totals(self.cen)
+        # (delta, supplied seats or None) -> (seats, pair tests), see _pair_tests
+        self._pair_tests: dict = {}
+
+    def with_pes(self, pes) -> CensusData:
+        """A copy with new survey counts.  Only they are checked; the census
+        columns, totals and pair tests are shared, since none depends on them."""
+        new = copy.copy(self)
+        new.pes = np.asarray(pes, dtype=np.int64)
+        if new.pes.shape != (self.n,):
+            raise ValueError("household arrays must be one-dimensional and of one length")
+        _check_range("survey count", new.pes, self.has_pes, self.model.g_max)
+        return new
 
     @classmethod
     def from_households(cls, model: CensusModel, households: Sequence[Household]) -> CensusData:
@@ -250,8 +262,16 @@ class CensusData:
         return {s: int(v) for s, v in zip(self.model.states, sums)}
 
 
+def _check_range(what: str, col: np.ndarray, rows, top: int) -> None:
+    """Raise, naming the first of ``rows`` whose entry of ``col`` is outside [0, top]."""
+    if col.min(initial=0, where=rows) < 0 or col.max(initial=0, where=rows) > top:
+        bad = np.flatnonzero(rows & ((col < 0) | (col > top)))[0]
+        raise ValueError(f"household {bad} {what} {col[bad]} outside [0, {top}]")
+
+
 def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndarray:
-    """Household indices in draw order, until every surveyed household is drawn.
+    """Household indices in draw order, until every household of the index
+    array ``surveyed`` is drawn.
 
     Each draw is uniform over the households not yet drawn, as the auditor
     sees it: it falls in the survey frame with probability the frame's share
@@ -262,7 +282,7 @@ def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndar
     of all households, cut after its last surveyed draw.  With every
     household in the frame it is one shuffle of the surveyed households.
     """
-    order = rng.permutation(np.flatnonzero(surveyed))
+    order = rng.permutation(surveyed)
     if order.size == 0 or in_frame.all():
         return order
     outside = np.flatnonzero(~in_frame)
@@ -272,6 +292,38 @@ def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndar
     drawn[from_frame] = order
     drawn[~from_frame] = rng.permutation(outside)[: from_frame.size - order.size]
     return drawn
+
+
+def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats) -> tuple:
+    """The audited allocation and, per ordered pair, its (agree, u0, slope)
+    test constants, or None when the census refutes the pair by itself.
+    Built once per census, allocation and delta, and kept on ``data``."""
+    key = (delta, None if census_seats is None else tuple(sorted(census_seats.items())))
+    cache = data._pair_tests if model is data.model else {}
+    if key in cache:
+        return cache[key]
+    if census_seats is None:
+        seats = apportion(model, data.census_pops)
+    else:
+        seats = dict(census_seats)
+        if sorted(seats) != sorted(model.states) or sum(seats.values()) != model.representatives:
+            raise ValueError("census_seats must allocate every representative to a known state")
+    tests = []
+    for s1, s2 in permutations(model.states, 2):
+        if seats[s1] == 0:
+            continue  # no seat of s1 to defend; the pair condition is vacuous
+        pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
+        if pair.m <= 0:
+            tests.append(((s1, s2), None))
+            continue
+        scale = 2 * (pair.z - pair.m)
+        slope = np.zeros(len(model.states))
+        slope[model.states.index(s1)] = float(1 / (Fraction(pair.d1) * pair.c * scale))
+        slope[model.states.index(s2)] = float(-1 / (Fraction(pair.d2) * pair.c * scale))
+        u0 = float(Fraction(1, 2) + (pair.m + Fraction(delta)) / scale)
+        tests.append(((s1, s2), (float(pair.agree_value), u0, slope)))
+    cache[key] = seats, tests
+    return seats, tests
 
 
 def census_rla(
@@ -293,7 +345,8 @@ def census_rla(
     A pair whose census margin is not positive gets risk limit 1: the census
     contradicts the allocation on that pair by itself.  ``surveyed_mask``
     overrides the households' own surveyed flags, which lets simulations
-    re-divide one generated population into many survey samples cheaply.
+    re-divide one generated population into many survey samples cheaply
+    (the pair constants are built once, see :func:`_pair_tests`).
     ``census_seats`` audits a supplied allocation instead of the one the
     census implies (some nations amend seat allocations by law rather than
     recompute them).
@@ -301,51 +354,35 @@ def census_rla(
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     n = data.n
-    if surveyed_mask is None:
-        surveyed_mask = data.has_pes
-    else:
-        surveyed_mask = np.asarray(surveyed_mask, dtype=bool)
-        if surveyed_mask.shape != (n,):
-            raise ValueError("surveyed mask length does not match household count")
-        if not np.all(data.has_pes[surveyed_mask]):
-            raise ValueError("surveyed mask selects a household with no survey count")
-    if not np.all(data.in_frame[surveyed_mask]):
+    surveyed_mask = data.has_pes if surveyed_mask is None else np.asarray(surveyed_mask, bool)
+    if surveyed_mask.shape != (n,):
+        raise ValueError("surveyed mask length does not match household count")
+    surveyed = np.flatnonzero(surveyed_mask)
+    if not data.has_pes[surveyed].all():
+        raise ValueError("surveyed mask selects a household with no survey count")
+    if not data.in_frame[surveyed].all():
         raise ValueError("a surveyed household is marked outside the survey frame")
 
-    if census_seats is None:
-        seats = apportion(model, data.census_pops)
-    else:
-        seats = dict(census_seats)
-        if sorted(seats) != sorted(model.states) or sum(seats.values()) != model.representatives:
-            raise ValueError("census_seats must allocate every representative to a known state")
-    drawn = _draw_households(surveyed_mask, data.in_frame, make_rng(cfg.seed))
+    seats, tests = _pair_tests(model, data, delta, census_seats)
+    drawn = _draw_households(surveyed, data.in_frame, make_rng(cfg.seed))
     seen = np.arange(1, len(drawn) + 1)
-    # frame-absent draws carry no survey count and score as agreement
+    # frame-absent draws carry no survey count and score as agreement; only
+    # the disagreeing draws move off a pair's agreement constant
     diff = np.where(surveyed_mask[drawn], data.pes[drawn] - data.cen[drawn], 0)
-    drawn_state = data.state_idx[drawn]
+    off = np.flatnonzero(diff)
+    off_diff, off_state = diff[off], data.state_idx[drawn[off]]
 
     pair_risks: dict[tuple[str, str], float] = {}
-    for s1 in model.states:
-        for s2 in model.states:
-            if s1 == s2:
-                continue
-            if seats[s1] == 0:
-                continue  # no seat of s1 to defend; the pair condition is vacuous
-            pair = census_pair(model, seats, data.census_pops, n, s1, s2)
-            if pair.m <= 0:
-                pair_risks[(s1, s2)] = 1.0
-                continue
-            agree = float(pair.agree_value)
-            scale = 2 * (pair.z - pair.m)
-            u0 = float(Fraction(1, 2) + (pair.m + Fraction(delta)) / scale)
-            # disagreement adjustment: A = agree + (pes - cen) * slope(state)
-            slope = np.zeros(len(model.states))
-            slope[model.states.index(s1)] = float(1 / (Fraction(pair.d1) * pair.c * scale))
-            slope[model.states.index(s2)] = float(-1 / (Fraction(pair.d2) * pair.c * scale))
-            A = agree + diff * slope[drawn_state]
-            path = sequential_path(A, seen, n, agree, u0, cfg.epsilon, math.inf, eta_floor=agree)
-            # approval here means mu fell below 0: the sample alone settles the pair
-            pair_risks[(s1, s2)] = 0.0 if path.approved else min(1.0, 1.0 / path.T_max)
+    for pair, test in tests:
+        if test is None:
+            pair_risks[pair] = 1.0
+            continue
+        agree, u0, slope = test  # A = agree + (pes - cen) * slope[state]
+        A = np.full(len(drawn), agree)
+        A[off] = agree + off_diff * slope[off_state]
+        path = sequential_path(A, seen, n, agree, u0, cfg.epsilon, math.inf, eta_floor=agree)
+        # approval here means mu fell below 0: the sample alone settles the pair
+        pair_risks[pair] = 0.0 if path.approved else min(1.0, 1.0 / path.T_max)
 
     state_risks = {
         s: max((r for pair, r in pair_risks.items() if s in pair), default=0.0)
@@ -358,8 +395,17 @@ def census_rla(
         state_risks=state_risks,
         households_examined=len(drawn),
         total_households=n,
-        census_seats=seats,
+        census_seats=dict(seats),
     )
+
+
+def _size_distribution(household_dist: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted household sizes and their probabilities, normalised as ``rng.choice`` takes them."""
+    sizes = np.array(sorted(household_dist), dtype=np.int64)
+    probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
+    if not (0 < probs.sum() < math.inf and probs.min() >= 0):
+        raise ValueError("household size distribution must be non-negative, finite and non-empty")
+    return sizes, probs / probs.sum()
 
 
 def generate_census_population(
@@ -384,13 +430,9 @@ def generate_census_population(
     """
     if not 0 <= nonresponse < 1:
         raise ValueError("nonresponse must be in [0, 1)")
-    sizes = np.array(sorted(household_dist), dtype=np.int64)
+    sizes, probs = _size_distribution(household_dist)
     if sizes.min() < 0 or sizes.max() > g_max:
         raise ValueError(f"household size support must lie within [0, {g_max}]")
-    probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
-    if probs.min() < 0 or probs.sum() <= 0:
-        raise ValueError("household size distribution must be non-negative and non-empty")
-    probs = probs / probs.sum()
     mean_size = float((sizes * probs).sum())
     if mean_size <= 0:
         raise ValueError("household size distribution must have positive mean")
@@ -421,16 +463,19 @@ def inject_survey_disagreement(
     household_dist: Mapping[int, float],
     rng,
 ) -> CensusData:
-    """Re-draw the survey count of a random ``rate`` share of surveyed households."""
+    """Re-draw the survey count of a random ``rate`` share of surveyed households.
+
+    This takes the stream of ``rng.choice(sizes, data.n, p=probs)``, but maps
+    only the redrawn households' uniforms through choice's inverse CDF."""
     if not 0 <= rate <= 1:
         raise ValueError("disagreement rate must be in [0, 1]")
-    sizes = np.array(sorted(household_dist), dtype=np.int64)
-    probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
-    probs = probs / probs.sum()
-    hit = rng.random(data.n) < rate
-    redrawn = rng.choice(sizes, size=data.n, p=probs)
-    pes = np.where(hit & data.has_pes, redrawn, data.pes)
-    return CensusData(data.model, data.state_idx, data.cen, pes, data.has_pes, data.in_frame)
+    sizes, probs = _size_distribution(household_dist)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    hit = np.flatnonzero((rng.random(data.n) < rate) & data.has_pes)
+    pes = data.pes.copy()
+    pes[hit] = sizes[cdf.searchsorted(rng.random(data.n)[hit], side="right")]
+    return data.with_pes(pes)
 
 
 def load_districts_csv(path) -> tuple[dict[str, int], dict[str, Fraction]]:

@@ -241,6 +241,12 @@ def _mapping(value) -> Mapping:
     return value
 
 
+def _list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):  # a string would be read char by char
+        raise TypeError("not a list")
+    return value
+
+
 def load_household_distribution(path) -> dict[int, float]:
     """``size,probability`` CSV for residents per household."""
     out: dict[int, float] = {}
@@ -290,7 +296,7 @@ def run_experiment(
         base = seed if seed is not None else _read(config, "seed", int, 0)
         seeds = [base + i for i in range(trials)]
     else:
-        seeds = _read(config, "seeds", lambda v: [int(s) for s in v])[:trials]
+        seeds = _read(config, "seeds", lambda v: [int(s) for s in _list(v)])[:trials]
         if len(seeds) < trials:
             raise ConfigError("seed list is shorter than the trial count")
     out_dir = Path(out_dir)
@@ -522,7 +528,7 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
     disagree = _read(config, "disagreement_rate", float, 0.0)
 
     generate = isinstance(_require(config, "households"), Mapping)
-    fractions = _read(config, "sample_fractions", lambda v: [float(x) for x in v] if v else [])
+    fractions = _read(config, "sample_fractions", lambda v: [float(x) for x in _list(v)], [])
     if generate and not fractions:
         raise ConfigError("generated census runs need sample_fractions")
     if not generate and fractions:

@@ -15,7 +15,7 @@ import numpy as np
 
 from electaudit.alpha import AssertionState, AuditConfig
 from electaudit.apportionment import Divisor, dhondt
-from electaudit.census import CensusPair, Household
+from electaudit.census import CensusData, CensusPair, Household
 from electaudit.core import (
     Assorter,
     BatchMatrix,
@@ -361,3 +361,18 @@ def comparison_assorter_value(pair: CensusPair, household: Household):
     elif household.state == pair.s2:
         diff = Fraction(household.census_count - pes_count, pair.d2) / pair.c
     return Fraction(1, 2) + (pair.m + diff) / (2 * (pair.z - pair.m))
+
+
+def inject_survey_disagreement_reference(
+    data: CensusData, rate: float, household_dist: Mapping[int, float], rng
+) -> CensusData:
+    """Survey disagreement with a ``rng.choice`` redraw for every household,
+    kept where the household is hit and surveyed: the reference for
+    :func:`electaudit.census.inject_survey_disagreement`."""
+    sizes = np.array(sorted(household_dist), dtype=np.int64)
+    probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
+    probs = probs / probs.sum()
+    hit = rng.random(data.n) < rate
+    redrawn = rng.choice(sizes, size=data.n, p=probs)
+    pes = np.where(hit & data.has_pes, redrawn, data.pes)
+    return CensusData(data.model, data.state_idx, data.cen, pes, data.has_pes, data.in_frame)

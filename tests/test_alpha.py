@@ -478,6 +478,64 @@ def test_kernel_stop_on_block_edge(x, sizes, n, eta0, u0, threshold, approved, e
         _assert_same_path(_in_blocks(size, sequential_path, *args), whole)
 
 
+def _stepwise_rows(x, sizes, n, eta0, u0, eps, floor):
+    """The stepwise reference's (T after the draw, mu, eta, u it was tested
+    with) per draw, with a threshold no T reaches."""
+    cfg = AuditConfig(alpha=1e-300, epsilon=eps)
+    ref = AssertionState("ref", eta=eta0, u=u0, eta_budget=n * eta0)
+    rows = []
+    for value, weight in zip(x, sizes):
+        tested = (ref.mu, ref.eta, ref.u)
+        advance(ref, float(value), int(weight), n, cfg, floor)
+        rows.append((ref.T, *tested))
+        if not ref.active:
+            break
+    return np.array(rows)
+
+
+def _u_cases():
+    rng = make_rng(4)
+    agree = 0.5 + 1e-3
+    census = np.full(40, agree)  # the census case: a pair's constant row, a few draws off it
+    census[[3, 17, 18, 30]] += np.array([-2e-4, 3e-4, -1e-4, 2e-4])
+    return {
+        # u0 below eta_floor + eps: u steps once, at draw 1, then stays
+        "constant-from-draw-1": (census, 400, agree, agree + 1e-10, agree),
+        # the new u equals the carried u0 bit for bit
+        "equal-to-carried": (census, 400, agree, agree + 1e-9, agree),
+        # eta rises above u0 - eps as low draws come in: u grows mid-block
+        "growing-mid-block": (np.r_[np.ones(3), np.zeros(12)], 20, 0.95, 1.0, None),
+        # the common ballot-level case: u stays the assorter bound u0
+        "bound-holds": (rng.integers(0, 2, 40).astype(float), 60, 0.55, 1.0, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_u_cases()))
+def test_kernel_running_max_of_u(case):
+    """Whether u is constant after a block's first entry (filled) or grows
+    inside it (accumulated), the path is the stepwise reference's, and blocks
+    of 1, 2, 3 and 7 match one pass bit for bit."""
+    x, n, eta0, u0, floor = _u_cases()[case]
+    seen = np.arange(1, len(x) + 1)
+    whole = sequential_path(x, seen, n, eta0, u0, 1e-9, math.inf, floor)
+    rows = _stepwise_rows(x, np.ones(len(x)), n, eta0, u0, 1e-9, floor)
+    assert whole.examined == len(rows) == len(x)
+    for col, got in enumerate((whole.T, whole.mu, whole.eta, whole.u)):
+        np.testing.assert_allclose(got, rows[:, col], rtol=1e-9)
+    assert whole.T_max == pytest.approx(rows[:, 0].max(), rel=1e-9)
+    steps = np.flatnonzero(np.diff(whole.u))
+    if floor is not None:
+        assert whole.u[0] == u0 and np.all(whole.u[1:] == floor + 1e-9)
+        assert steps.tolist() == ([] if case == "equal-to-carried" else [0])
+    elif case == "growing-mid-block":
+        assert steps.size > 1 and steps[0] > 0
+    else:
+        assert np.all(whole.u == u0)
+    for size in (1, 2, 3, 7):
+        _assert_same_path(_in_blocks(size, sequential_path, x, seen, n, eta0, u0, 1e-9,
+                                     math.inf, floor), whole)
+
+
 def test_audits_in_blocks_match_one_pass(two_party):
     """All three election audits give the same outcome and trace rows when
     the kernel runs in blocks of 7 draws, traced or not."""

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electaudit.alpha import AuditConfig
 from electaudit.apportionment import AllocationTieError
@@ -23,7 +26,13 @@ from electaudit.census import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import chi_square, census_assorter_value, comparison_assorter_value, sample_household
+from .helpers import (
+    census_assorter_value,
+    chi_square,
+    comparison_assorter_value,
+    inject_survey_disagreement_reference,
+    sample_household,
+)
 
 HALF = Fraction(1, 2)
 
@@ -309,7 +318,7 @@ def test_household_draw_follows_sample_household_law(draw):
     order is uniform over the 3! orders and the first non-frame household
     uniform over the 4.  The cells are (K, surveyed order, first non-frame)."""
     frame = np.arange(10) < 6
-    surveyed = np.arange(10) < 3
+    surveyed = np.arange(3)
     split = {k: math.comb(2 + k, k) * math.comb(7 - k, 4 - k) / math.comb(10, 4) for k in range(5)}
     probs = {}
     for k, p_k in split.items():
@@ -335,10 +344,10 @@ def test_household_draw_follows_sample_household_law(draw):
 
 
 def test_household_draw_all_in_frame_is_one_shuffle_of_the_surveyed():
-    surveyed = make_rng(1).random(50) < 0.3
+    surveyed = np.flatnonzero(make_rng(1).random(50) < 0.3)
     drawn = census_mod._draw_households(surveyed, np.ones(50, bool), make_rng(9))
-    assert drawn.tolist() == make_rng(9).permutation(np.flatnonzero(surveyed)).tolist()
-    assert census_mod._draw_households(np.zeros(50, bool), np.ones(50, bool), make_rng(9)).size == 0
+    assert drawn.tolist() == make_rng(9).permutation(surveyed).tolist()
+    assert census_mod._draw_households(surveyed[:0], np.ones(50, bool), make_rng(9)).size == 0
 
 
 def test_census_rla_no_survey_gives_risk_one():
@@ -579,3 +588,124 @@ def test_district_and_household_csv(tmp_path):
     )
     with pytest.raises(ValueError, match="lacks pes_count"):
         load_households_csv(bad)
+
+
+@pytest.mark.parametrize("probs", [
+    [0.1, 0.2, 0.3, 0.4],
+    [0.0, 0.5, 0.0, 0.5],  # zero-probability sizes are never drawn
+    [0.0, 0.0, 1.0, 0.0],
+    [1e-300, 1.0, 0.0, 2.0],
+])
+@pytest.mark.parametrize("n", [1, 2, 17, 1000])
+def test_choice_is_its_inverse_cdf_of_uniforms(probs, n):
+    """``Generator.choice(a, n, p=p)`` is ``a[cdf.searchsorted(random(n), "right")]``
+    with ``cdf = p.cumsum(); cdf /= cdf[-1]``, and leaves the generator at the
+    same position: the stream that survey injection takes over."""
+    sizes = np.array([0, 1, 3, 7], dtype=np.int64)
+    p = np.array(probs) / np.sum(probs)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for seed in range(40):
+        chosen, mapped = make_rng(seed), make_rng(seed)
+        want = chosen.choice(sizes, size=n, p=p)
+        got = sizes[cdf.searchsorted(mapped.random(n), side="right")]
+        assert got.tolist() == want.tolist()
+        assert mapped.bit_generator.state == chosen.bit_generator.state
+        if probs[0] == 0:
+            assert 0 not in got
+
+
+@st.composite
+def injection_cases(draw):
+    n = draw(st.integers(1, 60))
+    states = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    cen = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    has_pes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pes = [c if h else 0 for c, h in zip(cen, has_pes)]
+    support = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.25, 1.0, 3.0]),
+                            min_size=len(support), max_size=len(support)))
+    if sum(weights) == 0:
+        weights[0] = 1.0
+    rate = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return (states, cen, pes, has_pes), dict(zip(support, weights)), rate, draw(st.integers(0, 2**32))
+
+
+@given(injection_cases())
+@settings(max_examples=200, deadline=None)
+def test_injection_matches_choice_reference(case):
+    """Mapping only the redrawn households' uniforms gives the survey counts
+    and the generator position of a ``rng.choice`` redraw of every household."""
+    columns, dist, rate, seed = case
+    model = CensusModel(states=("X", "Y", "Z"), representatives=3, constants={}, g_max=5)
+    data = CensusData(model, *columns)
+    got_rng, want_rng = make_rng(seed), make_rng(seed)
+    got = inject_survey_disagreement(data, rate, dist, got_rng)
+    want = inject_survey_disagreement_reference(data, rate, dist, want_rng)
+    assert got.pes.tolist() == want.pes.tolist() and got.pes.dtype == want.pes.dtype
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got.census_pops == want.census_pops
+    assert data.pes.tolist() == columns[2]  # the input is left alone
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("dist", [{1: -0.5, 2: 1.0}, {1: float("nan")}, {1: 0.0, 2: 0.0},
+                                  {1: float("inf")}, {1: 1e308, 2: 1e308}, {}])
+def test_injection_rejects_a_bad_size_distribution(dist):
+    model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
+    data = CensusData(model, [0, 0], [1, 2])
+    with pytest.raises(ValueError, match="household size distribution"):
+        inject_survey_disagreement(data, 0.5, dist, make_rng(0))
+
+
+def test_derived_survey_counts_are_checked_like_a_new_census():
+    """New survey counts, set directly or by injection, keep the array check
+    and its message; the census columns and totals are shared, not rebuilt."""
+    model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
+    data = CensusData(model, [0, 0, 0], [1, 2, 3], has_pes=[True, False, True])
+    with pytest.raises(ValueError, match=r"household 2 survey count 4 outside \[0, 3\]"):
+        data.with_pes([1, 2, 4])
+    with pytest.raises(ValueError, match=r"household 0 survey count -1 outside \[0, 3\]"):
+        data.with_pes([-1, 2, 3])
+    with pytest.raises(ValueError, match="one length"):
+        data.with_pes([1, 2])
+    with pytest.raises(ValueError, match=r"household 0 survey count 9 outside \[0, 3\]"):
+        inject_survey_disagreement(data, 1.0, {9: 1.0}, make_rng(0))
+    copy = data.with_pes([0, -7, 0])  # an unsurveyed household's entry is not a count
+    assert copy.census_pops is data.census_pops and copy.cen is data.cen
+    assert copy.pes.tolist() == [0, -7, 0] and data.pes.tolist() == [1, 2, 3]
+
+
+def _fresh(data):
+    return CensusData(data.model, data.state_idx, data.cen, data.pes, data.has_pes, data.in_frame)
+
+
+def test_pair_tests_are_built_once_and_reused_for_every_mask():
+    """Every survey mask on one census gives the outcome of an audit of a
+    fresh copy, while the pair constants are built only on the first call;
+    another delta or supplied allocation builds its own."""
+    rng = make_rng(17)
+    dist = {1: 0.3, 2: 0.4, 3: 0.3}
+    data, model = generate_census_population(
+        {"X": 6100, "Y": 3900, "Z": 2300}, dist, 0.01, rng, representatives=7
+    )
+    data = inject_survey_disagreement(data, 0.05, dist, rng)
+    seats = apportion(model, data.census_pops)
+    other = {"X": seats["X"] - 1, "Y": seats["Y"] + 1, "Z": seats["Z"]}
+    masks = []
+    for frac in (0.02, 0.05, 0.1):
+        mask = np.zeros(data.n, dtype=bool)
+        mask[rng.choice(data.n, size=round(frac * data.n), replace=False)] = True
+        masks.append(mask)
+    cfgs = [AuditConfig(alpha=1.0, seed=seed) for seed in range(len(masks))]
+    for kwargs in ({}, {"delta": 1e-4}, {"census_seats": other}, {"census_seats": seats}):
+        with mock.patch.object(census_mod, "census_pair", wraps=census_mod.census_pair) as built:
+            got = [census_rla(model, data, c, surveyed_mask=m, **kwargs) for c, m in zip(cfgs, masks)]
+        assert built.call_count == 6  # 3 states: one build per ordered pair, not per mask
+        for c, m, out in zip(cfgs, masks, got):
+            assert out == census_rla(model, _fresh(data), c, surveyed_mask=m, **kwargs)
+    assert len(data._pair_tests) == 4
+    # the reported allocation is the caller's to keep
+    out = census_rla(model, data, AuditConfig(alpha=1.0), surveyed_mask=masks[0])
+    out.census_seats["X"] = 0
+    assert census_rla(model, data, AuditConfig(alpha=1.0), surveyed_mask=masks[0]).census_seats == seats

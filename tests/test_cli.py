@@ -406,6 +406,8 @@ def test_mutated_census_inputs_exit_0_or_2(files):
     ("delta", float("inf")),
     ("disagreement_rate", [1]),
     ("sample_fractions", 0.5),
+    ("sample_fractions", "1"),  # read once as [1.0], character by character
+    ("seeds", "12"),  # read once as seeds 1 and 2
     ("household_dist", 3),
 ])
 def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
@@ -425,3 +427,14 @@ def test_census_csv_row_missing_a_cell_exits_0_or_2(short):
     rows[short] = [row[:-1] if i == 1 else row for i, row in enumerate(rows[short])]
     for generate in (True, False):
         _exit_0_or_2(_census_files(_census_config(generate), **rows), CENSUS_RUNS)
+
+
+def test_census_household_csv_survey_count_out_of_range_exits_2():
+    """A survey count above g_max in a household file names the household by
+    its row position, as the array check does, and exits 2."""
+    households = [row[:] for row in FUZZ_HOUSEHOLDS]
+    households[2][3], households[2][4] = "16", "1"
+    [(rc, err)] = _exit_0_or_2(
+        _census_files(_census_config(False), households=households), CENSUS_RUNS[1:]
+    )
+    assert rc == 2 and "household 1 survey count 16 outside [0, 15]" in err

@@ -4,12 +4,14 @@ import math
 import re
 import statistics
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electaudit import census as census_mod
 from electaudit.alpha import AuditConfig, combined_reported
 from electaudit.census import (
     census_rla,
@@ -433,6 +435,19 @@ def test_census_output_bytes_pinned(tmp_path):
 
 PINNED = Path(__file__).resolve().parent / "pinned"
 KNESSET_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "batchcomp_knesset.json"
+CENSUS_CONFIG = KNESSET_CONFIG.parent / "census_cyprus.json"
+
+
+def test_census_trial_builds_each_pair_test_once(tmp_path, monkeypatch):
+    """On the shipped census config, a trial builds each pair's constants once
+    for its six sample fractions: 20 builds, not 120."""
+    monkeypatch.chdir(CENSUS_CONFIG.parent.parent)
+    config = json.loads(CENSUS_CONFIG.read_text())
+    with mock.patch.object(census_mod, "census_pair", wraps=census_mod.census_pair) as built:
+        reports = run_experiment(config, tmp_path, seed=0, trials=2)
+    assert len(reports) == 2 * len(config["sample_fractions"]) == 12
+    assert len(reports[0].per_assertion) == 20
+    assert built.call_count == 2 * 20
 
 
 def test_election_output_bytes_pinned(tmp_path, monkeypatch):
