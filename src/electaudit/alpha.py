@@ -26,8 +26,7 @@ carries the running weighted sum S, the (mu, eta, u) the next draw is tested
 with, the running max of u, T and the max of T.  Each carry enters where a
 single pass would have used it: S heads the next block's weighted values in
 its ``cumsum``, T multiplies its first factor before its ``cumprod``, and
-the carried u heads its ``maximum.accumulate`` span (a fill, when u steps
-at most at the block's first draw).
+the carried u heads its ``maximum.accumulate`` span.
 ``cumsum``, ``cumprod`` and ``maximum.accumulate`` run left to right, so
 every element goes through the same float operations in the same order as
 in one pass, and the result is identical bit for bit.  The T/mu/eta/u path
@@ -276,13 +275,8 @@ def _run_path(
             eta_next.fill(eta_floor)
         np.maximum(np.add(mu_next, eps, out=u_next), eta_next, out=eta_next)
         np.add(eta_next, eps, out=u_next)
-        # the carried u heads the span, so the running max is one pass's; if u
-        # steps at most at its first new entry, a fill gives the same values
-        top = np.maximum(u[0], u[1]) if k else u[0]
-        if u[1 : k + 1].max(initial=top) <= top:
-            u[1 : k + 1] = top
-        else:
-            np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
+        # the carried u heads the span, so the running max is one pass's
+        np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
         # mu[b] is unset only when draw j exhausts the ballots, and no block follows
         S_carry, state = S[-1], (mu[b], eta[b], u[b])
 

@@ -32,9 +32,9 @@ The survey sample is drawn in one vectorised step, a shuffle of the
 surveyed households interleaved with one of the households outside the
 survey frame, so the auditor sees a uniform draw of all households.
 
-A trial audits one census at many sample fractions; the allocation and the
-pair constants do not depend on the survey, so they are built once per
-census, and each survey mask moves only its disagreeing draws off them.
+A trial audits one census at many sample fractions, so the allocation and
+pair constants, which do not depend on the survey, are built once per census.
+Injection maps only the redrawn households to sizes: other draws are unused.
 
 Populations are columnar :class:`CensusData` from generation through the
 audit.  :class:`Household` is the row type of a household CSV, which
@@ -218,12 +218,10 @@ class CensusData:
         _check_range("census count", self.cen, True, model.g_max)
         _check_range("survey count", self.pes, self.has_pes, model.g_max)
         self.census_pops = self.state_totals(self.cen)
-        # (delta, supplied seats or None) -> (seats, pair tests), see _pair_tests
-        self._pair_tests: dict = {}
+        self._pair_tests: dict = {}  # see _pair_tests
 
     def with_pes(self, pes) -> CensusData:
-        """A copy with new survey counts.  Only they are checked; the census
-        columns, totals and pair tests are shared, since none depends on them."""
+        """A copy with new survey counts, the only column checked; the rest is shared."""
         new = copy.copy(self)
         new.pes = np.asarray(pes, dtype=np.int64)
         if new.pes.shape != (self.n,):
@@ -270,8 +268,7 @@ def _check_range(what: str, col: np.ndarray, rows, top: int) -> None:
 
 
 def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndarray:
-    """Household indices in draw order, until every household of the index
-    array ``surveyed`` is drawn.
+    """Household indices in draw order, until every index in ``surveyed`` is drawn.
 
     Each draw is uniform over the households not yet drawn, as the auditor
     sees it: it falls in the survey frame with probability the frame's share
@@ -295,9 +292,8 @@ def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndar
 
 
 def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats) -> tuple:
-    """The audited allocation and, per ordered pair, its (agree, u0, slope)
-    test constants, or None when the census refutes the pair by itself.
-    Built once per census, allocation and delta, and kept on ``data``."""
+    """The allocation and each ordered pair's (agree, u0, slope), or None when the
+    census refutes the pair; built once per census, allocation and delta."""
     key = (delta, None if census_seats is None else tuple(sorted(census_seats.items())))
     cache = data._pair_tests if model is data.model else {}
     if key in cache:
@@ -345,8 +341,7 @@ def census_rla(
     A pair whose census margin is not positive gets risk limit 1: the census
     contradicts the allocation on that pair by itself.  ``surveyed_mask``
     overrides the households' own surveyed flags, which lets simulations
-    re-divide one generated population into many survey samples cheaply
-    (the pair constants are built once, see :func:`_pair_tests`).
+    re-divide one generated population into many survey samples cheaply.
     ``census_seats`` audits a supplied allocation instead of the one the
     census implies (some nations amend seat allocations by law rather than
     recompute them).
@@ -366,8 +361,7 @@ def census_rla(
     seats, tests = _pair_tests(model, data, delta, census_seats)
     drawn = _draw_households(surveyed, data.in_frame, make_rng(cfg.seed))
     seen = np.arange(1, len(drawn) + 1)
-    # frame-absent draws carry no survey count and score as agreement; only
-    # the disagreeing draws move off a pair's agreement constant
+    # frame-absent draws carry no survey count and score as agreement
     diff = np.where(surveyed_mask[drawn], data.pes[drawn] - data.cen[drawn], 0)
     off = np.flatnonzero(diff)
     off_diff, off_state = diff[off], data.state_idx[drawn[off]]
@@ -463,10 +457,8 @@ def inject_survey_disagreement(
     household_dist: Mapping[int, float],
     rng,
 ) -> CensusData:
-    """Re-draw the survey count of a random ``rate`` share of surveyed households.
-
-    This takes the stream of ``rng.choice(sizes, data.n, p=probs)``, but maps
-    only the redrawn households' uniforms through choice's inverse CDF."""
+    """Re-draw the survey count of a random ``rate`` share of surveyed households,
+    with the stream of ``rng.choice(sizes, n, p)`` and its inverse CDF."""
     if not 0 <= rate <= 1:
         raise ValueError("disagreement rate must be in [0, 1]")
     sizes, probs = _size_distribution(household_dist)

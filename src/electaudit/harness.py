@@ -528,7 +528,7 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
     disagree = _read(config, "disagreement_rate", float, 0.0)
 
     generate = isinstance(_require(config, "households"), Mapping)
-    fractions = _read(config, "sample_fractions", lambda v: [float(x) for x in _list(v)], [])
+    fractions = _read(config, "sample_fractions", lambda v: [float(x) for x in _list(v or [])])
     if generate and not fractions:
         raise ConfigError("generated census runs need sample_fractions")
     if not generate and fractions:

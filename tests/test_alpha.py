@@ -512,9 +512,9 @@ def _u_cases():
 
 @pytest.mark.parametrize("case", list(_u_cases()))
 def test_kernel_running_max_of_u(case):
-    """Whether u is constant after a block's first entry (filled) or grows
-    inside it (accumulated), the path is the stepwise reference's, and blocks
-    of 1, 2, 3 and 7 match one pass bit for bit."""
+    """Whether u is constant after a block's first entry or grows inside it,
+    the path is the stepwise reference's, and blocks of 1, 2, 3 and 7 match
+    one pass bit for bit."""
     x, n, eta0, u0, floor = _u_cases()[case]
     seen = np.arange(1, len(x) + 1)
     whole = sequential_path(x, seen, n, eta0, u0, 1e-9, math.inf, floor)

@@ -420,6 +420,16 @@ def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
     assert rc == 2 and key in err
 
 
+def test_census_null_sample_fractions_reads_as_absent():
+    """JSON null for ``sample_fractions`` is no fraction list, so a run on the
+    household file goes ahead; a generated run still asks for fractions."""
+    for generate, code in ((False, 0), (True, 2)):
+        config = _census_config(generate)
+        config["sample_fractions"] = None
+        [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+        assert rc == code and (code == 0 or "sample_fractions" in err)
+
+
 @pytest.mark.parametrize("short", ["districts", "sizes", "households"])
 def test_census_csv_row_missing_a_cell_exits_0_or_2(short):
     """A row one cell short reads as a blank last cell, not as a traceback."""
