@@ -23,16 +23,19 @@ The kernel evaluates the draws block by block, ``_BLOCK`` draws at a time,
 and stops after the first block that holds the stop, so an assertion that
 approves early costs one block, not the whole sequence.  Between blocks it
 carries the running weighted sum S, the (mu, eta, u) the next draw is tested
-with, the running max of u, T and the max of T.  Each carry enters where a
-single pass would have used it: S heads the next block's weighted values in
-its ``cumsum``, T multiplies its first factor before its ``cumprod``, and
-the carried u heads its ``maximum.accumulate`` span.
-``cumsum``, ``cumprod`` and ``maximum.accumulate`` run left to right, so
-every element goes through the same float operations in the same order as
-in one pass, and the result is identical bit for bit.  The T/mu/eta/u path
-arrays are kept, for the examined draws only, when a trace hook or a caller
-of :func:`sequential_path` asks for them; an untraced audit holds one
-block's arrays at a time.
+with, T and the max of T.  Each carry enters where a single pass would have
+used it: S heads the next block's weighted values in its ``cumsum``, T
+multiplies its first factor before its ``cumprod``, and the carried u heads
+the block's running max of u.  Where u does not grow after a block's entry 1
+(almost every block in the shipped workloads) it is that one float: the
+factors use it and 1/u once, with no u array and no running max, and entry
+0's factor is computed again with the carried u if u stepped after it.
+Running sums, products and maxima go left to right, and a scalar u equals
+each entry of the array it replaces, so every element goes through the same
+float operations in the same order as in one pass: the result is identical
+bit for bit.  The T/mu/eta/u path arrays are kept, for the examined draws
+only, when a trace hook or a caller of :func:`sequential_path` asks for
+them; an untraced audit holds one block's arrays at a time.
 
 The batch variant draws whole batches with probability proportional to size,
 all at once by sorting exponential keys, and feeds each batch's true
@@ -241,12 +244,14 @@ def _run_path(
 ) -> tuple[bool, int, float]:
     """:func:`sequential_path`'s test as (approved, examined, T_max).
 
-    ``keep``, when a list, receives each evaluated block's (T, mu, eta, u)
-    up to the last draw examined; otherwise the arrays live one block long.
+    A block's u is one float where it does not grow after entry 1, and entry
+    0's factor is computed again with the carried u if u stepped after it.
+    ``keep``, when a list, receives each evaluated block's (T, mu, eta, u) up
+    to the last draw examined; otherwise the arrays live one block long.
     """
     m = len(x)
     unit = m > 0 and seen[-1] == m  # one ballot per draw
-    state = (0.5, eta0, u0)  # the (mu, eta, u) the next draw is tested with
+    state, u_carry = (0.5, eta0), u0  # the (mu, eta, u) the next draw is tested with
     S_carry = T_carry = None
     peak = -math.inf  # max of T so far, NaN propagating as in one T.max()
     for i in range(0, m, _BLOCK):
@@ -261,11 +266,10 @@ def _run_path(
         # that exhausts the ballots.  The arrays are filled in place to keep
         # temporaries few.
         k = b if seen[j - 1] < n else b - 1
-        mu, eta, u = np.empty(b + 1), np.empty(b + 1), np.empty(b + 1)
-        mu[0], eta[0], u[0] = state
-        mu_next, eta_next, u_next = mu[1 : k + 1], eta[1 : k + 1], u[1 : k + 1]
-        remaining = u_next
-        np.subtract(n, seen[i : i + k], out=remaining)
+        mu, eta, scratch = np.empty(b + 1), np.empty(b + 1), np.empty(b + 1)
+        mu[0], eta[0] = state
+        mu_next, eta_next = mu[1 : k + 1], eta[1 : k + 1]
+        remaining = np.subtract(n, seen[i : i + k], out=scratch[:k])
         np.subtract(0.5 * n, S[:k], out=mu_next)
         mu_next /= remaining
         if eta_floor is None:
@@ -273,43 +277,51 @@ def _run_path(
             eta_next /= remaining
         else:
             eta_next.fill(eta_floor)
-        np.maximum(np.add(mu_next, eps, out=u_next), eta_next, out=eta_next)
-        np.add(eta_next, eps, out=u_next)
-        # the carried u heads the span, so the running max is one pass's
-        np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
+        np.maximum(np.add(mu_next, eps, out=remaining), eta_next, out=eta_next)
+        # u, the running max of eta + eps after the carried u, stays the scalar u1
+        # unless max(eta) + eps passes it (rounding is monotone; False for NaN)
+        u = u1 = np.maximum(u_carry, eta_next[0] + eps) if k else u_carry
+        if k and not eta_next.max() + eps <= u1:
+            scratch[0], scratch[1 : k + 1] = u_carry, eta_next + eps
+            np.maximum.accumulate(scratch[: k + 1], out=scratch[: k + 1])
+            u, u1 = scratch[:b], scratch[k]
+        scan = not mu[: k + 1].min() > 0  # for mu exactly 0 and the mu < 0 stop
         # mu[b] is unset only when draw j exhausts the ballots, and no block follows
-        S_carry, state = S[-1], (mu[b], eta[b], u[b])
+        S_carry, state = S[-1], (mu[b], eta[b])
 
-        mu, eta, u = mu[:b], eta[:b], u[:b]
+        mu, eta = mu[:b], eta[:b]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            T = np.multiply(xb, eta)
-            T /= mu
-            rest = np.subtract(u, xb, out=S)  # the running sum is no longer needed
-            scratch = np.subtract(u, eta)
-            rest *= scratch
-            rest /= np.subtract(u, mu, out=scratch)
-            T += rest
-            T *= np.divide(1.0, u, out=scratch)
-            # mu exactly 0: a positive draw is infinite evidence, a zero one is not
-            zero = np.flatnonzero(mu == 0.0)
-            T[zero] = np.where(xb[zero] > 0, np.inf, (u[zero] - eta[zero]) / (u[zero] - mu[zero]))
+            T = _factors(xb, mu, eta, u, scan)
+            if np.isscalar(u) and u_carry != u1:  # draw i+1 is tested with the carried u
+                T[:1] = _factors(xb[:1], mu[:1], eta[:1], u_carry, scan)
             if i:  # the carried T times the first factor, as in one pass
                 T[0] *= T_carry
             np.cumprod(T, out=T)
 
-        stop = b
-        for hit in (T > threshold, mu_next < 0):
-            hit = hit[:stop]
-            if hit.any():
-                stop = int(hit.argmax())
+        hit = T > threshold
+        if scan:
+            hit[:k] |= mu_next < 0
+        stop = int(hit.argmax()) if hit.any() else b
         e = min(stop + 1, b)  # draws of this block examined
         peak = np.maximum(peak, T[:e].max()) if i else T[:e].max()
         if keep is not None:
-            keep.append((T[:e], mu[:e], eta[:e], u[:e]))
+            u = np.r_[u_carry, np.full(e - 1, u1)] if np.isscalar(u) else u[:e]
+            keep.append((T[:e], mu[:e], eta[:e], u))
         if stop < b:
             return True, i + e, max(1.0, float(peak))
-        T_carry = T[-1]
+        T_carry, u_carry = T[-1], u1
     return False, m, max(1.0, float(peak))
+
+
+def _factors(x, mu, eta, u, scan: bool) -> np.ndarray:
+    """The factors ``(x eta/mu + (u - x)(u - eta)/(u - mu)) * (1/u)``; u an array or one float."""
+    f = x * eta
+    f /= mu
+    f += (u - x) * (u - eta) / (u - mu)
+    f *= np.divide(1.0, u)
+    if scan:  # mu exactly 0: a positive draw is infinite evidence, a zero one is not
+        f[mu == 0.0] = np.where(x > 0, np.inf, (u - eta) / (u - mu))[mu == 0.0]
+    return f
 
 
 def _test_assertion(trace: TraceHook | None, label: str, *args) -> tuple[bool, int]:

@@ -402,6 +402,16 @@ def _size_distribution(household_dist: Mapping[int, float]) -> tuple[np.ndarray,
     return sizes, probs / probs.sum()
 
 
+def _draw_sizes(sizes: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rng.choice(sizes, len(u), p=probs)`` from its uniforms ``u``: the index
+    ``cdf.searchsorted(u, "right")`` is the count of inner cdf entries at or below u."""
+    cdf = probs.cumsum()
+    idx = np.zeros(len(u), dtype=np.min_scalar_type(len(sizes)))  # holds every index
+    for c in cdf[:-1] / cdf[-1]:
+        idx += c <= u
+    return sizes[idx]
+
+
 def generate_census_population(
     district_pops: Mapping[str, int],
     household_dist: Mapping[int, float],
@@ -435,7 +445,7 @@ def generate_census_population(
     constants: dict[str, Fraction] = {}
     for district, pop in district_pops.items():
         count = round(pop / mean_size)
-        drawn = rng.choice(sizes, size=count, p=probs)
+        drawn = _draw_sizes(sizes, probs, rng.random(count))
         silent = rng.random(count) < nonresponse
         recorded = np.where(silent, 0, drawn)
         counts.append(recorded)
@@ -462,11 +472,9 @@ def inject_survey_disagreement(
     if not 0 <= rate <= 1:
         raise ValueError("disagreement rate must be in [0, 1]")
     sizes, probs = _size_distribution(household_dist)
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
     hit = np.flatnonzero((rng.random(data.n) < rate) & data.has_pes)
     pes = data.pes.copy()
-    pes[hit] = sizes[cdf.searchsorted(rng.random(data.n)[hit], side="right")]
+    pes[hit] = _draw_sizes(sizes, probs, rng.random(data.n)[hit])
     return data.with_pes(pes)
 
 

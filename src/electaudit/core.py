@@ -133,8 +133,10 @@ class Assorter:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", {bt: Fraction(v) for bt, v in self.values.items()})
-        object.__setattr__(self, "upper", Fraction(self.upper))
+        exact = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in self.values.items()}
+        object.__setattr__(self, "values", exact)
+        if not isinstance(self.upper, Fraction):
+            object.__setattr__(self, "upper", Fraction(self.upper))
         if any(v < 0 for v in self.values.values()):
             raise ValueError(f"assorter {self.label!r} has a negative value")
         if self.upper <= 0 or self.upper < max(self.values.values()):

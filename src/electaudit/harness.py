@@ -606,10 +606,13 @@ def _inject_agreeing_disagreement(data, rate, dist, rng, max_tries: int = 50):
     The efficiency question is only meaningful when the full survey would
     confirm the census, so redraws that flip a seat are rejected and retried.
     """
-    base = census_mod.apportion(data.model, data.census_pops)
+    base, pops = census_mod.apportion(data.model, data.census_pops), data.census_pops
     for _ in range(max_tries):
         candidate = census_mod.inject_survey_disagreement(data, rate, dist, rng)
-        if census_mod.apportion(data.model, candidate.state_totals(candidate.pes)) == base:
+        at = np.flatnonzero(candidate.pes != data.cen)  # only these move a total off the census
+        shift = np.bincount(data.state_idx[at], candidate.pes[at] - data.cen[at], len(pops))
+        totals = {s: c + int(d) for (s, c), d in zip(pops.items(), shift)}
+        if census_mod.apportion(data.model, totals) == base:
             return candidate
     raise ValueError(
         "could not inject survey disagreement without changing the seat allocation; "

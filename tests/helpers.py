@@ -15,6 +15,7 @@ import numpy as np
 
 from electaudit.alpha import AssertionState, AuditConfig
 from electaudit.apportionment import Divisor, dhondt
+from electaudit import census as census_mod
 from electaudit.census import CensusData, CensusPair, Household
 from electaudit.core import (
     Assorter,
@@ -107,6 +108,97 @@ def advance(
         if state.mu < 0:
             state.active = False
             state.approved = True
+
+
+# Draws per block of the reference; every block length gives the same bits.
+_BLOCK = 8192
+
+
+def run_path_reference(
+    x,
+    seen: np.ndarray,
+    n: int,
+    eta0: float,
+    u0: float,
+    eps: float,
+    threshold: float,
+    eta_floor: float | None = None,
+    keep: list | None = None,
+) -> tuple[bool, int, float]:
+    """The sequential kernel in its running-max form: the exact reference for
+    :func:`electaudit.alpha._run_path` and :func:`electaudit.alpha.sequential_path`.
+
+    Blocks of ``_BLOCK`` draws, u as a ``maximum.accumulate`` over each
+    block, the factor with an array u, and full scans for mu exactly 0 and
+    below 0.  Returns (approved, examined, T_max); ``keep``, when a list,
+    receives each evaluated block's (T, mu, eta, u) up to the last draw examined.
+    """
+    m = len(x)
+    unit = m > 0 and seen[-1] == m  # one ballot per draw
+    state = (0.5, eta0, u0)  # the (mu, eta, u) the next draw is tested with
+    S_carry = T_carry = None
+    peak = -math.inf  # max of T so far, NaN propagating as in one T.max()
+    for i in range(0, m, _BLOCK):
+        j = min(i + _BLOCK, m)
+        b = j - i
+        xb = x[i:j]
+        w = xb if unit else xb * np.diff(seen[i:j], prepend=seen[i - 1] if i else 0)
+        # the carried sum goes first, so draw i+1 adds to it as in one pass
+        S = np.cumsum(np.concatenate(([S_carry], w)))[1:] if i else np.cumsum(w)
+        # Entry t of mu/eta/u is the state after i+t draws, which draw i+t+1
+        # is tested with; entry 0 is carried over.  No state follows a draw
+        # that exhausts the ballots.  The arrays are filled in place to keep
+        # temporaries few.
+        k = b if seen[j - 1] < n else b - 1
+        mu, eta, u = np.empty(b + 1), np.empty(b + 1), np.empty(b + 1)
+        mu[0], eta[0], u[0] = state
+        mu_next, eta_next, u_next = mu[1 : k + 1], eta[1 : k + 1], u[1 : k + 1]
+        remaining = u_next
+        np.subtract(n, seen[i : i + k], out=remaining)
+        np.subtract(0.5 * n, S[:k], out=mu_next)
+        mu_next /= remaining
+        if eta_floor is None:
+            np.subtract(n * eta0, S[:k], out=eta_next)
+            eta_next /= remaining
+        else:
+            eta_next.fill(eta_floor)
+        np.maximum(np.add(mu_next, eps, out=u_next), eta_next, out=eta_next)
+        np.add(eta_next, eps, out=u_next)
+        # the carried u heads the span, so the running max is one pass's
+        np.maximum.accumulate(u[: k + 1], out=u[: k + 1])
+        # mu[b] is unset only when draw j exhausts the ballots, and no block follows
+        S_carry, state = S[-1], (mu[b], eta[b], u[b])
+
+        mu, eta, u = mu[:b], eta[:b], u[:b]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            T = np.multiply(xb, eta)
+            T /= mu
+            rest = np.subtract(u, xb, out=S)  # the running sum is no longer needed
+            scratch = np.subtract(u, eta)
+            rest *= scratch
+            rest /= np.subtract(u, mu, out=scratch)
+            T += rest
+            T *= np.divide(1.0, u, out=scratch)
+            # mu exactly 0: a positive draw is infinite evidence, a zero one is not
+            zero = np.flatnonzero(mu == 0.0)
+            T[zero] = np.where(xb[zero] > 0, np.inf, (u[zero] - eta[zero]) / (u[zero] - mu[zero]))
+            if i:  # the carried T times the first factor, as in one pass
+                T[0] *= T_carry
+            np.cumprod(T, out=T)
+
+        stop = b
+        for hit in (T > threshold, mu_next < 0):
+            hit = hit[:stop]
+            if hit.any():
+                stop = int(hit.argmax())
+        e = min(stop + 1, b)  # draws of this block examined
+        peak = np.maximum(peak, T[:e].max()) if i else T[:e].max()
+        if keep is not None:
+            keep.append((T[:e], mu[:e], eta[:e], u[:e]))
+        if stop < b:
+            return True, i + e, max(1.0, float(peak))
+        T_carry = T[-1]
+    return False, m, max(1.0, float(peak))
 
 
 def alpha_step(
@@ -376,3 +468,14 @@ def inject_survey_disagreement_reference(
     redrawn = rng.choice(sizes, size=data.n, p=probs)
     pes = np.where(hit & data.has_pes, redrawn, data.pes)
     return CensusData(data.model, data.state_idx, data.cen, pes, data.has_pes, data.in_frame)
+
+
+def inject_agreeing_disagreement_reference(data, rate, dist, rng, max_tries: int = 50):
+    """Each candidate checked by a full recount of its survey totals: the
+    reference for :func:`electaudit.harness._inject_agreeing_disagreement`."""
+    base = census_mod.apportion(data.model, data.census_pops)
+    for _ in range(max_tries):
+        candidate = census_mod.inject_survey_disagreement(data, rate, dist, rng)
+        if census_mod.apportion(data.model, candidate.state_totals(candidate.pes)) == base:
+            return candidate
+    raise ValueError("could not inject survey disagreement without changing the seat allocation")

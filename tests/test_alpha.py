@@ -10,6 +10,7 @@ from electaudit import alpha as alpha_mod
 from electaudit.alpha import (
     AssertionState,
     AuditConfig,
+    SequentialPath,
     alpha_audit,
     alpha_batch_audit,
     alpha_init,
@@ -19,7 +20,14 @@ from electaudit.batchcomp import batchcomp_audit
 from electaudit.core import BatchRecord, Contest, Tally, batch_matrix, plurality_assorter
 from electaudit.randomness import make_rng
 
-from .helpers import advance, alpha_step, ballot_batch, chi_square, draw_order_reference
+from .helpers import (
+    advance,
+    alpha_step,
+    ballot_batch,
+    chi_square,
+    draw_order_reference,
+    run_path_reference,
+)
 
 
 @pytest.fixture
@@ -534,6 +542,71 @@ def test_kernel_running_max_of_u(case):
     for size in (1, 2, 3, 7):
         _assert_same_path(_in_blocks(size, sequential_path, x, seen, n, eta0, u0, 1e-9,
                                      math.inf, floor), whole)
+
+
+def _assert_matches_reference(*args):
+    """``sequential_path`` and ``_run_path`` in blocks of 1, 2, 3, 7 and the
+    default equal the running-max reference bit for bit."""
+    blocks = []
+    head = run_path_reference(*args, keep=blocks)
+    want = SequentialPath(*head, *(np.concatenate(c) for c in zip(*blocks)))
+    for size in (1, 2, 3, 7, alpha_mod._BLOCK):
+        _assert_same_path(_in_blocks(size, sequential_path, *args), want)
+        assert _in_blocks(size, alpha_mod._run_path, *args) == head
+    return want
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_running_max_reference(case):
+    """Keeping u as one float where it is constant changes no bit of the
+    path, for both eta rules, unit and batch weights."""
+    x, sizes, n, eta0, u0, alpha, floor = case
+    _assert_matches_reference(x, np.cumsum(sizes), n, eta0, u0, 1e-9, 1 / alpha, floor)
+
+
+@pytest.mark.parametrize("case", list(_u_cases()))
+def test_kernel_u_regimes_match_running_max_reference(case):
+    """u constant from draw 1, equal to the carried u, growing mid-block and
+    at the bound, each against the running-max reference."""
+    x, n, eta0, u0, floor = _u_cases()[case]
+    _assert_matches_reference(x, np.arange(1, len(x) + 1), n, eta0, u0, 1e-9, math.inf, floor)
+
+
+@pytest.mark.parametrize(
+    "x, n, eta0, u0, zero, step",
+    [
+        # mu is 0 from draw 3 on; in blocks of 2, draw 7 heads the last block
+        # and u steps at draw 8: entry 0 is recomputed with the carried u
+        ([2.0, 2, 0, 0, 0, 0, 0, 0], 8, 0.9, 0.95, 7, 8),
+        # in blocks of 3, draw 5 is entry 1 of its block, tested with mu 0 and
+        # the u that stepped after entry 0; mu < 0 after it stops the test
+        ([1.0, 1, 0.5, 0.5, 2], 6, 0.9, 1.0, 5, 5),
+    ],
+    ids=["zero-mu-at-entry-0", "zero-mu-at-entry-1"],
+)
+def test_kernel_zero_mu_where_u_steps(x, n, eta0, u0, zero, step):
+    """mu exactly 0 on the entry tested with the carried u, and on the one
+    after it, where u has stepped."""
+    seen = np.arange(1, len(x) + 1)
+    path = _assert_matches_reference(np.array(x), seen, n, eta0, u0, 1e-9, math.inf)
+    assert path.examined == len(x)
+    assert path.mu[zero - 1] == 0.0 and path.u[step - 1] > path.u[step - 2]
+
+
+@pytest.mark.parametrize(
+    "x, floor",
+    [
+        ([1.0, 0, math.nan, 1, 0, 1, 0, 1, 0, 0], None),  # NaN from draw 3 on
+        ([1.0, 0, 1, 0, 1, 0, 1, 0, 0, 1], math.nan),  # NaN in every eta from draw 2 on
+    ],
+    ids=["nan-draw", "nan-floor"],
+)
+def test_kernel_nan_in_u_matches_running_max_reference(x, floor):
+    """A NaN in eta + eps fails the constant-u check and takes the running max."""
+    path = _assert_matches_reference(np.array(x), np.arange(1, 11), 12, 0.6, 1.0, 1e-9, 20.0,
+                                     floor)
+    assert np.isnan(path.u).any()
 
 
 def test_audits_in_blocks_match_one_pass(two_party):

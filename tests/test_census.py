@@ -599,20 +599,24 @@ def test_district_and_household_csv(tmp_path):
 @pytest.mark.parametrize("n", [1, 2, 17, 1000])
 def test_choice_is_its_inverse_cdf_of_uniforms(probs, n):
     """``Generator.choice(a, n, p=p)`` is ``a[cdf.searchsorted(random(n), "right")]``
-    with ``cdf = p.cumsum(); cdf /= cdf[-1]``, and leaves the generator at the
-    same position: the stream that survey injection takes over."""
+    with ``cdf = p.cumsum(); cdf /= cdf[-1]``, and ``census._draw_sizes`` of
+    ``random(n)`` is the same; both leave the generator at the same position:
+    the stream that census generation and survey injection take over."""
     sizes = np.array([0, 1, 3, 7], dtype=np.int64)
     p = np.array(probs) / np.sum(probs)
     cdf = p.cumsum()
     cdf /= cdf[-1]
     for seed in range(40):
-        chosen, mapped = make_rng(seed), make_rng(seed)
+        chosen, mapped, counted = make_rng(seed), make_rng(seed), make_rng(seed)
         want = chosen.choice(sizes, size=n, p=p)
         got = sizes[cdf.searchsorted(mapped.random(n), side="right")]
-        assert got.tolist() == want.tolist()
+        drawn = census_mod._draw_sizes(sizes, p, counted.random(n))
+        assert got.tolist() == want.tolist() == drawn.tolist()
         assert mapped.bit_generator.state == chosen.bit_generator.state
-        if probs[0] == 0:
-            assert 0 not in got
+        assert counted.bit_generator.state == chosen.bit_generator.state
+        for size, prob in zip(sizes, probs):
+            if prob == 0:
+                assert size not in drawn
 
 
 @st.composite

@@ -84,6 +84,22 @@ def test_assorter_rejects_negative_or_low_upper(abc):
         Assorter({abc.by_name("Alice"): Fraction(2)}, upper=1)
 
 
+@pytest.mark.parametrize("kind", [int, float, Fraction])
+def test_assorter_values_are_exact_for_any_input_type(abc, kind):
+    """int, float and Fraction inputs give the same Fraction values and bound,
+    and the same errors."""
+    alice, bob, carol = (abc.by_name(p) for p in ("Alice", "Bob", "Carol"))
+    a = Assorter({alice: kind(2), bob: kind(0), carol: kind(1)}, upper=kind(2), label="x")
+    assert a.values == {alice: 2, bob: 0, carol: 1} and a.upper == 2
+    assert all(type(v) is Fraction for v in (*a.values.values(), a.upper))
+    with pytest.raises(ValueError, match="'x' has a negative value"):
+        Assorter({alice: kind(-1)}, upper=kind(1), label="x")
+    with pytest.raises(ValueError, match="'x' upper bound below a value"):
+        Assorter({alice: kind(3)}, upper=kind(2), label="x")
+    with pytest.raises(ValueError, match="'x' upper bound below a value"):
+        Assorter({alice: kind(0)}, upper=kind(0), label="x")
+
+
 def test_inequality_to_assorter_majority(abc):
     alice, bob = abc.by_name("Alice"), abc.by_name("Bob")
     q = LinearInequality({alice: 1, bob: -1, abc.invalid: 0, abc.by_name("Carol"): 0}, 0, 10)

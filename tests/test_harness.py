@@ -23,6 +23,7 @@ from electaudit.harness import (
     ConfigError,
     ErrorModel,
     TrialReport,
+    _inject_agreeing_disagreement,
     assertion_stats,
     deal_batches,
     deal_matrix,
@@ -35,7 +36,7 @@ from electaudit.harness import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import deal_batches_reference
+from .helpers import deal_batches_reference, inject_agreeing_disagreement_reference
 
 
 @pytest.fixture
@@ -403,6 +404,36 @@ def test_census_outputs_write_plain_floats(tmp_path):
     expected = {**outcome.pair_risks, ("OVERALL", ""): outcome.risk_limit}
     assert {(r["pair_s1"], r["pair_s2"]): float(r["risk_limit"]) for r in rows} == expected
     assert any(0 < risk < 1 for risk in expected.values())
+
+
+def test_agreeing_injection_matches_full_recount():
+    """A tight seat boundary (Y's second quotient 1001.5 against Z's 997)
+    rejects some candidates; checking each by the census totals plus the
+    moved households keeps every result and the generator position of a
+    full recount of the survey totals."""
+    pops, sizes = {"X": 3011, "Y": 2003, "Z": 997}, {0: 0.1, 1: 0.3, 2: 0.3, 3: 0.2, 5: 0.1}
+    tries = 0
+    for seed in range(10):
+        data, _ = generate_census_population(pops, sizes, 0.0, make_rng(seed), 5)
+        for max_tries in (1, 50):
+            got_rng, want_rng = make_rng(100 + seed), make_rng(100 + seed)
+            with mock.patch.object(census_mod, "inject_survey_disagreement",
+                                   wraps=census_mod.inject_survey_disagreement) as drawn:
+                try:
+                    got = _inject_agreeing_disagreement(data, 0.05, sizes, got_rng, max_tries).pes
+                except ValueError:
+                    got = None
+            tries += drawn.call_count
+            try:
+                want = inject_agreeing_disagreement_reference(
+                    data, 0.05, sizes, want_rng, max_tries
+                ).pes
+            except ValueError:
+                want = None
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert tries > 20  # candidates were rejected
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.5])
