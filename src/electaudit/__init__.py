@@ -3,7 +3,6 @@ checks and a reproducible Monte Carlo harness."""
 
 from .alpha import (
     AssertionOutcome,
-    AssertionState,
     AuditConfig,
     AuditOutcome,
     alpha_audit,

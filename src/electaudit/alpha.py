@@ -45,13 +45,17 @@ tallies; the comparison audit that does use them lives in
 :mod:`electaudit.batchcomp`.
 
 Both audits here, like the batch-comparison audit, take the trial's one
-batch store, a :class:`electaudit.core.BatchMatrix`.  The ballot-level audit
-expands the true counts into one type index per ballot, shuffles it once,
-and hands the kernel each block's values as a gather from that order, so no
-full-length value row is built; the batch variant gets every true batch
-mean of an assertion from one integer matrix product.  The reported mean
-eta and the full count's verdict are integer sums over the column sums.
-Each value is the float of its exact ``Fraction``, which stays the reference.
+batch store, a :class:`electaudit.core.BatchMatrix`, and read each
+assorter's stored integer row ``(num, den)`` over its type index
+(:meth:`electaudit.core.Assorter.row`).  The ballot-level audit expands the
+true counts into one type index per ballot, shuffles it once, and hands the
+kernel each block's values as a gather from that order, so no full-length
+value row is built; the batch variant gets every true batch mean of an
+assertion from one integer matrix product of the counts and the row.  The
+reported mean eta and the full count's verdict are integer dot products of
+the row with the column sums.  Each value is the float of its exact
+``Fraction``, which stays the reference.  Each test starts from an
+immutable :class:`AssertionSpec`.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Assorter, BatchMatrix, BatchRecord, Tally, assorter_sum, batch_matrix, batch_means
+from .core import Assorter, BallotType, BatchMatrix, BatchRecord, Tally, batch_matrix
+from .core import exact_matmul, exact_quotients
 from .randomness import Seed, make_rng
 
 TraceHook = Callable[[int, str, float, float, float, float], None]
@@ -83,28 +88,15 @@ class AuditConfig:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass
-class AssertionState:
-    """Mutable per-assertion test state; one instance per assorter.
-
-    ``cum_sum`` accumulates ballot-weighted assorter values and ``seen``
-    counts ballots, so batch draws enter with their size as weight.
-    ``eta_budget`` caches n times the reported mean for the remaining-mean
-    guess rule; the comparison audits use a fixed floor instead.
-    """
+class AssertionSpec(NamedTuple):
+    """One assertion's test start: the first guess ``eta`` and bound ``u``;
+    ``eta_floor`` as in :func:`sequential_path`.  An un-approvable one is not tested."""
 
     label: str
-    T: float = 1.0
-    T_max: float = 1.0
-    mu: float = 0.5
-    eta: float = 0.0
-    u: float = 1.0
-    cum_sum: float = 0.0
-    seen: int = 0
-    active: bool = True
-    approvable: bool = True
-    approved: bool = False
-    eta_budget: float = 0.0
+    eta: float
+    u: float
+    approvable: bool
+    eta_floor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -128,8 +120,8 @@ class AuditOutcome:
 
 def alpha_init(
     assorters: Sequence[Assorter], reported: Tally, n: int, cfg: AuditConfig
-) -> list[AssertionState]:
-    """Fresh test states: T=1, mu=1/2, u the assorter bound, eta the reported mean.
+) -> list[AssertionSpec]:
+    """Each assertion's start: eta the reported mean, u the assorter bound.
 
     An assertion whose reported mean is at most 1/2 is flagged un-approvable:
     the reported results themselves refute it, so the audit can only end in a
@@ -140,22 +132,28 @@ def alpha_init(
         raise ValueError("ballot count must be positive")
     if reported.total != n:
         raise ValueError(f"reported tally covers {reported.total} ballots, expected {n}")
-    types, counts = tuple(reported.counts), tuple(reported.counts.values())
-    states = []
-    for a in assorters:
-        S, den = assorter_sum(a, types, counts)
+    sums = _exact_sums(assorters, tuple(reported.counts), tuple(reported.counts.values()))
+    specs = []
+    for a, (S, den) in zip(assorters, sums):
         eta = S / (den * n)  # int / int is correctly rounded: the float of the exact mean
         u = float(a.upper)
-        state = AssertionState(label=a.label, eta=eta, u=u, eta_budget=n * eta)
-        if eta <= 0.5:
-            state.approvable = False
-            state.active = False
-        elif eta >= u:
+        if eta > 0.5 and eta >= u:
             raise ValueError(
                 f"degenerate assorter {a.label!r}: reported mean {eta} reaches its upper bound {u}"
             )
-        states.append(state)
-    return states
+        specs.append(AssertionSpec(a.label, eta, u, eta > 0.5))
+    return specs
+
+
+def _exact_sums(
+    assorters: Sequence[Assorter], types: Sequence[BallotType], counts: Sequence[int]
+) -> list[tuple[int, int]]:
+    """``(S, den)`` per assorter, ``S / den`` its exact sum over ``counts[i]``
+    ballots of ``types[i]`` in Python ints.  A type counted zero times needs
+    no value."""
+    kept = [(bt, int(c)) for bt, c in zip(types, counts) if c]
+    rows = (a.row([bt for bt, _ in kept]) for a in assorters)
+    return [(sum(x * c for x, (_, c) in zip(num.tolist(), kept)), den) for num, den in rows]
 
 
 class SequentialPath(NamedTuple):
@@ -354,8 +352,7 @@ def conclude_audit(
         examined = max((r.examined for r in results), default=0)
     else:
         examined = n
-        totals = m.truth.sum(axis=0).tolist()
-        sums = [assorter_sum(a, m.types, totals) for a in assorters]
+        sums = _exact_sums(assorters, m.types, m.truth.sum(axis=0).tolist())
         results = [
             replace(r, truly_satisfied=2 * S > den * n) for r, (S, den) in zip(results, sums)
         ]
@@ -379,27 +376,26 @@ def alpha_audit(
     and reports the truth it found.
     """
     n = int(m.sizes.sum())
-    states = alpha_init(assorters, reported, n, cfg)
+    specs = alpha_init(assorters, reported, n, cfg)
     rng = make_rng(cfg.seed)
 
-    values = np.array(
-        [[float(a.value(bt)) for bt in m.types] for a in assorters], dtype=np.float64
-    )
+    ones = np.ones(len(m.types), dtype=np.int64)
+    values = np.array([exact_quotients(*a.row(m.types), ones) for a in assorters])
     type_idx = np.repeat(np.tile(np.arange(len(m.types)), len(m)), m.truth.ravel())
     drawn = type_idx[rng.permutation(n)]
     del type_idx
     seen = np.arange(1, n + 1)
 
     results: list[AssertionOutcome] = []
-    for k, st in enumerate(states):
-        if not st.approvable:
-            results.append(AssertionOutcome(st.label, False, False, n))
+    for k, spec in enumerate(specs):
+        if not spec.approvable:
+            results.append(AssertionOutcome(spec.label, False, False, n))
             continue
         approved, examined = _test_assertion(
-            trace, st.label, _Gather(values[k], drawn), seen, n, st.eta, st.u, cfg.epsilon,
-            1.0 / cfg.alpha,
+            trace, spec.label, _Gather(values[k], drawn), seen, n, spec.eta, spec.u,
+            cfg.epsilon, 1.0 / cfg.alpha,
         )
-        results.append(AssertionOutcome(st.label, True, approved, examined))
+        results.append(AssertionOutcome(spec.label, True, approved, examined))
 
     return conclude_audit(results, assorters, m)
 
@@ -419,11 +415,10 @@ def _draw_batches_without_replacement(sizes: np.ndarray, rng) -> np.ndarray:
 
 def batch_audit_loop(
     sizes: np.ndarray,
-    states: list[AssertionState],
+    specs: Sequence[AssertionSpec],
     batch_values: np.ndarray,
     n: int,
     cfg: AuditConfig,
-    eta_floors: Sequence[float | None],
     trace: TraceHook | None = None,
 ) -> list[AssertionOutcome]:
     """Shared engine for both batch audits; they differ in values and eta rule.
@@ -435,18 +430,18 @@ def batch_audit_loop(
     order = _draw_batches_without_replacement(sizes, rng)
     seen = np.cumsum(sizes[order])
     results = []
-    for k, st in enumerate(states):
+    for k, spec in enumerate(specs):
         approved, examined, batches_at = False, n, len(sizes)
-        if st.approvable:
+        if spec.approvable:
             approved, batches_at = _test_assertion(
-                trace, st.label, batch_values[k, order], seen, n, st.eta, st.u, cfg.epsilon,
-                1.0 / cfg.alpha, eta_floors[k],
+                trace, spec.label, batch_values[k, order], seen, n, spec.eta, spec.u,
+                cfg.epsilon, 1.0 / cfg.alpha, spec.eta_floor,
             )
             if approved:
                 examined = int(seen[batches_at - 1])
-        results.append(
-            AssertionOutcome(st.label, st.approvable, approved, examined, batches_examined=batches_at)
-        )
+        results.append(AssertionOutcome(
+            spec.label, spec.approvable, approved, examined, batches_examined=batches_at
+        ))
     return results
 
 
@@ -469,9 +464,12 @@ def alpha_batch_audit(
     totals = m.reported.sum(axis=0).tolist()
     if reported.total != n or [reported.get(bt) for bt in m.types] != totals:
         raise ValueError("overall reported tally is inconsistent with the batch tallies")
-    states = alpha_init(assorters, reported, n, cfg)
-    batch_values = np.array([batch_means(a, m, m.truth) for a in assorters])
-    results = batch_audit_loop(m.sizes, states, batch_values, n, cfg, [None] * len(states), trace)
+    specs = alpha_init(assorters, reported, n, cfg)
+    rows = (a.row(m.types) for a in assorters)
+    batch_values = np.array(
+        [exact_quotients(exact_matmul(m.truth, num), den, m.sizes) for num, den in rows]
+    )
+    results = batch_audit_loop(m.sizes, specs, batch_values, n, cfg, trace)
     return conclude_audit(results, assorters, m)
 
 

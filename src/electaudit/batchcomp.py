@@ -13,10 +13,12 @@ up.  The size-weighted mean of A over any set of batches equals A of their
 union, so the usual sequential machinery applies with batches as draws.
 
 The audit works on the integer count matrices of
-:func:`electaudit.core.batch_matrix`.  Per assertion, ``rs = R @ num`` and
-``ts = T @ num`` hold each batch's reported and true assorter sums over the
-common denominator ``den``; M, w and every A(B) follow exactly from them,
-and each float is the correctly rounded value of the exact rational.
+:func:`electaudit.core.batch_matrix` and on each ballot assorter's stored
+integer row ``(num, den)`` (:meth:`electaudit.core.Assorter.row`).  Per
+assertion, ``rs = R @ num`` and ``ts = T @ num`` hold each batch's reported
+and true assorter sums over the common denominator ``den``; M, w and every
+A(B) follow exactly from them, and each float is the correctly rounded
+value of the exact rational.
 :func:`batch_assorter_value_exact` over ``Fraction`` is the reference.
 """
 
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .alpha import (
-    AssertionState,
+    AssertionSpec,
     AuditConfig,
     AuditOutcome,
     TraceHook,
@@ -44,7 +46,6 @@ from .core import (
     BatchRecord,
     Contest,
     assorter_mean,
-    assorter_vector,
     batch_matrix,
     exact_matmul,
     exact_quotients,
@@ -93,7 +94,7 @@ def make_batch_assorter(
 ) -> BatchAssorter:
     """Constants from the padded batches: M over the union, w over batch means."""
     m = batch_matrix(batches)
-    num, den = assorter_vector(base, m.types)
+    num, den = base.row(m.types)
     return _lift(base, exact_matmul(m.reported, num), den, m.sizes, delta)
 
 
@@ -189,17 +190,14 @@ def batchcomp_audit(
     """
     n = int(m.sizes.sum())
     lifted, batch_values = lift_assertions(assorters, m, delta)
-    states: list[AssertionState] = []
-    eta_floors: list[float | None] = []
+    specs = []
     for a, A in zip(assorters, lifted):
         if A is None:
-            states.append(AssertionState(label=a.label, active=False, approvable=False))
-            eta_floors.append(None)
+            specs.append(AssertionSpec(a.label, 0.0, 1.0, False))
         else:
             target = float(A.accurate_value)
-            states.append(AssertionState(label=a.label, eta=target, u=A.U))
-            eta_floors.append(target)
-    results = batch_audit_loop(m.sizes, states, batch_values, n, cfg, eta_floors, trace)
+            specs.append(AssertionSpec(a.label, target, A.U, True, target))
+    results = batch_audit_loop(m.sizes, specs, batch_values, n, cfg, trace)
     return conclude_audit(results, assorters, m)
 
 
@@ -215,7 +213,7 @@ def lift_assertions(
     lifted: list[BatchAssorter | None] = []
     values = np.zeros((len(assorters), len(m.sizes)))
     for k, a in enumerate(assorters):
-        num, den = assorter_vector(a, m.types)
+        num, den = a.row(m.types)
         rs = exact_matmul(m.reported, num)
         if 2 * sum(rs.tolist()) <= den * n:
             lifted.append(None)

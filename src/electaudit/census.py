@@ -26,7 +26,7 @@ Every pair is tested by the one sequential test of the election audits,
 constant (floored at mu + epsilon) and no risk limit to stop at: T is the
 running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
 and the pair's risk is 1 / max T, or 0 once the sample alone forces the
-pair's mean above 1/2.
+pair's mean above 1/2.  It runs without path arrays (``alpha._run_path``).
 
 The survey sample is drawn in one vectorised step, a shuffle of the
 surveyed households interleaved with one of the households outside the
@@ -54,7 +54,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alpha import AuditConfig, sequential_path
+from .alpha import AuditConfig, _run_path
 from .apportionment import DIVISORS, Divisor, highest_averages
 from .randomness import make_rng
 
@@ -374,9 +374,9 @@ def census_rla(
         agree, u0, slope = test  # A = agree + (pes - cen) * slope[state]
         A = np.full(len(drawn), agree)
         A[off] = agree + off_diff * slope[off_state]
-        path = sequential_path(A, seen, n, agree, u0, cfg.epsilon, math.inf, eta_floor=agree)
+        approved, _, T_max = _run_path(A, seen, n, agree, u0, cfg.epsilon, math.inf, agree)
         # approval here means mu fell below 0: the sample alone settles the pair
-        pair_risks[pair] = 0.0 if path.approved else min(1.0, 1.0 / path.T_max)
+        pair_risks[pair] = 0.0 if approved else min(1.0, 1.0 / T_max)
 
     state_risks = {
         s: max((r for pair, r in pair_risks.items() if s in pair), default=0.0)

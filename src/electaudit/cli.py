@@ -18,14 +18,15 @@ from pathlib import Path
 
 from . import census as census_mod
 from .alpha import AuditConfig
-from .core import load_contest_csv
 from .harness import (
     ConfigError,
+    _pct,
+    load_election_inputs,
     plurality_assertions,
     run_experiment,
     write_census_outcome_csv,
 )
-from .knesset import allocate_seats, assertion_margin, generate_assertions, load_knesset_config
+from .knesset import allocate_seats, assertion_margin, generate_assertions
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,9 +85,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_margins(args) -> int:
-    contest, reported = load_contest_csv(args.contest)
-    if args.knesset:
-        kc = load_knesset_config(args.knesset)
+    contest, reported, kc = load_election_inputs(args.contest, args.knesset)
+    if kc is not None:
         weaken = []
         for spec in args.weaken:
             gainer, _, keeper = spec.partition(":")
@@ -99,10 +99,9 @@ def _cmd_margins(args) -> int:
         assertions = plurality_assertions(contest, reported)
     writer = csv.writer(sys.stdout)
     writer.writerow(["assertion", "margin", "margin_pct"])
-    total = reported.total
     for a in assertions:
         m = assertion_margin(a, reported)
-        writer.writerow([a.label, m, repr(round(100.0 * m / total, 6))])
+        writer.writerow([a.label, m, _pct(m, reported.total)])
     return 0
 
 
@@ -145,12 +144,9 @@ def _cmd_census(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_census_outcome_csv(outcome, out_dir / "census_risks.csv")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["pair_s1", "pair_s2", "risk_limit"])
-    for (s1, s2), risk in sorted(outcome.pair_risks.items()):
-        writer.writerow([s1, s2, repr(risk)])
-    writer.writerow(["OVERALL", "", repr(outcome.risk_limit)])
+        with open(out_dir / "census_risks.csv", "w", newline="", encoding="utf-8") as f:
+            write_census_outcome_csv(outcome, f)
+    write_census_outcome_csv(outcome, sys.stdout)
     return 0
 
 

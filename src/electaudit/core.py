@@ -3,29 +3,32 @@
 An assorter is a non-negative scoring function over ballot types.  An
 assertion is the statement that the assorter's mean over all cast ballots
 exceeds 1/2; full election outcomes are verified by checking a set of such
-assertions.  Assorter values are kept as exact rationals at construction so
-that assertion equivalences can be checked without rounding; the sequential
-tests elsewhere in this package evaluate them in floating point.
+assertions.  Assorter values are kept as exact rationals so that assertion
+equivalences can be checked without rounding; the sequential tests elsewhere
+in this package evaluate them in floating point.
+
+An :class:`Assorter` converts its values once, at construction, into one
+integer row: numerators over its name-sorted type tuple and one common
+denominator, read by every audit and margin through :meth:`Assorter.row`.
 
 An election trial keeps its batches in one :class:`BatchMatrix`, from
 dealing to the verdict: reported and true batch-by-type integer counts over
 one sorted type index.  :func:`batch_matrix` reads a list of
 :class:`BatchRecord` into one; records and ``Tally`` dicts remain at the
-CSV boundary and in the exact references.  :func:`assorter_vector` writes
-an assorter as integer numerators over one common denominator.  An assorter
-is linear in the tally, so its sums over every batch are one integer matrix
-product, and its sum over a column sum (:func:`assorter_sum`) is an integer
-dot product.  Every float the audits use is the correctly rounded quotient
-of two integers: bit for bit the float of the exact ``Fraction``.
-:func:`assorter_mean` over a ``Tally`` is the exact reference these fast
-paths are tested against.
+CSV boundary and in the exact references.  An assorter is linear in the
+tally, so its sums over every batch are one integer matrix product of the
+counts and its row (:func:`exact_matmul`), and its sum over a column sum is
+an integer dot product.  Every float the audits use is the correctly
+rounded quotient of two integers (:func:`exact_quotients`): bit for bit the
+float of the exact ``Fraction``.  :func:`assorter_mean` over a ``Tally`` is
+the exact reference these fast paths are tested against.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +36,9 @@ import numpy as np
 
 INVALID_ID = "__invalid__"
 
-RationalLike = int | Fraction
+
+def _fraction(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,12 @@ class Tally:
         return Tally(merged)
 
 
+# Integers below 2**53 convert to float64 exactly, so one IEEE division of two
+# of them is the correctly rounded quotient; int64 arithmetic is exact below 2**63.
+_FLOAT_EXACT = 2**53
+_INT64_LIMIT = 2**63
+
+
 @dataclass(frozen=True)
 class Assorter:
     """Non-negative per-ballot-type scores with a declared upper bound.
@@ -126,27 +137,57 @@ class Assorter:
     ``upper`` must dominate every value but may legitimately exceed the max:
     the sequential test stays risk-limiting for any bound above its running
     guess, so callers may declare a looser one.
+
+    The values are stored once, at construction, as one integer row: ``types``
+    is the value map's types sorted by name, and ``num[i] / den`` is the
+    value of ``types[i]``, with ``den`` the lcm of the denominators.  ``num``
+    is read-only int64 when every numerator fits, otherwise an object array
+    of Python ints.  ``values`` and :meth:`value` are the ``Fraction`` view.
     """
 
     values: Mapping[BallotType, Fraction]
     upper: Fraction
     label: str = ""
+    types: tuple[BallotType, ...] = field(init=False, repr=False, compare=False)
+    num: np.ndarray = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exact = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in self.values.items()}
-        object.__setattr__(self, "values", exact)
-        if not isinstance(self.upper, Fraction):
-            object.__setattr__(self, "upper", Fraction(self.upper))
-        if any(v < 0 for v in self.values.values()):
+        types = tuple(sorted(self.values, key=lambda bt: bt.name))
+        exact = [_fraction(self.values[bt]) for bt in types]
+        upper = _fraction(self.upper)
+        den = math.lcm(*(v.denominator for v in exact))
+        num = [v.numerator * (den // v.denominator) for v in exact]
+        top = max(num)
+        if min(num) < 0:
             raise ValueError(f"assorter {self.label!r} has a negative value")
-        if self.upper <= 0 or self.upper < max(self.values.values()):
+        # upper < top / den, cross-multiplied
+        if upper.numerator <= 0 or upper.numerator * den < top * upper.denominator:
             raise ValueError(f"assorter {self.label!r} upper bound below a value")
+        row = np.array(num, dtype=np.int64 if top < _INT64_LIMIT else object)
+        row.flags.writeable = False
+        object.__setattr__(self, "values", dict(zip(types, exact)))
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "num", row)
+        object.__setattr__(self, "den", den)
 
     def value(self, bt: BallotType) -> Fraction:
         try:
             return self.values[bt]
         except KeyError:
             raise KeyError(f"assorter {self.label!r} has no value for {bt}") from None
+
+    def row(self, types: Sequence[BallotType]) -> tuple[np.ndarray, int]:
+        """``(num, den)`` with ``num[i] / den`` the value of ``types[i]``."""
+        if tuple(types) == self.types:
+            return self.num, self.den
+        position = {bt: i for i, bt in enumerate(self.types)}
+        try:
+            index = [position[bt] for bt in types]
+        except KeyError as exc:
+            raise KeyError(f"assorter {self.label!r} has no value for {exc.args[0]}") from None
+        return self.num[index], self.den
 
 
 @dataclass(frozen=True)
@@ -189,12 +230,6 @@ class BatchRecord:
     def __post_init__(self):
         if self.size <= 0:
             raise ValueError(f"batch {self.id!r} has non-positive size")
-
-
-# Integers below 2**53 convert to float64 exactly, so one IEEE division of two
-# of them is the correctly rounded quotient; int64 arithmetic is exact below 2**63.
-_FLOAT_EXACT = 2**53
-_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,33 +299,6 @@ def batch_matrix(batches: Sequence[BatchRecord]) -> BatchMatrix:
     return BatchMatrix(types, counts("reported"), counts("truth"), np.array(sizes, dtype=np.int64))
 
 
-def assorter_vector(assorter: Assorter, types: Sequence[BallotType]) -> tuple[np.ndarray, int]:
-    """``(num, den)`` with ``num[i] / den`` the assorter's value for ``types[i]``.
-
-    ``den`` is the lcm of the values' denominators.  ``num`` is int64 when
-    every numerator fits, otherwise an object array of Python ints.
-    """
-    values = [assorter.value(bt) for bt in types]
-    den = math.lcm(*(v.denominator for v in values))
-    num = [v.numerator * (den // v.denominator) for v in values]
-    fits = max(num, default=0) < _INT64_LIMIT  # assorter values are non-negative
-    return np.array(num, dtype=np.int64 if fits else object), den
-
-
-def assorter_sum(
-    assorter: Assorter, types: Sequence[BallotType], counts: Sequence[int]
-) -> tuple[int, int]:
-    """``(S, den)`` with ``S / den`` the assorter's exact sum over ``counts[i]``
-    ballots of ``types[i]``, in Python ints.
-
-    A type counted zero times needs no value.  The assorter's mean over those
-    ballots exceeds 1/2 exactly when ``2 * S > den * sum(counts)``.
-    """
-    kept = [(bt, int(c)) for bt, c in zip(types, counts) if c]
-    num, den = assorter_vector(assorter, [bt for bt, _ in kept])
-    return sum(x * c for x, (_, c) in zip(num.tolist(), kept)), den
-
-
 def _max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
@@ -317,12 +325,6 @@ def exact_quotients(p: np.ndarray, scale: int, q: np.ndarray) -> np.ndarray:
     if p.dtype != object and _max_abs(p) < _FLOAT_EXACT and scale * _max_abs(q) < _FLOAT_EXACT:
         return p / (scale * q)
     return np.array([a / (scale * b) for a, b in zip(p.tolist(), q.tolist())], dtype=np.float64)
-
-
-def batch_means(assorter: Assorter, m: BatchMatrix, counts: np.ndarray) -> np.ndarray:
-    """The assorter's mean over each batch of ``counts``, as the float of the exact mean."""
-    num, den = assorter_vector(assorter, m.types)
-    return exact_quotients(exact_matmul(counts, num), den, m.sizes)
 
 
 def assorter_mean(assorter: Assorter, tally: Tally) -> Fraction:

@@ -327,11 +327,13 @@ def _jsonable(obj):
     return obj
 
 
-def _load_election_inputs(config: Mapping):
-    contest, tally = load_contest_csv(_path(config, "contest"))
+def load_election_inputs(contest_path, knesset_path=None):
+    """The contest CSV and, when a path is given, the Knesset config, which
+    must name the contest's parties."""
+    contest, tally = load_contest_csv(contest_path)
     knesset = None
-    if config.get("knesset"):
-        knesset = load_knesset_config(_path(config, "knesset"))
+    if knesset_path:
+        knesset = load_knesset_config(knesset_path)
         missing = set(knesset.parties) ^ {bt.name for bt in contest.parties}
         if missing:
             raise ConfigError(f"contest and knesset config disagree on parties: {sorted(missing)}")
@@ -422,7 +424,9 @@ def _election_trial(args) -> TrialReport:
 
 
 def _run_election_experiment(config, kind, seeds, out_dir, trace, jobs=1) -> list[TrialReport]:
-    contest, truth_tally, knesset = _load_election_inputs(config)
+    contest, truth_tally, knesset = load_election_inputs(
+        _path(config, "contest"), _path(config, "knesset") if config.get("knesset") else None
+    )
     alpha = _read(config, "alpha", float, 0.05)
     delta = _read(config, "delta", float, 1e-10)
     error_model = _read(config, "error_model", lambda v: ErrorModel(**(v or {"kind": "none"})))
@@ -620,11 +624,10 @@ def _inject_agreeing_disagreement(data, rate, dist, rng, max_tries: int = 50):
     )
 
 
-def write_census_outcome_csv(outcome: census_mod.CensusOutcome, path) -> None:
-    """Pairwise risk limits plus an overall summary line."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["pair_s1", "pair_s2", "risk_limit"])
-        for (s1, s2), risk in sorted(outcome.pair_risks.items()):
-            w.writerow([s1, s2, repr(risk)])
-        w.writerow(["OVERALL", "", repr(outcome.risk_limit)])
+def write_census_outcome_csv(outcome: census_mod.CensusOutcome, stream) -> None:
+    """Pairwise risk limits and an overall line, to a text stream opened with ``newline=""``."""
+    w = csv.writer(stream)
+    w.writerow(["pair_s1", "pair_s2", "risk_limit"])
+    for (s1, s2), risk in sorted(outcome.pair_risks.items()):
+        w.writerow([s1, s2, repr(risk)])
+    w.writerow(["OVERALL", "", repr(outcome.risk_limit)])

@@ -26,7 +26,8 @@ members keep their threshold assertions: their status decides whether the
 pact unites.
 
 All three families are generated here as assorters over the contest's ballot
-types, ready for any of the sequential tests in this package.
+types, ready for any of the sequential tests in this package.  Margins are
+counted on each assorter's stored integer row, not on its ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .apportionment import dhondt, highest_averages
-from .core import Assorter, Contest, Tally, assorter_vector
+from .core import Assorter, Contest, Tally
 
 DEFAULT_SEATS = 120
 DEFAULT_THRESHOLD = Fraction(13, 400)  # 3.25% of valid votes
@@ -308,17 +309,17 @@ def assertion_margin(assorter: Assorter, truth: Tally) -> int:
     one is optimal, since each move's effect is exactly the value difference.
     Returns 0 when the mean is already at most 1/2.
 
-    The greedy runs on integers: with the assorter's values written as
-    ``num / den`` (:func:`electaudit.core.assorter_vector`), the sum's excess
-    over n/2 and each move's effect are counted in units of 1/(2 den).
+    The greedy runs on integers: with the assorter's values read from its
+    stored row ``num / den`` (:meth:`electaudit.core.Assorter.row`), the
+    sum's excess over n/2 and each move's effect are counted in units of
+    1/(2 den).
     """
-    types = tuple(assorter.values)
-    counts = [truth.get(bt) for bt in types]
+    counts = [truth.get(bt) for bt in assorter.types]
     if sum(counts) != truth.total:
         raise KeyError(f"assorter {assorter.label!r} has no value for a counted ballot type")
     if not truth.total:
         raise ValueError("empty contest: cannot take an assorter mean over zero ballots")
-    num, den = assorter_vector(assorter, types)
+    num, den = assorter.row(assorter.types)
     num = num.tolist()
     deficit = 2 * sum(x * c for x, c in zip(num, counts)) - den * truth.total
     lo = min(num)

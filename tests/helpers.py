@@ -7,13 +7,14 @@ package's fast paths are tested against.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from electaudit.alpha import AssertionState, AuditConfig
+from electaudit.alpha import AssertionSpec, AuditConfig
 from electaudit.apportionment import Divisor, dhondt
 from electaudit import census as census_mod
 from electaudit.census import CensusData, CensusPair, Household
@@ -56,6 +57,40 @@ def ballot_batch(truth: Tally) -> BatchMatrix:
     list ``[A] * a + [B] * b + ...`` with the names in sorted order.
     """
     return batch_matrix([BatchRecord("ballots", truth, truth, truth.total)])
+
+
+@dataclass
+class AssertionState:
+    """Mutable per-assertion state of the step-by-step reference.
+
+    ``cum_sum`` accumulates ballot-weighted assorter values and ``seen``
+    counts ballots, so batch draws enter with their size as weight.
+    ``eta_budget`` caches n times the reported mean for the remaining-mean
+    guess rule; the comparison audits use a fixed floor instead.
+    """
+
+    label: str
+    T: float = 1.0
+    T_max: float = 1.0
+    mu: float = 0.5
+    eta: float = 0.0
+    u: float = 1.0
+    cum_sum: float = 0.0
+    seen: int = 0
+    active: bool = True
+    approvable: bool = True
+    approved: bool = False
+    eta_budget: float = 0.0
+
+
+def start_state(spec: AssertionSpec, n: int) -> AssertionState:
+    """The reference state before any draw, from :func:`electaudit.alpha.alpha_init`'s
+    start of one assertion over ``n`` ballots: T = 1, mu = 1/2, active only
+    if approvable."""
+    return AssertionState(
+        spec.label, eta=spec.eta, u=spec.u, active=spec.approvable,
+        approvable=spec.approvable, eta_budget=n * spec.eta,
+    )
 
 
 def advance(

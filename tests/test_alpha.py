@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from electaudit import alpha as alpha_mod
 from electaudit.alpha import (
-    AssertionState,
     AuditConfig,
     SequentialPath,
     alpha_audit,
@@ -21,12 +20,14 @@ from electaudit.core import BatchRecord, Contest, Tally, batch_matrix, plurality
 from electaudit.randomness import make_rng
 
 from .helpers import (
+    AssertionState,
     advance,
     alpha_step,
     ballot_batch,
     chi_square,
     draw_order_reference,
     run_path_reference,
+    start_state,
 )
 
 
@@ -40,7 +41,7 @@ def two_party():
 def test_init_sets_reported_mean(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 60, "Bob": 40})
-    st = alpha_init([a], rep, 100, AuditConfig(alpha=0.05))[0]
+    st = start_state(alpha_init([a], rep, 100, AuditConfig(alpha=0.05))[0], 100)
     assert (st.eta, st.u, st.mu, st.T) == (0.6, 1.0, 0.5, 1.0)
     assert st.approvable and st.active
 
@@ -48,7 +49,7 @@ def test_init_sets_reported_mean(two_party):
 def test_init_flags_reported_tie_unapprovable(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 50, "Bob": 50})
-    st = alpha_init([a], rep, 100, AuditConfig(alpha=0.05))[0]
+    st = start_state(alpha_init([a], rep, 100, AuditConfig(alpha=0.05))[0], 100)
     assert not st.approvable and not st.active
 
 
@@ -58,7 +59,7 @@ def test_init_two_assorters_independent(two_party):
     rep = c.tally({"Alice": 60, "Bob": 40})
     states = alpha_init([a, b], rep, 100, AuditConfig(alpha=0.05))
     assert states[0].approvable and not states[1].approvable
-    assert states[0] is not states[1]
+    assert (states[0].eta, states[1].eta) == (0.6, 0.4)
 
 
 def test_init_degenerate_when_mean_hits_bound(two_party):
@@ -79,7 +80,7 @@ def test_step_at_mu_keeps_T(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 60, "Bob": 40})
     cfg = AuditConfig(alpha=0.05)
-    st = alpha_init([a], rep, 100, cfg)[0]
+    st = start_state(alpha_init([a], rep, 100, cfg)[0], 100)
     alpha_step(st, 0.5, cfg, 100, 0.6)
     assert st.T == pytest.approx(1.0, abs=0)
 
@@ -88,7 +89,7 @@ def test_step_known_value(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 60, "Bob": 40})
     cfg = AuditConfig(alpha=0.05)
-    st = alpha_init([a], rep, 100, cfg)[0]
+    st = start_state(alpha_init([a], rep, 100, cfg)[0], 100)
     alpha_step(st, 1.0, cfg, 100, 0.6)
     # (1/.5) * (.1/.5) + (.4/.5)
     assert st.T == pytest.approx(1.2, rel=1e-12)
@@ -99,7 +100,7 @@ def test_step_certain_approval_when_mu_negative(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 3, "Bob": 1})
     cfg = AuditConfig(alpha=1e-9)  # threshold unreachably high: only mu can approve
-    st = alpha_init([a], rep, 4, cfg)[0]
+    st = start_state(alpha_init([a], rep, 4, cfg)[0], 4)
     alpha_step(st, 1.0, cfg, 4, 0.75)
     alpha_step(st, 1.0, cfg, 4, 0.75)
     alpha_step(st, 1.0, cfg, 4, 0.75)
@@ -111,7 +112,7 @@ def test_step_exhausted_raises(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 2, "Bob": 1})
     cfg = AuditConfig(alpha=0.05)
-    st = alpha_init([a], rep, 3, cfg)[0]
+    st = start_state(alpha_init([a], rep, 3, cfg)[0], 3)
     for _ in range(3):
         alpha_step(st, 0.5, cfg, 3, 2 / 3)
     with pytest.raises(ValueError, match="stop sampling"):
@@ -123,7 +124,7 @@ def test_state_ordering_invariant_along_run(two_party):
     c, a = two_party
     rep = c.tally({"Alice": 55, "Bob": 45})
     cfg = AuditConfig(alpha=0.05, seed=11)
-    st = alpha_init([a], rep, 100, cfg)[0]
+    st = start_state(alpha_init([a], rep, 100, cfg)[0], 100)
     rng = make_rng(11)
     values = rng.choice([0.0, 0.5, 1.0], size=100, p=[0.45, 0.0, 0.55])
     t_max_seen = st.T_max
@@ -146,7 +147,7 @@ def test_vectorised_trajectory_matches_stepwise(two_party):
     x = rng.choice([0.0, 0.5, 1.0], size=n, p=[0.35, 0.1, 0.55]).astype(float)
     rep_mean = 0.57
     rep = c.tally({"Alice": 171, "Bob": 129})
-    st = alpha_init([a], rep, n, cfg)[0]
+    st = start_state(alpha_init([a], rep, n, cfg)[0], n)
     path = sequential_path(x, np.arange(1, n + 1), n, rep_mean, st.u, cfg.epsilon, 1 / cfg.alpha)
     T, mu, eta, u = path.T, path.mu, path.eta, path.u
     for j in range(n):

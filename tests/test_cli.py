@@ -41,6 +41,21 @@ def test_margins_knesset_weaken(tmp_path, capsys):
     assert "no-seat-move:P2->P1 (one-seat)" in out
 
 
+def test_margins_knesset_party_missing_from_contest_exits_2(tmp_path, capsys):
+    """``audit margins`` rejects a Knesset config whose parties differ from
+    the contest CSV, as ``audit run`` does."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    knesset = json.loads((configs / "knesset_synthetic.json").read_text())
+    knesset["parties"].append("Zayit")
+    kcfg = tmp_path / "k.json"
+    kcfg.write_text(json.dumps(knesset))
+    argv = ["margins", "--contest", str(configs / "contest_synthetic.csv"), "--knesset", str(kcfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "audit: error: contest and knesset config disagree on parties: ['Zayit']" in captured.err
+
+
 def _knesset_inputs(tmp_path):
     contest = tmp_path / "contest.csv"
     contest.write_text("party,reported_votes\nP1,500\nP2,380\n__invalid__,20\n")
@@ -148,11 +163,11 @@ def test_census_file_mode(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    out_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    out = capsys.readouterr().out
+    out_rows = list(csv.reader(io.StringIO(out)))
     assert out_rows[0] == ["pair_s1", "pair_s2", "risk_limit"]
     assert out_rows[-1][0] == "OVERALL"
-    saved = (tmp_path / "out/census_risks.csv").read_text()
-    assert "OVERALL" in saved
+    assert (tmp_path / "out/census_risks.csv").read_bytes() == out.encode()
 
 
 def test_census_mode_conflicts(tmp_path):

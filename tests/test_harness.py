@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -398,7 +399,8 @@ def test_census_outputs_write_plain_floats(tmp_path):
     mask = np.zeros(data.n, dtype=bool)
     mask[rng.choice(data.n, size=data.n // 10, replace=False)] = True
     outcome = census_rla(model, data, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
-    write_census_outcome_csv(outcome, tmp_path / "pairs.csv")
+    with open(tmp_path / "pairs.csv", "w", newline="") as f:
+        write_census_outcome_csv(outcome, f)
     with open(tmp_path / "pairs.csv") as f:
         rows = list(csv.DictReader(f))
     expected = {**outcome.pair_risks, ("OVERALL", ""): outcome.risk_limit}
@@ -491,22 +493,46 @@ def test_election_output_bytes_pinned(tmp_path, monkeypatch):
     files were re-recorded when the batch draw order and the misread
     injection became vectorised draws of the same laws."""
     monkeypatch.chdir(KNESSET_CONFIG.parent.parent)
-    contest = tmp_path / "contest.csv"
-    contest.write_text("party,reported_votes\nA,5200\nB,4500\nC,1300\n__invalid__,300\n")
-    plurality = {
-        "contest": str(contest),
-        "batches": {"generate": {"size_range": [250, 550]}},
-        "error_model": {"kind": "ballot_misread", "p_misread": 0.02, "p_invalid": 0.2},
-        "alpha": 0.05,
-    }
     knesset = json.loads(KNESSET_CONFIG.read_text())
-    for name, config in (("knesset", knesset), ("plurality", plurality)):
+    for name, config in (("knesset", knesset), ("plurality", _pinned_plurality(tmp_path))):
         for kind in ("alpha", "alpha_batch", "batchcomp"):
             out = tmp_path / f"{name}_{kind}"
             run_experiment(dict(config, audit=kind), out, seed=0, trials=2)
             for table in ("results", "summary"):
                 expected = (PINNED / f"{name}_{kind}_{table}.csv").read_bytes()
                 assert (out / f"{table}.csv").read_bytes() == expected, (name, kind, table)
+
+
+def _pinned_plurality(tmp_path) -> dict:
+    """The plurality config of the pinned election tables."""
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nA,5200\nB,4500\nC,1300\n__invalid__,300\n")
+    return {
+        "contest": str(contest),
+        "batches": {"generate": {"size_range": [250, 550]}},
+        "error_model": {"kind": "ballot_misread", "p_misread": 0.02, "p_invalid": 0.2},
+        "alpha": 0.05,
+    }
+
+
+TRACE_SHA256 = {
+    "alpha": "5b9b84cbf8605e9aec3f4dd942ccffc60ef329cf36c3a833707a5c173903efd1",
+    "alpha_batch": "dfeac5ee8806009441decba80e344e4040586a20d3789829273bedd9d9b56a6e",
+    "batchcomp": "a402faf7a844a77a9a66829b5ba6af51d8b7c38063e28c279ee22597be0beb03",
+}
+
+
+def test_election_trace_bytes_pinned(tmp_path):
+    """The first trial's trace of the pinned plurality run stays byte-for-byte
+    the same for each audit: every T, mu, eta and u the kernel was tested
+    with, so a changed reported mean, bound or draw value shows even where
+    the tables do not."""
+    config = _pinned_plurality(tmp_path)
+    for kind, digest in TRACE_SHA256.items():
+        out = tmp_path / kind
+        run_experiment(dict(config, audit=kind), out, seed=0, trials=2, trace=True)
+        trace = (out / "trace_trial0.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == digest, kind
 
 
 def test_accurate_batchcomp_spread_small(tmp_path):

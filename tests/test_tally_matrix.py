@@ -20,20 +20,26 @@ from electaudit.batchcomp import (
     make_batch_assorter,
 )
 from electaudit.core import (
+    Assorter,
     BatchRecord,
     Contest,
     Tally,
     assorter_mean,
-    assorter_vector,
     batch_matrix,
-    batch_means,
     exact_matmul,
     exact_quotients,
     plurality_assorter,
 )
 from electaudit.harness import deal_matrix
-from electaudit.knesset import KnessetContest, allocate_seats, generate_assertions
+from electaudit.knesset import (
+    KnessetContest,
+    allocate_seats,
+    assertion_margin,
+    generate_assertions,
+)
 from electaudit.randomness import make_rng
+
+from .helpers import fraction_margin
 
 HALF = Fraction(1, 2)
 PARTIES = ("A", "B", "C", "D")
@@ -105,9 +111,11 @@ def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
     assertions = plurality_assertions() + knesset_assertions(seats, weaken)
     m = batch_matrix(batches)
     for a in assertions:
+        num, den = a.row(m.types)
         for counts, side in ((m.truth, "truth"), (m.reported, "reported")):
             exact = [float(assorter_mean(a, getattr(b, side))) for b in batches]
-            assert batch_means(a, m, counts).tolist() == exact, (a.label, side)
+            means = exact_quotients(exact_matmul(counts, num), den, m.sizes)
+            assert means.tolist() == exact, (a.label, side)
 
     reported = total(b.reported for b in batches)
     lifted, values = lift_assertions(assertions, m, delta)
@@ -138,6 +146,76 @@ def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
     ]
 
 
+@st.composite
+def value_maps(draw):
+    """A non-negative ``Fraction`` value map over some contest types, its
+    declared bound and a tally over its types.  Values may be zero, tiny,
+    or so large that the stored numerators pass 2**63; the bound is the max
+    value or looser."""
+    types = draw(st.lists(st.sampled_from(CONTEST.ballot_types), min_size=1, unique=True))
+    numerator = st.just(0) | st.integers(0, 9) | st.integers(2**63, 2**70)
+    denominator = st.integers(1, 40) | st.integers(2**62, 2**66)
+    values = {bt: Fraction(draw(numerator), draw(denominator)) for bt in types}
+    top = max(values.values())
+    upper = top + draw(st.sampled_from([0, Fraction(1, 3), 10**25]))
+    counts = draw(st.lists(st.integers(0, 60), min_size=len(types), max_size=len(types)))
+    counts[0] += 1  # at least one ballot
+    return values, upper or Fraction(1), Tally(dict(zip(types, counts)))
+
+
+@given(value_maps(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_assorter_row_matches_its_fractions(case, data):
+    """The stored integer row is the value map: ``value()`` returns the input,
+    ``row`` over the own, a permuted or a subset type index gives the same
+    rationals, and the margin, reported mean and full-count verdict read from
+    it equal their ``Fraction`` references.  The constructor's errors keep
+    their messages."""
+    values, upper, truth = case
+    a = Assorter(values, upper, label="x")
+    assert all(a.value(bt) == v for bt, v in values.items()) and a.upper == upper
+    own, den = a.row(a.types)
+    assert own is a.num and den == a.den
+    assert a.num.dtype == (object if max(a.num.tolist()) >= 2**63 else np.int64)
+    index = data.draw(st.lists(st.sampled_from(list(values)), unique=True))
+    num, _ = a.row(index)
+    assert [Fraction(x, den) for x in num.tolist()] == [values[bt] for bt in index]
+    missing = [bt for bt in CONTEST.ballot_types if bt not in values]
+    if missing:
+        with pytest.raises(KeyError, match="assorter 'x' has no value for"):
+            a.row(index + missing[:1])
+
+    def margin(f):
+        try:
+            return f(a, truth)
+        except ValueError as exc:  # no relabelling reaches 1/2
+            return str(exc)
+
+    assert margin(assertion_margin) == margin(fraction_margin)
+    mean = assorter_mean(a, truth)
+    # a zero-count type the assorter has no value for needs none
+    reported = truth.with_added(missing[0], 0) if missing else truth
+    n = truth.total
+    eta = float(mean)
+    if eta > 0.5 and eta >= float(upper):
+        with pytest.raises(ValueError, match="degenerate"):
+            alpha_init([a], reported, n, AuditConfig(alpha=0.05))
+    else:
+        [spec] = alpha_init([a], reported, n, AuditConfig(alpha=0.05))
+        assert (spec.eta, spec.approvable) == (eta, eta > 0.5)
+    m = batch_matrix([BatchRecord("b", reported, reported, n)])
+    [r] = conclude_audit([AssertionOutcome("x", True, False, n)], [a], m).assertions
+    assert r.truly_satisfied == (mean > HALF)
+
+    bt = next(iter(values))
+    with pytest.raises(ValueError, match="'x' has a negative value"):
+        Assorter({**values, bt: Fraction(-1, 2**64)}, upper, label="x")
+    top = max(values.values())
+    for low in [Fraction(0), Fraction(-1)] + ([top - Fraction(1, 2**80)] if top else []):
+        with pytest.raises(ValueError, match="'x' upper bound below a value"):
+            Assorter(values, low, label="x")
+
+
 def test_batch_matrix_layout():
     c = Contest.from_party_names(["Zed", "Amy"])
     t1 = c.tally({"Zed": 3, "Amy": 1})
@@ -164,9 +242,9 @@ def test_batch_matrix_rejects_bad_batch_lists():
         deal_matrix(CONTEST.tally({"A": 2**63}), make_rng(0))
 
 
-def test_assorter_vector_common_denominator():
+def test_assorter_row_common_denominator():
     a = knesset_assertions(120, False)[0]  # above-threshold:A scores 200/13, 1/2 and 0
-    num, den = assorter_vector(a, CONTEST.ballot_types)
+    num, den = a.row(CONTEST.ballot_types)
     assert den == 26 and num.dtype == np.int64
     assert [Fraction(int(x), den) for x in num] == [a.value(bt) for bt in CONTEST.ballot_types]
 
