@@ -535,6 +535,28 @@ def test_election_trace_bytes_pinned(tmp_path):
         assert hashlib.sha256(trace).hexdigest() == digest, kind
 
 
+KNESSET_TRACE_SHA256 = {
+    ("alpha_batch", "trace_trial0"): "9cf57bd1bd13d31e47eeea536cee1afbb9049323228c0eff46d3150010e86cd9",
+    ("alpha_batch", "results"): "6c98c7fea652693a7641b737f7f3631da6fa1f700e144710cff334b6925374d8",
+    ("batchcomp", "trace_trial0"): "7713cec71ccdd26aa90f636ff440ff3bfd88c61bf01951f06a5851e74ebda9a9",
+    ("batchcomp", "results"): "bac26583999655aea34f37e98bff972b792e6d183816f7d7dca4ca37cf86c4b6",
+}
+
+
+def test_knesset_trace_bytes_pinned(tmp_path, monkeypatch):
+    """The shipped Knesset config's first trial, traced, for both batch
+    audits: weighted batches, the fixed-eta rule, Knesset labels and the
+    full count.  (Its ballot-level trace has about 2M rows and is left out.)"""
+    monkeypatch.chdir(KNESSET_CONFIG.parent.parent)
+    config = json.loads(KNESSET_CONFIG.read_text())
+    for (kind, table), digest in KNESSET_TRACE_SHA256.items():
+        out = tmp_path / kind
+        if not out.exists():
+            run_experiment(dict(config, audit=kind), out, seed=0, trials=1, trace=True)
+        data = (out / f"{table}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (kind, table)
+
+
 def test_accurate_batchcomp_spread_small(tmp_path):
     """Accurate tallies over varied batch sizes: per-assertion spread of
     ballots examined stays small relative to the mean across 10 trials."""
