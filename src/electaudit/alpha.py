@@ -11,13 +11,14 @@ bound kept strictly above ``eta``.  An assertion is approved once T exceeds
 1/alpha, or with certainty once ``mu`` goes negative (the ballots already
 seen force the full mean above 1/2 no matter what remains).
 
-One kernel, :func:`sequential_path`, runs this test for every audit in the
-package: it takes one assertion's draw sequence and computes T as a running
-product of the factors above, with mu, eta and u from running sums.  The
-ballot-level audit, both batch audits and the census audit call it.  The
-step-by-step reference it is tested against lives in ``tests/helpers.py``;
-it writes the same factor in the equivalent form
-``(a / mu) * (eta - mu) / (u - mu) + (u - eta) / (u - mu)``.
+One kernel, :func:`sequential_test`, runs this test for every audit in the
+package: it takes one assertion's draw sequence and its start, an
+:class:`AssertionSpec`, and computes T as a running product of the factors
+above, with mu, eta and u from running sums.  The ballot-level audit, both
+batch audits and the census audit call it, the two comparison audits with
+the start of :func:`comparison_spec`.  The step-by-step reference it is
+tested against lives in ``tests/helpers.py``; it writes the same factor in
+the equivalent form ``(a / mu) * (eta - mu) / (u - mu) + (u - eta) / (u - mu)``.
 
 The kernel evaluates the draws block by block, ``_BLOCK`` draws at a time,
 and stops after the first block that holds the stop, so an assertion that
@@ -33,9 +34,9 @@ factors use it and 1/u once, with no u array and no running max, and entry
 Running sums, products and maxima go left to right, and a scalar u equals
 each entry of the array it replaces, so every element goes through the same
 float operations in the same order as in one pass: the result is identical
-bit for bit.  The T/mu/eta/u path arrays are kept, for the examined draws
-only, when a trace hook or a caller of :func:`sequential_path` asks for
-them; an untraced audit holds one block's arrays at a time.
+bit for bit.  The kernel holds one block's arrays at a time; a trace hook
+gets the T/mu/eta/u rows of each block's examined draws before the next
+block is evaluated.
 
 The batch variant draws whole batches with probability proportional to size,
 all at once by sorting exponential keys, and feeds each batch's true
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -69,6 +71,8 @@ import numpy as np
 from .core import Assorter, BallotType, BatchMatrix, BatchRecord, Tally, batch_matrix
 from .core import exact_matmul, exact_quotients
 from .randomness import Seed, make_rng
+
+_HALF = Fraction(1, 2)
 
 TraceHook = Callable[[int, str, float, float, float, float], None]
 
@@ -90,7 +94,7 @@ class AuditConfig:
 
 class AssertionSpec(NamedTuple):
     """One assertion's test start: the first guess ``eta`` and bound ``u``;
-    ``eta_floor`` as in :func:`sequential_path`.  An un-approvable one is not tested."""
+    ``eta_floor`` as in :func:`sequential_test`.  An un-approvable one is not tested."""
 
     label: str
     eta: float
@@ -156,23 +160,6 @@ def _exact_sums(
     return [(sum(x * c for x, (_, c) in zip(num.tolist(), kept)), den) for num, den in rows]
 
 
-class SequentialPath(NamedTuple):
-    """One assertion's test run by :func:`sequential_path`.
-
-    ``T[j]`` is T after draw j+1; ``mu[j]``, ``eta[j]`` and ``u[j]`` are the
-    values that draw j+1 was tested with.  The arrays stop at the last draw
-    examined.
-    """
-
-    approved: bool
-    examined: int  # draws taken
-    T_max: float
-    T: np.ndarray
-    mu: np.ndarray
-    eta: np.ndarray
-    u: np.ndarray
-
-
 # Draws evaluated per block.  A block's arrays stay in L2 cache, and a test
 # that stops early wastes at most one block of work.
 _BLOCK = 8192
@@ -191,26 +178,37 @@ class _Gather:
         return self.values[self.index[s]]
 
 
-def sequential_path(
+def comparison_spec(label: str, M: Fraction, w: Fraction, delta: float) -> AssertionSpec:
+    """The comparison audits' start for a reported margin M and a bound w > M:
+    eta fixed at the accurate value 1/2 + M/(2(w - M)) and u the sliver
+    delta/(2(w - M)) above it, each the float of its exact value.  A small
+    delta makes accurate audits fast; it only costs efficiency when the
+    reported tallies are wildly wrong."""
+    scale = 2 * (w - M)
+    eta = float(_HALF + M / scale)
+    return AssertionSpec(label, eta, float(_HALF + (M + Fraction(delta)) / scale), True, eta)
+
+
+def sequential_test(
     x,
     seen: np.ndarray,
     n: int,
-    eta0: float,
-    u0: float,
+    spec: AssertionSpec,
     eps: float,
     threshold: float,
-    eta_floor: float | None = None,
-) -> SequentialPath:
-    """The sequential test over one assertion's draws, in array form.
+    trace: TraceHook | None = None,
+) -> tuple[bool, int, float]:
+    """The sequential test of one assertion over its draws: (approved, examined, T_max).
 
     ``x[j]`` is the value of draw j+1 and ``seen[j]`` the ballots examined
     after it (strictly increasing, at most ``n``), so a draw weighs
     ``seen[j] - seen[j-1]`` ballots.  ``x`` is an array, or anything whose
-    slice ``x[i:j]`` is the array of draws i+1..j.  ``eta_floor`` of None
-    selects the remaining-reported-mean guess with ``eta0`` as the reported
-    mean; a float selects the fixed target of the comparison audits.  The
-    test approves on the first draw after which T exceeds ``threshold``, or
-    after which mu falls below 0 while ballots remain.
+    slice ``x[i:j]`` is the array of draws i+1..j.  The test starts from
+    ``spec.eta`` and ``spec.u``; ``spec.eta_floor`` of None selects the
+    remaining-reported-mean guess with ``spec.eta`` as the reported mean, and
+    a float selects the fixed target of the comparison audits.  It approves
+    on the first draw after which T exceeds ``threshold``, or after which mu
+    falls below 0 while ballots remain.
 
     Each quantity is the one the step-by-step reference in the tests
     (``tests/helpers.py``, ``advance``) computes: mu and eta depend on past
@@ -219,37 +217,16 @@ def sequential_path(
     ``(1/u) (x eta/mu + (u - x)(u - eta)/(u - mu))``.
 
     The draws are evaluated in blocks of ``_BLOCK``, and no block after the
-    one holding the stop is evaluated.  Only the examined draws' arrays are
-    returned; :func:`_run_path` runs the same test without keeping them.
-    """
-    blocks: list = []
-    approved, examined, T_max = _run_path(x, seen, n, eta0, u0, eps, threshold, eta_floor, blocks)
-    if len(blocks) != 1:
-        blocks = [[np.concatenate(c) for c in zip(*blocks)] if blocks else [np.empty(0)] * 4]
-    return SequentialPath(approved, examined, T_max, *blocks[0])
-
-
-def _run_path(
-    x,
-    seen: np.ndarray,
-    n: int,
-    eta0: float,
-    u0: float,
-    eps: float,
-    threshold: float,
-    eta_floor: float | None = None,
-    keep: list | None = None,
-) -> tuple[bool, int, float]:
-    """:func:`sequential_path`'s test as (approved, examined, T_max).
-
-    A block's u is one float where it does not grow after entry 1, and entry
-    0's factor is computed again with the carried u if u stepped after it.
-    ``keep``, when a list, receives each evaluated block's (T, mu, eta, u) up
-    to the last draw examined; otherwise the arrays live one block long.
+    one holding the stop is evaluated.  A block's u is one float where it
+    does not grow after entry 1, and entry 0's factor is computed again with
+    the carried u if u stepped after it.  A ``trace`` hook gets one call per
+    examined draw, block by block: ``trace(j, spec.label, T, mu, eta, u)``
+    with the draw's number, T after it and the state it was tested with.
     """
     m = len(x)
     unit = m > 0 and seen[-1] == m  # one ballot per draw
-    state, u_carry = (0.5, eta0), u0  # the (mu, eta, u) the next draw is tested with
+    eta0, eta_floor = spec.eta, spec.eta_floor
+    state, u_carry = (0.5, eta0), spec.u  # the (mu, eta, u) the next draw is tested with
     S_carry = T_carry = None
     peak = -math.inf  # max of T so far, NaN propagating as in one T.max()
     for i in range(0, m, _BLOCK):
@@ -302,9 +279,11 @@ def _run_path(
         stop = int(hit.argmax()) if hit.any() else b
         e = min(stop + 1, b)  # draws of this block examined
         peak = np.maximum(peak, T[:e].max()) if i else T[:e].max()
-        if keep is not None:
-            u = np.r_[u_carry, np.full(e - 1, u1)] if np.isscalar(u) else u[:e]
-            keep.append((T[:e], mu[:e], eta[:e], u))
+        if trace is not None:
+            us = [float(u_carry)] + [float(u1)] * (e - 1) if np.isscalar(u) else u[:e].tolist()
+            rows = zip(T[:e].tolist(), mu[:e].tolist(), eta[:e].tolist(), us)
+            for step, row in enumerate(rows, start=i + 1):
+                trace(step, spec.label, *row)
         if stop < b:
             return True, i + e, max(1.0, float(peak))
         T_carry, u_carry = T[-1], u1
@@ -320,21 +299,6 @@ def _factors(x, mu, eta, u, scan: bool) -> np.ndarray:
     if scan:  # mu exactly 0: a positive draw is infinite evidence, a zero one is not
         f[mu == 0.0] = np.where(x > 0, np.inf, (u - eta) / (u - mu))[mu == 0.0]
     return f
-
-
-def _test_assertion(trace: TraceHook | None, label: str, *args) -> tuple[bool, int]:
-    """Approval and draws taken for one assertion, by :func:`sequential_path`.
-
-    The path arrays are built only for a trace hook, which gets one row per
-    examined draw: its number, T after it, the state it was tested with.
-    """
-    if trace is None:
-        return _run_path(*args)[:2]
-    path = sequential_path(*args)
-    rows = zip(path.T.tolist(), path.mu.tolist(), path.eta.tolist(), path.u.tolist())
-    for j, (T, mu, eta, u) in enumerate(rows, start=1):
-        trace(j, label, T, mu, eta, u)
-    return path.approved, path.examined
 
 
 def conclude_audit(
@@ -391,9 +355,8 @@ def alpha_audit(
         if not spec.approvable:
             results.append(AssertionOutcome(spec.label, False, False, n))
             continue
-        approved, examined = _test_assertion(
-            trace, spec.label, _Gather(values[k], drawn), seen, n, spec.eta, spec.u,
-            cfg.epsilon, 1.0 / cfg.alpha,
+        approved, examined, _ = sequential_test(
+            _Gather(values[k], drawn), seen, n, spec, cfg.epsilon, 1.0 / cfg.alpha, trace
         )
         results.append(AssertionOutcome(spec.label, True, approved, examined))
 
@@ -433,9 +396,8 @@ def batch_audit_loop(
     for k, spec in enumerate(specs):
         approved, examined, batches_at = False, n, len(sizes)
         if spec.approvable:
-            approved, batches_at = _test_assertion(
-                trace, spec.label, batch_values[k, order], seen, n, spec.eta, spec.u,
-                cfg.epsilon, 1.0 / cfg.alpha, spec.eta_floor,
+            approved, batches_at, _ = sequential_test(
+                batch_values[k, order], seen, n, spec, cfg.epsilon, 1.0 / cfg.alpha, trace
             )
             if approved:
                 examined = int(seen[batches_at - 1])

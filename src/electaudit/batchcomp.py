@@ -38,6 +38,7 @@ from .alpha import (
     AuditOutcome,
     TraceHook,
     batch_audit_loop,
+    comparison_spec,
     conclude_audit,
 )
 from .core import (
@@ -61,10 +62,8 @@ class BatchAssorter:
     """A ballot assorter lifted to batches, with its audit constants.
 
     M and w are exact rationals so that the constancy of A over accurately
-    counted batches is an identity, not a rounding accident.  U is the float
-    bound actually used by the test: the accurate-batch value plus a sliver
-    delta/(2(w-M)).  Small delta makes accurate audits fast; it only costs
-    efficiency when reported tallies are wildly (maliciously) wrong.
+    counted batches is an identity, not a rounding accident.  The test
+    starts from :func:`electaudit.alpha.comparison_spec` of M, w and delta.
     """
 
     base: Assorter
@@ -83,10 +82,6 @@ class BatchAssorter:
     @property
     def accurate_value(self) -> Fraction:
         return _HALF + self.M / (2 * (self.w - self.M))
-
-    @property
-    def U(self) -> float:
-        return float(_HALF + (self.M + Fraction(self.delta)) / (2 * (self.w - self.M)))
 
 
 def make_batch_assorter(
@@ -190,13 +185,11 @@ def batchcomp_audit(
     """
     n = int(m.sizes.sum())
     lifted, batch_values = lift_assertions(assorters, m, delta)
-    specs = []
-    for a, A in zip(assorters, lifted):
-        if A is None:
-            specs.append(AssertionSpec(a.label, 0.0, 1.0, False))
-        else:
-            target = float(A.accurate_value)
-            specs.append(AssertionSpec(a.label, target, A.U, True, target))
+    specs = [
+        AssertionSpec(a.label, 0.0, 1.0, False) if A is None
+        else comparison_spec(a.label, A.M, A.w, A.delta)
+        for a, A in zip(assorters, lifted)
+    ]
     results = batch_audit_loop(m.sizes, specs, batch_values, n, cfg, trace)
     return conclude_audit(results, assorters, m)
 

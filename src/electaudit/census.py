@@ -22,11 +22,12 @@ multiplicatively exactly as accurate batches do in the batch-comparison
 audit.  All constants are exact rationals; the test runs floats.
 
 Every pair is tested by the one sequential test of the election audits,
-:func:`electaudit.alpha.sequential_path`, with eta fixed at the agreement
-constant (floored at mu + epsilon) and no risk limit to stop at: T is the
-running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
+:func:`electaudit.alpha.sequential_test`, from the batch-comparison start
+of :func:`electaudit.alpha.comparison_spec` (eta fixed at the agreement
+constant, floored at mu + epsilon) and with no risk limit to stop at: T is
+the running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
 and the pair's risk is 1 / max T, or 0 once the sample alone forces the
-pair's mean above 1/2.  It runs without path arrays (``alpha._run_path``).
+pair's mean above 1/2.
 
 The survey sample is drawn in one vectorised step, a shuffle of the
 surveyed households interleaved with one of the households outside the
@@ -54,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alpha import AuditConfig, _run_path
+from .alpha import AuditConfig, comparison_spec, sequential_test
 from .apportionment import DIVISORS, Divisor, highest_averages
 from .randomness import make_rng
 
@@ -292,8 +293,8 @@ def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndar
 
 
 def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats) -> tuple:
-    """The allocation and each ordered pair's (agree, u0, slope), or None when the
-    census refutes the pair; built once per census, allocation and delta."""
+    """The allocation and each ordered pair's (AssertionSpec, slope), or None when
+    the census refutes the pair; built once per census, allocation and delta."""
     key = (delta, None if census_seats is None else tuple(sorted(census_seats.items())))
     cache = data._pair_tests if model is data.model else {}
     if key in cache:
@@ -316,8 +317,8 @@ def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats
         slope = np.zeros(len(model.states))
         slope[model.states.index(s1)] = float(1 / (Fraction(pair.d1) * pair.c * scale))
         slope[model.states.index(s2)] = float(-1 / (Fraction(pair.d2) * pair.c * scale))
-        u0 = float(Fraction(1, 2) + (pair.m + Fraction(delta)) / scale)
-        tests.append(((s1, s2), (float(pair.agree_value), u0, slope)))
+        spec = comparison_spec(f"{s1}->{s2}", pair.m, pair.z, delta)
+        tests.append(((s1, s2), (spec, slope)))
     cache[key] = seats, tests
     return seats, tests
 
@@ -335,7 +336,7 @@ def census_rla(
     Households are drawn without replacement (:func:`_draw_households`)
     until every surveyed household has been seen; then each pair assertion
     is tested along that one draw sequence by
-    :func:`electaudit.alpha.sequential_path`.  ``cfg.alpha`` is ignored
+    :func:`electaudit.alpha.sequential_test`.  ``cfg.alpha`` is ignored
     (this audit outputs the risk limit instead of testing one);
     ``cfg.seed`` drives the sampling and ``cfg.epsilon`` the guess ordering.
     A pair whose census margin is not positive gets risk limit 1: the census
@@ -371,10 +372,10 @@ def census_rla(
         if test is None:
             pair_risks[pair] = 1.0
             continue
-        agree, u0, slope = test  # A = agree + (pes - cen) * slope[state]
-        A = np.full(len(drawn), agree)
-        A[off] = agree + off_diff * slope[off_state]
-        approved, _, T_max = _run_path(A, seen, n, agree, u0, cfg.epsilon, math.inf, agree)
+        spec, slope = test  # A = agreement value + (pes - cen) * slope[state]
+        A = np.full(len(drawn), spec.eta)
+        A[off] = spec.eta + off_diff * slope[off_state]
+        approved, _, T_max = sequential_test(A, seen, n, spec, cfg.epsilon, math.inf)
         # approval here means mu fell below 0: the sample alone settles the pair
         pair_risks[pair] = 0.0 if approved else min(1.0, 1.0 / T_max)
 

@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     cens.add_argument("--households", default=None, help="household CSV with survey results")
     cens.add_argument("--generate", action="store_true", help="generate households instead")
     cens.add_argument("--household-dist", default=None, help="size,probability CSV for generation")
-    cens.add_argument("--nonresponse", type=float, default=0.01)
-    cens.add_argument("--disagree", type=float, default=0.0, help="survey disagreement rate")
+    cens.add_argument("--nonresponse", type=float, help="generated non-response rate (0.01)")
+    cens.add_argument("--disagree", type=float, help="generated survey disagreement rate (0)")
     cens.add_argument("--representatives", type=int, default=56)
     cens.add_argument("--g-max", type=int, default=census_mod.DEFAULT_GMAX)
     cens.add_argument("--divisor", default="dhondt")
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated surveyed fractions for generated runs, e.g. 0.0066,0.0087",
     )
-    cens.add_argument("--trials", type=int, default=10)
+    cens.add_argument("--trials", type=int, help="generated trials (10)")
     cens.add_argument("--seed", type=int, default=0)
     cens.add_argument("--out", default=None, help="output directory (generated runs)")
     return parser
@@ -105,9 +105,20 @@ def _cmd_margins(args) -> int:
     return 0
 
 
+# Flags of generated census runs, with their defaults there.
+_GENERATION_FLAGS = {
+    "sample_frac": None, "household_dist": None, "disagree": 0.0, "nonresponse": 0.01, "trials": 10
+}
+
+
 def _cmd_census(args) -> int:
     if args.generate == (args.households is not None):
         raise ConfigError("give exactly one of --households or --generate")
+    for flag, default in _GENERATION_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif not args.generate:
+            raise ConfigError(f"--{flag.replace('_', '-')} applies only to --generate")
     if args.generate:
         if not args.household_dist or not args.sample_frac or not args.out:
             raise ConfigError("--generate needs --household-dist, --sample-frac and --out")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -262,6 +263,14 @@ class BatchMatrix:
     def tallies(self, counts: np.ndarray) -> list[Tally]:
         """One tally per batch, from ``reported`` or ``truth``."""
         return [Tally(dict(zip(self.types, row))) for row in counts.tolist()]
+
+
+def as_int(value) -> int:
+    """``value`` when it is an integer.  A float, even a whole one, a bool or a
+    string is a TypeError, so a config value is never silently truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def check_int64_total(n: int) -> None:

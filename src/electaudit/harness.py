@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -31,7 +30,7 @@ from . import census as census_mod
 from .alpha import AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit
 from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
-from .core import check_int64_total, load_contest_csv, plurality_assorter
+from .core import as_int, check_int64_total, load_contest_csv, plurality_assorter
 from .knesset import allocate_seats, assertion_margin, generate_assertions, load_knesset_config
 from .randomness import make_rng
 
@@ -288,15 +287,15 @@ def run_experiment(
     kind = _require(config, "audit")
     if kind not in AUDIT_KINDS:
         raise ConfigError(f"audit kind must be one of {AUDIT_KINDS}, got {kind!r}")
-    trials = trials if trials is not None else _read(config, "trials", int, 10)
+    trials = trials if trials is not None else _read(config, "trials", as_int, 10)
     if trials <= 0:
         raise ConfigError("trials must be positive")
     seeds = config.get("seeds")
     if seeds is None:
-        base = seed if seed is not None else _read(config, "seed", int, 0)
+        base = seed if seed is not None else _read(config, "seed", as_int, 0)
         seeds = [base + i for i in range(trials)]
     else:
-        seeds = _read(config, "seeds", lambda v: [int(s) for s in _list(v)])[:trials]
+        seeds = _read(config, "seeds", lambda v: [as_int(s) for s in _list(v)])[:trials]
         if len(seeds) < trials:
             raise ConfigError("seed list is shorter than the trial count")
     out_dir = Path(out_dir)
@@ -364,8 +363,8 @@ def _trial_batches(config: Mapping, contest, tally, data_rng) -> BatchMatrix:
         sizes = load_declared_sizes(_path(batches_spec, "declared_sizes")) if declared else None
         return batch_matrix(load_batches_csv(_path(batches_spec, "file"), declared_sizes=sizes))
     gen = _read(batches_spec, "generate", _mapping, {})
-    sizes = _read(gen, "sizes", lambda v: v if v is None else [operator.index(x) for x in v])
-    size_range = _read(gen, "size_range", lambda v: tuple(map(operator.index, v)), (250, 550))
+    sizes = _read(gen, "sizes", lambda v: v if v is None else [as_int(x) for x in v])
+    size_range = _read(gen, "size_range", lambda v: tuple(map(as_int, v)), (250, 550))
     return deal_matrix(tally, data_rng, sizes=sizes, size_range=size_range)
 
 
@@ -388,7 +387,7 @@ def _election_trial(args) -> TrialReport:
     trace_hook = None
     trace_file = None
     if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
+        trace_file = open(trace_path, "w", newline="", encoding="utf-8")
         writer = csv.writer(trace_file)
         writer.writerow(["step", "assertion", "T", "mu", "eta", "u"])
 
@@ -525,8 +524,8 @@ def assertion_stats(reports: Sequence[TrialReport]) -> list[list]:
 def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
     pops, constants = census_mod.load_districts_csv(_path(config, "districts"))
     _require(config, "representatives")
-    representatives = _read(config, "representatives", int)
-    g_max = _read(config, "g_max", int, census_mod.DEFAULT_GMAX)
+    representatives = _read(config, "representatives", as_int)
+    g_max = _read(config, "g_max", as_int, census_mod.DEFAULT_GMAX)
     divisor = _read(config, "divisor", str, "dhondt")
     delta = _read(config, "delta", float, census_mod.DEFAULT_DELTA)
     disagree = _read(config, "disagreement_rate", float, 0.0)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .apportionment import dhondt, highest_averages
-from .core import Assorter, Contest, Tally
+from .core import Assorter, Contest, Tally, as_int
 
 DEFAULT_SEATS = 120
 DEFAULT_THRESHOLD = Fraction(13, 400)  # 3.25% of valid votes
@@ -349,10 +349,13 @@ def load_knesset_config(path) -> KnessetContest:
         raise ValueError(f"{path}: 'parties' must be a list of names")
     threshold = raw.get("threshold", None)
     try:
-        seats = int(raw.get("seats", DEFAULT_SEATS))
+        seats = as_int(raw.get("seats", DEFAULT_SEATS))
+    except TypeError as exc:
+        raise ValueError(f"{path}: 'seats' must be an integer, got {raw['seats']!r}") from exc
+    try:
         apparentments = tuple(frozenset(pair) for pair in raw.get("apparentments", []))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed 'seats' or 'apparentments'") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed 'apparentments'") from exc
     return KnessetContest(
         parties=tuple(parties),
         seats=seats,

@@ -10,11 +10,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from electaudit.alpha import AssertionSpec, AuditConfig
+from electaudit.alpha import AssertionSpec, AuditConfig, sequential_test
 from electaudit.apportionment import Divisor, dhondt
 from electaudit import census as census_mod
 from electaudit.census import CensusData, CensusPair, Household
@@ -102,7 +102,7 @@ def advance(
     eta_floor: float | None,
 ) -> None:
     """One update of the sequential test, the step-by-step reference for
-    :func:`electaudit.alpha.sequential_path`: T from the current (mu, eta, u),
+    :func:`electaudit.alpha.sequential_test`: T from the current (mu, eta, u),
     then the forward guesses.
 
     ``eta_floor`` of None selects the remaining-reported-mean rule driven by
@@ -161,7 +161,7 @@ def run_path_reference(
     keep: list | None = None,
 ) -> tuple[bool, int, float]:
     """The sequential kernel in its running-max form: the exact reference for
-    :func:`electaudit.alpha._run_path` and :func:`electaudit.alpha.sequential_path`.
+    :func:`electaudit.alpha.sequential_test` and its trace rows.
 
     Blocks of ``_BLOCK`` draws, u as a ``maximum.accumulate`` over each
     block, the factor with an array u, and full scans for mu exactly 0 and
@@ -234,6 +234,33 @@ def run_path_reference(
             return True, i + e, max(1.0, float(peak))
         T_carry = T[-1]
     return False, m, max(1.0, float(peak))
+
+
+class KernelPath(NamedTuple):
+    """One assertion's test with its path: ``T[j]`` is T after draw j+1, and
+    ``mu[j]``, ``eta[j]`` and ``u[j]`` the values that draw was tested with,
+    up to the last draw examined."""
+
+    approved: bool
+    examined: int
+    T_max: float
+    T: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+    u: np.ndarray
+
+
+def traced_path(x, seen, n: int, spec: AssertionSpec, eps: float, threshold: float) -> KernelPath:
+    """:func:`electaudit.alpha.sequential_test` with the T/mu/eta/u arrays
+    rebuilt from its trace rows, which must number the draws 1, 2, ... and
+    carry the spec's label."""
+    rows = []
+    approved, examined, T_max = sequential_test(
+        x, seen, n, spec, eps, threshold, lambda *row: rows.append(row)
+    )
+    assert [r[:2] for r in rows] == [(j, spec.label) for j in range(1, examined + 1)]
+    columns = (np.array([r[c] for r in rows], dtype=float) for c in range(2, 6))
+    return KernelPath(approved, examined, T_max, *columns)
 
 
 def alpha_step(

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from electaudit import alpha as alpha_mod
 from electaudit.alpha import (
+    AssertionSpec,
     AuditConfig,
-    SequentialPath,
     alpha_audit,
     alpha_batch_audit,
     alpha_init,
-    sequential_path,
+    sequential_test,
 )
 from electaudit.batchcomp import batchcomp_audit
 from electaudit.core import BatchRecord, Contest, Tally, batch_matrix, plurality_assorter
@@ -21,6 +21,7 @@ from electaudit.randomness import make_rng
 
 from .helpers import (
     AssertionState,
+    KernelPath,
     advance,
     alpha_step,
     ballot_batch,
@@ -28,6 +29,7 @@ from .helpers import (
     draw_order_reference,
     run_path_reference,
     start_state,
+    traced_path,
 )
 
 
@@ -36,6 +38,11 @@ def two_party():
     c = Contest.from_party_names(["Alice", "Bob"])
     a = plurality_assorter(c.by_name("Alice"), c.by_name("Bob"), c)
     return c, a
+
+
+def _spec(eta0, u0, floor=None):
+    """A kernel start: eta0 and u0, and the fixed-eta rule when ``floor`` is a float."""
+    return AssertionSpec("kernel", eta0, u0, True, floor)
 
 
 def test_init_sets_reported_mean(two_party):
@@ -148,7 +155,8 @@ def test_vectorised_trajectory_matches_stepwise(two_party):
     rep_mean = 0.57
     rep = c.tally({"Alice": 171, "Bob": 129})
     st = start_state(alpha_init([a], rep, n, cfg)[0], n)
-    path = sequential_path(x, np.arange(1, n + 1), n, rep_mean, st.u, cfg.epsilon, 1 / cfg.alpha)
+    seen = np.arange(1, n + 1)
+    path = traced_path(x, seen, n, _spec(rep_mean, st.u), cfg.epsilon, 1 / cfg.alpha)
     T, mu, eta, u = path.T, path.mu, path.eta, path.u
     for j in range(n):
         if not st.active:
@@ -194,7 +202,7 @@ def test_supermartingale_mean_stays_at_one(two_party):
     for r in range(runs):
         x = rng.permutation(ballots)
         # no risk limit: the path runs on until mu < 0 stops it
-        path = sequential_path(x, seen, n, rep_mean, 1.0, eps, math.inf)
+        path = traced_path(x, seen, n, _spec(rep_mean, 1.0), eps, math.inf)
         paths[r, : path.examined] = path.T
         paths[r, path.examined :] = path.T[-1]
     means = paths.mean(axis=0)
@@ -238,7 +246,7 @@ def test_first_crossing_prefers_earliest_rule():
     # 4 ballots, bound 3: mu goes negative after draw 2, before T reaches 1/alpha
     x = np.array([1.5, 1.5, 3.0, 3.0])
     cfg = AuditConfig(alpha=0.1)
-    path = sequential_path(x, np.arange(1, 5), 4, 1.0, 3.0, cfg.epsilon, 1 / cfg.alpha)
+    path = traced_path(x, np.arange(1, 5), 4, _spec(1.0, 3.0), cfg.epsilon, 1 / cfg.alpha)
     assert path.approved and path.examined == 2
     assert path.T_max == path.T[1] < 1 / cfg.alpha
     ref = AssertionState("ref", eta=1.0, u=3.0)
@@ -247,8 +255,8 @@ def test_first_crossing_prefers_earliest_rule():
     assert ref.approved and ref.mu < 0 and ref.T < 1 / cfg.alpha
     assert path.T_max == pytest.approx(ref.T_max, rel=1e-12)
     # with a threshold T passes at draw 1, the T rule comes first
-    early = sequential_path(x, np.arange(1, 5), 4, 1.0, 3.0, cfg.epsilon, path.T[0] / 2)
-    assert early.approved and early.examined == 1
+    early = sequential_test(x, np.arange(1, 5), 4, _spec(1.0, 3.0), cfg.epsilon, path.T[0] / 2)
+    assert early[:2] == (True, 1)
 
 
 def test_golden_values_pin_generator():
@@ -376,7 +384,7 @@ def kernel_cases(draw):
 @given(kernel_cases())
 @settings(max_examples=400, deadline=None)
 def test_kernel_matches_stepwise_reference(case):
-    """sequential_path reproduces the stepwise advance draw by draw, for both eta rules."""
+    """sequential_test's trace reproduces the stepwise advance draw by draw, for both eta rules."""
     x, sizes, n, eta0, u0, alpha, floor = case
     cfg = AuditConfig(alpha=alpha)
     ref = AssertionState("ref", eta=eta0, u=u0, eta_budget=n * eta0)
@@ -389,7 +397,7 @@ def test_kernel_matches_stepwise_reference(case):
             break
     rows = np.array(rows)
 
-    path = sequential_path(x, np.cumsum(sizes), n, eta0, u0, cfg.epsilon, 1 / alpha, floor)
+    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), cfg.epsilon, 1 / alpha)
     common = len(rows)
     if (path.approved, path.examined) != (ref.approved, len(rows)):
         # the two forms of the factor round differently; only a T sitting on
@@ -408,7 +416,7 @@ def test_kernel_zero_mu_special_cases():
     cfg = AuditConfig(alpha=0.05)
     for last, approved in ((0.0, False), (0.5, True)):
         x = np.array([1.0, 1.0, last, 0.0])
-        path = sequential_path(x, np.arange(1, 5), 4, 0.9, 1.0, cfg.epsilon, 1 / cfg.alpha)
+        path = traced_path(x, np.arange(1, 5), 4, _spec(0.9, 1.0), cfg.epsilon, 1 / cfg.alpha)
         assert path.mu[2] == 0.0
         assert not np.isnan(path.T).any()
         assert (path.approved, path.examined) == (approved, 3 if approved else 4)
@@ -438,6 +446,11 @@ def test_alpha_audit_trace_changes_nothing(two_party):
         assert all(type(v) is float for r in rows for v in r[2:])
 
 
+def _kernel_args(x, seen, n, eta0, u0, eps, threshold, floor=None):
+    """``sequential_test``'s arguments for ``run_path_reference``'s."""
+    return x, seen, n, _spec(eta0, u0, floor), eps, threshold
+
+
 def _in_blocks(size, fn, *args):
     with mock.patch.object(alpha_mod, "_BLOCK", size):
         return fn(*args)
@@ -457,12 +470,12 @@ def test_kernel_blocks_match_one_pass(case):
     """Evaluating the draws in blocks of 1, 2, 3 or 7 carries the running sum,
     the (mu, eta, u) state and T across block edges without changing a bit."""
     x, sizes, n, eta0, u0, alpha, floor = case
-    args = (x, np.cumsum(sizes), n, eta0, u0, 1e-9, 1 / alpha, floor)
+    args = _kernel_args(x, np.cumsum(sizes), n, eta0, u0, 1e-9, 1 / alpha, floor)
     assert len(x) <= alpha_mod._BLOCK
-    whole = sequential_path(*args)
+    whole = traced_path(*args)
     for size in (1, 2, 3, 7):
-        _assert_same_path(_in_blocks(size, sequential_path, *args), whole)
-        got = _in_blocks(size, alpha_mod._run_path, *args)
+        _assert_same_path(_in_blocks(size, traced_path, *args), whole)
+        got = _in_blocks(size, sequential_test, *args)
         assert got == (whole.approved, whole.examined, whole.T_max)
 
 
@@ -480,11 +493,11 @@ def test_kernel_blocks_match_one_pass(case):
 def test_kernel_stop_on_block_edge(x, sizes, n, eta0, u0, threshold, approved, examined):
     """The stopping draw as the last draw of a block and as the first of the
     next: the same stop and the same path as one pass."""
-    args = (x, np.cumsum(sizes), n, eta0, u0, 1e-9, threshold)
-    whole = sequential_path(*args)
+    args = _kernel_args(x, np.cumsum(sizes), n, eta0, u0, 1e-9, threshold)
+    whole = traced_path(*args)
     assert (whole.approved, whole.examined) == (approved, examined)
     for size in (examined - 1, examined, 1, 2, 3, 7):
-        _assert_same_path(_in_blocks(size, sequential_path, *args), whole)
+        _assert_same_path(_in_blocks(size, traced_path, *args), whole)
 
 
 def _stepwise_rows(x, sizes, n, eta0, u0, eps, floor):
@@ -525,8 +538,8 @@ def test_kernel_running_max_of_u(case):
     the path is the stepwise reference's, and blocks of 1, 2, 3 and 7 match
     one pass bit for bit."""
     x, n, eta0, u0, floor = _u_cases()[case]
-    seen = np.arange(1, len(x) + 1)
-    whole = sequential_path(x, seen, n, eta0, u0, 1e-9, math.inf, floor)
+    args = _kernel_args(x, np.arange(1, len(x) + 1), n, eta0, u0, 1e-9, math.inf, floor)
+    whole = traced_path(*args)
     rows = _stepwise_rows(x, np.ones(len(x)), n, eta0, u0, 1e-9, floor)
     assert whole.examined == len(rows) == len(x)
     for col, got in enumerate((whole.T, whole.mu, whole.eta, whole.u)):
@@ -541,19 +554,18 @@ def test_kernel_running_max_of_u(case):
     else:
         assert np.all(whole.u == u0)
     for size in (1, 2, 3, 7):
-        _assert_same_path(_in_blocks(size, sequential_path, x, seen, n, eta0, u0, 1e-9,
-                                     math.inf, floor), whole)
+        _assert_same_path(_in_blocks(size, traced_path, *args), whole)
 
 
 def _assert_matches_reference(*args):
-    """``sequential_path`` and ``_run_path`` in blocks of 1, 2, 3, 7 and the
-    default equal the running-max reference bit for bit."""
+    """``sequential_test``, traced and untraced, in blocks of 1, 2, 3, 7 and
+    the default equals the running-max reference bit for bit."""
     blocks = []
     head = run_path_reference(*args, keep=blocks)
-    want = SequentialPath(*head, *(np.concatenate(c) for c in zip(*blocks)))
+    want = KernelPath(*head, *(np.concatenate(c) for c in zip(*blocks)))
     for size in (1, 2, 3, 7, alpha_mod._BLOCK):
-        _assert_same_path(_in_blocks(size, sequential_path, *args), want)
-        assert _in_blocks(size, alpha_mod._run_path, *args) == head
+        _assert_same_path(_in_blocks(size, traced_path, *_kernel_args(*args)), want)
+        assert _in_blocks(size, sequential_test, *_kernel_args(*args)) == head
     return want
 
 

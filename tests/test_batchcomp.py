@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electaudit.alpha import AuditConfig, combined_reported
+from electaudit.alpha import AuditConfig, combined_reported, comparison_spec
 from electaudit.batchcomp import (
     BatchAssorter,
     batch_assorter_value,
@@ -15,6 +15,7 @@ from electaudit.batchcomp import (
     make_batch_assorter,
     pad_missing_ballots,
 )
+from electaudit.census import CensusPair
 from electaudit.core import BatchRecord, Contest, assorter_mean, batch_matrix, plurality_assorter
 from electaudit.harness import deal_matrix
 from electaudit.randomness import make_rng
@@ -85,6 +86,26 @@ def test_known_accurate_value(ab):
     A = BatchAssorter(base=a, M=Fraction(1, 20), w=Fraction(3, 5), delta=1e-10)
     assert A.accurate_value == Fraction(6, 11)
     assert float(A.accurate_value) == pytest.approx(0.5454545454545454)
+
+
+positive_fractions = st.fractions(min_value=Fraction(1, 10**12), max_value=10**6)
+
+
+@given(positive_fractions, positive_fractions, st.floats(1e-12, 10.0) | st.sampled_from([1e-10]))
+@settings(max_examples=300, deadline=None)
+def test_comparison_spec_is_the_float_of_the_exact_start(M, gap, delta):
+    """For w > M > 0, the comparison start is eta = float(1/2 + M/(2(w - M)))
+    and u = float(1/2 + (M + delta)/(2(w - M))), the batch assorter's accurate
+    value and bound and the census pair's agreement value and bound."""
+    w = M + gap
+    c = Contest.from_party_names(["A", "B"])
+    A = BatchAssorter(plurality_assorter(c.by_name("A"), c.by_name("B"), c), M, w, delta)
+    spec = comparison_spec("x", M, w, delta)
+    U = float(HALF + (M + Fraction(delta)) / (2 * (w - M)))
+    assert spec == ("x", float(A.accurate_value), U, True, float(A.accurate_value))
+    pair = CensusPair("s1", "s2", 1, 0, 1, 1, 15, Fraction(1), M, w)
+    u0 = float(Fraction(1, 2) + (pair.m + Fraction(delta)) / (2 * (pair.z - pair.m)))
+    assert comparison_spec("s1->s2", pair.m, pair.z, delta)[1:3] == (float(pair.agree_value), u0)
 
 
 def test_worst_batch_scores_zero(ab):

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -91,6 +93,65 @@ def test_run_unknown_weaken_pair_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "audit: error: weaken pair names no move-seat assertion: P2:Nope" in err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("knesset", "seats", 119.9),  # allocated 119 seats
+    ("knesset", "seats", True),  # allocated 1 seat
+    ("config", "trials", 2.9),  # ran 2 trials
+    ("config", "seeds", [0.5, 1.7]),  # ran seeds 0 and 1
+    ("config", "seed", 1.5),
+])
+def test_election_integer_value_of_the_wrong_kind_exits_2(tmp_path, capsys, where, key, value):
+    """An integer config value is never truncated: a float, even a whole one,
+    or a bool exits 2 with an error naming its key."""
+    contest, kcfg = _knesset_inputs(tmp_path)
+    knesset = {"parties": ["P1", "P2"], "seats": 9}
+    config = {
+        "audit": "batchcomp",
+        "contest": str(contest),
+        "knesset": str(kcfg),
+        "batches": {"generate": {"sizes": [100] * 9}},
+        "trials": 2,
+    }
+    (knesset if where == "knesset" else config)[key] = value
+    kcfg.write_text(json.dumps(knesset))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    runs = [["run", "--config", str(cfg), "--out", str(tmp_path / "out")]]
+    if where == "knesset":
+        runs.append(["margins", "--contest", str(contest), "--knesset", str(kcfg)])
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("audit: error: ") and repr(key) in err, err
+
+
+def test_run_trace_writes_non_ascii_labels_under_c_locale(tmp_path):
+    """The trace file is UTF-8 like every other output, whatever the locale's
+    encoding: a Hebrew party name in an assertion label is written, not an
+    ``'ascii' codec`` error."""
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nA,5200\nשס,4500\n__invalid__,300\n", "utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "audit": "batchcomp",
+        "contest": str(contest),
+        "batches": {"generate": {"sizes": [500] * 20}},
+        "trials": 2,
+    }))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "electaudit.cli", "run", "--config", str(cfg), "--out", str(out),
+         "--trace"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    trace = (out / "trace_trial0.csv").read_text("utf-8")
+    assert "plurality:A>שס" in trace
 
 
 def test_run_subcommand_writes_outputs(tmp_path):
@@ -424,6 +485,12 @@ def test_mutated_census_inputs_exit_0_or_2(files):
     ("sample_fractions", "1"),  # read once as [1.0], character by character
     ("seeds", "12"),  # read once as seeds 1 and 2
     ("household_dist", 3),
+    ("representatives", 5.5),  # read once as 5
+    ("representatives", True),  # read once as 1
+    ("g_max", 15.0),
+    ("trials", 2.9),  # ran 2 trials
+    ("seeds", [0.5, 1.7]),  # ran seeds 0 and 1
+    ("seed", 1.5),
 ])
 def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
     """A value of the wrong kind is an error that names its key, not a
@@ -433,6 +500,21 @@ def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
     (config["households"]["generate"] if key == "household_dist" else config)[key] = value
     [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
     assert rc == 2 and key in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sample-frac", "0.5"),
+    ("--household-dist", "sizes.csv"),
+    ("--disagree", "0.3"),
+    ("--nonresponse", "0.1"),
+    ("--trials", "3"),
+])
+def test_census_household_file_rejects_generation_flags(flag, value):
+    """A flag that only shapes generated households is an error with a
+    household file, not silently ignored."""
+    runs = [CENSUS_RUNS[1], CENSUS_RUNS[1] + [flag, value]]
+    [(rc, _), (rc_flag, err)] = _exit_0_or_2(_census_files(_census_config(False)), runs)
+    assert rc == 0 and rc_flag == 2 and f"{flag} applies only to --generate" in err
 
 
 def test_census_null_sample_fractions_reads_as_absent():

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electaudit.alpha import AssertionOutcome, AuditConfig, alpha_init, conclude_audit
+from electaudit.alpha import (
+    AssertionOutcome,
+    AuditConfig,
+    alpha_init,
+    comparison_spec,
+    conclude_audit,
+)
 from electaudit.batchcomp import (
     batch_assorter_value_exact,
     lift_assertions,
@@ -105,7 +111,7 @@ def batch_lists(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
-    """Every batch mean, M, w, U and A(B) equals float of its exact Fraction,
+    """Every batch mean, M, w, the comparison start and A(B) equals float of its exact Fraction,
     and so does every reported mean eta; the full count's verdicts are the
     exact ones."""
     assertions = plurality_assertions() + knesset_assertions(seats, weaken)
@@ -126,7 +132,10 @@ def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
             continue
         w = max(assorter_mean(a, b.reported) for b in batches)
         assert (A.M, A.w) == (M, w)
-        assert A.U == float(HALF + (M + Fraction(delta)) / (2 * (w - M)))
+        spec = comparison_spec(a.label, A.M, A.w, delta)
+        assert (spec.eta, spec.u) == (
+            float(A.accurate_value), float(HALF + (M + Fraction(delta)) / (2 * (w - M)))
+        )
         assert make_batch_assorter(a, batches, delta) == A
         assert row.tolist() == [float(batch_assorter_value_exact(A, b)) for b in batches]
 
