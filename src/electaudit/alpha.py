@@ -45,9 +45,10 @@ size.  It uses only the overall reported tally, never per-batch reported
 tallies; the comparison audit that does use them lives in
 :mod:`electaudit.batchcomp`.
 
-Both audits here, like the batch-comparison audit, take the trial's one
-batch store, a :class:`electaudit.core.BatchMatrix`, and read each
-assorter's stored integer row ``(num, den)`` over its type index
+Both audits here, like the batch-comparison audit, take only the trial's
+one batch store, a :class:`electaudit.core.BatchMatrix`: the reported tally
+is the column sum of its reported counts.  They read each assorter's stored
+integer row ``(num, den)`` over its type index
 (:meth:`electaudit.core.Assorter.row`).  The ballot-level audit expands the
 true counts into one type index per ballot, shuffles it once, and hands the
 kernel each block's values as a gather from that order, so no full-length
@@ -122,21 +123,17 @@ class AuditOutcome:
     assertions: tuple[AssertionOutcome, ...]
 
 
-def alpha_init(
-    assorters: Sequence[Assorter], reported: Tally, n: int, cfg: AuditConfig
-) -> list[AssertionSpec]:
-    """Each assertion's start: eta the reported mean, u the assorter bound.
+def alpha_init(assorters: Sequence[Assorter], m: BatchMatrix) -> list[AssertionSpec]:
+    """Each assertion's start: eta the mean over the reported counts of ``m``,
+    u the assorter bound.
 
     An assertion whose reported mean is at most 1/2 is flagged un-approvable:
     the reported results themselves refute it, so the audit can only end in a
     full recount.  A reported mean at or above the upper bound leaves no room
     for mu < eta < u and is rejected outright.
     """
-    if n <= 0:
-        raise ValueError("ballot count must be positive")
-    if reported.total != n:
-        raise ValueError(f"reported tally covers {reported.total} ballots, expected {n}")
-    sums = _exact_sums(assorters, tuple(reported.counts), tuple(reported.counts.values()))
+    n = int(m.sizes.sum())
+    sums = _exact_sums(assorters, m.types, m.reported.sum(axis=0).tolist())
     specs = []
     for a, (S, den) in zip(assorters, sums):
         eta = S / (den * n)  # int / int is correctly rounded: the float of the exact mean
@@ -326,11 +323,10 @@ def conclude_audit(
 def alpha_audit(
     m: BatchMatrix,
     assorters: Sequence[Assorter],
-    reported: Tally,
     cfg: AuditConfig,
     trace: TraceHook | None = None,
 ) -> AuditOutcome:
-    """Audit every true ballot of the batches ``m`` against the reported tally.
+    """Audit every true ballot of the batches ``m`` against their reported counts.
 
     The ballots are taken in batch order, and within a batch by type name.
     They are drawn without replacement via a seeded shuffle and consumed in
@@ -340,7 +336,7 @@ def alpha_audit(
     and reports the truth it found.
     """
     n = int(m.sizes.sum())
-    specs = alpha_init(assorters, reported, n, cfg)
+    specs = alpha_init(assorters, m)
     rng = make_rng(cfg.seed)
 
     ones = np.ones(len(m.types), dtype=np.int64)
@@ -380,7 +376,6 @@ def batch_audit_loop(
     sizes: np.ndarray,
     specs: Sequence[AssertionSpec],
     batch_values: np.ndarray,
-    n: int,
     cfg: AuditConfig,
     trace: TraceHook | None = None,
 ) -> list[AssertionOutcome]:
@@ -392,6 +387,7 @@ def batch_audit_loop(
     rng = make_rng(cfg.seed)
     order = _draw_batches_without_replacement(sizes, rng)
     seen = np.cumsum(sizes[order])
+    n = int(seen[-1])
     results = []
     for k, spec in enumerate(specs):
         approved, examined, batches_at = False, n, len(sizes)
@@ -410,7 +406,6 @@ def batch_audit_loop(
 def alpha_batch_audit(
     m: BatchMatrix,
     assorters: Sequence[Assorter],
-    reported: Tally,
     cfg: AuditConfig,
     trace: TraceHook | None = None,
 ) -> AuditOutcome:
@@ -422,16 +417,12 @@ def alpha_batch_audit(
     bound, which is what makes this baseline slow: per-batch means hug the
     overall mean far below that bound, so T moves in tiny steps.
     """
-    n = int(m.sizes.sum())
-    totals = m.reported.sum(axis=0).tolist()
-    if reported.total != n or [reported.get(bt) for bt in m.types] != totals:
-        raise ValueError("overall reported tally is inconsistent with the batch tallies")
-    specs = alpha_init(assorters, reported, n, cfg)
+    specs = alpha_init(assorters, m)
     rows = (a.row(m.types) for a in assorters)
     batch_values = np.array(
         [exact_quotients(exact_matmul(m.truth, num), den, m.sizes) for num, den in rows]
     )
-    results = batch_audit_loop(m.sizes, specs, batch_values, n, cfg, trace)
+    results = batch_audit_loop(m.sizes, specs, batch_values, cfg, trace)
     return conclude_audit(results, assorters, m)
 
 

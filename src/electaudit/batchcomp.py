@@ -24,7 +24,6 @@ value of the exact rational.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +49,7 @@ from .core import (
     batch_matrix,
     exact_matmul,
     exact_quotients,
+    read_csv,
 )
 
 _HALF = Fraction(1, 2)
@@ -183,14 +183,13 @@ def batchcomp_audit(
     or mu < 0.  An assertion whose reported margin is not positive is flagged
     un-approvable, since the reported tallies refute it before any sampling.
     """
-    n = int(m.sizes.sum())
     lifted, batch_values = lift_assertions(assorters, m, delta)
     specs = [
         AssertionSpec(a.label, 0.0, 1.0, False) if A is None
         else comparison_spec(a.label, A.M, A.w, A.delta)
         for a, A in zip(assorters, lifted)
     ]
-    results = batch_audit_loop(m.sizes, specs, batch_values, n, cfg, trace)
+    results = batch_audit_loop(m.sizes, specs, batch_values, cfg, trace)
     return conclude_audit(results, assorters, m)
 
 
@@ -222,21 +221,16 @@ def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list
 
     Sizes are derived by summation; if the reported and true totals of a batch
     disagree, or a declared size exceeds both, the batch is padded with
-    invalid ballots up to the larger figure.
+    invalid ballots up to the larger figure.  A declared size below either
+    total is a batch overflow (:func:`pad_missing_ballots`).
     """
     per_batch: dict[str, dict[str, tuple[int, int]]] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, restval="")
-        expected = ["batch_id", "party", "reported_votes", "true_votes"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:4]] != expected:
-            raise ValueError(f"{path}: expected columns {','.join(expected)}")
-        for row in reader:
-            bid = row["batch_id"].strip()
-            party = row["party"].strip()
-            cell = per_batch.setdefault(bid, {})
-            if party in cell:
-                raise ValueError(f"{path}: duplicate row for batch {bid!r} party {party!r}")
-            cell[party] = (int(row["reported_votes"]), int(row["true_votes"]))
+    columns = ("batch_id", "party", "reported_votes", "true_votes")
+    for bid, party, rep, true in read_csv(path, columns):
+        cell = per_batch.setdefault(bid, {})
+        if party in cell:
+            raise ValueError(f"{path}: duplicate row for batch {bid!r} party {party!r}")
+        cell[party] = (int(rep), int(true))
 
     names = sorted({p for rows in per_batch.values() for p in rows})
     contest = Contest.from_party_names(n for n in names if n != "__invalid__")
@@ -245,12 +239,7 @@ def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list
         rows = per_batch[bid]
         reported = contest.tally({p: rt[0] for p, rt in rows.items()})
         truth = contest.tally({p: rt[1] for p, rt in rows.items()})
-        size = max(reported.total, truth.total)
-        if declared_sizes is not None:
-            declared = declared_sizes.get(bid, size)
-            if declared < size:
-                raise ValueError(f"batch overflow: {bid!r} declared {declared}, found {size}")
-            size = declared
+        size = (declared_sizes or {}).get(bid, max(reported.total, truth.total))
         raw = BatchRecord(id=bid, reported=reported, truth=truth, size=size)
         batches.append(pad_missing_ballots(raw, size))
     return batches

@@ -38,7 +38,8 @@ pair constants, which do not depend on the survey, are built once per census.
 Injection maps only the redrawn households to sizes: other draws are unused.
 
 Populations are columnar :class:`CensusData` from generation through the
-audit.  :class:`Household` is the row type of a household CSV, which
+audit, which reads the model, the census totals and the household count
+from it.  :class:`Household` is the row type of a household CSV, which
 ``CensusData.from_households`` converts, and the input of the exact
 ``Fraction`` assorters in the tests that the float audit is checked against.
 """
@@ -46,7 +47,6 @@ audit.  :class:`Household` is the row type of a household CSV, which
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +57,7 @@ import numpy as np
 
 from .alpha import AuditConfig, comparison_spec, sequential_test
 from .apportionment import DIVISORS, Divisor, highest_averages
+from .core import read_csv
 from .randomness import make_rng
 
 DEFAULT_GMAX = 15
@@ -142,15 +143,8 @@ class CensusPair:
         return Fraction(1, 2) + self.m / (2 * (self.z - self.m))
 
 
-def census_pair(
-    model: CensusModel,
-    seats: Mapping[str, int],
-    census_pops: Mapping[str, int],
-    n_households: int,
-    s1: str,
-    s2: str,
-) -> CensusPair:
-    """Constants for the (s1, s2) assertion from census aggregates.
+def census_pair(data: CensusData, seats: Mapping[str, int], s1: str, s2: str) -> CensusPair:
+    """Constants for the (s1, s2) assertion from the census aggregates of ``data``.
 
     Raises for a non-positive normaliser or z <= m (no room for the test to
     move); a non-positive margin m is *not* an error here, it means the
@@ -158,12 +152,11 @@ def census_pair(
     """
     if s1 == s2:
         raise ValueError("pair states must differ")
-    d = model.divisor
+    model, census_pops, n = data.model, data.census_pops, data.n
     r1, r2 = seats[s1], seats[s2]
-    d1, d2 = d(r1), d(r2 + 1)
+    d1, d2 = model.divisor(r1), model.divisor(r2 + 1)
     if r1 == 0:
         raise ValueError(f"state {s1!r} holds no seat to defend against {s2!r}")
-    n = n_households
     g = model.g_max
     c = 2 * (
         Fraction(g, d2)
@@ -292,13 +285,13 @@ def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndar
     return drawn
 
 
-def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats) -> tuple:
+def _pair_tests(data: CensusData, delta: float, census_seats) -> tuple:
     """The allocation and each ordered pair's (AssertionSpec, slope), or None when
     the census refutes the pair; built once per census, allocation and delta."""
     key = (delta, None if census_seats is None else tuple(sorted(census_seats.items())))
-    cache = data._pair_tests if model is data.model else {}
-    if key in cache:
-        return cache[key]
+    if key in data._pair_tests:
+        return data._pair_tests[key]
+    model = data.model
     if census_seats is None:
         seats = apportion(model, data.census_pops)
     else:
@@ -309,7 +302,7 @@ def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats
     for s1, s2 in permutations(model.states, 2):
         if seats[s1] == 0:
             continue  # no seat of s1 to defend; the pair condition is vacuous
-        pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
+        pair = census_pair(data, seats, s1, s2)
         if pair.m <= 0:
             tests.append(((s1, s2), None))
             continue
@@ -319,12 +312,11 @@ def _pair_tests(model: CensusModel, data: CensusData, delta: float, census_seats
         slope[model.states.index(s2)] = float(-1 / (Fraction(pair.d2) * pair.c * scale))
         spec = comparison_spec(f"{s1}->{s2}", pair.m, pair.z, delta)
         tests.append(((s1, s2), (spec, slope)))
-    cache[key] = seats, tests
+    data._pair_tests[key] = seats, tests
     return seats, tests
 
 
 def census_rla(
-    model: CensusModel,
     data: CensusData,
     cfg: AuditConfig,
     delta: float = DEFAULT_DELTA,
@@ -359,7 +351,7 @@ def census_rla(
     if not data.in_frame[surveyed].all():
         raise ValueError("a surveyed household is marked outside the survey frame")
 
-    seats, tests = _pair_tests(model, data, delta, census_seats)
+    seats, tests = _pair_tests(data, delta, census_seats)
     drawn = _draw_households(surveyed, data.in_frame, make_rng(cfg.seed))
     seen = np.arange(1, len(drawn) + 1)
     # frame-absent draws carry no survey count and score as agreement
@@ -381,7 +373,7 @@ def census_rla(
 
     state_risks = {
         s: max((r for pair, r in pair_risks.items() if s in pair), default=0.0)
-        for s in model.states
+        for s in data.model.states
     }
     overall = max(pair_risks.values()) if pair_risks else 0.0
     return CensusOutcome(
@@ -421,7 +413,7 @@ def generate_census_population(
     representatives: int,
     g_max: int = DEFAULT_GMAX,
     divisor_name: str = "dhondt",
-) -> tuple[CensusData, CensusModel]:
+) -> CensusData:
     """Synthesize per-household census data matching real district totals.
 
     Each district gets round(population / mean household size) households,
@@ -459,7 +451,7 @@ def generate_census_population(
         divisor_name=divisor_name,
     )
     state_idx = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
-    return CensusData(model, state_idx, np.concatenate(counts)), model
+    return CensusData(model, state_idx, np.concatenate(counts))
 
 
 def inject_survey_disagreement(
@@ -483,17 +475,14 @@ def load_districts_csv(path) -> tuple[dict[str, int], dict[str, Fraction]]:
     """Read ``district,population,c_constant`` rows."""
     pops: dict[str, int] = {}
     constants: dict[str, Fraction] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, restval="")
-        expected = ["district", "population", "c_constant"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:3]] != expected:
-            raise ValueError(f"{path}: expected columns {','.join(expected)}")
-        for row in reader:
-            name = row["district"].strip()
-            if name in pops:
-                raise ValueError(f"{path}: duplicate district {name!r}")
-            pops[name] = int(row["population"])
-            constants[name] = Fraction(row["c_constant"].strip() or "0")
+    for name, pop, constant in read_csv(path, ("district", "population", "c_constant")):
+        if name in pops:
+            raise ValueError(f"{path}: duplicate district {name!r}")
+        pops[name] = int(pop)
+        try:
+            constants[name] = Fraction(constant or "0")
+        except ZeroDivisionError:
+            raise ValueError(f"{path}: c_constant {constant!r} divides by zero") from None
     return pops, constants
 
 
@@ -505,32 +494,17 @@ def load_households_csv(path) -> list[Household]:
     out: list[Household] = []
     truthy = {"1", "true", "yes"}
     falsy = {"0", "false", "no", ""}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, restval="")
-        expected = ["household_id", "district", "census_count", "pes_count", "surveyed"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:5]] != expected:
-            raise ValueError(f"{path}: expected columns {','.join(expected)}")
-        for row in reader:
-            flag = row["surveyed"].strip().lower()
-            if flag in truthy:
-                surveyed = True
-            elif flag in falsy:
-                surveyed = False
-            else:
-                raise ValueError(f"{path}: bad surveyed flag {row['surveyed']!r}")
-            pes_raw = row["pes_count"].strip()
-            if surveyed and not pes_raw:
-                raise ValueError(f"{path}: surveyed household {row['household_id']!r} lacks pes_count")
-            if not surveyed and pes_raw:
-                raise ValueError(
-                    f"{path}: unsurveyed household {row['household_id']!r} has a pes_count"
-                )
-            out.append(
-                Household(
-                    id=row["household_id"].strip(),
-                    state=row["district"].strip(),
-                    census_count=int(row["census_count"]),
-                    pes_count=int(pes_raw) if pes_raw else None,
-                )
-            )
+    columns = ("household_id", "district", "census_count", "pes_count", "surveyed")
+    for hid, state, cen, pes, flag in read_csv(path, columns):
+        if flag.lower() in truthy:
+            surveyed = True
+        elif flag.lower() in falsy:
+            surveyed = False
+        else:
+            raise ValueError(f"{path}: bad surveyed flag {flag!r}")
+        if surveyed and not pes:
+            raise ValueError(f"{path}: surveyed household {hid!r} lacks pes_count")
+        if not surveyed and pes:
+            raise ValueError(f"{path}: unsurveyed household {hid!r} has a pes_count")
+        out.append(Household(hid, state, int(cen), int(pes) if pes else None))
     return out

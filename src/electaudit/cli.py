@@ -151,7 +151,7 @@ def _cmd_census(args) -> int:
         model, census_mod.load_households_csv(args.households)
     )
     cfg = AuditConfig(alpha=1.0, seed=args.seed)
-    outcome = census_mod.census_rla(model, data, cfg, delta=args.delta)
+    outcome = census_mod.census_rla(data, cfg, delta=args.delta)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -265,12 +265,43 @@ class BatchMatrix:
         return [Tally(dict(zip(self.types, row))) for row in counts.tolist()]
 
 
+class ConfigError(ValueError):
+    """Malformed experiment configuration or data."""
+
+
 def as_int(value) -> int:
     """``value`` when it is an integer.  A float, even a whole one, a bool or a
     string is a TypeError, so a config value is never silently truncated."""
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not an integer")
     return operator.index(value)
+
+
+def as_float(value) -> float:
+    """``value`` as a float when it is a number, an int or a float.  A bool or
+    a string is a TypeError, so ``true`` or ``"0.05"`` is never read as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def read_csv(path, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The rows of a CSV whose header starts with ``columns``.
+
+    Header names are compared stripped; a mismatch is a :class:`ConfigError`.
+    Each non-blank row comes as a tuple of its stripped cells in column
+    order, ``''`` for a cell the row lacks; cells past the columns are dropped.
+    """
+    k = len(columns)
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header[:k]] != list(columns):
+            raise ConfigError(f"{path}: expected columns {','.join(columns)}")
+        for row in reader:
+            if row:
+                cells = [c.strip() for c in row[:k]]
+                yield tuple(cells + [""] * (k - len(cells)))
 
 
 def check_int64_total(n: int) -> None:
@@ -394,18 +425,10 @@ def plurality_assorter(winner: BallotType, loser: BallotType, contest: Contest) 
 def load_contest_csv(path) -> tuple[Contest, Tally]:
     """Read a ``party,reported_votes`` CSV; the ``__invalid__`` row is required."""
     rows: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, restval="")
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != [
-            "party",
-            "reported_votes",
-        ]:
-            raise ValueError(f"{path}: expected columns party,reported_votes")
-        for row in reader:
-            name = row["party"].strip()
-            if name in rows:
-                raise ValueError(f"{path}: duplicate party row {name!r}")
-            rows[name] = int(row["reported_votes"])
+    for name, votes in read_csv(path, ("party", "reported_votes")):
+        if name in rows:
+            raise ValueError(f"{path}: duplicate party row {name!r}")
+        rows[name] = int(votes)
     if INVALID_ID not in rows:
         raise ValueError(f"{path}: missing reserved row {INVALID_ID}")
     contest = Contest.from_party_names(n for n in rows if n != INVALID_ID)

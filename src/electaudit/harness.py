@@ -8,10 +8,10 @@ comparisons between them are paired by construction.
 
 A trial deals (:func:`deal_matrix`) or loads its batches once into one
 :class:`electaudit.core.BatchMatrix` and injects misreads into all its rows
-at once (:func:`inject_misreads`).  The reported tally is the column sum,
-and the same matrix goes to whichever audit runs.  :func:`deal_batches` and
-:func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
-lists.
+at once (:func:`inject_misreads`).  The same matrix goes to whichever audit
+runs, which reads the reported tally from it as the column sum.
+:func:`deal_batches` and :func:`inject_ballot_errors` make the same draws and
+return ``BatchRecord`` lists.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from . import census as census_mod
 from .alpha import AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit
 from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
-from .core import as_int, check_int64_total, load_contest_csv, plurality_assorter
+from .core import ConfigError, as_float, as_int, check_int64_total, load_contest_csv
+from .core import plurality_assorter, read_csv
 from .knesset import allocate_seats, assertion_margin, generate_assertions, load_knesset_config
 from .randomness import make_rng
 
@@ -57,7 +58,7 @@ class ErrorModel:
         if self.kind not in ("none", "ballot_misread", "census_disagree"):
             raise ValueError(f"unknown error model {self.kind!r}")
         for name in ("p_misread", "p_invalid", "rate"):
-            if not 0 <= getattr(self, name) <= 1:
+            if not 0 <= as_float(getattr(self, name)) <= 1:
                 raise ValueError(f"{name} must be a probability")
 
 
@@ -187,26 +188,21 @@ def plurality_assertions(contest: Contest, reported: Tally) -> list[Assorter]:
 def run_election_trial(
     kind: str,
     m: BatchMatrix,
-    reported: Tally,
     assertions: list[Assorter],
     alpha: float,
     delta: float,
     audit_seed,
     trace=None,
 ) -> AuditOutcome:
-    """One audit of the batches ``m``; ``reported`` is their combined reported tally."""
+    """One audit of the batches ``m``."""
     cfg = AuditConfig(alpha=alpha, seed=audit_seed)
     if kind == "batchcomp":
         return batchcomp_audit(m, assertions, cfg, delta=delta, trace=trace)
     if kind == "alpha_batch":
-        return alpha_batch_audit(m, assertions, reported, cfg, trace=trace)
+        return alpha_batch_audit(m, assertions, cfg, trace=trace)
     if kind == "alpha":
-        return alpha_audit(m, assertions, reported, cfg, trace=trace)
+        return alpha_audit(m, assertions, cfg, trace=trace)
     raise ValueError(f"unknown audit kind {kind!r}")
-
-
-class ConfigError(ValueError):
-    """Malformed experiment configuration or data."""
 
 
 def _require(cfg: Mapping, key: str):
@@ -249,15 +245,10 @@ def _list(value) -> list | tuple:
 def load_household_distribution(path) -> dict[int, float]:
     """``size,probability`` CSV for residents per household."""
     out: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, restval="")
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != [
-            "size",
-            "probability",
-        ]:
-            raise ConfigError(f"{path}: expected columns size,probability")
-        for row in reader:
-            out[int(row["size"])] = float(row["probability"])
+    for size, probability in read_csv(path, ("size", "probability")):
+        if int(size) in out:
+            raise ConfigError(f"{path}: duplicate size {size}")
+        out[int(size)] = float(probability)
     if not out:
         raise ConfigError(f"{path}: empty distribution")
     return out
@@ -342,13 +333,10 @@ def load_election_inputs(contest_path, knesset_path=None):
 def load_declared_sizes(path) -> dict[str, int]:
     """``batch_id,declared_size`` CSV used to pad short batches."""
     out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, restval="")
-        expected = ["batch_id", "declared_size"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames[:2]] != expected:
-            raise ConfigError(f"{path}: expected columns {','.join(expected)}")
-        for row in reader:
-            out[row["batch_id"].strip()] = int(row["declared_size"])
+    for bid, size in read_csv(path, ("batch_id", "declared_size")):
+        if bid in out:
+            raise ConfigError(f"{path}: duplicate batch {bid!r}")
+        out[bid] = int(size)
     return out
 
 
@@ -395,9 +383,7 @@ def _election_trial(args) -> TrialReport:
             _w.writerow([s, lbl, repr(T), repr(mu), repr(eta), repr(u)])
 
     try:
-        outcome = run_election_trial(
-            kind, m, reported, assertions, alpha, delta, audit_seed, trace_hook
-        )
+        outcome = run_election_trial(kind, m, assertions, alpha, delta, audit_seed, trace_hook)
     finally:
         if trace_file:
             trace_file.close()
@@ -426,8 +412,8 @@ def _run_election_experiment(config, kind, seeds, out_dir, trace, jobs=1) -> lis
     contest, truth_tally, knesset = load_election_inputs(
         _path(config, "contest"), _path(config, "knesset") if config.get("knesset") else None
     )
-    alpha = _read(config, "alpha", float, 0.05)
-    delta = _read(config, "delta", float, 1e-10)
+    alpha = _read(config, "alpha", as_float, 0.05)
+    delta = _read(config, "delta", as_float, 1e-10)
     error_model = _read(config, "error_model", lambda v: ErrorModel(**(v or {"kind": "none"})))
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
 
@@ -527,11 +513,13 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
     representatives = _read(config, "representatives", as_int)
     g_max = _read(config, "g_max", as_int, census_mod.DEFAULT_GMAX)
     divisor = _read(config, "divisor", str, "dhondt")
-    delta = _read(config, "delta", float, census_mod.DEFAULT_DELTA)
-    disagree = _read(config, "disagreement_rate", float, 0.0)
+    delta = _read(config, "delta", as_float, census_mod.DEFAULT_DELTA)
+    disagree = _read(config, "disagreement_rate", as_float, 0.0)
+    if not 0 <= disagree <= 1:
+        raise ConfigError(f"config 'disagreement_rate' {disagree!r} is not in [0, 1]")
 
     generate = isinstance(_require(config, "households"), Mapping)
-    fractions = _read(config, "sample_fractions", lambda v: [float(x) for x in _list(v or [])])
+    fractions = _read(config, "sample_fractions", lambda v: [as_float(x) for x in _list(v or [])])
     if generate and not fractions:
         raise ConfigError("generated census runs need sample_fractions")
     if not generate and fractions:
@@ -545,7 +533,7 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
     if generate:
         gen = _read(config["households"], "generate", _mapping)
         dist = load_household_distribution(_path(gen, "household_dist"))
-        nonresponse = _read(gen, "nonresponse", float, 0.0)
+        nonresponse = _read(gen, "nonresponse", as_float, 0.0)
     else:
         model = census_mod.CensusModel(tuple(pops), representatives, constants, g_max, divisor)
         data = census_mod.CensusData.from_households(
@@ -558,7 +546,7 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
         t0 = time.perf_counter()
         data_rng, audit_seed = trial_rngs(trial_seed)
         if generate:
-            data, model = census_mod.generate_census_population(
+            data = census_mod.generate_census_population(
                 pops, dist, nonresponse, data_rng, representatives, g_max, divisor
             )
             if disagree > 0:
@@ -570,7 +558,7 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
                 mask = np.zeros(n, dtype=bool)
                 mask[data_rng.choice(n, size=max(1, round(frac * n)), replace=False)] = True
             cfg = AuditConfig(alpha=1.0, seed=audit_seed)
-            outcome = census_mod.census_rla(model, data, cfg, delta=delta, surveyed_mask=mask)
+            outcome = census_mod.census_rla(data, cfg, delta=delta, surveyed_mask=mask)
             frac_label = repr(frac) if frac is not None else "file"
             rows.append([frac_label, trial_idx, trial_seed, repr(outcome.risk_limit)])
             reports.append(

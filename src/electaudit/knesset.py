@@ -349,6 +349,10 @@ def load_knesset_config(path) -> KnessetContest:
         raise ValueError(f"{path}: 'parties' must be a list of names")
     threshold = raw.get("threshold", None)
     try:
+        threshold = Fraction(str(threshold)) if threshold is not None else DEFAULT_THRESHOLD
+    except ZeroDivisionError:
+        raise ValueError(f"{path}: 'threshold' {threshold!r} divides by zero") from None
+    try:
         seats = as_int(raw.get("seats", DEFAULT_SEATS))
     except TypeError as exc:
         raise ValueError(f"{path}: 'seats' must be an integer, got {raw['seats']!r}") from exc
@@ -359,6 +363,6 @@ def load_knesset_config(path) -> KnessetContest:
     return KnessetContest(
         parties=tuple(parties),
         seats=seats,
-        threshold=Fraction(str(threshold)) if threshold is not None else DEFAULT_THRESHOLD,
+        threshold=threshold,
         apparentments=apparentments,
     )

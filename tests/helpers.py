@@ -50,13 +50,15 @@ def vote_multisets(max_votes: int, parties: int):
     return combinations_with_replacement(range(max_votes, -1, -1), parties)
 
 
-def ballot_batch(truth: Tally) -> BatchMatrix:
-    """The true ballots as the one batch ``alpha_audit`` takes.
+def ballot_batch(truth: Tally, reported: Tally | None = None) -> BatchMatrix:
+    """The true ballots as the one batch ``alpha_audit`` takes, reported as
+    ``reported`` (default: the truth).
 
     The audit lays a batch's ballots out by type name, so this is the ballot
     list ``[A] * a + [B] * b + ...`` with the names in sorted order.
     """
-    return batch_matrix([BatchRecord("ballots", truth, truth, truth.total)])
+    reported = truth if reported is None else reported
+    return batch_matrix([BatchRecord("ballots", reported, truth, truth.total)])
 
 
 @dataclass

@@ -59,10 +59,10 @@ def test_criterion_01_alpha_risk_guarantee():
     c = Contest.from_party_names(["A", "B"])
     a = plurality_assorter(c.by_name("A"), c.by_name("B"), c)
     reported = c.tally({"A": 1010, "B": 990})
-    batches = ballot_batch(c.tally({"A": 990, "B": 1010}))
+    batches = ballot_batch(c.tally({"A": 990, "B": 1010}), reported)
     trials = 2000
     wrong = sum(
-        alpha_audit(batches, [a], reported, AuditConfig(alpha=0.05, seed=s)).approved
+        alpha_audit(batches, [a], AuditConfig(alpha=0.05, seed=s)).approved
         for s in range(trials)
     )
     rate = wrong / trials
@@ -114,7 +114,7 @@ def test_criterion_03_census_risk_guarantee():
         rng = make_rng((s, 0))
         mask = np.zeros(data.n, dtype=bool)
         mask[rng.choice(data.n, size=250, replace=False)] = True
-        out = census_rla(model, data, AuditConfig(alpha=1.0, seed=(s, 1)), surveyed_mask=mask)
+        out = census_rla(data, AuditConfig(alpha=1.0, seed=(s, 1)), surveyed_mask=mask)
         hits10 += out.risk_limit <= 0.1
         hits05 += out.risk_limit <= 0.05
     rate10, rate05 = hits10 / trials, hits05 / trials
@@ -314,7 +314,7 @@ def test_criterion_07_batchcomp_beats_alpha_batch():
         assertions = plurality_assertions(c, reported)
         cfg = AuditConfig(alpha=0.05, seed=audit_seed)
         bc = batchcomp_audit(m, assertions, cfg)
-        ab = alpha_batch_audit(m, assertions, reported, cfg)
+        ab = alpha_batch_audit(m, assertions, cfg)
         wins += bc.ballots_examined < ab.ballots_examined
     elapsed = time.perf_counter() - start
     report(
@@ -335,7 +335,7 @@ def _cyprus_medians(fractions, disagreement, trials=10):
     risks = {f: [] for f in fractions}
     for trial in range(trials):
         data_rng, audit_seed = trial_rngs(trial)
-        data, model = generate_census_population(
+        data = generate_census_population(
             pops, dist, 0.01, data_rng, representatives=56
         )
         if disagreement:
@@ -346,7 +346,7 @@ def _cyprus_medians(fractions, disagreement, trials=10):
             k = round(frac * data.n)
             mask = np.zeros(data.n, dtype=bool)
             mask[data_rng.choice(data.n, size=k, replace=False)] = True
-            out = census_rla(model, data, AuditConfig(alpha=1.0, seed=audit_seed), surveyed_mask=mask)
+            out = census_rla(data, AuditConfig(alpha=1.0, seed=audit_seed), surveyed_mask=mask)
             risks[frac].append(out.risk_limit)
     return {f: statistics.median(r) for f, r in risks.items()}
 

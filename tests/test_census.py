@@ -74,7 +74,7 @@ def test_pair_constants_positive():
     data = CensusData.from_households(model, hh)
     seats = apportion(model, data.census_pops)
     for s1, s2 in (("X", "Y"), ("Y", "X")):
-        pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
+        pair = census_pair(data, seats, s1, s2)
         assert pair.c > 0
         assert pair.z > pair.m > 0
 
@@ -83,7 +83,7 @@ def test_census_assorter_boundary_values():
     model, hh = _household_fixture()
     data = CensusData.from_households(model, hh)
     seats = apportion(model, data.census_pops)
-    pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
+    pair = census_pair(data, seats, "X", "Y")
     # maximal-occupancy household in s2 zeroes the second term entirely
     h_max = Household("q", "Y", 3, 3)
     assert census_assorter_value(pair, h_max, use_pes=True) == 0
@@ -98,7 +98,7 @@ def test_census_assorter_constant_off_pair():
     hh += [Household(f"w{i}", "W", c, c) for i, c in enumerate([3, 3, 1])]
     data = CensusData.from_households(model3, hh)
     seats = apportion(model3, data.census_pops)
-    pair = census_pair(model3, seats, data.census_pops, data.n, "X", "Y")
+    pair = census_pair(data, seats, "X", "Y")
     expected = Fraction(model3.g_max, pair.d2) / pair.c
     for g in range(4):
         h = Household("w", "W", g, g)
@@ -123,7 +123,7 @@ def test_household_assorter_matches_inequality_exhaustively():
     seats = apportion(model, data.census_pops)
     c1, c2 = model.constants["X"], model.constants["Y"]
     for s1, s2 in (("X", "Y"), ("Y", "X")):
-        pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
+        pair = census_pair(data, seats, s1, s2)
         d1, d2 = pair.d1, pair.d2
         xs = [h for h in base if h.state == "X"]
         ys = [h for h in base if h.state == "Y"]
@@ -159,7 +159,7 @@ def test_assorter_mean_depends_only_on_state_sums():
     model, base = _household_fixture()
     data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
-    pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
+    pair = census_pair(data, seats, "X", "Y")
     rng = make_rng(8)
     reference = None
     for _ in range(40):
@@ -191,7 +191,7 @@ def test_comparison_assorter_never_negative():
     seats = apportion(model, data.census_pops)
     g = model.g_max
     for s1, s2 in (("X", "Y"), ("Y", "X")):
-        pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
+        pair = census_pair(data, seats, s1, s2)
         for state in ("X", "Y"):
             for cen, pes in product(range(g + 1), repeat=2):
                 h = Household("h", state, cen, pes)
@@ -202,7 +202,7 @@ def test_comparison_assorter_agreement_constant():
     model, base = _household_fixture()
     data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
-    pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
+    pair = census_pair(data, seats, "X", "Y")
     values = {
         comparison_assorter_value(pair, Household("h", st, g, g))
         for st in ("X", "Y")
@@ -216,7 +216,7 @@ def test_comparison_mean_crosses_half_with_survey_mean():
     model, base = _household_fixture()
     data = CensusData.from_households(model, base)
     seats = apportion(model, data.census_pops)
-    pair = census_pair(model, seats, data.census_pops, data.n, "X", "Y")
+    pair = census_pair(data, seats, "X", "Y")
     xs = [h for h in base if h.state == "X"]
     ys = [h for h in base if h.state == "Y"]
     for sum_x, sum_y in product(range(0, 13), range(0, 10)):
@@ -246,7 +246,7 @@ def test_allocation_equivalence_theorem_small():
     for s1, s2 in (("X", "Y"), ("Y", "X")):
         if census_seats[s1] == 0:
             continue
-        pairs[(s1, s2)] = census_pair(model, census_seats, data.census_pops, data.n, s1, s2)
+        pairs[(s1, s2)] = census_pair(data, census_seats, s1, s2)
     max_x, max_y = 4 * model.g_max, 3 * model.g_max
     checked = 0
     for sum_x, sum_y in product(range(max_x + 1), range(max_y + 1)):
@@ -354,7 +354,7 @@ def test_census_rla_no_survey_gives_risk_one():
     model, base = _household_fixture()
     silent = [Household(h.id, h.state, h.census_count, None) for h in base]
     data = CensusData.from_households(model, silent)
-    out = census_rla(model, data, AuditConfig(alpha=1.0, seed=0))
+    out = census_rla(data, AuditConfig(alpha=1.0, seed=0))
     assert out.risk_limit == 1.0
     assert all(r == 1.0 for r in out.pair_risks.values())
     assert out.households_examined == 0
@@ -370,7 +370,7 @@ def test_census_rla_agreement_improves_with_more_survey():
     for k in (50, 150, 300):
         mask = np.zeros(data.n, dtype=bool)
         mask[make_rng((k, 7)).choice(data.n, size=k, replace=False)] = True
-        out = census_rla(model, data, AuditConfig(alpha=1.0, seed=1), surveyed_mask=mask)
+        out = census_rla(data, AuditConfig(alpha=1.0, seed=1), surveyed_mask=mask)
         risks.append(out.risk_limit)
     assert risks[0] >= risks[1] >= risks[2]
 
@@ -381,7 +381,7 @@ def test_census_rla_supplied_allocation_with_nonpositive_margin():
     honest = apportion(model, data.census_pops)
     assert honest == {"X": 2, "Y": 1}
     skewed = {"X": 1, "Y": 2}  # census numbers refute this allocation outright
-    out = census_rla(model, data, AuditConfig(alpha=1.0, seed=0), census_seats=skewed)
+    out = census_rla(data, AuditConfig(alpha=1.0, seed=0), census_seats=skewed)
     assert out.risk_limit == 1.0
     assert out.pair_risks[("Y", "X")] == 1.0
 
@@ -407,19 +407,19 @@ def test_census_rla_agreement_risk_matches_closed_form():
     form, so the reported risk depends on the inputs only through each pair's
     m/z, the household count and the sample size."""
     rng = make_rng(41)
-    data, model = generate_census_population(
+    data = generate_census_population(
         {"X": 6100, "Y": 3900, "Z": 2300}, {1: 0.3, 2: 0.4, 3: 0.3}, 0.01, rng, representatives=7
     )
-    seats = apportion(model, data.census_pops)
+    seats = apportion(data.model, data.census_pops)
     for frac in (0.05, 0.1):
         k = round(frac * data.n)
         mask = np.zeros(data.n, dtype=bool)
         mask[rng.choice(data.n, size=k, replace=False)] = True
-        out = census_rla(model, data, AuditConfig(alpha=1.0, seed=3), surveyed_mask=mask)
+        out = census_rla(data, AuditConfig(alpha=1.0, seed=3), surveyed_mask=mask)
         assert out.households_examined == k
         expected = {}
         for s1, s2 in out.pair_risks:
-            pair = census_pair(model, seats, data.census_pops, data.n, s1, s2)
+            pair = census_pair(data, seats, s1, s2)
             assert pair.m > 0
             expected[(s1, s2)] = _agreement_risk_closed_form(pair, data.n, k)
         for key, risk in out.pair_risks.items():
@@ -430,7 +430,7 @@ def test_census_rla_agreement_risk_matches_closed_form():
 
 def test_census_rla_state_risks_cover_pairs():
     model, base = _household_fixture()
-    out = census_rla(model, CensusData.from_households(model, base), AuditConfig(alpha=1.0, seed=0))
+    out = census_rla(CensusData.from_households(model, base), AuditConfig(alpha=1.0, seed=0))
     for s in model.states:
         relevant = [r for (a, b), r in out.pair_risks.items() if s in (a, b)]
         assert out.state_risks[s] == max(relevant)
@@ -438,27 +438,27 @@ def test_census_rla_state_risks_cover_pairs():
 
 def test_generation_degenerate_distribution():
     rng = make_rng(10)
-    data, model = generate_census_population(
+    data = generate_census_population(
         {"X": 1000, "Y": 600}, {2: 1.0}, nonresponse=0.0, rng=rng, representatives=3, g_max=5
     )
     assert np.all(data.cen == 2) and np.all(data.pes == 2) and np.all(data.has_pes)
-    assert np.count_nonzero(data.state_idx == model.states.index("X")) == 500
-    assert apportion(model, data.census_pops) == apportion(model, {"X": 1000, "Y": 600})
+    assert np.count_nonzero(data.state_idx == data.model.states.index("X")) == 500
+    assert apportion(data.model, data.census_pops) == apportion(data.model, {"X": 1000, "Y": 600})
 
 
 def test_generation_constant_fixes_apportionment():
     rng = make_rng(11)
     pops = {"X": 5000, "Y": 3100, "Z": 900}
     dist = {1: 0.3, 2: 0.4, 3: 0.3}
-    data, model = generate_census_population(pops, dist, 0.01, rng, representatives=5)
-    generated = apportion(model, data.census_pops)
-    real = apportion(model, pops)
+    data = generate_census_population(pops, dist, 0.01, rng, representatives=5)
+    generated = apportion(data.model, data.census_pops)
+    real = apportion(data.model, pops)
     assert generated == real
 
 
 def test_generation_nonresponse_rate():
     rng = make_rng(12)
-    data, _ = generate_census_population(
+    data = generate_census_population(
         {"X": 40000}, {2: 1.0}, nonresponse=0.1, rng=rng, representatives=1
     )
     zeros = np.count_nonzero(data.cen == 0)
@@ -468,7 +468,7 @@ def test_generation_nonresponse_rate():
 
 def test_inject_disagreement_rate():
     rng = make_rng(13)
-    data, _ = generate_census_population(
+    data = generate_census_population(
         {"X": 30000}, {1: 0.5, 2: 0.5}, nonresponse=0.0, rng=rng, representatives=1
     )
     bumped = inject_survey_disagreement(data, 0.25, {1: 0.5, 2: 0.5}, rng)
@@ -499,13 +499,13 @@ def test_median_risk_monotone_in_sample_size():
     risks = {f: [] for f in fractions}
     for trial in range(11):
         data_rng = make_rng((trial, 0))
-        data, model = generate_census_population(pops, dist, 0.01, data_rng, representatives=8)
+        data = generate_census_population(pops, dist, 0.01, data_rng, representatives=8)
         data = inject_survey_disagreement(data, 0.05, dist, data_rng)
         for f in fractions:
             k = round(f * data.n)
             mask = np.zeros(data.n, dtype=bool)
             mask[data_rng.choice(data.n, size=k, replace=False)] = True
-            out = census_rla(model, data, AuditConfig(alpha=1.0, seed=(trial, 1)), surveyed_mask=mask)
+            out = census_rla(data, AuditConfig(alpha=1.0, seed=(trial, 1)), surveyed_mask=mask)
             risks[f].append(out.risk_limit)
     import statistics
 
@@ -690,11 +690,11 @@ def test_pair_tests_are_built_once_and_reused_for_every_mask():
     another delta or supplied allocation builds its own."""
     rng = make_rng(17)
     dist = {1: 0.3, 2: 0.4, 3: 0.3}
-    data, model = generate_census_population(
+    data = generate_census_population(
         {"X": 6100, "Y": 3900, "Z": 2300}, dist, 0.01, rng, representatives=7
     )
     data = inject_survey_disagreement(data, 0.05, dist, rng)
-    seats = apportion(model, data.census_pops)
+    seats = apportion(data.model, data.census_pops)
     other = {"X": seats["X"] - 1, "Y": seats["Y"] + 1, "Z": seats["Z"]}
     masks = []
     for frac in (0.02, 0.05, 0.1):
@@ -704,12 +704,12 @@ def test_pair_tests_are_built_once_and_reused_for_every_mask():
     cfgs = [AuditConfig(alpha=1.0, seed=seed) for seed in range(len(masks))]
     for kwargs in ({}, {"delta": 1e-4}, {"census_seats": other}, {"census_seats": seats}):
         with mock.patch.object(census_mod, "census_pair", wraps=census_mod.census_pair) as built:
-            got = [census_rla(model, data, c, surveyed_mask=m, **kwargs) for c, m in zip(cfgs, masks)]
+            got = [census_rla(data, c, surveyed_mask=m, **kwargs) for c, m in zip(cfgs, masks)]
         assert built.call_count == 6  # 3 states: one build per ordered pair, not per mask
         for c, m, out in zip(cfgs, masks, got):
-            assert out == census_rla(model, _fresh(data), c, surveyed_mask=m, **kwargs)
+            assert out == census_rla(_fresh(data), c, surveyed_mask=m, **kwargs)
     assert len(data._pair_tests) == 4
     # the reported allocation is the caller's to keep
-    out = census_rla(model, data, AuditConfig(alpha=1.0), surveyed_mask=masks[0])
+    out = census_rla(data, AuditConfig(alpha=1.0), surveyed_mask=masks[0])
     out.census_seats["X"] = 0
-    assert census_rla(model, data, AuditConfig(alpha=1.0), surveyed_mask=masks[0]).census_seats == seats
+    assert census_rla(data, AuditConfig(alpha=1.0), surveyed_mask=masks[0]).census_seats == seats

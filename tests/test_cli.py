@@ -12,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electaudit.batchcomp import load_batches_csv
+from electaudit.census import load_districts_csv, load_households_csv
 from electaudit.cli import main
+from electaudit.core import load_contest_csv
+from electaudit.harness import load_declared_sizes, load_household_distribution
 
 
 def _contest(tmp_path):
@@ -301,10 +305,11 @@ json_values = (
     | st.integers(-2, 3)
     | st.sampled_from([0.5, -0.1, 1.5, float("nan"), float("inf")])
     | st.text(max_size=4)
+    | st.just("1/0")
     | st.lists(st.integers(-2, 3), max_size=3)
     | st.sampled_from([{}, [[0, 1]], ["P1", "P2"], [["P1", "P2"]], [["P3", "Nope"]], {"kind": "none"}])
 )
-csv_cells = st.sampled_from(["", "-1", "0", "x", "3.5", " 7 ", "P1", "__invalid__", "1e3"]) | st.text(max_size=4)
+csv_cells = st.sampled_from(["", "-1", "0", "x", "3.5", " 7 ", "P1", "__invalid__", "1e3", "1/0"]) | st.text(max_size=4)
 
 
 @st.composite
@@ -545,3 +550,122 @@ def test_census_household_csv_survey_count_out_of_range_exits_2():
         _census_files(_census_config(False), households=households), CENSUS_RUNS[1:]
     )
     assert rc == 2 and "household 1 survey count 16 outside [0, 15]" in err
+
+
+@pytest.mark.parametrize("audit, path, value", [
+    ("batchcomp", ("alpha",), True),  # ran at alpha 1.0
+    ("batchcomp", ("alpha",), "0.05"),
+    ("batchcomp", ("delta",), True),
+    ("batchcomp", ("error_model", "p_misread"), True),  # misread every ballot
+    ("census", ("disagreement_rate",), True),
+    ("census", ("households", "generate", "nonresponse"), True),
+    ("census", ("sample_fractions",), [True]),
+], ids=["alpha-bool", "alpha-str", "delta-bool", "p_misread-bool", "disagreement_rate-bool",
+        "nonresponse-bool", "sample_fraction-bool"])
+def test_float_value_of_the_wrong_kind_exits_2(audit, path, value):
+    """A fractional config value is a JSON number: a bool or a string exits 2
+    with an error naming its key, never read as 1.0 or parsed."""
+    if audit == "census":
+        config = _census_config(True)
+        files = _census_files(config)
+    else:
+        config = {
+            "audit": audit,
+            "contest": "contest.csv",
+            "batches": {"generate": {"size_range": [50, 120]}},
+            "trials": 2,
+            "error_model": {"kind": "ballot_misread", "p_misread": 0.02, "p_invalid": 0.2},
+        }
+        files = {"contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST)}
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    files["cfg.json"] = json.dumps(config)
+    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS[:1])
+    named = "error_model" if path[0] == "error_model" else path[-1]
+    assert rc == 2 and f"config {named!r} is malformed" in err, err
+
+
+@pytest.mark.parametrize("rate", [-0.5, 1.5])
+def test_census_disagreement_rate_outside_unit_interval_exits_2(tmp_path, capsys, rate):
+    """A disagreement rate outside [0, 1] is an error naming its key, from the
+    config and from ``--disagree``; a negative one used to inject nothing."""
+    config = _census_config(True)
+    config["disagreement_rate"] = rate
+    [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+    assert rc == 2 and "'disagreement_rate'" in err, err
+    argv = _generated_census_inputs(tmp_path) + ["--sample-frac", "0.05", "--disagree", str(rate)]
+    assert main(argv) == 2
+    assert "'disagreement_rate'" in capsys.readouterr().err
+
+
+def test_census_constant_dividing_by_zero_exits_2():
+    """A ``1/0`` district constant is an error naming the file and the value."""
+    districts = [row[:] for row in FUZZ_DISTRICTS]
+    districts[2][2] = "1/0"
+    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(False), districts), CENSUS_RUNS[1:])
+    assert rc == 2 and "districts.csv" in err and "'1/0'" in err, err
+
+
+def test_knesset_threshold_dividing_by_zero_exits_2():
+    """A ``1/0`` threshold is an error naming the file and the value."""
+    knesset = dict(FUZZ_KNESSET, threshold="1/0")
+    files = {
+        "contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
+        "knesset.json": json.dumps(knesset),
+    }
+    [(rc, err)] = _exit_0_or_2(
+        files, [["margins", "--contest", "contest.csv", "--knesset", "knesset.json"]]
+    )
+    assert rc == 2 and "knesset.json" in err and "'1/0'" in err, err
+
+
+FUZZ_DECLARED = [["batch_id", "declared_size"], ["b0", "320"], ["b2", "330"]]
+LOADERS = {
+    "contest": (load_contest_csv, FUZZ_CONTEST),
+    "batches": (load_batches_csv, FUZZ_BATCHES),
+    "districts": (load_districts_csv, FUZZ_DISTRICTS),
+    "households": (load_households_csv, FUZZ_HOUSEHOLDS),
+    "sizes": (load_household_distribution, FUZZ_SIZES),
+    "declared_sizes": (load_declared_sizes, FUZZ_DECLARED),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_padded_header_reads_as_plain(tmp_path, name):
+    """Every CSV loader compares the header names stripped and reads the
+    columns by those names, so a header padded with spaces reads the same."""
+    loader, rows = LOADERS[name]
+    body = "".join(",".join(r) + "\n" for r in rows[1:])
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text(",".join(rows[0]) + "\n" + body)
+    padded.write_text(" " + ", ".join(rows[0]) + " \n" + body)
+    assert loader(padded) == loader(plain)
+
+
+def _declared_size_run(declared) -> list[tuple[int, str]]:
+    config = {
+        "audit": "batchcomp",
+        "contest": "contest.csv",
+        "batches": {"file": "batches.csv", "declared_sizes": "declared.csv"},
+        "trials": 2,
+    }
+    files = {
+        "contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
+        "batches.csv": "".join(",".join(r) + "\n" for r in FUZZ_BATCHES),
+        "declared.csv": "".join(",".join(r) + "\n" for r in declared),
+        "cfg.json": json.dumps(config),
+    }
+    return _exit_0_or_2(files, CENSUS_RUNS[:1])
+
+
+def test_repeated_key_row_exits_2():
+    """A household size or a declared batch size given twice is an error, not
+    a silent overwrite of the earlier row."""
+    sizes = FUZZ_SIZES + [["2", "0.1"]]
+    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(True), sizes=sizes), CENSUS_RUNS[:1])
+    assert rc == 2 and "duplicate size 2" in err, err
+    assert _declared_size_run(FUZZ_DECLARED)[0][0] == 0
+    [(rc, err)] = _declared_size_run(FUZZ_DECLARED + [["b0", "340"]])
+    assert rc == 2 and "duplicate batch 'b0'" in err, err

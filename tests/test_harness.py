@@ -394,11 +394,11 @@ def test_census_outputs_write_plain_floats(tmp_path):
     rng = make_rng(5)
     pops = {"X": 41000, "Y": 23000, "Z": 17000}
     sizes = {1: 0.4, 2: 0.4, 3: 0.2}
-    data, model = generate_census_population(pops, sizes, 0.01, rng, 8)
+    data = generate_census_population(pops, sizes, 0.01, rng, 8)
     data = inject_survey_disagreement(data, 0.02, sizes, rng)
     mask = np.zeros(data.n, dtype=bool)
     mask[rng.choice(data.n, size=data.n // 10, replace=False)] = True
-    outcome = census_rla(model, data, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
+    outcome = census_rla(data, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
     with open(tmp_path / "pairs.csv", "w", newline="") as f:
         write_census_outcome_csv(outcome, f)
     with open(tmp_path / "pairs.csv") as f:
@@ -416,7 +416,7 @@ def test_agreeing_injection_matches_full_recount():
     pops, sizes = {"X": 3011, "Y": 2003, "Z": 997}, {0: 0.1, 1: 0.3, 2: 0.3, 3: 0.2, 5: 0.1}
     tries = 0
     for seed in range(10):
-        data, _ = generate_census_population(pops, sizes, 0.0, make_rng(seed), 5)
+        data = generate_census_population(pops, sizes, 0.0, make_rng(seed), 5)
         for max_tries in (1, 50):
             got_rng, want_rng = make_rng(100 + seed), make_rng(100 + seed)
             with mock.patch.object(census_mod, "inject_survey_disagreement",

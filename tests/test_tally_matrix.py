@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from electaudit.alpha import (
     AssertionOutcome,
-    AuditConfig,
     alpha_init,
     comparison_spec,
     conclude_audit,
@@ -144,9 +143,9 @@ def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
         eta = float(assorter_mean(a, reported))
         if eta >= float(a.upper):  # no room for mu < eta < u
             with pytest.raises(ValueError, match="degenerate"):
-                alpha_init([a], reported, n, AuditConfig(alpha=0.05))
+                alpha_init([a], m)
         else:
-            assert alpha_init([a], reported, n, AuditConfig(alpha=0.05))[0].eta == eta
+            assert alpha_init([a], m)[0].eta == eta
     refused = [AssertionOutcome(a.label, True, False, n) for a in assertions]
     full_count = conclude_audit(refused, assertions, m).assertions
     truth = total(b.truth for b in batches)
@@ -205,14 +204,14 @@ def test_assorter_row_matches_its_fractions(case, data):
     # a zero-count type the assorter has no value for needs none
     reported = truth.with_added(missing[0], 0) if missing else truth
     n = truth.total
+    m = batch_matrix([BatchRecord("b", reported, reported, n)])
     eta = float(mean)
     if eta > 0.5 and eta >= float(upper):
         with pytest.raises(ValueError, match="degenerate"):
-            alpha_init([a], reported, n, AuditConfig(alpha=0.05))
+            alpha_init([a], m)
     else:
-        [spec] = alpha_init([a], reported, n, AuditConfig(alpha=0.05))
+        [spec] = alpha_init([a], m)
         assert (spec.eta, spec.approvable) == (eta, eta > 0.5)
-    m = batch_matrix([BatchRecord("b", reported, reported, n)])
     [r] = conclude_audit([AssertionOutcome("x", True, False, n)], [a], m).assertions
     assert r.truly_satisfied == (mean > HALF)
 
