@@ -226,11 +226,11 @@ def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list
     """
     per_batch: dict[str, dict[str, tuple[int, int]]] = {}
     columns = ("batch_id", "party", "reported_votes", "true_votes")
-    for bid, party, rep, true in read_csv(path, columns):
+    for bid, party, rep, true in read_csv(path, columns, dict.fromkeys(columns[2:], int)):
         cell = per_batch.setdefault(bid, {})
         if party in cell:
             raise ValueError(f"{path}: duplicate row for batch {bid!r} party {party!r}")
-        cell[party] = (int(rep), int(true))
+        cell[party] = (rep, true)
 
     names = sorted({p for rows in per_batch.values() for p in rows})
     contest = Contest.from_party_names(n for n in names if n != "__invalid__")

@@ -39,7 +39,15 @@ Injection maps only the redrawn households to sizes: other draws are unused.
 
 Populations are columnar :class:`CensusData` from generation through the
 audit, which reads the model, the census totals and the household count
-from it.  :class:`Household` is the row type of a household CSV, which
+from it.  Its columns take the narrowest types the model allows, never the
+data: the state index the smallest unsigned type holding ``len(states) - 1``
+(uint8 up to 256 states), the census and survey counts the smallest signed
+type holding ``g_max`` (int8 up to 127, int16 from 128; int64 past the
+int32 max), so a household takes 5 bytes with its two flags.  Values are
+range-checked as given, before the cast, and an integer column is required.
+State totals and the injection's uniforms go ``_SLICE`` = 65536 households
+at a time, so no household-length int64, intp or float64 array is built.
+:class:`Household` is the row type of a household CSV, which
 ``CensusData.from_households`` converts, and the input of the exact
 ``Fraction`` assorters in the tests that the float audit is checked against.
 """
@@ -62,6 +70,7 @@ from .randomness import make_rng
 
 DEFAULT_GMAX = 15
 DEFAULT_DELTA = 1e-10
+_SLICE = 65536  # households per slice of a state total or of injection's uniforms
 
 
 @dataclass(frozen=True)
@@ -197,30 +206,32 @@ class CensusData:
 
     def __init__(self, model: CensusModel, state_idx, cen, pes=None, has_pes=None, in_frame=None):
         self.model = model
-        self.state_idx = np.asarray(state_idx, dtype=np.intp)
-        self.cen = np.asarray(cen, dtype=np.int64)
-        self.pes = self.cen if pes is None else np.asarray(pes, dtype=np.int64)
-        n = self.cen.size
+        state_idx, cen = np.asarray(state_idx), np.asarray(cen)
+        pes = cen if pes is None else np.asarray(pes)
+        n = cen.size
         self.has_pes = np.ones(n, bool) if has_pes is None else np.asarray(has_pes, dtype=bool)
         self.in_frame = np.ones(n, bool) if in_frame is None else np.asarray(in_frame, dtype=bool)
-        columns = (self.state_idx, self.cen, self.pes, self.has_pes, self.in_frame)
-        if any(col.shape != (n,) for col in columns):
+        if any(col.shape != (n,) for col in (state_idx, cen, pes, self.has_pes, self.in_frame)):
             raise ValueError("household arrays must be one-dimensional and of one length")
         if n == 0:
             raise ValueError("no households")
-        _check_range("state index", self.state_idx, True, len(model.states) - 1)
-        _check_range("census count", self.cen, True, model.g_max)
-        _check_range("survey count", self.pes, self.has_pes, model.g_max)
+        k, g = len(model.states), model.g_max
+        self.state_idx = _narrow("state index", state_idx, True, k - 1, _index_type(k))
+        self.cen = _narrow("census count", cen, True, g, _count_type(g))
+        if pes is cen:  # no survey given, or the census array again: cen's check holds
+            self.pes = self.cen
+        else:
+            self.pes = _narrow("survey count", pes, self.has_pes, g, self.cen.dtype)
         self.census_pops = self.state_totals(self.cen)
         self._pair_tests: dict = {}  # see _pair_tests
 
     def with_pes(self, pes) -> CensusData:
         """A copy with new survey counts, the only column checked; the rest is shared."""
-        new = copy.copy(self)
-        new.pes = np.asarray(pes, dtype=np.int64)
-        if new.pes.shape != (self.n,):
+        pes = np.asarray(pes)
+        if pes.shape != (self.n,):
             raise ValueError("household arrays must be one-dimensional and of one length")
-        _check_range("survey count", new.pes, self.has_pes, self.model.g_max)
+        new = copy.copy(self)
+        new.pes = _narrow("survey count", pes, self.has_pes, self.model.g_max, self.cen.dtype)
         return new
 
     @classmethod
@@ -248,10 +259,44 @@ class CensusData:
         return len(self.cen)
 
     def state_totals(self, counts: np.ndarray) -> dict[str, int]:
-        """Per-state sums of one count per household."""
-        # exact in floats: every partial sum is an integer <= n * g_max < 2**53
-        sums = np.bincount(self.state_idx, weights=counts, minlength=len(self.model.states))
-        return {s: int(v) for s, v in zip(self.model.states, sums)}
+        """Exact per-state sums of one count per household, taken a slice at a time."""
+        k = len(self.model.states)
+        top = max(-int(counts.min()), int(counts.max()))
+        # a slice's float sums are exact below 2**53, the int64 totals below 2**63
+        if min(self.n, _SLICE) * top >= 2**53 or self.n * top >= 2**63:
+            raise ValueError(f"state totals of counts up to {top} overflow exact arithmetic")
+        totals = np.zeros(k, dtype=np.int64)
+        for i in range(0, self.n, _SLICE):
+            idx, part = self.state_idx[i : i + _SLICE], counts[i : i + _SLICE]
+            totals += np.bincount(idx, weights=part, minlength=k).astype(np.int64)
+        return {s: int(v) for s, v in zip(self.model.states, totals)}
+
+
+def _index_type(k: int) -> np.dtype:
+    """The narrowest unsigned type holding a state index below ``k``."""
+    return np.min_scalar_type(k - 1)
+
+
+def _count_type(g_max: int) -> np.dtype:
+    """The narrowest signed type holding ``g_max``, int64 past its max.  Signed,
+    as the audit subtracts census from survey counts."""
+    for t in (np.int8, np.int16, np.int32):
+        if g_max <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+def _narrow(what: str, col: np.ndarray, rows, top: int, dtype: np.dtype) -> np.ndarray:
+    """Integer ``col`` range-checked on ``rows`` as given, then cast to ``dtype``.
+
+    Any entry ``dtype`` cannot hold, checked or not, is an error, never wrapped."""
+    if col.dtype.kind not in "iu":
+        raise ValueError(f"{what} column must hold integers, not {col.dtype}")
+    _check_range(what, col, rows, top)
+    info = np.iinfo(dtype)
+    if not np.can_cast(col.dtype, dtype) and (col.min() < info.min or col.max() > info.max):
+        raise ValueError(f"{what} column holds values outside {dtype} [{info.min}, {info.max}]")
+    return col.astype(dtype, copy=False)
 
 
 def _check_range(what: str, col: np.ndarray, rows, top: int) -> None:
@@ -386,13 +431,19 @@ def census_rla(
     )
 
 
-def _size_distribution(household_dist: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted household sizes and their probabilities, normalised as ``rng.choice`` takes them."""
+def _size_distribution(
+    household_dist: Mapping[int, float], g_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted household sizes in the count type of ``g_max`` and their
+    probabilities, normalised as ``rng.choice`` takes them."""
     sizes = np.array(sorted(household_dist), dtype=np.int64)
     probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
     if not (0 < probs.sum() < math.inf and probs.min() >= 0):
         raise ValueError("household size distribution must be non-negative, finite and non-empty")
-    return sizes, probs / probs.sum()
+    narrow = sizes.astype(_count_type(g_max))
+    if (narrow != sizes).any():  # such a size lies outside [0, g_max] too
+        raise ValueError(f"household size support must lie within [0, {g_max}]")
+    return narrow, probs / probs.sum()
 
 
 def _draw_sizes(sizes: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -418,16 +469,16 @@ def generate_census_population(
 
     Each district gets round(population / mean household size) households,
     with sizes drawn from ``household_dist`` (support must lie in
-    [0, g_max]).  Non-responding households (probability ``nonresponse``) are
-    recorded with zero residents.  Each district's constant is set to the
-    real population minus the generated one, so apportioning the generated
-    census necessarily reproduces the real apportionment.  Survey counts are
-    initialized equal to the census counts; disagreement is injected
-    separately.
+    [0, g_max]) straight into the count type.  Non-responding households
+    (probability ``nonresponse``) are recorded with zero residents.  Each
+    district's constant is set to the real population minus the generated
+    one, so apportioning the generated census necessarily reproduces the real
+    apportionment.  Survey counts are initialized equal to the census counts;
+    disagreement is injected separately.
     """
     if not 0 <= nonresponse < 1:
         raise ValueError("nonresponse must be in [0, 1)")
-    sizes, probs = _size_distribution(household_dist)
+    sizes, probs = _size_distribution(household_dist, g_max)
     if sizes.min() < 0 or sizes.max() > g_max:
         raise ValueError(f"household size support must lie within [0, {g_max}]")
     mean_size = float((sizes * probs).sum())
@@ -450,8 +501,8 @@ def generate_census_population(
         g_max=g_max,
         divisor_name=divisor_name,
     )
-    state_idx = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
-    return CensusData(model, state_idx, np.concatenate(counts))
+    states = np.arange(len(counts), dtype=_index_type(len(counts)))
+    return CensusData(model, np.repeat(states, [len(c) for c in counts]), np.concatenate(counts))
 
 
 def inject_survey_disagreement(
@@ -461,13 +512,22 @@ def inject_survey_disagreement(
     rng,
 ) -> CensusData:
     """Re-draw the survey count of a random ``rate`` share of surveyed households,
-    with the stream of ``rng.choice(sizes, n, p)`` and its inverse CDF."""
+    with the stream of ``rng.choice(sizes, n, p)`` and its inverse CDF.
+
+    The stream is that of two ``rng.random(n)`` calls, one hit uniform per
+    household and then one redraw uniform per household, taken in slices of
+    ``_SLICE``: consecutive slices give the doubles of one call, and no
+    household-length float array is built.  Only the redrawn households'
+    uniforms are kept and mapped to sizes."""
     if not 0 <= rate <= 1:
         raise ValueError("disagreement rate must be in [0, 1]")
-    sizes, probs = _size_distribution(household_dist)
-    hit = np.flatnonzero((rng.random(data.n) < rate) & data.has_pes)
+    sizes, probs = _size_distribution(household_dist, data.model.g_max)
+    starts = range(0, data.n, _SLICE)
+    flags = [data.has_pes[i : i + _SLICE] for i in starts]
+    hits = [np.flatnonzero((rng.random(len(f)) < rate) & f) for f in flags]
+    u = np.concatenate([rng.random(len(f))[h] for f, h in zip(flags, hits)])
     pes = data.pes.copy()
-    pes[hit] = _draw_sizes(sizes, probs, rng.random(data.n)[hit])
+    pes[np.concatenate([i + h for i, h in zip(starts, hits)])] = _draw_sizes(sizes, probs, u)
     return data.with_pes(pes)
 
 
@@ -475,14 +535,11 @@ def load_districts_csv(path) -> tuple[dict[str, int], dict[str, Fraction]]:
     """Read ``district,population,c_constant`` rows."""
     pops: dict[str, int] = {}
     constants: dict[str, Fraction] = {}
-    for name, pop, constant in read_csv(path, ("district", "population", "c_constant")):
+    numbers = {"population": int, "c_constant": lambda c: Fraction(c or "0")}
+    for name, pop, constant in read_csv(path, ("district", "population", "c_constant"), numbers):
         if name in pops:
             raise ValueError(f"{path}: duplicate district {name!r}")
-        pops[name] = int(pop)
-        try:
-            constants[name] = Fraction(constant or "0")
-        except ZeroDivisionError:
-            raise ValueError(f"{path}: c_constant {constant!r} divides by zero") from None
+        pops[name], constants[name] = pop, constant
     return pops, constants
 
 
@@ -495,16 +552,17 @@ def load_households_csv(path) -> list[Household]:
     truthy = {"1", "true", "yes"}
     falsy = {"0", "false", "no", ""}
     columns = ("household_id", "district", "census_count", "pes_count", "surveyed")
-    for hid, state, cen, pes, flag in read_csv(path, columns):
+    numbers = {"census_count": int, "pes_count": lambda c: int(c) if c else None}
+    for hid, state, cen, pes, flag in read_csv(path, columns, numbers):
         if flag.lower() in truthy:
             surveyed = True
         elif flag.lower() in falsy:
             surveyed = False
         else:
             raise ValueError(f"{path}: bad surveyed flag {flag!r}")
-        if surveyed and not pes:
+        if surveyed and pes is None:
             raise ValueError(f"{path}: surveyed household {hid!r} lacks pes_count")
-        if not surveyed and pes:
+        if not surveyed and pes is not None:
             raise ValueError(f"{path}: unsurveyed household {hid!r} has a pes_count")
-        out.append(Household(hid, state, int(cen), int(pes) if pes else None))
+        out.append(Household(hid, state, cen, pes))
     return out

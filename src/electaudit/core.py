@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -285,14 +285,20 @@ def as_float(value) -> float:
     return float(value)
 
 
-def read_csv(path, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+def read_csv(
+    path, columns: Sequence[str], numbers: Mapping[str, Callable[[str], object]] = {}
+) -> Iterator[tuple]:
     """The rows of a CSV whose header starts with ``columns``.
 
     Header names are compared stripped; a mismatch is a :class:`ConfigError`.
     Each non-blank row comes as a tuple of its stripped cells in column
     order, ``''`` for a cell the row lacks; cells past the columns are dropped.
+    A cell of a column named in ``numbers`` comes converted by its function,
+    and a cell the function rejects is a :class:`ConfigError` naming the
+    file, the line, the column and the cell.
     """
     k = len(columns)
+    convert = [(i, c, numbers[c]) for i, c in enumerate(columns) if c in numbers]
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -301,7 +307,15 @@ def read_csv(path, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
         for row in reader:
             if row:
                 cells = [c.strip() for c in row[:k]]
-                yield tuple(cells + [""] * (k - len(cells)))
+                cells += [""] * (k - len(cells))
+                for i, column, number in convert:
+                    try:
+                        cells[i] = number(cells[i])
+                    except (ValueError, ArithmeticError):
+                        raise ConfigError(
+                            f"{path}, line {reader.line_num}: {column} {cells[i]!r} is not a number"
+                        ) from None
+                yield tuple(cells)
 
 
 def check_int64_total(n: int) -> None:
@@ -425,10 +439,10 @@ def plurality_assorter(winner: BallotType, loser: BallotType, contest: Contest) 
 def load_contest_csv(path) -> tuple[Contest, Tally]:
     """Read a ``party,reported_votes`` CSV; the ``__invalid__`` row is required."""
     rows: dict[str, int] = {}
-    for name, votes in read_csv(path, ("party", "reported_votes")):
+    for name, votes in read_csv(path, ("party", "reported_votes"), {"reported_votes": int}):
         if name in rows:
             raise ValueError(f"{path}: duplicate party row {name!r}")
-        rows[name] = int(votes)
+        rows[name] = votes
     if INVALID_ID not in rows:
         raise ValueError(f"{path}: missing reserved row {INVALID_ID}")
     contest = Contest.from_party_names(n for n in rows if n != INVALID_ID)

@@ -45,19 +45,21 @@ class ErrorModel:
     ``ballot_misread``: each ballot is independently misread with probability
     ``p_misread``; a misread ballot is recorded invalid with probability
     ``p_invalid``, otherwise credited to a party drawn uniformly at random.
-    ``census_disagree``: the survey re-draws its count for a ``rate`` share
-    of households.
+    A census run has no error model: its config's ``disagreement_rate`` sets
+    the survey's disagreement.
     """
 
     kind: str = "none"
     p_misread: float = 0.0
     p_invalid: float = 0.0
-    rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "ballot_misread", "census_disagree"):
-            raise ValueError(f"unknown error model {self.kind!r}")
-        for name in ("p_misread", "p_invalid", "rate"):
+        if self.kind not in ("none", "ballot_misread"):
+            raise ValueError(
+                f"unknown error model {self.kind!r}: an election run takes 'none' or "
+                "'ballot_misread'; a census run sets survey disagreement by 'disagreement_rate'"
+            )
+        for name in ("p_misread", "p_invalid"):
             if not 0 <= as_float(getattr(self, name)) <= 1:
                 raise ValueError(f"{name} must be a probability")
 
@@ -218,7 +220,7 @@ def _read(cfg: Mapping, key: str, convert, default=None):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config {key!r} is malformed: {value!r}") from exc
+        raise ConfigError(f"config {key!r} is malformed: {value!r} ({exc})") from exc
 
 
 def _path(cfg: Mapping, key: str) -> str:
@@ -228,6 +230,12 @@ def _path(cfg: Mapping, key: str) -> str:
     if not isinstance(path, str):
         raise ConfigError(f"config {key!r} must be a file path, got {path!r}")
     return path
+
+
+def _error_model(value) -> ErrorModel:
+    """A config's ``error_model`` object, its kind checked before its other keys."""
+    fields = dict(_mapping(value or {}))
+    return replace(ErrorModel(fields.pop("kind", "none")), **fields)
 
 
 def _mapping(value) -> Mapping:
@@ -245,10 +253,11 @@ def _list(value) -> list | tuple:
 def load_household_distribution(path) -> dict[int, float]:
     """``size,probability`` CSV for residents per household."""
     out: dict[int, float] = {}
-    for size, probability in read_csv(path, ("size", "probability")):
-        if int(size) in out:
+    numbers = {"size": int, "probability": float}
+    for size, probability in read_csv(path, ("size", "probability"), numbers):
+        if size in out:
             raise ConfigError(f"{path}: duplicate size {size}")
-        out[int(size)] = float(probability)
+        out[size] = probability
     if not out:
         raise ConfigError(f"{path}: empty distribution")
     return out
@@ -333,10 +342,10 @@ def load_election_inputs(contest_path, knesset_path=None):
 def load_declared_sizes(path) -> dict[str, int]:
     """``batch_id,declared_size`` CSV used to pad short batches."""
     out: dict[str, int] = {}
-    for bid, size in read_csv(path, ("batch_id", "declared_size")):
+    for bid, size in read_csv(path, ("batch_id", "declared_size"), {"declared_size": int}):
         if bid in out:
             raise ConfigError(f"{path}: duplicate batch {bid!r}")
-        out[bid] = int(size)
+        out[bid] = size
     return out
 
 
@@ -414,7 +423,7 @@ def _run_election_experiment(config, kind, seeds, out_dir, trace, jobs=1) -> lis
     )
     alpha = _read(config, "alpha", as_float, 0.05)
     delta = _read(config, "delta", as_float, 1e-10)
-    error_model = _read(config, "error_model", lambda v: ErrorModel(**(v or {"kind": "none"})))
+    error_model = _read(config, "error_model", _error_model)
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
 
     tasks = [
@@ -508,6 +517,8 @@ def assertion_stats(reports: Sequence[TrialReport]) -> list[list]:
 
 
 def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
+    if "error_model" in config:
+        raise ConfigError("a census run takes no 'error_model'; set 'disagreement_rate'")
     pops, constants = census_mod.load_districts_csv(_path(config, "districts"))
     _require(config, "representatives")
     representatives = _read(config, "representatives", as_int)

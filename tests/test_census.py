@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -713,3 +714,102 @@ def test_pair_tests_are_built_once_and_reused_for_every_mask():
     out = census_rla(data, AuditConfig(alpha=1.0), surveyed_mask=masks[0])
     out.census_seats["X"] = 0
     assert census_rla(data, AuditConfig(alpha=1.0), surveyed_mask=masks[0]).census_seats == seats
+
+
+def _wide(data):
+    """``data`` with its columns in int64 and intp, the types before narrowing."""
+    wide = copy.copy(data)
+    wide._pair_tests = {}
+    wide.state_idx, wide.cen = data.state_idx.astype(np.intp), data.cen.astype(np.int64)
+    wide.pes = data.pes.astype(np.int64)
+    return wide
+
+
+@pytest.mark.parametrize("g_max, dtype", [(127, np.int8), (128, np.int16)])
+def test_counts_take_the_narrowest_signed_type_holding_gmax(g_max, dtype):
+    """A household counted exactly g_max keeps its count, and the audit reads
+    the narrow columns as it reads the same census in int64 columns."""
+    model = CensusModel(states=("X", "Y"), representatives=3, constants={}, g_max=g_max)
+    rng = make_rng(g_max)
+    n = 4000
+    state_idx = (rng.random(n) < 0.4).astype(np.int64)
+    cen = rng.integers(0, 4, n)
+    cen[::97] = g_max
+    pes = cen.copy()
+    pes[5::61] = rng.integers(0, g_max + 1, len(pes[5::61]))
+    pes[7] = g_max
+    data = CensusData(model, state_idx, cen, pes)
+    assert data.cen.dtype == data.pes.dtype == dtype and data.state_idx.dtype == np.uint8
+    assert data.cen.tolist() == cen.tolist() and data.pes.tolist() == pes.tolist()
+    assert data.census_pops == {"X": int(cen[state_idx == 0].sum()), "Y": int(cen[state_idx == 1].sum())}
+    for seed in range(3):
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, size=400, replace=False)] = True
+        cfg = AuditConfig(alpha=1.0, seed=seed)
+        got = census_rla(data, cfg, surveyed_mask=mask)
+        assert got == census_rla(_wide(data), cfg, surveyed_mask=mask)
+        assert 0 < got.risk_limit < 1
+
+
+@pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_state_index_takes_the_narrowest_unsigned_type(k, dtype):
+    model = CensusModel(states=tuple(f"S{i}" for i in range(k)), representatives=1, constants={})
+    data = CensusData(model, [k - 1, 0], [1, 2])
+    assert data.state_idx.dtype == dtype and data.state_idx.tolist() == [k - 1, 0]
+    assert data.census_pops[f"S{k - 1}"] == 1 + 2 * (k == 1)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [[0.0, 1.0], [0.9, 1.7], ["0", "1"], [False, True]],
+                         ids=["whole-float", "float", "str", "bool"])
+def test_census_data_rejects_non_integer_columns(column, bad):
+    """A float, string or bool state index, census or survey count is an
+    error; a float was once truncated, 0.9 to state 0 and 1.7 to 1 resident."""
+    model = CensusModel(states=("X", "Y"), representatives=1, constants={}, g_max=3)
+    columns = [[0, 1], [1, 1], [1, 1]]
+    columns[column] = bad
+    with pytest.raises(ValueError, match="must hold integers"):
+        CensusData(model, *columns)
+    if column == 2:
+        with pytest.raises(ValueError, match="must hold integers"):
+            CensusData(model, *columns[:2]).with_pes(bad)
+
+
+def test_with_pes_keeps_the_census_type():
+    model = CensusModel(states=("X",), representatives=1, constants={}, g_max=300)
+    data = CensusData(model, [0, 0, 0], np.array([1, 2, 300], dtype=np.uint64))
+    assert data.cen.dtype == np.int16 and data.pes is data.cen
+    for pes in ([3, 2, 1], np.array([3, 2, 1], dtype=np.int8), np.array([3, 2, 1], dtype=np.uint32)):
+        new = data.with_pes(pes)
+        assert new.pes.dtype == np.int16 and new.pes.tolist() == [3, 2, 1]
+
+
+def test_values_past_the_column_type_are_rejected_not_wrapped():
+    """Range checks see the values as given: no entry wraps in the cast, be it
+    an unsurveyed survey entry or a count under a g_max past the int64 max."""
+    model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
+    with pytest.raises(ValueError, match="outside int8"):
+        CensusData(model, [0], [1], pes=[300], has_pes=[False])
+    huge = CensusModel(states=("X",), representatives=1, constants={}, g_max=2**70)
+    assert CensusData(huge, [0], [5]).cen.dtype == np.int64
+    with pytest.raises(ValueError, match="outside int64"):
+        CensusData(huge, [0], np.array([2**63], dtype=np.uint64))
+    with pytest.raises(ValueError, match="overflow exact arithmetic"):
+        CensusData(huge, [0, 0], [2**62, 2**62])
+
+
+@pytest.mark.parametrize("g_max", [15, 2**31 - 1])
+@pytest.mark.parametrize("n", [65535, 65536, 65537, 131073])
+def test_state_totals_are_exact_across_slices(n, g_max):
+    model = CensusModel(states=("X", "Y", "Z"), representatives=1, constants={}, g_max=g_max)
+    rng = make_rng(n)
+    state_idx = rng.integers(0, 3, n)
+    cen = rng.integers(g_max - 15, g_max + 1, n)
+    data = CensusData(model, state_idx, cen)
+    want = {s: 0 for s in model.states}
+    for i, c in zip(state_idx.tolist(), cen.tolist()):
+        want[model.states[i]] += c
+    assert data.census_pops == want
+    assert data.state_totals(np.ones(n, dtype=np.int8)) == {
+        s: state_idx.tolist().count(i) for i, s in enumerate(model.states)
+    }

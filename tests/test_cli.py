@@ -669,3 +669,40 @@ def test_repeated_key_row_exits_2():
     assert _declared_size_run(FUZZ_DECLARED)[0][0] == 0
     [(rc, err)] = _declared_size_run(FUZZ_DECLARED + [["b0", "340"]])
     assert rc == 2 and "duplicate batch 'b0'" in err, err
+
+
+# the column whose cell each loader gets as "x" in its second data row
+NUMBER_COLUMNS = {"contest": 1, "batches": 3, "districts": 2, "households": 2, "sizes": 1,
+                  "declared_sizes": 1}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_malformed_number_names_file_line_and_column(tmp_path, name):
+    """A cell that is not a number is an error naming the file, the line, the
+    column and the cell, from every CSV loader."""
+    loader, rows = LOADERS[name]
+    rows = [list(r) for r in rows]
+    column = NUMBER_COLUMNS[name]
+    rows[2][column] = "x"
+    path = tmp_path / f"{name}.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(ValueError) as raised:
+        loader(path)
+    assert str(raised.value) == f"{path}, line 3: {rows[0][column]} 'x' is not a number"
+
+
+@pytest.mark.parametrize("config_name", ["batchcomp_knesset.json", "census_cyprus.json"])
+def test_census_disagree_error_model_exits_2(tmp_path, capsys, monkeypatch, config_name):
+    """An error model of kind ``census_disagree`` was once read by nothing, and
+    its run wrote error-free results; survey disagreement is set by
+    ``disagreement_rate``, and the message says so."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    monkeypatch.chdir(configs.parent)
+    config = json.loads((configs / config_name).read_text())
+    config.update(trials=1, error_model={"kind": "census_disagree", "rate": 0.9})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'disagreement_rate'" in err and "Traceback" not in err, err
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -483,6 +483,30 @@ def test_census_trial_builds_each_pair_test_once(tmp_path, monkeypatch):
     assert built.call_count == 2 * 20
 
 
+def test_census_trial_memory_is_bounded(tmp_path, monkeypatch):
+    """One shipped-config census trial at one sample fraction stays below a
+    5 MB traced peak: its households are held in five one-byte columns, and
+    no household-length int64, intp or float64 array is built on the way
+    (the state totals and the injection's uniforms go a slice at a time)."""
+    import tracemalloc
+
+    monkeypatch.chdir(CENSUS_CONFIG.parent.parent)
+    config = dict(json.loads(CENSUS_CONFIG.read_text()), trials=1,
+                  sample_fractions=[0.0087], disagreement_rate=0.005)
+    with mock.patch.object(census_mod, "census_rla", wraps=census_mod.census_rla) as audited:
+        tracemalloc.start()
+        try:
+            run_experiment(config, tmp_path, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    data = audited.call_args.args[0]
+    columns = (data.state_idx, data.cen, data.pes, data.has_pes, data.in_frame)
+    assert data.pes is not data.cen and data.n > 300_000
+    assert sum(col.nbytes for col in columns) == 5 * data.n
+    assert peak < 5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_election_output_bytes_pinned(tmp_path, monkeypatch):
     """The election tables of a fixed config and seed stay byte-for-byte the
     same: batch dealing, error injection, assertion generation, the draw order
