@@ -1,8 +1,9 @@
 """Highest-averages seat apportionment with exact arithmetic.
 
 Build the quotient table value(u)/d(r) for r = 1..seats, color the ``seats``
-largest cells, and hand each unit its colored-cell count.  Divisors are
-evaluated through ``Fraction`` so comparisons are exact: two cells compare
+largest cells, and hand each unit its colored-cell count.  Values and
+divisors are scaled to integers over their common denominators, so every
+cell is an exact integer in proportion to its quotient: two cells compare
 equal only when their quotients are genuinely equal, never because floats
 collided.  A genuine tie at the boundary that spans more than one unit makes
 the allocation ambiguous and raises; deciding such ties is a matter for
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Callable, Mapping
+
+from .core import common_denominator
 
 Divisor = Callable[[int], int]
 
@@ -47,10 +50,6 @@ def highest_averages(
     if not values:
         raise ValueError("no units to allocate seats to")
     units = list(values)
-    values = {
-        u: int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-        for u, v in values.items()
-    }
     for u in units:
         if values[u] <= 0:
             raise ValueError(f"unit {u!r} has non-positive row value {values[u]}")
@@ -61,18 +60,13 @@ def highest_averages(
             raise ValueError("divisor function must be strictly increasing")
         divisors.append(d)
 
-    if all(isinstance(values[u], int) for u in units) and all(
-        isinstance(d, int) for d in divisors
-    ):
-        # integer inputs: quotients scale to exact integers over the divisor lcm
-        scale = math.lcm(*divisors)
-        cells = [
-            (values[u] * (scale // d), u) for u in units for d in divisors
-        ]
-    else:
-        cells = [
-            (Fraction(values[u]) / d, u) for u in units for d in divisors
-        ]
+    # Over common denominators a value is n / V and a divisor m / D, so the
+    # quotient n D / (m V) is q D / (S V), with S the lcm of the m and the
+    # cell q = n (S // m) an exact integer.
+    row, V = common_denominator(values[u] for u in units)
+    div, D = common_denominator(divisors)
+    scale = math.lcm(*div)
+    cells = [(n * (scale // m), u) for n, u in zip(row, units) for m in div]
     cells.sort(key=lambda c: c[0], reverse=True)
     threshold = cells[seats - 1][0]
 
@@ -81,8 +75,8 @@ def highest_averages(
     slots = seats - len(above)
     if len(at) > slots and len(set(at)) > 1:
         raise AllocationTieError(
-            f"{what} tie: {len(at)} cells share the boundary quotient {threshold} "
-            f"but only {slots} seats remain"
+            f"{what} tie: {len(at)} cells share the boundary quotient "
+            f"{Fraction(threshold * D, scale * V)} but only {slots} seats remain"
         )
     alloc = {u: 0 for u in units}
     for u in above:

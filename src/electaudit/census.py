@@ -543,26 +543,29 @@ def load_districts_csv(path) -> tuple[dict[str, int], dict[str, Fraction]]:
     return pops, constants
 
 
-def load_households_csv(path) -> list[Household]:
-    """Read ``household_id,district,census_count,pes_count,surveyed`` rows.
+def _flag(path, column: str, cell: str, blank: bool) -> bool:
+    """``1``/``true``/``yes`` or ``0``/``false``/``no`` in any case, ``blank`` when empty."""
+    flags = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False, "": blank}
+    if cell.lower() not in flags:
+        raise ValueError(f"{path}: bad {column} flag {cell!r}")
+    return flags[cell.lower()]
 
-    ``pes_count`` must be blank exactly when ``surveyed`` is 0/false.
+
+def load_households_csv(path) -> list[Household]:
+    """Read ``household_id,district,census_count,pes_count,surveyed`` rows,
+    and an optional ``in_frame`` column after them.
+
+    ``pes_count`` must be blank exactly when ``surveyed`` is 0/false.  A
+    blank ``surveyed`` is false; a blank or missing ``in_frame`` is true.
     """
     out: list[Household] = []
-    truthy = {"1", "true", "yes"}
-    falsy = {"0", "false", "no", ""}
     columns = ("household_id", "district", "census_count", "pes_count", "surveyed")
     numbers = {"census_count": int, "pes_count": lambda c: int(c) if c else None}
-    for hid, state, cen, pes, flag in read_csv(path, columns, numbers):
-        if flag.lower() in truthy:
-            surveyed = True
-        elif flag.lower() in falsy:
-            surveyed = False
-        else:
-            raise ValueError(f"{path}: bad surveyed flag {flag!r}")
+    for hid, state, cen, pes, surveyed, in_frame in read_csv(path, columns, numbers, ("in_frame",)):
+        surveyed = _flag(path, "surveyed", surveyed, blank=False)
         if surveyed and pes is None:
             raise ValueError(f"{path}: surveyed household {hid!r} lacks pes_count")
         if not surveyed and pes is not None:
             raise ValueError(f"{path}: unsurveyed household {hid!r} has a pes_count")
-        out.append(Household(hid, state, cen, pes))
+        out.append(Household(hid, state, cen, pes, _flag(path, "in_frame", in_frame, blank=True)))
     return out

@@ -3,13 +3,13 @@
 An assorter is a non-negative scoring function over ballot types.  An
 assertion is the statement that the assorter's mean over all cast ballots
 exceeds 1/2; full election outcomes are verified by checking a set of such
-assertions.  Assorter values are kept as exact rationals so that assertion
-equivalences can be checked without rounding; the sequential tests elsewhere
-in this package evaluate them in floating point.
-
-An :class:`Assorter` converts its values once, at construction, into one
-integer row: numerators over its name-sorted type tuple and one common
-denominator, read by every audit and margin through :meth:`Assorter.row`.
+assertions.  Each election assertion is a linear tally inequality, such as
+``plurality:W>L``, v_W - v_L > 0 (the Knesset families are in
+:mod:`electaudit.knesset`), which :func:`inequality_to_assorter` writes in
+Python ints straight into its assorter's integer row: numerators over the
+name-sorted type tuple and one common denominator, read by every audit and
+margin through :meth:`Assorter.row`.  The ``Fraction`` values are a view
+derived from the row.
 
 An election trial keeps its batches in one :class:`BatchMatrix`, from
 dealing to the verdict: reported and true batch-by-type integer counts over
@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,8 +38,17 @@ import numpy as np
 INVALID_ID = "__invalid__"
 
 
-def _fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _rational(v) -> int | Fraction:
+    """``v`` when it is an int or a ``Fraction``, else its exact ``Fraction``."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def common_denominator(xs: Iterable) -> tuple[list[int], int]:
+    """Integers ``num`` and their lowest common denominator ``den``, with
+    ``num[i] / den`` exactly ``xs[i]``; no ``Fraction`` is built for an int."""
+    exact = [_rational(x) for x in xs]
+    den = math.lcm(*(x.denominator for x in exact))
+    return [x.numerator * (den // x.denominator) for x in exact], den
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Assorter:
     """Non-negative per-ballot-type scores with a declared upper bound.
 
@@ -139,45 +148,57 @@ class Assorter:
     the sequential test stays risk-limiting for any bound above its running
     guess, so callers may declare a looser one.
 
-    The values are stored once, at construction, as one integer row: ``types``
-    is the value map's types sorted by name, and ``num[i] / den`` is the
-    value of ``types[i]``, with ``den`` the lcm of the denominators.  ``num``
-    is read-only int64 when every numerator fits, otherwise an object array
-    of Python ints.  ``values`` and :meth:`value` are the ``Fraction`` view.
+    The values are stored as one integer row in lowest terms: ``types`` is
+    sorted by name, and ``num[i] / den`` is the value of ``types[i]``.
+    ``num`` is read-only int64 when every numerator fits, otherwise an object
+    array of Python ints.  ``Assorter(values, upper, label)`` builds the row
+    from a value map, :meth:`from_row` takes it as given, and ``values`` and
+    :meth:`value` are a ``Fraction`` view derived from it.
     """
 
-    values: Mapping[BallotType, Fraction]
+    types: tuple[BallotType, ...]
+    num: np.ndarray
+    den: int
     upper: Fraction
     label: str = ""
-    types: tuple[BallotType, ...] = field(init=False, repr=False, compare=False)
-    num: np.ndarray = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        types = tuple(sorted(self.values, key=lambda bt: bt.name))
-        exact = [_fraction(self.values[bt]) for bt in types]
-        upper = _fraction(self.upper)
-        den = math.lcm(*(v.denominator for v in exact))
-        num = [v.numerator * (den // v.denominator) for v in exact]
+    def __init__(self, values: Mapping[BallotType, Fraction], upper, label: str = ""):
+        types = tuple(sorted(values, key=lambda bt: bt.name))
+        self._store(types, *common_denominator(values[bt] for bt in types), upper, label)
+
+    @classmethod
+    def from_row(cls, types, num: list[int], den: int, upper, label: str = "") -> "Assorter":
+        """The assorter scoring ``types[i]`` ``num[i] / den``; ``types`` sorted by name."""
+        self = cls.__new__(cls)
+        self._store(types, num, den, upper, label)
+        return self
+
+    def _store(self, types, num: list[int], den: int, upper, label: str) -> None:
+        upper = Fraction(upper)
         top = max(num)
         if min(num) < 0:
-            raise ValueError(f"assorter {self.label!r} has a negative value")
+            raise ValueError(f"assorter {label!r} has a negative value")
         # upper < top / den, cross-multiplied
         if upper.numerator <= 0 or upper.numerator * den < top * upper.denominator:
-            raise ValueError(f"assorter {self.label!r} upper bound below a value")
-        row = np.array(num, dtype=np.int64 if top < _INT64_LIMIT else object)
+            raise ValueError(f"assorter {label!r} upper bound below a value")
+        g = math.gcd(den, *num)
+        row = np.array([x // g for x in num], dtype=np.int64 if top // g < _INT64_LIMIT else object)
         row.flags.writeable = False
-        object.__setattr__(self, "values", dict(zip(types, exact)))
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "num", row)
-        object.__setattr__(self, "den", den)
+        fields = {"types": types, "num": row, "den": den // g, "upper": upper, "label": label}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        key = lambda a: (a.types, a.num.tolist(), a.den, a.upper, a.label)
+        return key(self) == key(other) if isinstance(other, Assorter) else NotImplemented
+
+    @property
+    def values(self) -> dict[BallotType, Fraction]:
+        return {bt: Fraction(x, self.den) for bt, x in zip(self.types, self.num.tolist())}
 
     def value(self, bt: BallotType) -> Fraction:
-        try:
-            return self.values[bt]
-        except KeyError:
-            raise KeyError(f"assorter {self.label!r} has no value for {bt}") from None
+        num, den = self.row([bt])
+        return Fraction(int(num[0]), den)
 
     def row(self, types: Sequence[BallotType]) -> tuple[np.ndarray, int]:
         """``(num, den)`` with ``num[i] / den`` the value of ``types[i]``."""
@@ -193,21 +214,23 @@ class Assorter:
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """A tally constraint sum_c beta_c * v(c) > d over n total ballots."""
+    """A tally constraint sum_c beta_c * v(c) > d (``rhs``) over n ballots,
+    exact: ints stay ints, other numbers become ``Fraction``.  ``n`` is read
+    only when d is nonzero; a comparison does not depend on the ballot count."""
 
-    coefficients: Mapping[BallotType, Fraction]
-    rhs: Fraction
-    n: int
+    coefficients: Mapping[BallotType, int | Fraction]
+    rhs: int | Fraction = 0
+    n: int | None = None
     label: str = ""
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coefficients", {bt: Fraction(b) for bt, b in self.coefficients.items()}
+            self, "coefficients", {bt: _rational(b) for bt, b in self.coefficients.items()}
         )
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-        if self.n <= 0:
+        object.__setattr__(self, "rhs", _rational(self.rhs))
+        if self.rhs and (self.n is None or self.n <= 0):
             raise ValueError("ballot count n must be positive")
-        if all(b == 0 for b in self.coefficients.values()):
+        if not any(self.coefficients.values()):
             raise ValueError("inequality needs at least one nonzero coefficient")
 
     def holds(self, tally: Tally) -> bool:
@@ -286,28 +309,36 @@ def as_float(value) -> float:
 
 
 def read_csv(
-    path, columns: Sequence[str], numbers: Mapping[str, Callable[[str], object]] = {}
+    path,
+    columns: Sequence[str],
+    numbers: Mapping[str, Callable[[str], object]] = {},
+    optional: Sequence[str] = (),
 ) -> Iterator[tuple]:
     """The rows of a CSV whose header starts with ``columns``.
 
     Header names are compared stripped; a mismatch is a :class:`ConfigError`.
+    The ``optional`` columns follow them when the header names them next.
     Each non-blank row comes as a tuple of its stripped cells in column
-    order, ``''`` for a cell the row lacks; cells past the columns are dropped.
+    order, ``''`` for a cell the row or the header lacks; cells past the
+    columns are dropped.
     A cell of a column named in ``numbers`` comes converted by its function,
     and a cell the function rejects is a :class:`ConfigError` naming the
     file, the line, the column and the cell.
     """
     k = len(columns)
+    width = k + len(optional)
     convert = [(i, c, numbers[c]) for i, c in enumerate(columns) if c in numbers]
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:k]] != list(columns):
+        header = [c.strip() for c in next(reader, [])]
+        if not header or header[:k] != list(columns):
             raise ConfigError(f"{path}: expected columns {','.join(columns)}")
+        if header[k:width] == list(optional):
+            k = width
         for row in reader:
             if row:
                 cells = [c.strip() for c in row[:k]]
-                cells += [""] * (k - len(cells))
+                cells += [""] * (width - len(cells))
                 for i, column, number in convert:
                     try:
                         cells[i] = number(cells[i])
@@ -396,44 +427,38 @@ def assorter_mean(assorter: Assorter, tally: Tally) -> Fraction:
 def inequality_to_assorter(q: LinearInequality) -> Assorter:
     """Convert a linear tally inequality into an equivalent assorter.
 
-    With z the smallest coefficient, each ballot type scores
-    -(beta_b - z) / (2 (z - d/n)), which is non-negative and has mean > 1/2
+    Write the coefficients as integers b_c over their common denominator L,
+    let z = min b and L d / n = p / r in lowest terms.  Ballot type c scores
+    (b_c - z) r / (2 (p - z r)), which is non-negative and has mean > 1/2
     over a tally of n ballots exactly when the inequality holds.  Requires
-    z - d/n < 0; otherwise the inequality is decided for every tally and has
-    no useful assorter form.
+    p - z r > 0 and two distinct coefficients; otherwise the inequality is
+    decided for every tally and has no useful assorter form.
     """
-    z = min(q.coefficients.values())
-    denom = z - q.rhs / q.n
-    if denom >= 0:
+    types, beta = zip(*sorted(q.coefficients.items(), key=lambda c: c[0].name))
+    b, L = common_denominator(beta)
+    z = min(b)
+    p, r = Fraction(q.rhs * L, q.n).as_integer_ratio() if q.rhs else (0, 1)
+    den = 2 * (p - z * r)
+    if den <= 0 or max(b) == z:
         raise ValueError(
             f"trivial inequality {q.label!r}: it is either always false or always true"
         )
-    values = {bt: -(beta - z) / (2 * denom) for bt, beta in q.coefficients.items()}
-    if max(values.values()) == 0:
-        # all coefficients equal: the inequality is always false here
-        raise ValueError(
-            f"trivial inequality {q.label!r}: it is either always false or always true"
-        )
-    return Assorter(values=values, upper=max(values.values()), label=q.label)
+    num = [(x - z) * r for x in b]
+    return Assorter.from_row(types, num, den, Fraction(max(num), den), q.label)
 
 
 def plurality_assorter(winner: BallotType, loser: BallotType, contest: Contest) -> Assorter:
-    """Assorter whose mean exceeds 1/2 iff ``winner`` out-polls ``loser``.
+    """The assorter of v_winner - v_loser > 0: ``winner`` out-polls ``loser``.
 
-    Scores 1 for the winner, 0 for the loser, 1/2 for every other type
-    including invalid ballots.
+    It scores 1 for the winner, 0 for the loser and 1/2 for every other type,
+    invalid ballots included.
     """
     if winner == loser:
         raise ValueError("winner and loser must differ")
-    values = {}
-    for bt in contest.ballot_types:
-        if bt == winner:
-            values[bt] = Fraction(1)
-        elif bt == loser:
-            values[bt] = Fraction(0)
-        else:
-            values[bt] = Fraction(1, 2)
-    return Assorter(values=values, upper=Fraction(1), label=f"plurality:{winner.name}>{loser.name}")
+    coefficients = {bt: (bt == winner) - (bt == loser) for bt in contest.ballot_types}
+    return inequality_to_assorter(
+        LinearInequality(coefficients, label=f"plurality:{winner.name}>{loser.name}")
+    )
 
 
 def load_contest_csv(path) -> tuple[Contest, Tally]:

@@ -501,18 +501,20 @@ def _pct(x, total):
 
 
 def assertion_stats(reports: Sequence[TrialReport]) -> list[list]:
-    """Per-assertion mean and sample standard deviation of ballots examined."""
+    """Per-assertion mean and sample std of ballots examined over the trials
+    that carry the assertion, which a party near the threshold may not, with
+    the first one's margin; the std is blank when only one trial carries it."""
     if len(reports) < 2:
         raise ValueError("need at least 2 trials for spread statistics")
     labels = sorted({lbl for rep in reports for lbl in rep.per_assertion})
     rows = []
     for lbl in labels:
-        examined = [rep.per_assertion[lbl]["ballots_examined"] for rep in reports]
-        margin = reports[0].per_assertion[lbl]["margin"]
+        carrying = [rep for rep in reports if lbl in rep.per_assertion]
+        examined = [rep.per_assertion[lbl]["ballots_examined"] for rep in carrying]
+        margin = carrying[0].per_assertion[lbl]["margin"]
         mean = statistics.fmean(examined)
-        std = statistics.stdev(examined)
-        total = reports[0].total_ballots
-        rows.append([lbl, margin, repr(mean), repr(std), _pct(mean, total)])
+        std = repr(statistics.stdev(examined)) if len(examined) >= 2 else ""
+        rows.append([lbl, margin, repr(mean), std, _pct(mean, carrying[0].total_ballots)])
     return rows
 
 

@@ -7,12 +7,17 @@ as one united party, and their joint seats are then split between them by the
 same rule.  An apparentment with a member below the threshold is ignored.
 
 The correctness of a reported allocation reduces to three families of
-half-average assertions:
+linear inequalities over the true tally v, with threshold t = a/b, valid
+the valid-vote total and s_u the seats a unit reportedly holds:
 
-* every reportedly-above party truly clears the threshold,
-* every reportedly-below party truly misses it,
-* for each ordered pair of reportedly-above units, no seat should move from
-  the second to the first.
+* ``above-threshold:p``: b v_p - a valid > 0, for every reportedly-above
+  party;
+* ``below-threshold:p``: a valid - b v_p > 0, for every reportedly-below
+  party;
+* ``no-seat-move:K->G``: (s_G + 1) v_K - s_K v_G > 0, for each ordered pair
+  of reportedly-above units with s_K > 0, each side's votes summed over its
+  members: no seat should move from K to G.  The one-seat form puts s_G + 1
+  and s_K - 1 in place of s_G and s_K: no more than one seat should move.
 
 A party outside every apparentment that wins no seat is the exception.  The
 allocation depends only on its being unable to win a seat: it misses the
@@ -25,9 +30,10 @@ in houses where threshold times seats is below one seat.  Apparentment
 members keep their threshold assertions: their status decides whether the
 pact unites.
 
-All three families are generated here as assorters over the contest's ballot
-types, ready for any of the sequential tests in this package.  Margins are
-counted on each assorter's stored integer row, not on its ``Fraction`` values.
+Each inequality becomes its half-average assorter over the contest's ballot
+types through :func:`electaudit.core.inequality_to_assorter`, ready for any
+of the sequential tests in this package.  Margins are counted on each
+assorter's integer row.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .apportionment import dhondt, highest_averages
-from .core import Assorter, Contest, Tally, as_int
+from .core import Assorter, Contest, LinearInequality, Tally, as_int, inequality_to_assorter
 
 DEFAULT_SEATS = 120
 DEFAULT_THRESHOLD = Fraction(13, 400)  # 3.25% of valid votes
@@ -145,7 +151,7 @@ def allocate_seats(contest: KnessetContest, tally: Tally) -> SeatAllocation:
     if not above:
         raise ValueError("no party clears the electoral threshold")
     units = _alliance_units(contest, above)
-    unit_votes = {unit_label(u): Fraction(sum(votes[p] for p in u)) for u in units}
+    unit_votes = {unit_label(u): sum(votes[p] for p in u) for u in units}
     unit_seats = highest_averages(unit_votes, contest.seats, dhondt, what="allocation")
 
     result = {p: 0 for p in contest.parties}
@@ -154,50 +160,17 @@ def allocate_seats(contest: KnessetContest, tally: Tally) -> SeatAllocation:
         if len(u) == 1:
             result[u[0]] = won
         elif won > 0:
-            split = highest_averages(
-                {p: Fraction(votes[p]) for p in u}, won, dhondt, what="allocation"
-            )
+            split = highest_averages({p: votes[p] for p in u}, won, dhondt, what="allocation")
             for p in u:
                 result[p] = split[p]
     return SeatAllocation(result)
 
 
-def _move_seat_assorter(
-    ballot_contest: Contest,
-    gainer: tuple[str, ...],
-    keeper: tuple[str, ...],
-    s_gainer: int,
-    s_keeper: int,
-    weakened: bool,
-) -> Assorter:
-    """Assorter refuting 'a seat should move from ``keeper`` to ``gainer``'.
-
-    Ballots for the keeper score 1/2 + (s_gainer + 1) / (2 s_keeper); ballots
-    for the gainer score 0; everything else, invalid included, scores 1/2.
-    The weakened form instead certifies that no more than one seat should
-    move, by pretending the gainer already took one: its keeper value is
-    1/2 + (s_gainer + 2) / (2 (s_keeper - 1)).
-    """
-    if weakened:
-        if s_keeper <= 1:
-            raise ValueError(
-                f"cannot weaken move-seat assertion toward {unit_label(gainer)}: "
-                f"{unit_label(keeper)} holds only {s_keeper} seat(s)"
-            )
-        high = Fraction(1, 2) + Fraction(s_gainer + 2, 2 * (s_keeper - 1))
-    else:
-        high = Fraction(1, 2) + Fraction(s_gainer + 1, 2 * s_keeper)
-    values = {}
-    for bt in ballot_contest.ballot_types:
-        if bt.name in keeper:
-            values[bt] = high
-        elif bt.name in gainer:
-            values[bt] = Fraction(0)
-        else:
-            values[bt] = Fraction(1, 2)
-    suffix = " (one-seat)" if weakened else ""
-    label = f"no-seat-move:{unit_label(keeper)}->{unit_label(gainer)}{suffix}"
-    return Assorter(values=values, upper=high, label=label)
+def _assertion(ballot_contest: Contest, weight: Mapping[str, int], label: str) -> Assorter:
+    """The assorter of sum_c weight[c] * v_c > 0, the parties missing from
+    ``weight`` and the invalid type weighing 0."""
+    coefficients = {bt: weight.get(bt.name, 0) for bt in ballot_contest.ballot_types}
+    return inequality_to_assorter(LinearInequality(coefficients, label=label))
 
 
 def generate_assertions(
@@ -226,6 +199,9 @@ def generate_assertions(
     if contest.threshold == 0:
         # the above/below certification scheme needs a real threshold share
         raise ValueError("assertion generation requires a positive electoral threshold")
+    if len(contest.parties) < 2:
+        # b v_p - a valid > 0 reads (b - a) v_p > 0 alone, which has no assorter form
+        raise ValueError("assertion generation requires at least two parties")
     check = allocate_seats(contest, reported)
     if dict(check.seats) != dict(reported_seats.seats):
         raise ValueError("reported_seats does not match the allocation of the reported tally")
@@ -252,34 +228,32 @@ def generate_assertions(
             p for p in contest.parties if reported_seats.of(p) == 0 and p not in pact_members
         ]
 
+    a, b = t.as_integer_ratio()
     for p in contest.parties:
         if p in seatless:
             continue
-        bt_p = ballot_contest.by_name(p)
-        if p in above:
-            high = 1 / (2 * t)
-            values = {
-                bt: (high if bt == bt_p else Fraction(1, 2) if bt.is_invalid else Fraction(0))
-                for bt in ballot_contest.ballot_types
-            }
-            assertions.append(Assorter(values=values, upper=high, label=f"above-threshold:{p}"))
-        else:
-            high = 1 / (2 * (1 - t))
-            values = {
-                bt: (Fraction(0) if bt == bt_p else Fraction(1, 2) if bt.is_invalid else high)
-                for bt in ballot_contest.ballot_types
-            }
-            assertions.append(Assorter(values=values, upper=high, label=f"below-threshold:{p}"))
+        # above: b v_p - a valid > 0; below is its negation
+        sign, side = (1, "above") if p in above else (-1, "below")
+        weight = {c: sign * (b * (c == p) - a) for c in contest.parties}
+        assertions.append(_assertion(ballot_contest, weight, f"{side}-threshold:{p}"))
 
     def add_move(gainer: tuple[str, ...], keeper: tuple[str, ...], s_g: int, s_k: int):
+        """(s_g + 1) v_keeper - s_k v_gainer > 0, the one-seat form with one seat moved first."""
         if s_k == 0:
             return  # no seat to defend
         pair = (unit_label(gainer), unit_label(keeper))
-        weakened = pair in weaken
         unmatched.discard(pair)
-        assertions.append(
-            _move_seat_assorter(ballot_contest, gainer, keeper, s_g, s_k, weakened)
-        )
+        suffix = ""
+        if pair in weaken:
+            if s_k <= 1:
+                raise ValueError(
+                    f"cannot weaken move-seat assertion toward {unit_label(gainer)}: "
+                    f"{unit_label(keeper)} holds only {s_k} seat(s)"
+                )
+            s_g, s_k, suffix = s_g + 1, s_k - 1, " (one-seat)"
+        weight = {**dict.fromkeys(keeper, s_g + 1), **dict.fromkeys(gainer, -s_k)}
+        label = f"no-seat-move:{unit_label(keeper)}->{unit_label(gainer)}{suffix}"
+        assertions.append(_assertion(ballot_contest, weight, label))
 
     for u1 in units:
         for u2 in units:

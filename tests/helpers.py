@@ -543,3 +543,46 @@ def inject_agreeing_disagreement_reference(data, rate, dist, rng, max_tries: int
         if census_mod.apportion(data.model, candidate.state_totals(candidate.pes)) == base:
             return candidate
     raise ValueError("could not inject survey disagreement without changing the seat allocation")
+
+
+def hand_derived_assorter(
+    contest: Contest, label: str, seats: Mapping[str, int] = {}, threshold: Fraction = Fraction(0)
+) -> Assorter:
+    """The assorter of a plurality or Knesset assertion from its hand-derived
+    value map: the oracle for the assertions built from their inequalities.
+
+    ``label`` names the assertion as the generators do; ``seats`` gives the
+    reported seats of every party a move-seat label names, and ``threshold``
+    the threshold share t of a threshold label.
+
+    * ``plurality:W>L``: 1 for W, 0 for L, 1/2 for every other type.
+    * ``above-threshold:p``: 1/(2t) for p, 1/2 for invalid ballots, 0 for the
+      other parties.
+    * ``below-threshold:p``: 0 for p, 1/2 for invalid ballots, 1/(2(1 - t))
+      for the other parties.
+    * ``no-seat-move:K->G``: 1/2 + (s_G + 1)/(2 s_K) for K's members, 0 for
+      G's, 1/2 for every other type; the one-seat form 1/2 + (s_G + 2)/(2 (s_K - 1)).
+    """
+    half = Fraction(1, 2)
+    kind, _, rest = label.partition(":")
+    if kind == "plurality":
+        winner, loser = rest.split(">")
+        scores = {winner: Fraction(1), loser: Fraction(0)}
+        values = {bt: scores.get(bt.name, half) for bt in contest.ballot_types}
+    elif kind in ("above-threshold", "below-threshold"):
+        high = 1 / (2 * threshold) if kind == "above-threshold" else 1 / (2 * (1 - threshold))
+        party, others = (high, Fraction(0)) if kind == "above-threshold" else (Fraction(0), high)
+        values = {
+            bt: half if bt.is_invalid else party if bt.name == rest else others
+            for bt in contest.ballot_types
+        }
+    else:
+        one_seat = rest.endswith(" (one-seat)")
+        keeper, gainer = (u.split("+") for u in rest.removesuffix(" (one-seat)").split("->"))
+        s_g, s_k = (sum(seats[p] for p in u) for u in (gainer, keeper))
+        high = half + Fraction(s_g + 1 + one_seat, 2 * (s_k - one_seat))
+        values = {
+            bt: high if bt.name in keeper else Fraction(0) if bt.name in gainer else half
+            for bt in contest.ballot_types
+        }
+    return Assorter(values, max(values.values()), label)

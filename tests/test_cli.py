@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electaudit.batchcomp import load_batches_csv
+from electaudit import census as census_mod
+from electaudit.alpha import AuditConfig
 from electaudit.census import load_districts_csv, load_households_csv
 from electaudit.cli import main
 from electaudit.core import load_contest_csv
-from electaudit.harness import load_declared_sizes, load_household_distribution
+from electaudit.harness import load_declared_sizes, load_household_distribution, write_census_outcome_csv
 
 
 def _contest(tmp_path):
@@ -233,6 +235,68 @@ def test_census_file_mode(tmp_path, capsys):
     assert out_rows[0] == ["pair_s1", "pair_s2", "risk_limit"]
     assert out_rows[-1][0] == "OVERALL"
     assert (tmp_path / "out/census_risks.csv").read_bytes() == out.encode()
+
+
+def _framed_households(tmp_path, flag=lambda i, surveyed: "1" if surveyed or i % 3 == 0 else "0"):
+    """Districts X and Y and a household CSV with an ``in_frame`` column:
+    every other household surveyed, in agreement, and ``flag(i, surveyed)``
+    as household i's in_frame cell."""
+    districts = tmp_path / "d.csv"
+    districts.write_text("district,population,c_constant\nX,20,0\nY,8,0\n")
+    cen = [3, 2, 2, 1, 3, 2, 1, 2, 3, 1, 1, 1, 2, 1, 2, 1]
+    rows = ["household_id,district,census_count,pes_count,surveyed,in_frame"]
+    for i, c in enumerate(cen):
+        surveyed = i % 2 == 0
+        rows.append(f"h{i},{'X' if i < 10 else 'Y'},{c},{c if surveyed else ''},{int(surveyed)},{flag(i, surveyed)}")
+    households = tmp_path / "h.csv"
+    households.write_text("\n".join(rows) + "\n")
+    args = ["census", "--model", str(districts), "--households", str(households),
+            "--representatives", "3", "--g-max", "3", "--out", str(tmp_path / "out")]
+    return args, [i < 10 for i in range(16)], cen
+
+
+def test_census_file_mode_reads_in_frame(tmp_path, capsys):
+    """The households' in_frame column reaches the audit: the CLI's risks are
+    the library's with ``CensusData(in_frame=...)``, not those of an
+    all-in-frame survey."""
+    args, in_x, cen = _framed_households(tmp_path)
+    assert main(args) == 0
+    model = census_mod.CensusModel(("X", "Y"), 3, {"X": 0, "Y": 0}, 3, "dhondt")
+    surveyed = [i % 2 == 0 for i in range(16)]
+
+    def risks(in_frame):
+        data = census_mod.CensusData(model, [0 if x else 1 for x in in_x], cen, cen, surveyed, in_frame)
+        out = io.StringIO()
+        write_census_outcome_csv(census_mod.census_rla(data, AuditConfig(alpha=1.0, seed=0)), out)
+        return out.getvalue().encode()
+
+    framed = risks([s or i % 3 == 0 for i, s in enumerate(surveyed)])
+    assert (tmp_path / "out/census_risks.csv").read_bytes() == framed != risks(None)
+    assert capsys.readouterr().out.encode() == framed
+
+
+@pytest.mark.parametrize("cell", ["", "yes", "TRUE"])
+def test_census_in_frame_cell_reads_in(tmp_path, cell):
+    """Blank and every true spelling mean in frame, as does a file without the column."""
+    args, _, _ = _framed_households(tmp_path, lambda i, surveyed: cell)
+    assert main(args) == 0
+    framed = (tmp_path / "out/census_risks.csv").read_bytes()
+    h = Path(args[4])
+    h.write_text("\n".join(",".join(r.split(",")[:5]) for r in h.read_text().splitlines()) + "\n")
+    assert main(args) == 0
+    assert (tmp_path / "out/census_risks.csv").read_bytes() == framed
+
+
+def test_census_surveyed_household_out_of_frame_exits_2(tmp_path, capsys):
+    args, _, _ = _framed_households(tmp_path, lambda i, surveyed: "no" if i == 4 else "")
+    assert main(args) == 2
+    assert "surveyed household is marked outside the survey frame" in capsys.readouterr().err
+
+
+def test_census_bad_in_frame_flag_exits_2(tmp_path, capsys):
+    args, _, _ = _framed_households(tmp_path, lambda i, surveyed: "maybe" if i == 3 else "1")
+    assert main(args) == 2
+    assert "bad in_frame flag 'maybe'" in capsys.readouterr().err
 
 
 def test_census_mode_conflicts(tmp_path):

@@ -100,6 +100,19 @@ def test_assorter_values_are_exact_for_any_input_type(abc, kind):
         Assorter({alice: kind(0)}, upper=kind(0), label="x")
 
 
+def test_row_factory_validates_and_reduces_like_the_value_map(abc):
+    types = tuple(sorted(abc.ballot_types, key=lambda bt: bt.name))
+    a = Assorter.from_row(types, [4, 0, 2, 2], 4, 1, "x")
+    assert (a.num.tolist(), a.den, a.upper) == ([2, 0, 1, 1], 2, 1) and not a.num.flags.writeable
+    assert a == Assorter(dict(zip(types, [1, 0, HALF, HALF])), 1, "x")
+    assert a != Assorter(dict(zip(types, [1, 0, HALF, HALF])), 1, "y")
+    assert a.values == dict(zip(types, [1, 0, HALF, HALF])) and a.value(types[2]) == HALF
+    with pytest.raises(ValueError, match="'x' has a negative value"):
+        Assorter.from_row(types, [4, -1, 2, 2], 4, 1, "x")
+    with pytest.raises(ValueError, match="'x' upper bound below a value"):
+        Assorter.from_row(types, [4, 0, 2, 2], 4, Fraction(1, 2), "x")
+
+
 def test_inequality_to_assorter_majority(abc):
     alice, bob = abc.by_name("Alice"), abc.by_name("Bob")
     q = LinearInequality({alice: 1, bob: -1, abc.invalid: 0, abc.by_name("Carol"): 0}, 0, 10)
@@ -122,6 +135,22 @@ def test_inequality_to_assorter_trivial_error(abc):
 def test_inequality_needs_a_nonzero_coefficient(abc):
     with pytest.raises(ValueError):
         LinearInequality({bt: 0 for bt in abc.ballot_types}, rhs=1, n=4)
+
+
+def test_homogeneous_inequality_needs_no_ballot_count(abc):
+    """n is read only when rhs is nonzero: a comparison converts without it,
+    to the row of any n, and ``rhs != 0`` without n is an error."""
+    alice, bob = abc.by_name("Alice"), abc.by_name("Bob")
+    coefficients = {alice: 3, bob: -3, abc.invalid: 0, abc.by_name("Carol"): 0}
+    q = LinearInequality(coefficients, label="A>B")
+    assert (q.rhs, q.n, q.label) == (0, None, "A>B")
+    a = inequality_to_assorter(q)
+    assert a == inequality_to_assorter(LinearInequality(coefficients, 0, 7, "A>B"))
+    assert (a.num.tolist(), a.den, a.upper) == ([2, 0, 1, 1], 2, 1)
+    with pytest.raises(ValueError, match="ballot count n must be positive"):
+        LinearInequality(coefficients, rhs=1)
+    with pytest.raises(ValueError, match="ballot count n must be positive"):
+        LinearInequality(coefficients, Fraction(1, 2), 0)
 
 
 def test_majority_violations_have_low_mean():

@@ -656,3 +656,41 @@ def test_household_distribution_loader(tmp_path):
     bad.write_text("sz,p\n1,0.5\n")
     with pytest.raises(ConfigError):
         load_household_distribution(bad)
+
+
+def test_summary_covers_each_assertion_over_the_trials_that_carry_it(tmp_path):
+    """Misreads put P3 above the threshold in one trial and below it in two,
+    so the trials certify different assertion sets; each summary row is
+    taken over the trials that carry its label."""
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nP1,5200\nP2,4424\nP3,276\n__invalid__,100\n")
+    kcfg = tmp_path / "knesset.json"
+    kcfg.write_text(json.dumps({"parties": ["P1", "P2", "P3"], "seats": 120}))
+    config = {
+        "audit": "batchcomp",
+        "contest": str(contest),
+        "knesset": str(kcfg),
+        "batches": {"generate": {"sizes": [250] * 40}},
+        "error_model": {"kind": "ballot_misread", "p_misread": 0.02, "p_invalid": 0.3},
+        "trials": 3,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    reports = run_experiment(cfg, out, seed=0)
+    carrying = {
+        lbl: [rep.per_assertion[lbl] for rep in reports if lbl in rep.per_assertion]
+        for rep in reports
+        for lbl in rep.per_assertion
+    }
+    assert [len(carrying[f"{side}-threshold:P3"]) for side in ("above", "below")] == [1, 2]
+    with open(out / "summary.csv", newline="") as f:
+        rows = {r["assertion"]: r for r in csv.DictReader(f)}
+    assert set(rows) == set(carrying)
+    for lbl, runs in carrying.items():
+        examined = [run["ballots_examined"] for run in runs]
+        assert int(rows[lbl]["margin"]) == runs[0]["margin"]
+        assert float(rows[lbl]["mean_ballots"]) == statistics.fmean(examined)
+        std = rows[lbl]["std_ballots"]
+        assert (float(std) == statistics.stdev(examined)) if len(runs) > 1 else std == ""
+    assert (out / "run_meta.json").exists()

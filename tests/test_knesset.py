@@ -23,6 +23,7 @@ from .helpers import (
     brute_force_highest_averages,
     brute_force_margin,
     fraction_margin,
+    hand_derived_assorter,
 )
 
 HALF = Fraction(1, 2)
@@ -35,6 +36,16 @@ def test_highest_averages_basic():
 def test_highest_averages_tie_detected():
     with pytest.raises(AllocationTieError):
         highest_averages({"P1": 2, "P2": 2}, 3)
+
+
+@pytest.mark.parametrize(
+    "values, seats, quotient",
+    [({"P1": 3, "P2": 3}, 3, "3/2"), ({"X": Fraction(5, 2), "Y": Fraction(5, 2)}, 1, "5/2")],
+)
+def test_tie_error_names_the_exact_boundary_quotient(values, seats, quotient):
+    """The message gives the tied quotient v/d itself, not a scaled integer cell."""
+    with pytest.raises(AllocationTieError, match=f"boundary quotient {quotient} but"):
+        highest_averages(values, seats)
 
 
 def test_highest_averages_matches_oracle_randomized():
@@ -166,6 +177,17 @@ def test_generate_assertions_counts_and_bounds():
     by_label120 = {a.label: a for a in assertions120}
     assert by_label120["below-threshold:C"].upper == 1 / (2 * (1 - t_frac))
     _check_holds_on_reported(assertions120, t)
+
+
+def test_generate_assertions_needs_two_parties():
+    """With one party, b v_p - a valid > 0 is (b - a) v_p > 0, which has no
+    assorter form; the allocation itself still works."""
+    kc = _contest(["A"], seats=5)
+    t = kc.ballot_contest().tally({"A": 10, "__invalid__": 2})
+    seats = allocate_seats(kc, t)
+    assert seats.seats == {"A": 5}
+    with pytest.raises(ValueError, match="at least two parties"):
+        generate_assertions(kc, t, seats)
 
 
 def test_generate_assertions_validates_seats():
@@ -326,6 +348,62 @@ def test_integer_margin_matches_fraction_greedy_on_knesset_assertions(votes, inv
         return
     for a in assertions:
         _same_margin(a, tally)
+
+
+@st.composite
+def knesset_elections(draw):
+    """A Knesset contest of 2-7 parties, 1-120 seats, a threshold in (0, 1/3],
+    maybe a (P0, P1) pact, and a reported tally."""
+    n = draw(st.integers(2, 7))
+    parties = [f"P{i}" for i in range(n)]
+    den = draw(st.integers(3, 1000))
+    threshold = Fraction(draw(st.integers(1, den // 3)), den)
+    pact = [("P0", "P1")] if draw(st.booleans()) else []
+    kc = _contest(parties, draw(st.integers(1, 120)), threshold, pact)
+    votes = st.integers(0, 60) | st.integers(0, 10**6)
+    counts = {p: draw(votes) for p in parties + ["__invalid__"]}
+    return kc, kc.ballot_contest().tally(counts)
+
+
+def _same_as_oracle(a, oracle, tally):
+    assert (a.label, a.types, a.num.tolist(), a.den, a.upper) == (
+        oracle.label, oracle.types, oracle.num.tolist(), oracle.den, oracle.upper
+    )
+    assert a == oracle and a.num.dtype == oracle.num.dtype
+    assert _margin_or_error(a, tally) == _margin_or_error(oracle, tally)
+
+
+def _margin_or_error(a, tally):
+    try:
+        return assertion_margin(a, tally)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(knesset_elections(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_assertions_equal_the_hand_derived_oracle(election, data):
+    """Every assertion built from its inequality, with and without weakened
+    pairs, and every plurality assertion of the same tally, has the hand-derived
+    value map's types, row, denominator, bound and margin."""
+    from electaudit.harness import plurality_assertions
+
+    kc, tally = election
+    contest = kc.ballot_contest()
+    for a in plurality_assertions(contest, tally):
+        _same_as_oracle(a, hand_derived_assorter(contest, a.label), tally)
+    try:
+        seats = allocate_seats(kc, tally)
+        assertions = generate_assertions(kc, tally, seats)
+    except ValueError:  # no party clears the threshold, or an allocation tie
+        return
+    moves = [a.label.split(":")[1].split("->") for a in assertions if a.label.startswith("no-seat")]
+    weakenable = [(g, k) for k, g in moves if sum(seats.of(p) for p in k.split("+")) > 1]
+    weaken = data.draw(st.lists(st.sampled_from(weakenable), unique=True) if weakenable else st.just([]))
+    weakened = generate_assertions(kc, tally, seats, weaken)
+    assert [a.label.removesuffix(" (one-seat)") for a in weakened] == [a.label for a in assertions]
+    for a in assertions + weakened:
+        _same_as_oracle(a, hand_derived_assorter(contest, a.label, seats.seats, kc.threshold), tally)
 
 
 def _above(kc, tally):
