@@ -41,7 +41,6 @@ from .core import (
 )
 from .knesset import (
     KnessetContest,
-    SeatAllocation,
     allocate_seats,
     assertion_margin,
     generate_assertions,

@@ -341,9 +341,8 @@ def alpha_audit(
 
     ones = np.ones(len(m.types), dtype=np.int64)
     values = np.array([exact_quotients(*a.row(m.types), ones) for a in assorters])
-    type_idx = np.repeat(np.tile(np.arange(len(m.types)), len(m)), m.truth.ravel())
-    drawn = type_idx[rng.permutation(n)]
-    del type_idx
+    drawn = np.repeat(np.tile(np.arange(len(m.types), dtype=np.int64), len(m)), m.truth.ravel())
+    rng.shuffle(drawn)  # the order a gather by rng.permutation(n) gives, in place
     seen = np.arange(1, n + 1)
 
     results: list[AssertionOutcome] = []

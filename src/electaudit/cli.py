@@ -5,7 +5,8 @@
     audit census  --model districts.csv (--households h.csv | --generate ...)
 
 Exit codes: 0 for a completed run (a full-recount outcome is still a
-completed run), 2 for malformed configuration or data.
+completed run, and so is one whose stdout reader stopped reading), 2 for
+malformed configuration or data.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,12 +23,12 @@ from .alpha import AuditConfig
 from .harness import (
     ConfigError,
     _pct,
+    election_assertions,
     load_election_inputs,
-    plurality_assertions,
     run_experiment,
     write_census_outcome_csv,
 )
-from .knesset import allocate_seats, assertion_margin, generate_assertions
+from .knesset import assertion_margin
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,17 +88,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_margins(args) -> int:
     contest, reported, kc = load_election_inputs(args.contest, args.knesset)
-    if kc is not None:
-        weaken = []
-        for spec in args.weaken:
-            gainer, _, keeper = spec.partition(":")
-            if not keeper:
-                raise ConfigError(f"--weaken wants GAINER:KEEPER, got {spec!r}")
-            weaken.append((gainer, keeper))
-        seats = allocate_seats(kc, reported)
-        assertions = generate_assertions(kc, reported, seats, weaken)
-    else:
-        assertions = plurality_assertions(contest, reported)
+    weaken = []
+    for spec in args.weaken:
+        gainer, _, keeper = spec.partition(":")
+        if not keeper:
+            raise ConfigError(f"--weaken wants GAINER:KEEPER, got {spec!r}")
+        weaken.append((gainer, keeper))
+    assertions = election_assertions(contest, kc, reported, weaken)
     writer = csv.writer(sys.stdout)
     writer.writerow(["assertion", "margin", "margin_pct"])
     for a in assertions:
@@ -163,14 +161,15 @@ def _cmd_census(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"run": _cmd_run, "margins": _cmd_margins, "census": _cmd_census}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "margins":
-            return _cmd_margins(args)
-        if args.command == "census":
-            return _cmd_census(args)
-        raise AssertionError("unreachable")
+        status = command(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader of stdout stopped reading; the shutdown flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"audit: error: {exc}", file=sys.stderr)
         return 2

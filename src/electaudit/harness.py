@@ -32,7 +32,8 @@ from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
 from .core import ConfigError, as_float, as_int, check_int64_total, load_contest_csv
 from .core import plurality_assorter, read_csv
-from .knesset import allocate_seats, assertion_margin, generate_assertions, load_knesset_config
+from .knesset import KnessetContest, allocate_seats, assertion_margin, generate_assertions
+from .knesset import load_knesset_config
 from .randomness import make_rng
 
 AUDIT_KINDS = ("alpha", "alpha_batch", "batchcomp", "census")
@@ -185,6 +186,25 @@ def plurality_assertions(contest: Contest, reported: Tally) -> list[Assorter]:
         raise ValueError("a plurality contest needs at least one party")
     winner = parties[0]
     return [plurality_assorter(winner, loser, contest) for loser in parties[1:]]
+
+
+def _check_weaken(knesset: KnessetContest | None, weaken) -> None:
+    if weaken and knesset is None:
+        raise ConfigError("weaken applies only to a Knesset contest")
+
+
+def election_assertions(
+    contest: Contest,
+    knesset: KnessetContest | None,
+    reported: Tally,
+    weaken: Sequence[tuple[str, str]] = (),
+) -> list[Assorter]:
+    """The assertion set of an election: the Knesset set certifying the
+    allocation of ``reported``, or the plurality set when ``knesset`` is None."""
+    _check_weaken(knesset, weaken)
+    if knesset is None:
+        return plurality_assertions(contest, reported)
+    return generate_assertions(knesset, reported, allocate_seats(knesset, reported), weaken)
 
 
 def run_election_trial(
@@ -374,11 +394,7 @@ def _election_trial(args) -> TrialReport:
     if error_model.kind == "ballot_misread":
         m = inject_misreads(m, error_model, data_rng)
     reported = m.combined(m.reported)
-    if knesset is not None:
-        reported_seats = allocate_seats(knesset, reported)
-        assertions = generate_assertions(knesset, reported, reported_seats, weaken)
-    else:
-        assertions = plurality_assertions(contest, reported)
+    assertions = election_assertions(contest, knesset, reported, weaken)
     margins = {a.label: assertion_margin(a, reported) for a in assertions}
 
     trace_hook = None
@@ -425,6 +441,7 @@ def _run_election_experiment(config, kind, seeds, out_dir, trace, jobs=1) -> lis
     delta = _read(config, "delta", as_float, 1e-10)
     error_model = _read(config, "error_model", _error_model)
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
+    _check_weaken(knesset, weaken)
 
     tasks = [
         (

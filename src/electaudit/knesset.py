@@ -30,6 +30,11 @@ in houses where threshold times seats is below one seat.  Apparentment
 members keep their threshold assertions: their status decides whether the
 pact unites.
 
+A tally is read once into integer party votes, and the allocation is
+computed once from them, in integers: v_p >= t valid is tested as
+b v_p >= a valid, and the seat price is cross-multiplied the same way.
+Seats are a plain party -> seats dict.
+
 Each inequality becomes its half-average assorter over the contest's ballot
 types through :func:`electaudit.core.inequality_to_assorter`, ready for any
 of the sequential tests in this package.  Margins are counted on each
@@ -79,91 +84,69 @@ class KnessetContest:
         return Contest.from_party_names(self.parties)
 
 
-@dataclass(frozen=True)
-class SeatAllocation:
-    seats: Mapping[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.seats.values())
-
-    def of(self, party: str) -> int:
-        return self.seats[party]
-
-
-def _votes_by_name(contest: KnessetContest, tally: Tally) -> tuple[dict[str, int], int, int]:
-    votes = {}
-    invalid = 0
+def _party_votes(contest: KnessetContest, tally: Tally) -> tuple[dict[str, int], int]:
+    """Votes per party, every party of the contest included, and the valid-vote total."""
+    votes = dict.fromkeys(contest.parties, 0)
     for bt, count in tally.counts.items():
         if bt.is_invalid:
-            invalid += count
-        else:
-            if bt.name not in contest.parties:
-                raise KeyError(f"tally names unknown party {bt.name!r}")
-            votes[bt.name] = votes.get(bt.name, 0) + count
-    for p in contest.parties:
-        votes.setdefault(p, 0)
-    return votes, invalid, tally.total
+            continue
+        if bt.name not in votes:
+            raise KeyError(f"tally names unknown party {bt.name!r}")
+        votes[bt.name] += count
+    return votes, sum(votes.values())
 
 
-def above_threshold_parties(contest: KnessetContest, tally: Tally) -> set[str]:
-    """Parties with at least the threshold share of valid votes.
+def _above(contest: KnessetContest, votes: Mapping[str, int], valid: int) -> set[str]:
+    """Parties with v_p >= t valid, tested as b v_p >= a valid for t = a/b.
 
     A zero-vote party never counts as above, even with a zero threshold; it
     cannot occupy a quotient table row.
     """
-    votes, invalid, total = _votes_by_name(contest, tally)
-    valid = total - invalid
-    return {
-        p
-        for p in contest.parties
-        if votes[p] > 0 and Fraction(votes[p]) >= contest.threshold * valid
-    }
-
-
-def _alliance_units(contest: KnessetContest, above: set[str]) -> list[tuple[str, ...]]:
-    """Units for allocation: apparentment pairs with both members above, else singletons."""
-    allied: set[str] = set()
-    units: list[tuple[str, ...]] = []
-    for pair in contest.apparentments:
-        members = tuple(sorted(pair))
-        if all(p in above for p in members):
-            units.append(members)
-            allied.update(members)
-    for p in sorted(above):
-        if p not in allied:
-            units.append((p,))
-    return sorted(units)
+    a, b = contest.threshold.as_integer_ratio()
+    return {p for p in contest.parties if votes[p] > 0 and b * votes[p] >= a * valid}
 
 
 def unit_label(unit: tuple[str, ...]) -> str:
     return "+".join(unit)
 
 
-def allocate_seats(contest: KnessetContest, tally: Tally) -> SeatAllocation:
-    """Final per-party seats for the tally, apparentments included.
+def _allocation(
+    contest: KnessetContest, votes: Mapping[str, int], valid: int
+) -> tuple[set[str], list[tuple[str, ...]], dict[str, int]]:
+    """The above-threshold parties, the allocation units and the per-party seats.
 
-    Quotient comparisons are exact, so a raised tie is a genuine tie in the
-    election law's sense, not float noise.
+    A unit is an apparentment pair with both members above, else a single
+    above party.  Quotient comparisons are exact, so a raised tie is a
+    genuine tie in the election law's sense, not float noise.
     """
-    votes, invalid, total = _votes_by_name(contest, tally)
-    above = above_threshold_parties(contest, tally)
+    above = _above(contest, votes, valid)
     if not above:
         raise ValueError("no party clears the electoral threshold")
-    units = _alliance_units(contest, above)
+    units = [tuple(sorted(pair)) for pair in contest.apparentments if above.issuperset(pair)]
+    allied = {p for u in units for p in u}
+    units = sorted(units + [(p,) for p in above - allied])
     unit_votes = {unit_label(u): sum(votes[p] for p in u) for u in units}
     unit_seats = highest_averages(unit_votes, contest.seats, dhondt, what="allocation")
 
-    result = {p: 0 for p in contest.parties}
+    seats = dict.fromkeys(contest.parties, 0)
     for u in units:
         won = unit_seats[unit_label(u)]
         if len(u) == 1:
-            result[u[0]] = won
+            seats[u[0]] = won
         elif won > 0:
-            split = highest_averages({p: votes[p] for p in u}, won, dhondt, what="allocation")
-            for p in u:
-                result[p] = split[p]
-    return SeatAllocation(result)
+            split = {p: votes[p] for p in u}
+            seats.update(highest_averages(split, won, dhondt, what="allocation"))
+    return above, units, seats
+
+
+def above_threshold_parties(contest: KnessetContest, tally: Tally) -> set[str]:
+    """Parties with at least the threshold share of valid votes."""
+    return _above(contest, *_party_votes(contest, tally))
+
+
+def allocate_seats(contest: KnessetContest, tally: Tally) -> dict[str, int]:
+    """Final per-party seats for the tally, apparentments included."""
+    return _allocation(contest, *_party_votes(contest, tally))[2]
 
 
 def _assertion(ballot_contest: Contest, weight: Mapping[str, int], label: str) -> Assorter:
@@ -176,7 +159,7 @@ def _assertion(ballot_contest: Contest, weight: Mapping[str, int], label: str) -
 def generate_assertions(
     contest: KnessetContest,
     reported: Tally,
-    reported_seats: SeatAllocation,
+    reported_seats: Mapping[str, int],
     weaken: Iterable[tuple[str, str]] = (),
 ) -> list[Assorter]:
     """The full assertion set certifying ``reported_seats`` for ``reported``.
@@ -202,33 +185,28 @@ def generate_assertions(
     if len(contest.parties) < 2:
         # b v_p - a valid > 0 reads (b - a) v_p > 0 alone, which has no assorter form
         raise ValueError("assertion generation requires at least two parties")
-    check = allocate_seats(contest, reported)
-    if dict(check.seats) != dict(reported_seats.seats):
+    votes, valid = _party_votes(contest, reported)
+    above, units, seats = _allocation(contest, votes, valid)
+    if seats != dict(reported_seats):
         raise ValueError("reported_seats does not match the allocation of the reported tally")
     weaken = set(weaken)
     unmatched = set(weaken)
 
     ballot_contest = contest.ballot_contest()
-    above = above_threshold_parties(contest, reported)
-    t = contest.threshold
     assertions: list[Assorter] = []
 
-    units = _alliance_units(contest, above)
-    unit_seats = {unit_label(u): sum(reported_seats.of(p) for p in u) for u in units}
-    votes, invalid, total = _votes_by_name(contest, reported)
-    seat_price = min(
-        Fraction(sum(votes[p] for p in u), unit_seats[unit_label(u)])
+    unit_seats = {unit_label(u): sum(seats[p] for p in u) for u in units}
+    a, b = contest.threshold.as_integer_ratio()
+    seatless: list[str] = []
+    # t valid < v_u / s_u for every seated unit u, cross-multiplied
+    if all(
+        a * valid * unit_seats[unit_label(u)] < b * sum(votes[p] for p in u)
         for u in units
         if unit_seats[unit_label(u)] > 0
-    )
-    seatless: list[str] = []
-    if t * (total - invalid) < seat_price:
+    ):
         pact_members = set().union(*contest.apparentments)
-        seatless = [
-            p for p in contest.parties if reported_seats.of(p) == 0 and p not in pact_members
-        ]
+        seatless = [p for p in contest.parties if seats[p] == 0 and p not in pact_members]
 
-    a, b = t.as_integer_ratio()
     for p in contest.parties:
         if p in seatless:
             continue
@@ -263,8 +241,8 @@ def generate_assertions(
     for u in units:
         if len(u) == 2:
             p, q = u
-            add_move((p,), (q,), reported_seats.of(p), reported_seats.of(q))
-            add_move((q,), (p,), reported_seats.of(q), reported_seats.of(p))
+            add_move((p,), (q,), seats[p], seats[q])
+            add_move((q,), (p,), seats[q], seats[p])
     for p in seatless:
         if p not in above:
             for u in units:
@@ -318,6 +296,8 @@ def load_knesset_config(path) -> KnessetContest:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    if "parties" not in raw:
+        raise ValueError(f"{path}: missing 'parties'")
     parties = raw["parties"]
     if not isinstance(parties, list) or not all(isinstance(p, str) for p in parties):
         raise ValueError(f"{path}: 'parties' must be a list of names")

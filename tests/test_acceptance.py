@@ -171,7 +171,7 @@ def test_criterion_04_allocation_matches_brute_force():
             )
             tally = kc.ballot_contest().tally({f"P{i}": v for i, v in enumerate(votes)})
             try:
-                alloc = allocate_seats(kc, tally).seats
+                alloc = allocate_seats(kc, tally)
                 full = {p: alloc.get(p, 0) for p in named}
             except AllocationTieError:
                 full = None
@@ -217,7 +217,7 @@ def test_criterion_05_knesset_theorem_equivalence():
             tally = bc.tally(dict(zip(("A", "B", "C", "__invalid__"), combo)))
             try:
                 seats = allocate_seats(kc, tally)
-                allocs[i] = [seats.seats[p] for p in ("A", "B", "C")]
+                allocs[i] = [seats[p] for p in ("A", "B", "C")]
             except (AllocationTieError, ValueError):
                 pass
         valid = allocs[:, 0] >= 0

@@ -64,6 +64,62 @@ def test_margins_knesset_party_missing_from_contest_exits_2(tmp_path, capsys):
     assert "audit: error: contest and knesset config disagree on parties: ['Zayit']" in captured.err
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_margins_into_a_closed_pipe_exits_0(tmp_path, unbuffered):
+    """A reader that stops reading stdout ends the run quietly: exit 0, no
+    error line, as with ``audit margins ... | head -2``, whether stdout is
+    written row by row or flushed once at the end."""
+    contest, kcfg = _knesset_inputs(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "electaudit.cli", "margins", "--contest", str(contest),
+             "--knesset", str(kcfg)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("spec", ["A:B", "nonsense"])
+def test_margins_weaken_without_knesset_exits_2(tmp_path, capsys, spec):
+    """``--weaken`` names move-seat assertions, which a plurality contest has none of."""
+    assert main(["margins", "--contest", str(_contest(tmp_path)), "--weaken", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("audit: error: ")
+
+
+def test_run_weaken_without_knesset_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "audit": "batchcomp",
+        "contest": str(_contest(tmp_path)),
+        "batches": {"generate": {"sizes": [500] * 20}},
+        "weaken": [["A", "B"]],
+        "trials": 2,
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "audit: error: weaken applies only to a Knesset contest\n"
+    assert not (out / "results.csv").exists()
+
+
+def test_knesset_config_without_parties_names_file_and_key(tmp_path, capsys):
+    contest, kcfg = _knesset_inputs(tmp_path)
+    kcfg.write_text(json.dumps({"seats": 9}))
+    assert main(["margins", "--contest", str(contest), "--knesset", str(kcfg)]) == 2
+    assert capsys.readouterr().err == f"audit: error: {kcfg}: missing 'parties'\n"
+
+
 def _knesset_inputs(tmp_path):
     contest = tmp_path / "contest.csv"
     contest.write_text("party,reported_votes\nP1,500\nP2,380\n__invalid__,20\n")

@@ -1,6 +1,7 @@
 import os
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from electaudit.apportionment import AllocationTieError, highest_averages
 from electaudit.core import Assorter, Contest, Tally, assorter_mean
 from electaudit.knesset import (
     KnessetContest,
-    SeatAllocation,
     allocate_seats,
     assertion_margin,
     generate_assertions,
@@ -74,20 +74,20 @@ def _contest(parties, seats=120, threshold=None, apparentments=()):
 def test_allocate_seats_no_threshold():
     kc = _contest(["P1", "P2", "P3"], seats=5, threshold=Fraction(0))
     tally = kc.ballot_contest().tally({"P1": 100, "P2": 60, "P3": 40})
-    assert allocate_seats(kc, tally).seats == {"P1": 3, "P2": 1, "P3": 1}
+    assert allocate_seats(kc, tally) == {"P1": 3, "P2": 1, "P3": 1}
 
 
 def test_single_party_above_threshold_takes_all():
     kc = _contest(["A", "B"], seats=7)
     tally = kc.ballot_contest().tally({"A": 960, "B": 20, "__invalid__": 20})
-    assert allocate_seats(kc, tally).seats == {"A": 7, "B": 0}
+    assert allocate_seats(kc, tally) == {"A": 7, "B": 0}
 
 
 def test_threshold_drops_small_parties():
     kc = _contest(["A", "B", "C"], seats=10)
     # C holds 2% of valid votes, below 3.25%
     tally = kc.ballot_contest().tally({"A": 600, "B": 380, "C": 20})
-    seats = allocate_seats(kc, tally).seats
+    seats = allocate_seats(kc, tally)
     assert seats["C"] == 0
     assert sum(seats.values()) == 10
 
@@ -97,16 +97,16 @@ def test_apparentment_merges_and_splits():
     t = kc.ballot_contest().tally({"A": 36, "B": 26, "C": 40})
     # allied, A+B pool 62 votes and win 3 of 4 seats, split 2-1; alone they
     # would win one each with C taking two
-    assert allocate_seats(kc, t).seats == {"A": 2, "B": 1, "C": 1}
+    assert allocate_seats(kc, t) == {"A": 2, "B": 1, "C": 1}
     lone = _contest(["A", "B", "C"], seats=4, threshold=Fraction(0))
-    assert allocate_seats(lone, t).seats == {"A": 1, "B": 1, "C": 2}
+    assert allocate_seats(lone, t) == {"A": 1, "B": 1, "C": 2}
 
 
 def test_apparentment_ignored_when_member_below_threshold():
     kc = _contest(["A", "B", "C"], seats=10, apparentments=[("B", "C")])
     t = kc.ballot_contest().tally({"A": 600, "B": 380, "C": 20})
     kc_plain = _contest(["A", "B", "C"], seats=10)
-    assert allocate_seats(kc, t).seats == allocate_seats(kc_plain, t).seats
+    assert allocate_seats(kc, t) == allocate_seats(kc_plain, t)
 
 
 def test_party_in_two_apparentments_rejected():
@@ -133,7 +133,7 @@ def test_generate_assertions_counts_and_bounds():
     kc = _contest(["A", "B", "C"], seats=10)
     t = kc.ballot_contest().tally({"A": 600, "B": 380, "C": 20})
     seats = allocate_seats(kc, t)
-    assert seats.seats == {"A": 6, "B": 4, "C": 0}
+    assert seats == {"A": 6, "B": 4, "C": 0}
     assertions = generate_assertions(kc, t, seats)
     labels = {a.label for a in assertions}
     # At 10 seats t * valid = 32.5 votes is below the price of a seat
@@ -142,7 +142,7 @@ def test_generate_assertions_counts_and_bounds():
     # incomplete: the truth A=590, B=370, C=40 also allocates {6, 4, 0}, yet
     # its below-threshold:C mean is 0.4961.
     truth = kc.ballot_contest().tally({"A": 590, "B": 370, "C": 40})
-    assert allocate_seats(kc, truth).seats == seats.seats
+    assert allocate_seats(kc, truth) == seats
     assert all(assorter_mean(a, truth) > HALF for a in assertions)
     assert labels == {
         "above-threshold:A",
@@ -165,7 +165,7 @@ def test_generate_assertions_counts_and_bounds():
     # its below-threshold assertion.
     kc120 = _contest(["A", "B", "C"], seats=120)
     seats120 = allocate_seats(kc120, t)
-    assert seats120.seats["C"] == 0
+    assert seats120["C"] == 0
     assertions120 = generate_assertions(kc120, t, seats120)
     assert {a.label for a in assertions120} == {
         "above-threshold:A",
@@ -185,7 +185,7 @@ def test_generate_assertions_needs_two_parties():
     kc = _contest(["A"], seats=5)
     t = kc.ballot_contest().tally({"A": 10, "__invalid__": 2})
     seats = allocate_seats(kc, t)
-    assert seats.seats == {"A": 5}
+    assert seats == {"A": 5}
     with pytest.raises(ValueError, match="at least two parties"):
         generate_assertions(kc, t, seats)
 
@@ -194,14 +194,18 @@ def test_generate_assertions_validates_seats():
     kc = _contest(["A", "B"], seats=10)
     t = kc.ballot_contest().tally({"A": 600, "B": 400})
     with pytest.raises(ValueError, match="does not match"):
-        generate_assertions(kc, t, SeatAllocation({"A": 10, "B": 0}))
+        generate_assertions(kc, t, {"A": 10, "B": 0})
+    # any mapping of party to seats: a read-only view of the right seats passes
+    assert generate_assertions(kc, t, MappingProxyType({"A": 6, "B": 4}))
+    with pytest.raises(ValueError, match="does not match"):
+        generate_assertions(kc, t, MappingProxyType({"A": 6, "B": 4, "C": 0}))
 
 
 def test_move_seat_values():
     kc = _contest(["A", "B"], seats=9)
     t = kc.ballot_contest().tally({"A": 500, "B": 380})
     seats = allocate_seats(kc, t)
-    assert seats.seats == {"A": 5, "B": 4}
+    assert seats == {"A": 5, "B": 4}
     by_label = {a.label: a for a in generate_assertions(kc, t, seats)}
     a_move = by_label["no-seat-move:B->A"]  # gainer A (5 seats), keeper B (4 seats)
     bc = kc.ballot_contest()
@@ -226,7 +230,7 @@ def test_weaken_single_seat_keeper_rejected():
     kc = _contest(["A", "B"], seats=6)
     t = kc.ballot_contest().tally({"A": 500, "B": 110})
     seats = allocate_seats(kc, t)
-    assert seats.seats["B"] == 1
+    assert seats["B"] == 1
     with pytest.raises(ValueError, match="cannot weaken"):
         generate_assertions(kc, t, seats, weaken=[("A", "B")])
 
@@ -235,7 +239,7 @@ def test_move_seat_skipped_for_zero_seat_keeper():
     kc = _contest(["A", "B"], seats=3)
     t = kc.ballot_contest().tally({"A": 900, "B": 100})
     seats = allocate_seats(kc, t)
-    assert seats.seats == {"A": 3, "B": 0}
+    assert seats == {"A": 3, "B": 0}
     labels = {a.label for a in generate_assertions(kc, t, seats)}
     assert "no-seat-move:B->A" not in labels  # B holds nothing to lose
     assert "no-seat-move:A->B" in labels
@@ -398,12 +402,91 @@ def test_assertions_equal_the_hand_derived_oracle(election, data):
     except ValueError:  # no party clears the threshold, or an allocation tie
         return
     moves = [a.label.split(":")[1].split("->") for a in assertions if a.label.startswith("no-seat")]
-    weakenable = [(g, k) for k, g in moves if sum(seats.of(p) for p in k.split("+")) > 1]
+    weakenable = [(g, k) for k, g in moves if sum(seats[p] for p in k.split("+")) > 1]
     weaken = data.draw(st.lists(st.sampled_from(weakenable), unique=True) if weakenable else st.just([]))
     weakened = generate_assertions(kc, tally, seats, weaken)
     assert [a.label.removesuffix(" (one-seat)") for a in weakened] == [a.label for a in assertions]
     for a in assertions + weakened:
-        _same_as_oracle(a, hand_derived_assorter(contest, a.label, seats.seats, kc.threshold), tally)
+        _same_as_oracle(a, hand_derived_assorter(contest, a.label, seats, kc.threshold), tally)
+
+
+def _fraction_allocation(kc, votes, valid):
+    """The above set, the units and the seats by the ``Fraction`` threshold
+    rule v >= t valid, pacts united when both members are above.  The seats
+    are None when no party is above or the allocation ties."""
+    above = {p for p, v in votes.items() if v > 0 and Fraction(v) >= kc.threshold * valid}
+    units = [tuple(sorted(pair)) for pair in kc.apparentments if pair <= above]
+    units += [(p,) for p in above if all(p not in u for u in units)]
+    seats = dict.fromkeys(kc.parties, 0)
+    try:
+        won = highest_averages({"+".join(u): sum(votes[p] for p in u) for u in units}, kc.seats)
+        for u in units:
+            if won["+".join(u)]:
+                seats.update(highest_averages({p: votes[p] for p in u}, won["+".join(u)]))
+    except ValueError:  # no units, or an AllocationTieError
+        seats = None
+    return above, units, seats
+
+
+@st.composite
+def threshold_houses(draw, max_seats=120, low_threshold=False):
+    """A contest of 2-6 parties with random disjoint pacts and a tally; in
+    half the draws one party sits exactly at the threshold, b v = a valid.
+    ``low_threshold`` keeps t seats < 1."""
+    n = draw(st.integers(2, 6))
+    seats = draw(st.integers(1, max_seats))
+    b = draw(st.integers(seats + 1 if low_threshold else 2, 2000))
+    a = draw(st.integers(1, (b - 1) // seats if low_threshold else b - 1))
+    order = draw(st.permutations([f"P{i}" for i in range(n)]))
+    pacts = [order[2 * i: 2 * i + 2] for i in range(draw(st.integers(0, n // 2)))]
+    kc = _contest(sorted(order), seats, Fraction(a, b), pacts)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 300))
+        rest = b * k - a * k  # the others' votes, with order[0] on a k / (b k) exactly
+        cuts = sorted(draw(st.lists(st.integers(0, rest), min_size=n - 2, max_size=n - 2)))
+        votes = [a * k] + [hi - lo for lo, hi in zip([0] + cuts, cuts + [rest])]
+    else:
+        votes = draw(st.lists(st.integers(0, 3000), min_size=n, max_size=n))
+    counts = dict(zip(order, votes), __invalid__=draw(st.integers(0, 500)))
+    return kc, kc.ballot_contest().tally(counts), dict(zip(order, votes))
+
+
+@given(threshold_houses())
+@settings(max_examples=300, deadline=None)
+def test_allocation_equals_the_fraction_threshold_rule(house):
+    """The integer test b v >= a valid gives the ``Fraction`` rule's above set
+    and seats, at the boundary b v = a valid too."""
+    from electaudit.knesset import above_threshold_parties
+
+    kc, tally, votes = house
+    above, _, seats = _fraction_allocation(kc, votes, sum(votes.values()))
+    assert above_threshold_parties(kc, tally) == above
+    if seats is None:
+        with pytest.raises(ValueError, match="tie" if above else "no party clears"):
+            allocate_seats(kc, tally)
+    else:
+        assert allocate_seats(kc, tally) == seats
+
+
+@given(threshold_houses(max_seats=30, low_threshold=True))
+@settings(max_examples=300, deadline=None)
+def test_seatless_parties_equal_the_fraction_seat_price_rule(house):
+    """Where t seats < 1, the parties certified by "cannot win a seat" (no
+    threshold assertion) are those the ``Fraction`` rule t valid < min v_u / s_u
+    picks: every zero-seat party outside a pact, or none."""
+    kc, tally, votes = house
+    valid = sum(votes.values())
+    _, units, seats = _fraction_allocation(kc, votes, valid)
+    if seats is None:
+        return  # no party above, or an allocation tie
+    unit_seats = {u: sum(seats[p] for p in u) for u in units}
+    price = min(Fraction(sum(votes[p] for p in u), s) for u, s in unit_seats.items() if s)
+    pact_members = set().union(*kc.apparentments)
+    seatless = {p for p in kc.parties if seats[p] == 0 and p not in pact_members}
+    labels = {a.label for a in generate_assertions(kc, tally, seats)}
+    got = {p for p in kc.parties if f"above-threshold:{p}" not in labels
+           and f"below-threshold:{p}" not in labels}
+    assert got == (seatless if kc.threshold * valid < price else set())
 
 
 def _above(kc, tally):
@@ -430,7 +513,7 @@ def _unsound_pairs(kc, n):
             continue
         assertions = generate_assertions(kc, reported, rep_seats)
         for truth, true_seats in truths:
-            if rep_seats.seats != true_seats.seats and all(
+            if rep_seats != true_seats and all(
                 assorter_mean(a, truth) > HALF for a in assertions
             ):
                 unsound.append((reported.counts, truth.counts))
@@ -479,16 +562,16 @@ def test_knesset_assertions_complete_when_threshold_parties_seated():
             rep_seats = allocate_seats(kc, reported)
         except (AllocationTieError, ValueError):
             continue
-        rep_gap = any(rep_seats.seats[p] == 0 for p in _above(kc, reported))
+        rep_gap = any(rep_seats[p] == 0 for p in _above(kc, reported))
         assertions = generate_assertions(kc, reported, rep_seats)
         for truth in all_tallies(bc, n):
             try:
                 true_seats = allocate_seats(kc, truth)
             except (AllocationTieError, ValueError):
                 continue
-            if rep_seats.seats != true_seats.seats:
+            if rep_seats != true_seats:
                 continue
-            if rep_gap or any(true_seats.seats[p] == 0 for p in _above(kc, truth)):
+            if rep_gap or any(true_seats[p] == 0 for p in _above(kc, truth)):
                 gap_hit += 1
             assert all(assorter_mean(a, truth) > HALF for a in assertions), (
                 reported.counts,
@@ -529,4 +612,4 @@ def test_official_24th_knesset_allocation():
     _, tally = load_contest_csv(contest_csv)
     with open(expected, encoding="utf-8") as f:
         official = json.load(f)
-    assert allocate_seats(kc, tally).seats == official
+    assert allocate_seats(kc, tally) == official
