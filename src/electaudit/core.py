@@ -308,6 +308,14 @@ def as_float(value) -> float:
     return float(value)
 
 
+def check_keys(obj: Mapping, allowed, where: str) -> None:
+    """A :class:`ConfigError` naming every key of ``obj`` outside ``allowed``:
+    a misspelt key is an error, never a silently applied default."""
+    unknown = sorted(map(str, set(obj) - set(allowed)))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def read_csv(
     path,
     columns: Sequence[str],

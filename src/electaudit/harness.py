@@ -6,10 +6,15 @@ generates data and stream 1 drives the audit's sampling, so two audit methods
 run on the same trial see identical batches and identical draw randomness;
 comparisons between them are paired by construction.
 
-A trial deals (:func:`deal_matrix`) or loads its batches once into one
-:class:`electaudit.core.BatchMatrix` and injects misreads into all its rows
-at once (:func:`inject_misreads`).  The same matrix goes to whichever audit
-runs, which reads the reported tally from it as the column sum.
+:func:`run_experiment` reads the config once, before any trial, into one
+inputs tuple per audit kind; a key the kind does not read is an error.  One
+trial loop maps the kind's ``(inputs, trial_idx, seed) -> list[TrialReport]``
+over the seeds, in a process pool when ``jobs > 1``, into the kind's writer.
+
+An election trial deals (:func:`deal_matrix`) or takes the batches loaded
+once as one :class:`electaudit.core.BatchMatrix` and injects misreads into
+all its rows at once (:func:`inject_misreads`).  The same matrix goes to
+whichever audit runs, which reads the reported tally as the column sum.
 :func:`deal_batches` and :func:`inject_ballot_errors` make the same draws and
 return ``BatchRecord`` lists.
 """
@@ -20,6 +25,8 @@ import csv
 import json
 import statistics
 import time
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,7 +37,7 @@ from . import census as census_mod
 from .alpha import AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit
 from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
-from .core import ConfigError, as_float, as_int, check_int64_total, load_contest_csv
+from .core import ConfigError, as_float, as_int, check_int64_total, check_keys, load_contest_csv
 from .core import plurality_assorter, read_csv
 from .knesset import KnessetContest, allocate_seats, assertion_margin, generate_assertions
 from .knesset import load_knesset_config
@@ -104,16 +111,11 @@ def deal_matrix(
     types = tuple(sorted(truth.counts, key=lambda bt: bt.name))
     n = truth.total
     check_int64_total(n)
+    check_batch_rule(n, sizes, size_range)
     deck = np.repeat(np.arange(len(types)), [truth.get(bt) for bt in types])
     rng.shuffle(deck)
     if sizes is None:
         lo, hi = size_range
-        if lo < 1:
-            raise ValueError(f"batch size range {tuple(size_range)} must start at 1 or more")
-        if hi < 2 * lo:
-            raise ValueError("size range too narrow: need max >= 2 * min to always partition")
-        if n < lo:
-            raise ValueError(f"{n} ballots cannot fill a batch of at least {lo}")
         sizes = []
         left = n
         while left > hi:
@@ -122,16 +124,32 @@ def deal_matrix(
             sizes.append(take)
             left -= take
         sizes.append(left)
-    elif sum(sizes) != n:
-        raise ValueError(f"batch sizes sum to {sum(sizes)}, expected {n}")
     sizes = np.array(sizes, dtype=np.int64)
-    if (sizes <= 0).any():
-        raise ValueError("batch sizes must be positive")
     k = len(types)
     cells = np.repeat(np.arange(0, len(sizes) * k, k), sizes)
     cells += deck
     counts = np.bincount(cells, minlength=len(sizes) * k).reshape(len(sizes), k)
     return BatchMatrix(types, counts, counts, sizes)
+
+
+def check_batch_rule(n: int, sizes: Sequence[int] | None, size_range: Sequence[int]) -> None:
+    """A ValueError unless :func:`deal_matrix` can deal ``n`` ballots into
+    positive ``sizes`` summing to ``n``, or into batches drawn from ``size_range``."""
+    if sizes is not None:
+        if sum(sizes) != n:
+            raise ValueError(f"batch sizes sum to {sum(sizes)}, expected {n}")
+        if any(s <= 0 for s in sizes):
+            raise ValueError("batch sizes must be positive")
+        return
+    if len(size_range) != 2:
+        raise ValueError(f"batch size range {tuple(size_range)} is not (min, max)")
+    lo, hi = size_range
+    if lo < 1:
+        raise ValueError(f"batch size range {tuple(size_range)} must start at 1 or more")
+    if hi < 2 * lo:
+        raise ValueError("size range too narrow: need max >= 2 * min to always partition")
+    if n < lo:
+        raise ValueError(f"{n} ballots cannot fill a batch of at least {lo}")
 
 
 def inject_misreads(m: BatchMatrix, model: ErrorModel, rng) -> BatchMatrix:
@@ -294,10 +312,11 @@ def run_experiment(
     """Run the configured Monte Carlo experiment and write its CSV tables.
 
     Outputs are byte-deterministic for a fixed config and seed list; wall
-    times go to run_meta.json only.  ``seed``/``trials`` override the config.
-    Trials are independent (each owns its streams and audit state), so
-    ``jobs > 1`` runs them in a process pool; reports merge in trial order
-    and the outputs stay identical to a sequential run.
+    times go to run_meta.json only.  ``seed``/``trials`` override the config;
+    a ``seed`` given with a config that lists ``seeds`` is an error.  Trials
+    are independent (each owns its streams and audit state), so ``jobs > 1``
+    runs them in a process pool; reports merge in trial order and the outputs
+    stay identical to a sequential run.  ``trace`` applies to election audits.
     """
     if not isinstance(config, Mapping):
         with open(config, encoding="utf-8") as f:
@@ -307,6 +326,8 @@ def run_experiment(
     kind = _require(config, "audit")
     if kind not in AUDIT_KINDS:
         raise ConfigError(f"audit kind must be one of {AUDIT_KINDS}, got {kind!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
     trials = trials if trials is not None else _read(config, "trials", as_int, 10)
     if trials <= 0:
         raise ConfigError("trials must be positive")
@@ -314,36 +335,38 @@ def run_experiment(
     if seeds is None:
         base = seed if seed is not None else _read(config, "seed", as_int, 0)
         seeds = [base + i for i in range(trials)]
+    elif seed is not None or "seed" in config:
+        raise ConfigError("give a seed or a 'seeds' list, not both")
     else:
         seeds = _read(config, "seeds", lambda v: [as_int(s) for s in _list(v)])[:trials]
         if len(seeds) < trials:
             raise ConfigError("seed list is shorter than the trial count")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     if kind == "census":
-        reports = _run_census_experiment(config, seeds, out_dir)
+        if trace:
+            raise ConfigError("trace applies only to election audits")
+        inputs, trial, write = _census_inputs(config), _census_trial, _write_census_csvs
     else:
-        reports = _run_election_experiment(config, kind, seeds, out_dir, trace, jobs)
-    meta = {
-        "config": _jsonable(config),
-        "seeds": seeds,
-        "wall_time_seconds": time.perf_counter() - started,
-    }
+        inputs = _election_inputs(config, kind, out_dir if trace else None)
+        trial, write = _election_trial, _write_election_csvs
+    out_dir.mkdir(parents=True, exist_ok=True)
+    args = ([inputs] * len(seeds), range(len(seeds)), seeds)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_trial = list(pool.map(trial, *args))
+    else:
+        per_trial = list(map(trial, *args))
+    reports = [rep for trial_reports in per_trial for rep in trial_reports]
+    write(reports, out_dir)
+    meta = {"config": dict(config), "seeds": seeds,
+            "wall_time_seconds": time.perf_counter() - started}
     with open(out_dir / "run_meta.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
+        json.dump(meta, f, indent=2, default=str)  # a Path value is written as its string
     return reports
-
-
-def _jsonable(obj):
-    if isinstance(obj, Mapping):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
 
 
 def load_election_inputs(contest_path, knesset_path=None):
@@ -369,146 +392,102 @@ def load_declared_sizes(path) -> dict[str, int]:
     return out
 
 
-def _trial_batches(config: Mapping, contest, tally, data_rng) -> BatchMatrix:
-    """The trial's batches, loaded from a batch CSV or dealt from the true tally."""
-    batches_spec = _require(config, "batches")
-    if isinstance(batches_spec, str):
-        return batch_matrix(load_batches_csv(batches_spec))
-    batches_spec = _read(config, "batches", _mapping)
-    if "file" in batches_spec:
-        declared = batches_spec.get("declared_sizes")
-        sizes = load_declared_sizes(_path(batches_spec, "declared_sizes")) if declared else None
-        return batch_matrix(load_batches_csv(_path(batches_spec, "file"), declared_sizes=sizes))
-    gen = _read(batches_spec, "generate", _mapping, {})
-    sizes = _read(gen, "sizes", lambda v: v if v is None else [as_int(x) for x in v])
-    size_range = _read(gen, "size_range", lambda v: tuple(map(as_int, v)), (250, 550))
-    return deal_matrix(tally, data_rng, sizes=sizes, size_range=size_range)
+RUN_KEYS = ("audit", "trials", "seed", "seeds")  # read for every audit kind
 
 
-def _election_trial(args) -> TrialReport:
-    (kind, config, contest, truth_tally, knesset, alpha, delta, error_model, weaken,
-     trial_seed, trace_path) = args
-    t0 = time.perf_counter()
-    data_rng, audit_seed = trial_rngs(trial_seed)
-    m = _trial_batches(config, contest, truth_tally, data_rng)
-    if error_model.kind == "ballot_misread":
-        m = inject_misreads(m, error_model, data_rng)
-    reported = m.combined(m.reported)
-    assertions = election_assertions(contest, knesset, reported, weaken)
-    margins = {a.label: assertion_margin(a, reported) for a in assertions}
-
-    trace_hook = None
-    trace_file = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(trace_file)
-        writer.writerow(["step", "assertion", "T", "mu", "eta", "u"])
-
-        def trace_hook(s, lbl, T, mu, eta, u, _w=writer):
-            _w.writerow([s, lbl, repr(T), repr(mu), repr(eta), repr(u)])
-
-    try:
-        outcome = run_election_trial(kind, m, assertions, alpha, delta, audit_seed, trace_hook)
-    finally:
-        if trace_file:
-            trace_file.close()
-    per_assertion = {
-        r.label: {
-            "margin": margins.get(r.label),
-            "ballots_examined": r.examined,
-            "batches_examined": r.batches_examined,
-            "approved": r.approved,
-        }
-        for r in outcome.assertions
-    }
-    return TrialReport(
-        seed=trial_seed,
-        audit=kind,
-        approved=outcome.approved,
-        full_count=outcome.full_count,
-        ballots_examined=outcome.ballots_examined,
-        total_ballots=outcome.total_ballots,
-        per_assertion=per_assertion,
-        wall_time=time.perf_counter() - t0,
-    )
+# An election experiment's config, read once for all its trials.  ``batches``
+# is the loaded BatchMatrix or the dealing rule (sizes, size_range).
+ElectionInputs = namedtuple("ElectionInputs", "kind contest tally knesset alpha delta "
+                            "error_model weaken batches trace_dir")
 
 
-def _run_election_experiment(config, kind, seeds, out_dir, trace, jobs=1) -> list[TrialReport]:
-    contest, truth_tally, knesset = load_election_inputs(
-        _path(config, "contest"), _path(config, "knesset") if config.get("knesset") else None
-    )
+def _election_inputs(config: Mapping, kind: str, trace_dir: Path | None) -> ElectionInputs:
+    check_keys(config, RUN_KEYS + ("contest", "knesset", "batches", "alpha", "delta",
+                                   "error_model", "weaken"), "config")
+    knesset_path = config.get("knesset") and _path(config, "knesset")
+    contest, tally, knesset = load_election_inputs(_path(config, "contest"), knesset_path)
     alpha = _read(config, "alpha", as_float, 0.05)
     delta = _read(config, "delta", as_float, 1e-10)
     error_model = _read(config, "error_model", _error_model)
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
     _check_weaken(knesset, weaken)
+    return ElectionInputs(kind, contest, tally, knesset, alpha, delta, error_model, weaken,
+                          _batch_source(config, tally.total), trace_dir)
 
-    tasks = [
-        (
-            kind,
-            dict(config),
-            contest,
-            truth_tally,
-            knesset,
-            alpha,
-            delta,
-            error_model,
-            weaken,
-            trial_seed,
-            (out_dir / f"trace_trial{trial_idx}.csv") if trace else None,
-        )
-        for trial_idx, trial_seed in enumerate(seeds)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_election_trial, tasks))
-    else:
-        reports = [_election_trial(t) for t in tasks]
-    _write_election_csvs(reports, out_dir)
-    return reports
+def _batch_source(config: Mapping, n: int) -> BatchMatrix | tuple:
+    """The batches of a batch CSV, or the rule dealing ``n`` ballots into batches."""
+    spec = _require(config, "batches")
+    if isinstance(spec, str):
+        return batch_matrix(load_batches_csv(spec))
+    spec = _read(config, "batches", _mapping)
+    if "file" in spec:
+        check_keys(spec, ("file", "declared_sizes"), "config 'batches'")
+        declared = spec.get("declared_sizes") and load_declared_sizes(_path(spec, "declared_sizes"))
+        return batch_matrix(load_batches_csv(_path(spec, "file"), declared_sizes=declared))
+    check_keys(spec, ("generate",), "config 'batches'")
+    gen = _read(spec, "generate", _mapping, {})
+    check_keys(gen, ("sizes", "size_range"), "config 'batches.generate'")
+    sizes = _read(gen, "sizes", lambda v: v if v is None else [as_int(x) for x in v])
+    size_range = _read(gen, "size_range", lambda v: tuple(map(as_int, v)), (250, 550))
+    check_batch_rule(n, sizes, size_range)
+    return sizes, size_range
+
+
+@contextmanager
+def _trace_hook(trace_dir: Path | None, trial_idx: int):
+    """A kernel trace hook writing the trial's trace CSV; None without a directory."""
+    if trace_dir is None:
+        yield None
+        return
+    with open(trace_dir / f"trace_trial{trial_idx}.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["step", "assertion", "T", "mu", "eta", "u"])
+        yield lambda step, label, *state: w.writerow([step, label, *map(repr, state)])
+
+
+def _election_trial(inputs: ElectionInputs, trial_idx: int, trial_seed: int) -> list[TrialReport]:
+    t0 = time.perf_counter()
+    data_rng, audit_seed = trial_rngs(trial_seed)
+    m = inputs.batches
+    if not isinstance(m, BatchMatrix):
+        m = deal_matrix(inputs.tally, data_rng, *m)
+    if inputs.error_model.kind == "ballot_misread":
+        m = inject_misreads(m, inputs.error_model, data_rng)
+    reported = m.combined(m.reported)
+    assertions = election_assertions(inputs.contest, inputs.knesset, reported, inputs.weaken)
+    margins = {a.label: assertion_margin(a, reported) for a in assertions}
+    with _trace_hook(inputs.trace_dir, trial_idx) as hook:
+        outcome = run_election_trial(inputs.kind, m, assertions, inputs.alpha, inputs.delta,
+                                     audit_seed, hook)
+    per_assertion = {
+        r.label: {"margin": margins.get(r.label), "ballots_examined": r.examined,
+                  "batches_examined": r.batches_examined, "approved": r.approved}
+        for r in outcome.assertions
+    }
+    return [TrialReport(trial_seed, inputs.kind, outcome.approved, outcome.full_count,
+                        outcome.ballots_examined, outcome.total_ballots, per_assertion,
+                        wall_time=time.perf_counter() - t0)]
 
 
 def _write_election_csvs(reports: list[TrialReport], out_dir: Path) -> None:
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(
-            [
-                "trial",
-                "seed",
-                "assertion",
-                "margin",
-                "margin_pct",
-                "ballots_examined",
-                "pct_ballots",
-                "batches_examined",
-                "approved",
-            ]
-        )
+        w.writerow(["trial", "seed", "assertion", "margin", "margin_pct", "ballots_examined",
+                    "pct_ballots", "batches_examined", "approved"])
         for i, rep in enumerate(reports):
             for label in sorted(rep.per_assertion):
                 row = rep.per_assertion[label]
-                margin = row["margin"]
-                w.writerow(
-                    [
-                        i,
-                        rep.seed,
-                        label,
-                        margin,
-                        _pct(margin, rep.total_ballots),
-                        row["ballots_examined"],
-                        _pct(row["ballots_examined"], rep.total_ballots),
-                        row["batches_examined"] if row["batches_examined"] is not None else "",
-                        int(row["approved"]),
-                    ]
-                )
+                margin, examined = row["margin"], row["ballots_examined"]
+                batches = row["batches_examined"]
+                w.writerow([i, rep.seed, label, margin, _pct(margin, rep.total_ballots), examined,
+                            _pct(examined, rep.total_ballots), "" if batches is None else batches,
+                            int(row["approved"])])
     stats = assertion_stats(reports) if len(reports) >= 2 else []
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["assertion", "margin", "mean_ballots", "std_ballots", "mean_pct_ballots"])
-        for row in stats:
-            w.writerow(row)
+        w.writerows(stats)
 
 
 def _pct(x, total):
@@ -535,9 +514,17 @@ def assertion_stats(reports: Sequence[TrialReport]) -> list[list]:
     return rows
 
 
-def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
+# A census experiment's config, read once for all its trials.  ``households``
+# is the loaded CensusData or the generation rule; ``fractions`` is [None] for
+# a household file, which fixes the surveyed set.
+CensusInputs = namedtuple("CensusInputs", "households delta disagreement_rate fractions")
+
+
+def _census_inputs(config: Mapping) -> CensusInputs:
     if "error_model" in config:
         raise ConfigError("a census run takes no 'error_model'; set 'disagreement_rate'")
+    check_keys(config, RUN_KEYS + ("districts", "representatives", "g_max", "divisor", "delta",
+                                   "disagreement_rate", "households", "sample_fractions"), "config")
     pops, constants = census_mod.load_districts_csv(_path(config, "districts"))
     _require(config, "representatives")
     representatives = _read(config, "representatives", as_int)
@@ -556,69 +543,68 @@ def _run_census_experiment(config, seeds, out_dir) -> list[TrialReport]:
         raise ConfigError("sample_fractions only apply to generated households; "
                           "a household file fixes the surveyed set")
     fractions = fractions or [None]
-    for frac in fractions:
+    for i, frac in enumerate(fractions):
         if frac is not None and not 0 < frac <= 1:
             raise ConfigError(f"sample fraction {frac!r} is not in (0, 1]")
+        if frac in fractions[:i]:
+            raise ConfigError(f"sample fraction {frac!r} is listed twice")
 
     if generate:
+        check_keys(config["households"], ("generate",), "config 'households'")
         gen = _read(config["households"], "generate", _mapping)
+        check_keys(gen, ("household_dist", "nonresponse"), "config 'households.generate'")
         dist = load_household_distribution(_path(gen, "household_dist"))
         nonresponse = _read(gen, "nonresponse", as_float, 0.0)
+        households = (pops, dist, nonresponse, representatives, g_max, divisor)
     else:
         model = census_mod.CensusModel(tuple(pops), representatives, constants, g_max, divisor)
-        data = census_mod.CensusData.from_households(
+        households = census_mod.CensusData.from_households(
             model, census_mod.load_households_csv(_path(config, "households"))
         )
+    return CensusInputs(households, delta, disagree, fractions)
 
-    reports: list[TrialReport] = []
-    rows: list[list] = []
-    for trial_idx, trial_seed in enumerate(seeds):
-        t0 = time.perf_counter()
-        data_rng, audit_seed = trial_rngs(trial_seed)
-        if generate:
-            data = census_mod.generate_census_population(
-                pops, dist, nonresponse, data_rng, representatives, g_max, divisor
-            )
-            if disagree > 0:
-                data = _inject_agreeing_disagreement(data, disagree, dist, data_rng)
-        n = data.n
-        for frac in fractions:
-            mask = None
-            if frac is not None:
-                mask = np.zeros(n, dtype=bool)
-                mask[data_rng.choice(n, size=max(1, round(frac * n)), replace=False)] = True
-            cfg = AuditConfig(alpha=1.0, seed=audit_seed)
-            outcome = census_mod.census_rla(data, cfg, delta=delta, surveyed_mask=mask)
-            frac_label = repr(frac) if frac is not None else "file"
-            rows.append([frac_label, trial_idx, trial_seed, repr(outcome.risk_limit)])
-            reports.append(
-                TrialReport(
-                    seed=trial_seed,
-                    audit="census",
-                    approved=outcome.risk_limit < 1.0,
-                    full_count=False,
-                    ballots_examined=outcome.households_examined,
-                    total_ballots=n,
-                    per_assertion={
-                        f"{a}->{b}": {"risk": r} for (a, b), r in sorted(outcome.pair_risks.items())
-                    },
-                    risk_limit=outcome.risk_limit,
-                    sample_fraction=frac,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
+
+def _census_trial(inputs: CensusInputs, trial_idx: int, trial_seed: int) -> list[TrialReport]:
+    """One census trial: one report per sample fraction, each its own survey draw."""
+    t0 = time.perf_counter()
+    data_rng, audit_seed = trial_rngs(trial_seed)
+    data = inputs.households
+    if not isinstance(data, census_mod.CensusData):
+        pops, dist, nonresponse, representatives, g_max, divisor = data
+        data = census_mod.generate_census_population(pops, dist, nonresponse, data_rng,
+                                                     representatives, g_max, divisor)
+        if inputs.disagreement_rate > 0:
+            data = _inject_agreeing_disagreement(data, inputs.disagreement_rate, dist, data_rng)
+    n = data.n
+    reports = []
+    for frac in inputs.fractions:
+        mask = None
+        if frac is not None:
+            mask = np.zeros(n, dtype=bool)
+            mask[data_rng.choice(n, size=max(1, round(frac * n)), replace=False)] = True
+        cfg = AuditConfig(alpha=1.0, seed=audit_seed)
+        outcome = census_mod.census_rla(data, cfg, delta=inputs.delta, surveyed_mask=mask)
+        pairs = {f"{a}->{b}": {"risk": r} for (a, b), r in sorted(outcome.pair_risks.items())}
+        reports.append(TrialReport(trial_seed, "census", outcome.risk_limit < 1.0, False,
+                                   outcome.households_examined, n, pairs, outcome.risk_limit,
+                                   frac, wall_time=time.perf_counter() - t0))
+    return reports
+
+
+def _write_census_csvs(reports: list[TrialReport], out_dir: Path) -> None:
+    fractions = list(dict.fromkeys(rep.sample_fraction for rep in reports))
+    label = lambda frac: repr(frac) if frac is not None else "file"
     with open(out_dir / "risk_curve.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["sample_fraction", "trial", "seed", "risk_limit"])
-        w.writerows(rows)
+        w.writerows([label(rep.sample_fraction), i // len(fractions), rep.seed,
+                     repr(rep.risk_limit)] for i, rep in enumerate(reports))
     with open(out_dir / "risk_summary.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["sample_fraction", "median_risk_limit"])
         for frac in fractions:
-            risks = [r.risk_limit for r in reports if r.sample_fraction == frac]
-            frac_label = repr(frac) if frac is not None else "file"
-            w.writerow([frac_label, repr(statistics.median(risks))])
-    return reports
+            risks = [rep.risk_limit for rep in reports if rep.sample_fraction == frac]
+            w.writerow([label(frac), repr(statistics.median(risks))])
 
 
 def _inject_agreeing_disagreement(data, rate, dist, rng, max_tries: int = 50):

@@ -49,7 +49,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .apportionment import dhondt, highest_averages
-from .core import Assorter, Contest, LinearInequality, Tally, as_int, inequality_to_assorter
+from .core import Assorter, Contest, LinearInequality, Tally, as_int, check_keys
+from .core import inequality_to_assorter
 
 DEFAULT_SEATS = 120
 DEFAULT_THRESHOLD = Fraction(13, 400)  # 3.25% of valid votes
@@ -296,6 +297,7 @@ def load_knesset_config(path) -> KnessetContest:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    check_keys(raw, ("parties", "seats", "threshold", "apparentments"), str(path))
     if "parties" not in raw:
         raise ValueError(f"{path}: missing 'parties'")
     parties = raw["parties"]

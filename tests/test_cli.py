@@ -826,3 +826,75 @@ def test_census_disagree_error_model_exits_2(tmp_path, capsys, monkeypatch, conf
     err = capsys.readouterr().err
     assert "'disagreement_rate'" in err and "Traceback" not in err, err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def _election_files(config: dict) -> dict:
+    """A small Knesset election run's contest, Knesset and experiment files."""
+    return {
+        "contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
+        "knesset.json": json.dumps(FUZZ_KNESSET),
+        "cfg.json": json.dumps(config),
+    }
+
+
+def _election_config() -> dict:
+    return {
+        "audit": "batchcomp",
+        "contest": "contest.csv",
+        "knesset": "knesset.json",
+        "batches": {"generate": {"size_range": [50, 120]}},
+        "trials": 2,
+    }
+
+
+UNKNOWN_KEYS = [
+    ("config", ("alpah",)),  # ran at alpha 0.05
+    ("config", ("batches", "declared_sizes")),  # no batch file to pad
+    ("config", ("batches", "generate", "size_rnage")),  # dealt batches of 250 to 550
+    ("census", ("sample_fraction",)),
+    ("census", ("households", "file")),
+    ("census", ("households", "generate", "non_response")),
+    ("knesset", ("treshold",)),  # allocated at the 3.25% default
+]
+
+
+@pytest.mark.parametrize("where, path", UNKNOWN_KEYS,
+                         ids=[f"{where}:{'.'.join(path)}" for where, path in UNKNOWN_KEYS])
+def test_unknown_config_key_exits_2(where, path):
+    """A key its reader does not read, at any object level of an election or
+    census config or of a Knesset JSON, exits 2 naming the key, never runs
+    on a default."""
+    config = _census_config(True) if where == "census" else _election_config()
+    files = _census_files(config) if where == "census" else _election_files(config)
+    runs = [CENSUS_RUNS[0]]
+    if where == "knesset":
+        files["knesset.json"] = json.dumps(dict(FUZZ_KNESSET, **{path[0]: "0.10"}))
+        runs.append(["margins", "--contest", "contest.csv", "--knesset", "knesset.json"])
+    else:
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 0.1
+        files["cfg.json"] = json.dumps(config)
+    for rc, err in _exit_0_or_2(files, runs):
+        assert rc == 2 and f"unknown key {path[-1]!r}" in err, err
+
+
+@pytest.mark.parametrize("config_seeds, flags, message", [
+    ({"seeds": [5, 6]}, ["--seed", "99"], "'seeds' list, not both"),  # ran seeds 5 and 6
+    ({"seeds": [5, 6], "seed": 99}, [], "'seeds' list, not both"),
+    ({}, ["--jobs", "0"], "jobs must be at least 1"),  # ran sequentially
+], ids=["seed-flag-beside-seeds", "seed-key-beside-seeds", "jobs-0"])
+def test_run_override_that_would_be_ignored_exits_2(config_seeds, flags, message):
+    """A seed given beside a ``seeds`` list, and a job count below 1, exit 2
+    instead of being silently ignored."""
+    files = _election_files(dict(_election_config(), **config_seeds))
+    [(rc, err)] = _exit_0_or_2(files, [CENSUS_RUNS[0] + flags])
+    assert rc == 2 and message in err, err
+
+
+def test_census_trace_exits_2():
+    """``--trace`` writes the sequential tests' steps of an election audit; a
+    census run given it exits 2 rather than writing no trace."""
+    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(True)), [CENSUS_RUNS[0] + ["--trace"]])
+    assert rc == 2 and "trace applies only to election audits" in err, err

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electaudit import census as census_mod
+from electaudit import harness
 from electaudit.alpha import AuditConfig, combined_reported
 from electaudit.census import (
     census_rla,
@@ -20,6 +21,7 @@ from electaudit.census import (
     inject_survey_disagreement,
 )
 from electaudit.core import Contest, batch_matrix
+from electaudit.knesset import load_knesset_config
 from electaudit.harness import (
     ConfigError,
     ErrorModel,
@@ -612,10 +614,16 @@ def test_parallel_trials_match_sequential(tmp_path):
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    run_experiment(cfg, tmp_path / "seq", seed=2, jobs=1)
-    run_experiment(cfg, tmp_path / "par", seed=2, jobs=2)
-    for name in ("results.csv", "summary.csv"):
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+    census = dict(_disagreeing_census_config(tmp_path), trials=3)
+    for name, source, tables in (
+        ("election", cfg, ("results.csv", "summary.csv")),
+        ("census", census, ("risk_curve.csv", "risk_summary.csv")),
+    ):
+        run_experiment(source, tmp_path / name / "seq", seed=2, jobs=1)
+        run_experiment(source, tmp_path / name / "par", seed=2, jobs=2)
+        for table in tables:
+            seq, par = (tmp_path / name / run / table for run in ("seq", "par"))
+            assert seq.read_bytes() == par.read_bytes(), (name, table)
 
 
 def test_batches_file_with_declared_sizes(tmp_path):
@@ -640,6 +648,65 @@ def test_batches_file_with_declared_sizes(tmp_path):
     cfg.write_text(json.dumps(config))
     reports = run_experiment(cfg, tmp_path / "out", seed=0)
     assert reports[0].total_ballots == 30  # b1 padded from 15 up to 20
+
+
+def test_batch_file_is_loaded_once_per_run(tmp_path):
+    """Every trial audits the same batch file, so a run reads it once, not
+    once per trial."""
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nA,13\nB,12\n__invalid__,5\n")
+    batches = tmp_path / "batches.csv"
+    batches.write_text(
+        "batch_id,party,reported_votes,true_votes\n"
+        "b1,A,10,10\nb1,B,5,5\nb1,__invalid__,5,5\n"
+        "b2,A,3,3\nb2,B,7,7\n"
+    )
+    config = {"audit": "batchcomp", "contest": str(contest), "batches": str(batches),
+              "alpha": 0.5}
+    with mock.patch.object(harness, "load_batches_csv", wraps=harness.load_batches_csv) as loaded:
+        reports = run_experiment(config, tmp_path / "out", seed=0, trials=5)
+    assert len(reports) == 5 and loaded.call_count == 1
+
+
+@pytest.mark.parametrize("generate", [
+    {"size_range": [-10, 0]},
+    {"size_range": [100, 150]},  # too narrow to always partition
+    {"size_range": [100]},
+    {"size_range": [20000, 50000]},  # more than the ballots
+    {"sizes": [5000, 4000]},  # 1,000 ballots short of the contest
+    {"sizes": [10001, -1]},
+])
+def test_malformed_batch_rule_raises_before_dealing(tmp_path, generate):
+    """A dealing rule that cannot partition the contest is an error when the
+    config is read, before the first trial deals a batch."""
+    config = {"audit": "batchcomp", "contest": str(_write_contest(tmp_path)),
+              "batches": {"generate": generate}, "trials": 2}
+    with mock.patch.object(harness, "deal_matrix", wraps=harness.deal_matrix) as dealt:
+        with pytest.raises(ValueError, match="batch|size range"):
+            run_experiment(config, tmp_path / "out", seed=0)
+    assert dealt.call_count == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_load(monkeypatch):
+    """Every experiment and Knesset config shipped in ``configs/`` and
+    ``bench/inputs/`` reads through the package's readers, so a renamed key
+    or a typo fails here rather than in a run or the benchmark."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    kinds = []
+    for path in sorted([*root.glob("configs/*.json"), *root.glob("bench/inputs/*.json")]):
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if "audit" not in config:
+            load_knesset_config(path)
+            kinds.append("knesset")
+        elif config["audit"] == "census":
+            harness._census_inputs(config)
+            kinds.append("census")
+        else:
+            harness._election_inputs(config, config["audit"], None)
+            kinds.append("election")
+    assert sorted(set(kinds)) == ["census", "election", "knesset"] and len(kinds) >= 5
 
 
 def test_trial_rngs_streams_differ():
