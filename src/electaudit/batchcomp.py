@@ -13,12 +13,13 @@ up.  The size-weighted mean of A over any set of batches equals A of their
 union, so the usual sequential machinery applies with batches as draws.
 
 The audit works on the integer count matrices of
-:func:`electaudit.core.batch_matrix` and on each ballot assorter's stored
-integer row ``(num, den)`` (:meth:`electaudit.core.Assorter.row`).  Per
-assertion, ``rs = R @ num`` and ``ts = T @ num`` hold each batch's reported
-and true assorter sums over the common denominator ``den``; M, w and every
-A(B) follow exactly from them, and each float is the correctly rounded
-value of the exact rational.
+:func:`electaudit.core.batch_matrix` and on the assertions' stacked integer
+rows (:func:`electaudit.core.assertion_rows`).  One matrix product per side,
+``R @ num.T`` and ``T @ num.T``, holds every batch's reported and true
+assorter sums for every assertion, each over its row's denominator; M, w
+and every A(B) follow exactly from them, and each float is the correctly
+rounded value of the exact rational.  Only the per-assertion constants M,
+w, Y, s* and C stay Python ints or ``Fraction``.
 :func:`batch_assorter_value_exact` over ``Fraction`` is the reference.
 """
 
@@ -41,10 +42,14 @@ from .alpha import (
     conclude_audit,
 )
 from .core import (
+    _INT64_LIMIT,
     Assorter,
+    AssertionRows,
     BatchMatrix,
     BatchRecord,
     Contest,
+    _max_abs,
+    assertion_rows,
     assorter_mean,
     batch_matrix,
     exact_matmul,
@@ -88,48 +93,10 @@ def make_batch_assorter(
     base: Assorter, batches: Sequence[BatchRecord], delta: float = DEFAULT_DELTA
 ) -> BatchAssorter:
     """Constants from the padded batches: M over the union, w over batch means."""
-    m = batch_matrix(batches)
-    num, den = base.row(m.types)
-    return _lift(base, exact_matmul(m.reported, num), den, m.sizes, delta)
-
-
-def _lift(
-    base: Assorter, rs: np.ndarray, den: int, sizes: np.ndarray, delta: float
-) -> BatchAssorter:
-    """The batch assorter from the reported sums ``rs[b] = den * sizes[b] * mean_b``.
-
-    w is found by an exact argmax: rounding is monotone, so the largest
-    exact mean is among the batches whose correctly rounded mean is largest.
-    """
-    M = Fraction(sum(rs.tolist()), den * int(sizes.sum())) - _HALF
-    means = exact_quotients(rs, 1, sizes)
-    top = np.flatnonzero(means == means.max())
-    w = max(Fraction(int(rs[b]), den * int(sizes[b])) for b in top)
-    return BatchAssorter(base=base, M=M, w=w, delta=delta)
-
-
-def _batch_values(
-    A: BatchAssorter, rs: np.ndarray, ts: np.ndarray, den: int, sizes: np.ndarray
-) -> np.ndarray:
-    """A(B) of every batch, each the float of its exact value.
-
-    Write w = Y / (den s*) over integers and M = R / (den N) - 1/2, with R
-    the reported sum over all N ballots.  For a batch of size s with
-    d = ts - rs,
-
-        A(B) = (w + d / (den s)) / (2 (w - M)) = N (Y s + s* d) / (s C)
-
-    with C = 2 Y N - 2 R s* + den N s*, so every value is one quotient of
-    integers.  The numerators are int64 when their bound stays below 2**63,
-    Python ints otherwise.
-    """
-    N, R = int(sizes.sum()), sum(rs.tolist())
-    Y, s_star = den * A.w.numerator, A.w.denominator
-    C = 2 * Y * N - 2 * R * s_star + den * N * s_star
-    d = ts - rs  # sums are non-negative: d fits rs's dtype
-    if d.dtype == object or N * (Y * int(sizes.max()) + s_star * int(np.abs(d).max())) >= 2**63:
-        sizes, d = sizes.astype(object), d.astype(object)
-    return exact_quotients(N * (Y * sizes + s_star * d), C, sizes)
+    [A], _ = lift_assertions([base], batch_matrix(batches), delta)
+    if A is None:
+        raise ValueError(f"batch assorter {base.label!r} needs w > M > 0: its margin M <= 0")
+    return A
 
 
 def pad_missing_ballots(batch: BatchRecord, declared_size: int) -> BatchRecord:
@@ -183,36 +150,73 @@ def batchcomp_audit(
     or mu < 0.  An assertion whose reported margin is not positive is flagged
     un-approvable, since the reported tallies refute it before any sampling.
     """
-    lifted, batch_values = lift_assertions(assorters, m, delta)
+    rows = assertion_rows(assorters, m)
+    lifted, batch_values = lift_assertions(assorters, m, delta, rows)
     specs = [
         AssertionSpec(a.label, 0.0, 1.0, False) if A is None
         else comparison_spec(a.label, A.M, A.w, A.delta)
         for a, A in zip(assorters, lifted)
     ]
     results = batch_audit_loop(m.sizes, specs, batch_values, cfg, trace)
-    return conclude_audit(results, assorters, m)
+    return conclude_audit(results, assorters, m, rows)
 
 
 def lift_assertions(
-    assorters: Sequence[Assorter], m: BatchMatrix, delta: float = DEFAULT_DELTA
+    assorters: Sequence[Assorter],
+    m: BatchMatrix,
+    delta: float = DEFAULT_DELTA,
+    rows: AssertionRows | None = None,
 ) -> tuple[list[BatchAssorter | None], np.ndarray]:
     """Each assertion's batch assorter and its A(B) for every batch of ``m``.
 
     An assertion whose reported margin is not positive gets None and a row
-    of zeros: the reported tallies refute it before any sampling.
+    of zeros: the reported tallies refute it before any sampling.  ``rows``
+    is the audit's :func:`electaudit.core.assertion_rows` of ``assorters``,
+    built here when not given; one matrix product per side gives every
+    assertion's batch sums.
+
+    w is found by an exact argmax: rounding is monotone, so the largest
+    exact mean is among the batches whose correctly rounded mean is largest.
+    Then, writing w = Y / (den s*) over integers and M = R / (den N) - 1/2,
+    with R the reported sum over all N ballots, a batch of size s with
+    d = ts - rs scores
+
+        A(B) = (w + d / (den s)) / (2 (w - M)) = N (Y s + s* d) / (s C)
+
+    with C = 2 Y N - 2 R s* + den N s*, so every value is one quotient of
+    integers.  The numerators are int64 when their bound stays below 2**63,
+    Python ints otherwise.
     """
-    n = int(m.sizes.sum())
-    lifted: list[BatchAssorter | None] = []
-    values = np.zeros((len(assorters), len(m.sizes)))
-    for k, a in enumerate(assorters):
-        num, den = a.row(m.types)
-        rs = exact_matmul(m.reported, num)
-        if 2 * sum(rs.tolist()) <= den * n:
-            lifted.append(None)
-            continue
-        A = _lift(a, rs, den, m.sizes, delta)
-        lifted.append(A)
-        values[k] = _batch_values(A, rs, exact_matmul(m.truth, num), den, m.sizes)
+    rows = assertion_rows(assorters, m) if rows is None else rows
+    sizes, N = m.sizes, int(m.sizes.sum())
+    rs, ts = (exact_matmul(counts, rows.num.T).T for counts in (m.reported, m.truth))
+    # every R is at most N times the largest numerator
+    if rs.dtype == object or N * _max_abs(rows.num) >= _INT64_LIMIT:
+        R = rs.astype(object).sum(axis=1).tolist()
+    else:
+        R = rs.sum(axis=1).tolist()
+    lifted: list[BatchAssorter | None] = [None] * len(assorters)
+    lift = [k for k, den in enumerate(rows.den) if 2 * R[k] > den * N]
+    rs, d = rs[lift], ts[lift]
+    d -= rs  # ts - rs: sums are non-negative, so d fits rs's dtype
+    Y, s_star, C = [], [], []
+    for k, rk, means in zip(lift, rs, exact_quotients(rs, 1, sizes)):
+        den = rows.den[k]
+        top = np.flatnonzero(means == means.max())
+        w = max(Fraction(int(rk[b]), den * int(sizes[b])) for b in top)
+        lifted[k] = BatchAssorter(assorters[k], Fraction(R[k], den * N) - _HALF, w, delta)
+        Y.append(den * w.numerator)
+        s_star.append(w.denominator)
+        C.append(2 * Y[-1] * N - 2 * R[k] * s_star[-1] + den * N * s_star[-1])
+    spread = np.abs(d).max(axis=1, initial=0).tolist()
+    bound = N * max((y * int(sizes.max()) + s * x for y, s, x in zip(Y, s_star, spread)), default=0)
+    dtype = object if d.dtype == object or bound >= _INT64_LIMIT else np.int64
+    numerators = d.astype(dtype, copy=False)  # N (Y s + s* d), built in place
+    numerators *= np.array(s_star, dtype=dtype)[:, None]
+    numerators += np.array(Y, dtype=dtype)[:, None] * sizes.astype(dtype)
+    numerators *= N
+    values = np.zeros((len(assorters), len(sizes)))
+    values[lift] = exact_quotients(numerators, C, sizes)
     return lifted, values
 
 

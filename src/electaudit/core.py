@@ -6,9 +6,10 @@ exceeds 1/2; full election outcomes are verified by checking a set of such
 assertions.  Each election assertion is a linear tally inequality, such as
 ``plurality:W>L``, v_W - v_L > 0 (the Knesset families are in
 :mod:`electaudit.knesset`), which :func:`inequality_to_assorter` writes in
-Python ints straight into its assorter's integer row: numerators over the
-name-sorted type tuple and one common denominator, read by every audit and
-margin through :meth:`Assorter.row`.  The ``Fraction`` values are a view
+Python ints straight into its assorter's integer row
+(:func:`integer_row_assorter`): numerators over the name-sorted type tuple
+and one common denominator, read by every audit and margin through
+:meth:`Assorter.row`.  The ``Fraction`` values are a view
 derived from the row.
 
 An election trial keeps its batches in one :class:`BatchMatrix`, from
@@ -16,12 +17,14 @@ dealing to the verdict: reported and true batch-by-type integer counts over
 one sorted type index.  :func:`batch_matrix` reads a list of
 :class:`BatchRecord` into one; records and ``Tally`` dicts remain at the
 CSV boundary and in the exact references.  An assorter is linear in the
-tally, so its sums over every batch are one integer matrix product of the
-counts and its row (:func:`exact_matmul`), and its sum over a column sum is
-an integer dot product.  Every float the audits use is the correctly
-rounded quotient of two integers (:func:`exact_quotients`): bit for bit the
-float of the exact ``Fraction``.  :func:`assorter_mean` over a ``Tally`` is
-the exact reference these fast paths are tested against.
+tally, so an audit stacks its assorters' rows once into one (assertions x
+types) integer matrix (:func:`assertion_rows`), and every assertion's sums
+over every batch are one integer matrix product of the counts and that
+matrix (:func:`exact_matmul`), its sums over a column sum one more.  Every
+float the audits use is the correctly rounded quotient of two integers
+(:func:`exact_quotients`): bit for bit the float of the exact ``Fraction``.
+:func:`assorter_mean` over a ``Tally`` is the exact reference these fast
+paths are tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -409,15 +412,54 @@ def exact_matmul(counts: np.ndarray, num: np.ndarray) -> np.ndarray:
     return counts.astype(object) @ num.astype(object)
 
 
-def exact_quotients(p: np.ndarray, scale: int, q: np.ndarray) -> np.ndarray:
-    """Floats ``p[i] / (scale * q[i])``, each equal to ``float(Fraction(p[i], scale * q[i]))``.
+def exact_quotients(p: np.ndarray, scale, q: np.ndarray) -> np.ndarray:
+    """Floats ``p[..., i] / (scale * q[i])``, each equal to the float of its exact ``Fraction``.
 
-    numpy divides only when every operand is below 2**53; otherwise Python's
-    correctly rounded ``int / int`` does.
+    ``scale`` is one positive int, or one per row of a two-dimensional ``p``.
+    numpy divides a row whose operands are all below 2**53; Python's
+    correctly rounded ``int / int`` divides any other row, so one wide row
+    leaves the others vectorised.
     """
-    if p.dtype != object and _max_abs(p) < _FLOAT_EXACT and scale * _max_abs(q) < _FLOAT_EXACT:
-        return p / (scale * q)
-    return np.array([a / (scale * b) for a, b in zip(p.tolist(), q.tolist())], dtype=np.float64)
+    rows = p.reshape(-1, p.shape[-1])
+    scales = list(scale) if np.ndim(scale) else [scale] * len(rows)
+    top = _max_abs(q)
+    tops = np.abs(rows).max(axis=1, initial=0).tolist() if p.dtype != object else None
+    wide = [tops is None or tops[r] >= _FLOAT_EXACT or s * top >= _FLOAT_EXACT
+            for r, s in enumerate(scales)]
+    if not any(wide):
+        return (rows / (np.array(scales, dtype=np.int64)[:, None] * q)).reshape(p.shape)
+    out = np.empty(rows.shape)
+    for r, s in enumerate(scales):
+        if wide[r]:
+            out[r] = [a / (s * b) for a, b in zip(rows[r].tolist(), q.tolist())]
+        else:
+            out[r] = rows[r] / (s * q)
+    return out.reshape(p.shape)
+
+
+class AssertionRows(NamedTuple):
+    """Assorters stacked as integer rows over one type index: ``num[k, i] /
+    den[k]`` is assorter k's value of type i.  ``num`` is int64 when every
+    numerator is below 2**63, otherwise an object array of Python ints."""
+
+    num: np.ndarray
+    den: tuple[int, ...]
+
+
+def assertion_rows(assorters: Sequence[Assorter], m: BatchMatrix) -> AssertionRows:
+    """Every assorter's row over ``m.types``, built once per audit.
+
+    A type that no batch counts, reported or true, needs no value: it scores
+    0, which every product with its zero counts ignores.
+    """
+    counted = m.reported.any(axis=0) | m.truth.any(axis=0)
+    types = m.types if counted.all() else tuple(bt for bt, c in zip(m.types, counted) if c)
+    rows = [a.row(types) for a in assorters]
+    nums = np.array([num for num, _ in rows]).reshape(len(rows), len(types))
+    # one bound for the whole matrix: int64 exactly when every numerator fits
+    num = np.zeros((len(rows), len(m.types)), np.int64 if _max_abs(nums) < _INT64_LIMIT else object)
+    num[:, counted] = nums
+    return AssertionRows(num, tuple(den for _, den in rows))
 
 
 def assorter_mean(assorter: Assorter, tally: Tally) -> Fraction:
@@ -435,24 +477,36 @@ def assorter_mean(assorter: Assorter, tally: Tally) -> Fraction:
 def inequality_to_assorter(q: LinearInequality) -> Assorter:
     """Convert a linear tally inequality into an equivalent assorter.
 
-    Write the coefficients as integers b_c over their common denominator L,
-    let z = min b and L d / n = p / r in lowest terms.  Ballot type c scores
-    (b_c - z) r / (2 (p - z r)), which is non-negative and has mean > 1/2
-    over a tally of n ballots exactly when the inequality holds.  Requires
-    p - z r > 0 and two distinct coefficients; otherwise the inequality is
-    decided for every tally and has no useful assorter form.
+    Write the coefficients as integers b_c over their common denominator L
+    and L d / n = p / r in lowest terms; the inequality is then the integer
+    row b over the name-sorted types with threshold p / r, which
+    :func:`integer_row_assorter` converts.
     """
     types, beta = zip(*sorted(q.coefficients.items(), key=lambda c: c[0].name))
     b, L = common_denominator(beta)
-    z = min(b)
     p, r = Fraction(q.rhs * L, q.n).as_integer_ratio() if q.rhs else (0, 1)
+    return integer_row_assorter(types, b, q.label, p, r)
+
+
+def integer_row_assorter(
+    types: Sequence[BallotType], b: Sequence[int], label: str = "", p: int = 0, r: int = 1
+) -> Assorter:
+    """The assorter of sum_c b_c v(c) > (p / r) n over a tally of n ballots,
+    for integers ``b[i]`` over ``types`` sorted by name.
+
+    With z = min b, type c scores (b_c - z) r / (2 (p - z r)), which is
+    non-negative and has mean > 1/2 exactly when the inequality holds.
+    Requires p - z r > 0 and two distinct coefficients; otherwise the
+    inequality is decided for every tally and has no useful assorter form.
+    """
+    z = min(b)
     den = 2 * (p - z * r)
     if den <= 0 or max(b) == z:
         raise ValueError(
-            f"trivial inequality {q.label!r}: it is either always false or always true"
+            f"trivial inequality {label!r}: it is either always false or always true"
         )
     num = [(x - z) * r for x in b]
-    return Assorter.from_row(types, num, den, Fraction(max(num), den), q.label)
+    return Assorter.from_row(tuple(types), num, den, Fraction(max(num), den), label)
 
 
 def plurality_assorter(winner: BallotType, loser: BallotType, contest: Contest) -> Assorter:

@@ -39,7 +39,7 @@ from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
 from .core import ConfigError, as_float, as_int, check_int64_total, check_keys, load_contest_csv
 from .core import plurality_assorter, read_csv
-from .knesset import KnessetContest, allocate_seats, assertion_margin, generate_assertions
+from .knesset import KnessetContest, assertion_margin, generate_assertions
 from .knesset import load_knesset_config
 from .randomness import make_rng
 
@@ -218,11 +218,12 @@ def election_assertions(
     weaken: Sequence[tuple[str, str]] = (),
 ) -> list[Assorter]:
     """The assertion set of an election: the Knesset set certifying the
-    allocation of ``reported``, or the plurality set when ``knesset`` is None."""
+    allocation of ``reported``, which is computed once, or the plurality set
+    when ``knesset`` is None."""
     _check_weaken(knesset, weaken)
     if knesset is None:
         return plurality_assertions(contest, reported)
-    return generate_assertions(knesset, reported, allocate_seats(knesset, reported), weaken)
+    return generate_assertions(knesset, reported, None, weaken)
 
 
 def run_election_trial(
@@ -542,6 +543,9 @@ def _census_inputs(config: Mapping) -> CensusInputs:
     if not generate and fractions:
         raise ConfigError("sample_fractions only apply to generated households; "
                           "a household file fixes the surveyed set")
+    if not generate and disagree:
+        raise ConfigError("config 'disagreement_rate' only applies to generated households; "
+                          "a household file carries its own survey counts")
     fractions = fractions or [None]
     for i, frac in enumerate(fractions):
         if frac is not None and not 0 < frac <= 1:

@@ -35,10 +35,11 @@ computed once from them, in integers: v_p >= t valid is tested as
 b v_p >= a valid, and the seat price is cross-multiplied the same way.
 Seats are a plain party -> seats dict.
 
-Each inequality becomes its half-average assorter over the contest's ballot
-types through :func:`electaudit.core.inequality_to_assorter`, ready for any
-of the sequential tests in this package.  Margins are counted on each
-assorter's integer row.
+Each inequality is an integer weight row over the contest's name-sorted
+ballot types, and becomes its half-average assorter through
+:func:`electaudit.core.integer_row_assorter`, ready for any of the
+sequential tests in this package.  Margins are counted on each assorter's
+integer row.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .apportionment import dhondt, highest_averages
-from .core import Assorter, Contest, LinearInequality, Tally, as_int, check_keys
-from .core import inequality_to_assorter
+from .core import Assorter, Contest, Tally, as_int, check_keys, integer_row_assorter
 
 DEFAULT_SEATS = 120
 DEFAULT_THRESHOLD = Fraction(13, 400)  # 3.25% of valid votes
@@ -150,17 +150,10 @@ def allocate_seats(contest: KnessetContest, tally: Tally) -> dict[str, int]:
     return _allocation(contest, *_party_votes(contest, tally))[2]
 
 
-def _assertion(ballot_contest: Contest, weight: Mapping[str, int], label: str) -> Assorter:
-    """The assorter of sum_c weight[c] * v_c > 0, the parties missing from
-    ``weight`` and the invalid type weighing 0."""
-    coefficients = {bt: weight.get(bt.name, 0) for bt in ballot_contest.ballot_types}
-    return inequality_to_assorter(LinearInequality(coefficients, label=label))
-
-
 def generate_assertions(
     contest: KnessetContest,
     reported: Tally,
-    reported_seats: Mapping[str, int],
+    reported_seats: Mapping[str, int] | None = None,
     weaken: Iterable[tuple[str, str]] = (),
 ) -> list[Assorter]:
     """The full assertion set certifying ``reported_seats`` for ``reported``.
@@ -168,7 +161,8 @@ def generate_assertions(
     ``weaken`` lists ordered (gainer, keeper) unit-label pairs whose move-seat
     assertion should use the weakened one-seat form; a pair that names no
     move-seat assertion of the set is a ``ValueError``.  The reported
-    allocation is recomputed and must match ``reported_seats``.
+    allocation is computed here; ``reported_seats``, when given, must match
+    it, and None certifies that allocation.
 
     A zero-seat party outside every apparentment is certified by "cannot win
     a seat" rather than by its threshold status when t * valid is below
@@ -179,6 +173,10 @@ def generate_assertions(
     true quotient table, so the set stays sound whatever the party's true
     threshold status.  When t * seats >= 1, d <= valid / seats <= t * valid
     and the rule never fires.
+
+    Each inequality is written as an integer weight row over the contest's
+    name-sorted ballot types, the invalid type weighing 0, and converted by
+    :func:`electaudit.core.integer_row_assorter`.
     """
     if contest.threshold == 0:
         # the above/below certification scheme needs a real threshold share
@@ -188,13 +186,25 @@ def generate_assertions(
         raise ValueError("assertion generation requires at least two parties")
     votes, valid = _party_votes(contest, reported)
     above, units, seats = _allocation(contest, votes, valid)
-    if seats != dict(reported_seats):
+    if reported_seats is not None and seats != dict(reported_seats):
         raise ValueError("reported_seats does not match the allocation of the reported tally")
     weaken = set(weaken)
     unmatched = set(weaken)
 
-    ballot_contest = contest.ballot_contest()
+    # The reported tally's own type objects where they equal the contest's:
+    # an audit's rows over a batch matrix of that tally then match by identity.
+    named = {bt.name: bt for bt in contest.ballot_contest().ballot_types}
+    named.update((bt.name, bt) for bt in reported.counts if named.get(bt.name) == bt)
+    types = tuple(sorted(named.values(), key=lambda bt: bt.name))
+    column = {bt.name: i for i, bt in enumerate(types)}
     assertions: list[Assorter] = []
+
+    def add(weight: Mapping[str, int], label: str) -> None:
+        """The assertion sum_p weight[p] v_p > 0; a party missing from ``weight`` weighs 0."""
+        row = [0] * len(types)
+        for party, x in weight.items():
+            row[column[party]] = x
+        assertions.append(integer_row_assorter(types, row, label))
 
     unit_seats = {unit_label(u): sum(seats[p] for p in u) for u in units}
     a, b = contest.threshold.as_integer_ratio()
@@ -213,8 +223,7 @@ def generate_assertions(
             continue
         # above: b v_p - a valid > 0; below is its negation
         sign, side = (1, "above") if p in above else (-1, "below")
-        weight = {c: sign * (b * (c == p) - a) for c in contest.parties}
-        assertions.append(_assertion(ballot_contest, weight, f"{side}-threshold:{p}"))
+        add({c: sign * (b * (c == p) - a) for c in contest.parties}, f"{side}-threshold:{p}")
 
     def add_move(gainer: tuple[str, ...], keeper: tuple[str, ...], s_g: int, s_k: int):
         """(s_g + 1) v_keeper - s_k v_gainer > 0, the one-seat form with one seat moved first."""
@@ -231,8 +240,7 @@ def generate_assertions(
                 )
             s_g, s_k, suffix = s_g + 1, s_k - 1, " (one-seat)"
         weight = {**dict.fromkeys(keeper, s_g + 1), **dict.fromkeys(gainer, -s_k)}
-        label = f"no-seat-move:{unit_label(keeper)}->{unit_label(gainer)}{suffix}"
-        assertions.append(_assertion(ballot_contest, weight, label))
+        add(weight, f"no-seat-move:{unit_label(keeper)}->{unit_label(gainer)}{suffix}")
 
     for u1 in units:
         for u2 in units:

@@ -344,6 +344,12 @@ def kernel_cases(draw):
 def test_kernel_matches_stepwise_reference(case):
     """sequential_test's trace reproduces the stepwise advance draw by draw, for both eta rules."""
     x, sizes, n, eta0, u0, alpha, floor = case
+    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), 1e-9, 1 / alpha)
+    _assert_follows_stepwise(path, x, sizes, n, eta0, u0, alpha, floor)
+
+
+def _assert_follows_stepwise(path: KernelPath, x, sizes, n, eta0, u0, alpha, floor):
+    """``path`` is the stepwise advance's, draw by draw, to a relative 1e-9."""
     cfg = AuditConfig(alpha=alpha)
     ref = AssertionState("ref", eta=eta0, u=u0, eta_budget=n * eta0)
     rows = []  # T after each draw, then the (mu, eta, u) it was tested with
@@ -355,7 +361,6 @@ def test_kernel_matches_stepwise_reference(case):
             break
     rows = np.array(rows)
 
-    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), cfg.epsilon, 1 / alpha)
     common = len(rows)
     if (path.approved, path.examined) != (ref.approved, len(rows)):
         # the two forms of the factor round differently; only a T sitting on
@@ -366,6 +371,57 @@ def test_kernel_matches_stepwise_reference(case):
         assert path.T_max == pytest.approx(ref.T_max, rel=1e-9)
     for col, got in enumerate((path.T, path.mu, path.eta, path.u)):
         np.testing.assert_allclose(got[:common], rows[:common, col], rtol=1e-9)
+
+
+@st.composite
+def kernel_row_cases(draw):
+    """Assertion rows along one draw order, each with its own values, start
+    and eta rule: rows that stop at different draws or never, all-zero
+    rows, values on the half-integer grid (so mu hits 0 exactly), reported
+    means near the bound (so u grows in those rows only), and one draw."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=20))
+    if draw(st.booleans()):
+        sizes = [1] * len(sizes)
+    n = sum(sizes) + draw(st.integers(0, 8))
+    x, starts = [], []
+    for r in range(draw(st.integers(1, 5))):
+        u0 = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(0.6, 3.0))
+        share = draw(st.sampled_from([0.999, 0.5, 0.02]) | st.floats(0.001, 0.999))
+        eta0 = 0.5 + share * (u0 - 0.5)
+        value = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0.0, 2 * u0)
+        row = draw(st.lists(value, min_size=len(sizes), max_size=len(sizes)))
+        x.append([0.0] * len(sizes) if draw(st.integers(0, 4)) == 0 else row)
+        starts.append((eta0, u0, eta0 if draw(st.booleans()) else None))
+    alpha = draw(st.sampled_from([0.05, 0.2, 1e-6]))
+    return np.array(x), np.array(sizes), n, starts, alpha
+
+
+def _bits(rows):
+    """Trace rows with their floats as bytes, so NaN compares equal to NaN."""
+    return [(r[0], r[1], np.array(r[2:], dtype=float).tobytes()) for r in rows]
+
+
+@given(kernel_row_cases(), st.sampled_from([1, 2, 3, 7, alpha_mod._BLOCK]))
+@settings(max_examples=300, deadline=None)
+def test_kernel_rows_match_one_row_calls(case, block):
+    """Rows tested in one call, untraced and traced, in blocks of 1, 2, 3, 7
+    or the default, give each row the result and trace rows of its own
+    one-row call bit for bit, and the trace comes row after row; each row
+    follows the stepwise reference."""
+    x, sizes, n, starts, alpha = case
+    seen = np.cumsum(sizes)
+    specs = [AssertionSpec(f"row{r}", *start[:2], True, start[2]) for r, start in enumerate(starts)]
+    args, traced = (seen, n), []
+    with mock.patch.object(alpha_mod, "_BLOCK", block):
+        got = sequential_test(x, *args, specs, 1e-9, 1 / alpha)
+        assert sequential_test(x, *args, specs, 1e-9, 1 / alpha, lambda *t: traced.append(t)) == got
+    assert [t[1] for t in traced] == [s.label for s, out in zip(specs, got) for _ in range(out[1])]
+    for r, spec in enumerate(specs):
+        one = []
+        assert sequential_test(x[r], *args, spec, 1e-9, 1 / alpha, lambda *t: one.append(t)) == got[r]
+        assert _bits([t for t in traced if t[1] == spec.label]) == _bits(one)
+        path = KernelPath(*got[r], *(np.array([t[c] for t in one]) for c in range(2, 6)))
+        _assert_follows_stepwise(path, x[r], sizes, n, *starts[r][:2], alpha, starts[r][2])
 
 
 def test_kernel_zero_mu_special_cases():

@@ -559,11 +559,10 @@ def _census_config(generate: bool) -> dict:
         "divisor": "dhondt",
         "delta": 1e-10,
         "households": {"generate": {"household_dist": "sizes.csv", "nonresponse": 0.01}} if generate else "households.csv",
-        "disagreement_rate": 0.02,
         "trials": 2,
     }
     if generate:
-        config["sample_fractions"] = [0.2, 0.5]
+        config.update(disagreement_rate=0.02, sample_fractions=[0.2, 0.5])
     return config
 
 
@@ -640,6 +639,17 @@ def test_census_household_file_rejects_generation_flags(flag, value):
     runs = [CENSUS_RUNS[1], CENSUS_RUNS[1] + [flag, value]]
     [(rc, _), (rc_flag, err)] = _exit_0_or_2(_census_files(_census_config(False)), runs)
     assert rc == 0 and rc_flag == 2 and f"{flag} applies only to --generate" in err
+
+
+def test_census_household_file_rejects_disagreement_rate():
+    """A household file carries its own survey counts, so a nonzero
+    ``disagreement_rate`` would be ignored: it is an error naming the key.
+    A zero rate injects nothing and the run goes ahead."""
+    config = _census_config(False)
+    for rate, code in ((0.9, 2), (0.0, 0)):
+        config["disagreement_rate"] = rate
+        [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+        assert rc == code and (code == 0 or "'disagreement_rate'" in err), err
 
 
 def test_census_null_sample_fractions_reads_as_absent():

@@ -7,20 +7,29 @@ counts large enough to push the products past 2**53 and 2**63.
 """
 
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electaudit import alpha as alpha_mod
+from electaudit import batchcomp as batchcomp_mod
+from electaudit import knesset as knesset_mod
 from electaudit.alpha import (
     AssertionOutcome,
+    AuditConfig,
+    alpha_audit,
+    alpha_batch_audit,
     alpha_init,
     comparison_spec,
     conclude_audit,
 )
 from electaudit.batchcomp import (
     batch_assorter_value_exact,
+    batchcomp_audit,
     lift_assertions,
     make_batch_assorter,
 )
@@ -29,13 +38,14 @@ from electaudit.core import (
     BatchRecord,
     Contest,
     Tally,
+    assertion_rows,
     assorter_mean,
     batch_matrix,
     exact_matmul,
     exact_quotients,
     plurality_assorter,
 )
-from electaudit.harness import deal_matrix
+from electaudit.harness import deal_matrix, election_assertions, load_election_inputs
 from electaudit.knesset import (
     KnessetContest,
     allocate_seats,
@@ -273,3 +283,75 @@ def test_exact_quotients_round_like_fraction_past_2_53():
     assert exact_quotients(p, 1, q).tolist() == [expected, 7.0]
     assert (p / q)[0] != expected
     assert exact_quotients(np.array([7]), 3 * 2**60, np.array([1]))[0] == float(Fraction(7, 3 * 2**60))
+
+
+def test_stacked_products_past_int64_match_fraction_references():
+    """Counts near 2**59 times numerators near 2**8 pass 2**63 in every
+    stacked product, and one assorter's numerators pass 2**63 themselves:
+    the rows, the batch sums of both batch audits, eta and the full count's
+    verdict fall back to Python ints and equal their ``Fraction`` references."""
+    by = CONTEST.by_name
+    big = Assorter({by("A"): Fraction(2**64 + 1, 2**66), by("B"): Fraction(0),
+                    by("C"): Fraction(1, 2), by("D"): Fraction(1, 2),
+                    CONTEST.invalid: Fraction(1, 2)}, Fraction(1, 2), "big")
+    assertions = plurality_assertions() + knesset_assertions(120, False) + [big]
+    assert max(a.num.max() for a in assertions[:-1]) >= 2**8 and big.num.dtype == object
+    counts = [{"A": 2**59 + 7, "B": 2**58, "C": 2**56 + 3, "D": 2**54 + 1},
+              {"A": 2**58, "B": 2**59 + 1, "C": 2**56, "D": 2**54 + 5}]
+    batches = []
+    for i, (rep, true) in enumerate([(counts[0], counts[1]), (counts[1], counts[0])]):
+        size = max(sum(rep.values()), sum(true.values()))
+        pad = lambda c: CONTEST.tally({**c, "__invalid__": size - sum(c.values())})
+        batches.append(BatchRecord(f"b{i}", pad(rep), pad(true), size))
+    m = batch_matrix(batches)
+    n = int(m.sizes.sum())
+    rows = assertion_rows(assertions, m)
+    assert rows.num.dtype == object
+    assert assertion_rows(assertions[:-1], m).num.dtype == np.int64
+    for rs in (exact_matmul(m.reported, rows.num.T), exact_matmul(m.truth, rows.num.T)):
+        assert rs.dtype == object and max(rs.ravel().tolist()) >= 2**63
+
+    reported = total(b.reported for b in batches)
+    truth = total(b.truth for b in batches)
+    specs = alpha_init(assertions, m, rows)
+    assert [s.eta for s in specs] == [float(assorter_mean(a, reported)) for a in assertions]
+    refused = [AssertionOutcome(a.label, True, False, n) for a in assertions]
+    assert [r.truly_satisfied for r in conclude_audit(refused, assertions, m, rows).assertions] == [
+        assorter_mean(a, truth) > HALF for a in assertions
+    ]
+    lifted, values = lift_assertions(assertions, m, rows=rows)
+    assert any(A is not None for A in lifted)
+    for A, row in zip(lifted, values):
+        if A is not None:
+            assert row.tolist() == [float(batch_assorter_value_exact(A, b)) for b in batches]
+    cfg = AuditConfig(alpha=0.05, seed=0)
+    with mock.patch.object(alpha_mod, "batch_audit_loop", wraps=alpha_mod.batch_audit_loop) as loop:
+        alpha_batch_audit(m, assertions, cfg)
+    assert loop.call_args.args[2].tolist() == [
+        [float(assorter_mean(a, b.truth)) for b in batches] for a in assertions
+    ]
+
+
+def test_knesset_trial_builds_and_tests_each_assertion_set_once(monkeypatch):
+    """On the shipped Knesset contest: seats are allocated once per
+    assertion set, each batch audit calls the kernel once for all its
+    assertions, the batch-comparison lift takes one matrix product per side,
+    and the ballot-level audit calls the kernel once per approvable assertion."""
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    contest, tally, knesset = load_election_inputs(
+        "configs/contest_synthetic.csv", "configs/knesset_synthetic.json"
+    )
+    m = deal_matrix(tally, make_rng((0, 0)))
+    with mock.patch.object(knesset_mod, "_allocation", wraps=knesset_mod._allocation) as allocation:
+        assertions = election_assertions(contest, knesset, m.combined(m.reported))
+    assert allocation.call_count == 1 and len(assertions) == 56
+    cfg = AuditConfig(alpha=0.05, seed=(0, 1))
+    kernel = mock.patch.object(alpha_mod, "sequential_test", wraps=alpha_mod.sequential_test)
+    for audit in (alpha_batch_audit, batchcomp_audit, alpha_audit):
+        with kernel as calls, mock.patch.object(
+            batchcomp_mod, "exact_matmul", wraps=batchcomp_mod.exact_matmul
+        ) as matmul:
+            outcome = audit(m, assertions, cfg)
+        approvable = sum(r.approvable for r in outcome.assertions)
+        assert calls.call_count == (approvable if audit is alpha_audit else 1), audit.__name__
+        assert matmul.call_count == (2 if audit is batchcomp_audit else 0), audit.__name__
