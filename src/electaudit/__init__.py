@@ -15,13 +15,11 @@ from .batchcomp import (
     batch_assorter_value,
     batchcomp_audit,
     make_batch_assorter,
-    pad_missing_ballots,
 )
 from .census import (
     CensusData,
     CensusModel,
     CensusOutcome,
-    Household,
     apportion,
     census_rla,
     generate_census_population,
@@ -32,11 +30,9 @@ from .core import (
     BatchMatrix,
     BatchRecord,
     Contest,
-    LinearInequality,
     Tally,
     assorter_mean,
     batch_matrix,
-    inequality_to_assorter,
     plurality_assorter,
 )
 from .knesset import (

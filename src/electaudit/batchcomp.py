@@ -12,9 +12,10 @@ and T then grows at near-maximal rate for as long as no discrepancies show
 up.  The size-weighted mean of A over any set of batches equals A of their
 union, so the usual sequential machinery applies with batches as draws.
 
-The audit works on the integer count matrices of
-:func:`electaudit.core.batch_matrix` and on the assertions' stacked integer
-rows (:func:`electaudit.core.assertion_rows`).  One matrix product per side,
+The audit works on the integer count matrices of a
+:class:`electaudit.core.BatchMatrix`, into which :func:`load_batches_csv`
+reads a batch file, and on the assertions' stacked integer rows
+(:func:`electaudit.core.assertion_rows`).  One matrix product per side,
 ``R @ num.T`` and ``T @ num.T``, holds every batch's reported and true
 assorter sums for every assertion, each over its row's denominator; M, w
 and every A(B) follow exactly from them, and each float is the correctly
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .core import (
     assertion_rows,
     assorter_mean,
     batch_matrix,
+    check_int64_total,
     exact_matmul,
     exact_quotients,
     read_csv,
@@ -97,31 +99,6 @@ def make_batch_assorter(
     if A is None:
         raise ValueError(f"batch assorter {base.label!r} needs w > M > 0: its margin M <= 0")
     return A
-
-
-def pad_missing_ballots(batch: BatchRecord, declared_size: int) -> BatchRecord:
-    """Grow both tallies to the declared size with imaginary invalid ballots.
-
-    A batch that turns out short of its declared ballot count is treated as
-    if the missing ballots are invalid, on both the reported and true side,
-    so that no unexamined batch can hide extra ballots.
-    """
-    if declared_size < batch.reported.total or declared_size < batch.truth.total:
-        raise ValueError(
-            f"batch overflow: batch {batch.id!r} holds more ballots than declared size "
-            f"{declared_size}"
-        )
-    invalid = _invalid_type(batch)
-    reported = batch.reported.with_added(invalid, declared_size - batch.reported.total)
-    truth = batch.truth.with_added(invalid, declared_size - batch.truth.total)
-    return BatchRecord(id=batch.id, reported=reported, truth=truth, size=declared_size)
-
-
-def _invalid_type(batch: BatchRecord):
-    for bt in list(batch.reported.counts) + list(batch.truth.counts):
-        if bt.is_invalid:
-            return bt
-    raise ValueError(f"batch {batch.id!r} has no invalid ballot type to pad with")
 
 
 def batch_assorter_value(A: BatchAssorter, batch: BatchRecord) -> float:
@@ -220,30 +197,49 @@ def lift_assertions(
     return lifted, values
 
 
-def load_batches_csv(path, declared_sizes: dict[str, int] | None = None) -> list[BatchRecord]:
-    """Read ``batch_id,party,reported_votes,true_votes`` rows into padded batches.
+def load_batches_csv(
+    path, contest: Contest, declared_sizes: Mapping[str, int] | None = None
+) -> BatchMatrix:
+    """Read ``batch_id,party,reported_votes,true_votes`` rows into padded
+    count matrices over ``contest``'s name-sorted types, batches in id order.
 
-    Sizes are derived by summation; if the reported and true totals of a batch
-    disagree, or a declared size exceeds both, the batch is padded with
-    invalid ballots up to the larger figure.  A declared size below either
-    total is a batch overflow (:func:`pad_missing_ballots`).
+    A batch's size is its declared size, else the larger of its reported and
+    true totals; each side is padded up to it with invalid ballots, so that
+    no unexamined batch can hide extra ballots.  A party outside the contest,
+    a repeated (batch, party) row, a negative count, a size of 0 and a
+    declared size below either total (a batch overflow) are errors.
     """
-    per_batch: dict[str, dict[str, tuple[int, int]]] = {}
+    types = tuple(sorted(contest.ballot_types, key=lambda bt: bt.name))
+    column = {bt.name: k for k, bt in enumerate(types)}
+    counts: dict[str, tuple[list[int], list[int]]] = {}
+    seen = set()
     columns = ("batch_id", "party", "reported_votes", "true_votes")
     for bid, party, rep, true in read_csv(path, columns, dict.fromkeys(columns[2:], int)):
-        cell = per_batch.setdefault(bid, {})
-        if party in cell:
+        if party not in column:
+            raise ValueError(f"{path}: batch {bid!r} counts party {party!r}, "
+                             "which the contest lacks")
+        if (bid, party) in seen:
             raise ValueError(f"{path}: duplicate row for batch {bid!r} party {party!r}")
-        cell[party] = (rep, true)
+        seen.add((bid, party))
+        sides = counts.setdefault(bid, ([0] * len(types), [0] * len(types)))
+        sides[0][column[party]], sides[1][column[party]] = rep, true
+    if not counts:
+        raise ValueError(f"{path}: batch list is empty")
 
-    names = sorted({p for rows in per_batch.values() for p in rows})
-    contest = Contest.from_party_names(n for n in names if n != "__invalid__")
-    batches = []
-    for bid in sorted(per_batch):
-        rows = per_batch[bid]
-        reported = contest.tally({p: rt[0] for p, rt in rows.items()})
-        truth = contest.tally({p: rt[1] for p, rt in rows.items()})
-        size = (declared_sizes or {}).get(bid, max(reported.total, truth.total))
-        raw = BatchRecord(id=bid, reported=reported, truth=truth, size=size)
-        batches.append(pad_missing_ballots(raw, size))
-    return batches
+    ids, sizes, invalid = sorted(counts), [], column[contest.invalid.name]
+    for bid in ids:
+        if min(map(min, counts[bid])) < 0:
+            raise ValueError(f"{path}: negative count in batch {bid!r}")
+        totals = [sum(side) for side in counts[bid]]
+        size = (declared_sizes or {}).get(bid, max(totals))
+        if size <= 0:
+            raise ValueError(f"{path}: batch {bid!r} has non-positive size")
+        if size < max(totals):
+            raise ValueError(f"batch overflow: batch {bid!r} holds more ballots than declared "
+                             f"size {size}")
+        for side, total in zip(counts[bid], totals):
+            side[invalid] += size - total
+        sizes.append(size)
+    check_int64_total(sum(sizes))
+    reported, truth = (np.array([counts[b][i] for b in ids], dtype=np.int64) for i in (0, 1))
+    return BatchMatrix(types, reported, truth, np.array(sizes, dtype=np.int64))

@@ -47,9 +47,8 @@ int32 max), so a household takes 5 bytes with its two flags.  Values are
 range-checked as given, before the cast, and an integer column is required.
 State totals and the injection's uniforms go ``_SLICE`` = 65536 households
 at a time, so no household-length int64, intp or float64 array is built.
-:class:`Household` is the row type of a household CSV, which
-``CensusData.from_households`` converts, and the input of the exact
-``Fraction`` assorters in the tests that the float audit is checked against.
+A household CSV is read straight into these columns
+(:func:`load_households_csv`).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -105,19 +104,6 @@ class CensusModel:
     @property
     def divisor(self) -> Divisor:
         return DIVISORS[self.divisor_name]
-
-
-@dataclass(frozen=True)
-class Household:
-    id: str
-    state: str
-    census_count: int
-    pes_count: int | None = None
-    in_pes_frame: bool = True
-
-    @property
-    def surveyed(self) -> bool:
-        return self.pes_count is not None
 
 
 def apportion(model: CensusModel, populations: Mapping[str, int]) -> dict[str, int]:
@@ -233,26 +219,6 @@ class CensusData:
         new = copy.copy(self)
         new.pes = _narrow("survey count", pes, self.has_pes, self.model.g_max, self.cen.dtype)
         return new
-
-    @classmethod
-    def from_households(cls, model: CensusModel, households: Sequence[Household]) -> CensusData:
-        """Columns of a household list, such as the rows of a household CSV."""
-        state_index = {s: i for i, s in enumerate(model.states)}
-        ids = set()
-        for h in households:
-            if h.id in ids:
-                raise ValueError(f"duplicate household id {h.id!r}")
-            ids.add(h.id)
-            if h.state not in state_index:
-                raise ValueError(f"household {h.id!r} names unknown state {h.state!r}")
-        return cls(
-            model,
-            [state_index[h.state] for h in households],
-            [h.census_count for h in households],
-            [h.census_count if h.pes_count is None else h.pes_count for h in households],
-            [h.surveyed for h in households],
-            [h.in_pes_frame for h in households],
-        )
 
     @property
     def n(self) -> int:
@@ -551,21 +517,31 @@ def _flag(path, column: str, cell: str, blank: bool) -> bool:
     return flags[cell.lower()]
 
 
-def load_households_csv(path) -> list[Household]:
+def load_households_csv(path, model: CensusModel) -> CensusData:
     """Read ``household_id,district,census_count,pes_count,surveyed`` rows,
-    and an optional ``in_frame`` column after them.
+    and an optional ``in_frame`` column after them, into ``model``'s columns.
 
     ``pes_count`` must be blank exactly when ``surveyed`` is 0/false.  A
     blank ``surveyed`` is false; a blank or missing ``in_frame`` is true.
+    A repeated household id or a district outside the model is an error.
     """
-    out: list[Household] = []
-    columns = ("household_id", "district", "census_count", "pes_count", "surveyed")
+    state_index = {s: i for i, s in enumerate(model.states)}
+    ids, columns = set(), ([], [], [], [], [])  # state_idx, cen, pes, has_pes, in_frame
+    header = ("household_id", "district", "census_count", "pes_count", "surveyed")
     numbers = {"census_count": int, "pes_count": lambda c: int(c) if c else None}
-    for hid, state, cen, pes, surveyed, in_frame in read_csv(path, columns, numbers, ("in_frame",)):
+    for hid, state, cen, pes, surveyed, in_frame in read_csv(path, header, numbers, ("in_frame",)):
         surveyed = _flag(path, "surveyed", surveyed, blank=False)
         if surveyed and pes is None:
             raise ValueError(f"{path}: surveyed household {hid!r} lacks pes_count")
         if not surveyed and pes is not None:
             raise ValueError(f"{path}: unsurveyed household {hid!r} has a pes_count")
-        out.append(Household(hid, state, cen, pes, _flag(path, "in_frame", in_frame, blank=True)))
-    return out
+        if hid in ids:
+            raise ValueError(f"{path}: duplicate household id {hid!r}")
+        if state not in state_index:
+            raise ValueError(f"{path}: household {hid!r} names unknown state {state!r}")
+        ids.add(hid)
+        row = (state_index[state], cen, cen if pes is None else pes, surveyed,
+               _flag(path, "in_frame", in_frame, blank=True))
+        for column, value in zip(columns, row):
+            column.append(value)
+    return CensusData(model, *columns)

@@ -145,9 +145,7 @@ def _cmd_census(args) -> int:
     model = census_mod.CensusModel(
         tuple(pops), args.representatives, constants, args.g_max, args.divisor
     )
-    data = census_mod.CensusData.from_households(
-        model, census_mod.load_households_csv(args.households)
-    )
+    data = census_mod.load_households_csv(args.households, model)
     cfg = AuditConfig(alpha=1.0, seed=args.seed)
     outcome = census_mod.census_rla(data, cfg, delta=args.delta)
     if args.out:

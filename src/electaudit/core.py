@@ -5,26 +5,26 @@ assertion is the statement that the assorter's mean over all cast ballots
 exceeds 1/2; full election outcomes are verified by checking a set of such
 assertions.  Each election assertion is a linear tally inequality, such as
 ``plurality:W>L``, v_W - v_L > 0 (the Knesset families are in
-:mod:`electaudit.knesset`), which :func:`inequality_to_assorter` writes in
-Python ints straight into its assorter's integer row
+:mod:`electaudit.knesset`), written as integer weights over the name-sorted
+types and converted in Python ints straight into its assorter's integer row
 (:func:`integer_row_assorter`): numerators over the name-sorted type tuple
 and one common denominator, read by every audit and margin through
 :meth:`Assorter.row`.  The ``Fraction`` values are a view
 derived from the row.
 
 An election trial keeps its batches in one :class:`BatchMatrix`, from
-dealing to the verdict: reported and true batch-by-type integer counts over
-one sorted type index.  :func:`batch_matrix` reads a list of
-:class:`BatchRecord` into one; records and ``Tally`` dicts remain at the
-CSV boundary and in the exact references.  An assorter is linear in the
-tally, so an audit stacks its assorters' rows once into one (assertions x
-types) integer matrix (:func:`assertion_rows`), and every assertion's sums
-over every batch are one integer matrix product of the counts and that
-matrix (:func:`exact_matmul`), its sums over a column sum one more.  Every
-float the audits use is the correctly rounded quotient of two integers
-(:func:`exact_quotients`): bit for bit the float of the exact ``Fraction``.
-:func:`assorter_mean` over a ``Tally`` is the exact reference these fast
-paths are tested against.
+dealing or a batch file to the verdict: reported and true batch-by-type
+integer counts over one sorted type index.  :func:`batch_matrix` reads a
+list of :class:`BatchRecord` into one; records and ``Tally`` dicts remain
+in the batch-list functions and the exact references.  An assorter is
+linear in the tally, so an audit stacks its assorters' rows once into one
+(assertions x types) integer matrix (:func:`assertion_rows`), and every
+assertion's sums over every batch are one integer matrix product of the
+counts and that matrix (:func:`exact_matmul`), its sums over a column sum
+one more.  Every float the audits use is the correctly rounded quotient of
+two integers (:func:`exact_quotients`): bit for bit the float of the exact
+``Fraction``.  :func:`assorter_mean` over a ``Tally`` is the exact
+reference these fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -41,15 +41,10 @@ import numpy as np
 INVALID_ID = "__invalid__"
 
 
-def _rational(v) -> int | Fraction:
-    """``v`` when it is an int or a ``Fraction``, else its exact ``Fraction``."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 def common_denominator(xs: Iterable) -> tuple[list[int], int]:
     """Integers ``num`` and their lowest common denominator ``den``, with
     ``num[i] / den`` exactly ``xs[i]``; no ``Fraction`` is built for an int."""
-    exact = [_rational(x) for x in xs]
+    exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     den = math.lcm(*(x.denominator for x in exact))
     return [x.numerator * (den // x.denominator) for x in exact], den
 
@@ -131,11 +126,6 @@ class Tally:
     def get(self, bt: BallotType) -> int:
         return self.counts.get(bt, 0)
 
-    def with_added(self, bt: BallotType, extra: int) -> "Tally":
-        merged = dict(self.counts)
-        merged[bt] = merged.get(bt, 0) + extra
-        return Tally(merged)
-
 
 # Integers below 2**53 convert to float64 exactly, so one IEEE division of two
 # of them is the correctly rounded quotient; int64 arithmetic is exact below 2**63.
@@ -213,32 +203,6 @@ class Assorter:
         except KeyError as exc:
             raise KeyError(f"assorter {self.label!r} has no value for {exc.args[0]}") from None
         return self.num[index], self.den
-
-
-@dataclass(frozen=True)
-class LinearInequality:
-    """A tally constraint sum_c beta_c * v(c) > d (``rhs``) over n ballots,
-    exact: ints stay ints, other numbers become ``Fraction``.  ``n`` is read
-    only when d is nonzero; a comparison does not depend on the ballot count."""
-
-    coefficients: Mapping[BallotType, int | Fraction]
-    rhs: int | Fraction = 0
-    n: int | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", {bt: _rational(b) for bt, b in self.coefficients.items()}
-        )
-        object.__setattr__(self, "rhs", _rational(self.rhs))
-        if self.rhs and (self.n is None or self.n <= 0):
-            raise ValueError("ballot count n must be positive")
-        if not any(self.coefficients.values()):
-            raise ValueError("inequality needs at least one nonzero coefficient")
-
-    def holds(self, tally: Tally) -> bool:
-        lhs = sum(self.coefficients[bt] * tally.get(bt) for bt in self.coefficients)
-        return lhs > self.rhs
 
 
 @dataclass(frozen=True)
@@ -474,20 +438,6 @@ def assorter_mean(assorter: Assorter, tally: Tally) -> Fraction:
     return acc / total
 
 
-def inequality_to_assorter(q: LinearInequality) -> Assorter:
-    """Convert a linear tally inequality into an equivalent assorter.
-
-    Write the coefficients as integers b_c over their common denominator L
-    and L d / n = p / r in lowest terms; the inequality is then the integer
-    row b over the name-sorted types with threshold p / r, which
-    :func:`integer_row_assorter` converts.
-    """
-    types, beta = zip(*sorted(q.coefficients.items(), key=lambda c: c[0].name))
-    b, L = common_denominator(beta)
-    p, r = Fraction(q.rhs * L, q.n).as_integer_ratio() if q.rhs else (0, 1)
-    return integer_row_assorter(types, b, q.label, p, r)
-
-
 def integer_row_assorter(
     types: Sequence[BallotType], b: Sequence[int], label: str = "", p: int = 0, r: int = 1
 ) -> Assorter:
@@ -517,10 +467,9 @@ def plurality_assorter(winner: BallotType, loser: BallotType, contest: Contest) 
     """
     if winner == loser:
         raise ValueError("winner and loser must differ")
-    coefficients = {bt: (bt == winner) - (bt == loser) for bt in contest.ballot_types}
-    return inequality_to_assorter(
-        LinearInequality(coefficients, label=f"plurality:{winner.name}>{loser.name}")
-    )
+    types = tuple(sorted(contest.ballot_types, key=lambda bt: bt.name))
+    row = [(bt == winner) - (bt == loser) for bt in types]
+    return integer_row_assorter(types, row, f"plurality:{winner.name}>{loser.name}")
 
 
 def load_contest_csv(path) -> tuple[Contest, Tally]:

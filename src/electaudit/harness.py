@@ -11,12 +11,16 @@ inputs tuple per audit kind; a key the kind does not read is an error.  One
 trial loop maps the kind's ``(inputs, trial_idx, seed) -> list[TrialReport]``
 over the seeds, in a process pool when ``jobs > 1``, into the kind's writer.
 
-An election trial deals (:func:`deal_matrix`) or takes the batches loaded
-once as one :class:`electaudit.core.BatchMatrix` and injects misreads into
-all its rows at once (:func:`inject_misreads`).  The same matrix goes to
-whichever audit runs, which reads the reported tally as the column sum.
-:func:`deal_batches` and :func:`inject_ballot_errors` make the same draws and
-return ``BatchRecord`` lists.
+An election trial deals (:func:`deal_matrix`) or takes the batch file,
+read once over the contest's types straight into one
+:class:`electaudit.core.BatchMatrix` (:func:`electaudit.batchcomp.load_batches_csv`),
+and injects misreads into all its rows at once (:func:`inject_misreads`).
+The same matrix goes to whichever audit runs, which reads the reported
+tally as the column sum.  :func:`deal_batches` and
+:func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
+lists.  A census trial generates its households or takes the household
+file, read once straight into columns
+(:func:`electaudit.census.load_households_csv`).
 """
 
 from __future__ import annotations
@@ -413,19 +417,20 @@ def _election_inputs(config: Mapping, kind: str, trace_dir: Path | None) -> Elec
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
     _check_weaken(knesset, weaken)
     return ElectionInputs(kind, contest, tally, knesset, alpha, delta, error_model, weaken,
-                          _batch_source(config, tally.total), trace_dir)
+                          _batch_source(config, contest, tally.total), trace_dir)
 
 
-def _batch_source(config: Mapping, n: int) -> BatchMatrix | tuple:
-    """The batches of a batch CSV, or the rule dealing ``n`` ballots into batches."""
+def _batch_source(config: Mapping, contest: Contest, n: int) -> BatchMatrix | tuple:
+    """The batches of a batch CSV over ``contest``'s types, or the rule
+    dealing ``n`` ballots into batches."""
     spec = _require(config, "batches")
     if isinstance(spec, str):
-        return batch_matrix(load_batches_csv(spec))
+        return load_batches_csv(spec, contest)
     spec = _read(config, "batches", _mapping)
     if "file" in spec:
         check_keys(spec, ("file", "declared_sizes"), "config 'batches'")
         declared = spec.get("declared_sizes") and load_declared_sizes(_path(spec, "declared_sizes"))
-        return batch_matrix(load_batches_csv(_path(spec, "file"), declared_sizes=declared))
+        return load_batches_csv(_path(spec, "file"), contest, declared)
     check_keys(spec, ("generate",), "config 'batches'")
     gen = _read(spec, "generate", _mapping, {})
     check_keys(gen, ("sizes", "size_range"), "config 'batches.generate'")
@@ -562,9 +567,7 @@ def _census_inputs(config: Mapping) -> CensusInputs:
         households = (pops, dist, nonresponse, representatives, g_max, divisor)
     else:
         model = census_mod.CensusModel(tuple(pops), representatives, constants, g_max, divisor)
-        households = census_mod.CensusData.from_households(
-            model, census_mod.load_households_csv(_path(config, "households"))
-        )
+        households = census_mod.load_households_csv(_path(config, "households"), model)
     return CensusInputs(households, delta, disagree, fractions)
 
 

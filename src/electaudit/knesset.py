@@ -140,11 +140,6 @@ def _allocation(
     return above, units, seats
 
 
-def above_threshold_parties(contest: KnessetContest, tally: Tally) -> set[str]:
-    """Parties with at least the threshold share of valid votes."""
-    return _above(contest, *_party_votes(contest, tally))
-
-
 def allocate_seats(contest: KnessetContest, tally: Tally) -> dict[str, int]:
     """Final per-party seats for the tally, apparentments included."""
     return _allocation(contest, *_party_votes(contest, tally))[2]

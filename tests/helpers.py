@@ -17,15 +17,19 @@ import numpy as np
 from electaudit.alpha import AssertionSpec, AuditConfig, sequential_test
 from electaudit.apportionment import Divisor, dhondt
 from electaudit import census as census_mod
-from electaudit.census import CensusData, CensusPair, Household
+from electaudit.census import CensusData, CensusModel, CensusPair
 from electaudit.core import (
     Assorter,
+    BallotType,
     BatchMatrix,
     BatchRecord,
     Contest,
     Tally,
     assorter_mean,
     batch_matrix,
+    common_denominator,
+    integer_row_assorter,
+    read_csv,
 )
 
 
@@ -586,3 +590,120 @@ def hand_derived_assorter(
             for bt in contest.ballot_types
         }
     return Assorter(values, max(values.values()), label)
+
+
+@dataclass(frozen=True)
+class LinearInequality:
+    """A tally constraint sum_c beta_c * v(c) > d (``rhs``) over n ballots,
+    exact: ints stay ints, other numbers become ``Fraction``.  ``n`` is read
+    only when d is nonzero; a comparison does not depend on the ballot count."""
+
+    coefficients: Mapping[BallotType, int | Fraction]
+    rhs: int | Fraction = 0
+    n: int | None = None
+    label: str = ""
+
+    def __post_init__(self):
+        exact = lambda v: v if isinstance(v, (int, Fraction)) else Fraction(v)
+        object.__setattr__(
+            self, "coefficients", {bt: exact(b) for bt, b in self.coefficients.items()}
+        )
+        object.__setattr__(self, "rhs", exact(self.rhs))
+        if self.rhs and (self.n is None or self.n <= 0):
+            raise ValueError("ballot count n must be positive")
+        if not any(self.coefficients.values()):
+            raise ValueError("inequality needs at least one nonzero coefficient")
+
+    def holds(self, tally: Tally) -> bool:
+        lhs = sum(self.coefficients[bt] * tally.get(bt) for bt in self.coefficients)
+        return lhs > self.rhs
+
+
+def inequality_to_assorter(q: LinearInequality) -> Assorter:
+    """Convert a linear tally inequality into an equivalent assorter: the row
+    oracle of the assorters the package writes straight as integer rows.
+
+    Write the coefficients as integers b_c over their common denominator L
+    and L d / n = p / r in lowest terms; the inequality is then the integer
+    row b over the name-sorted types with threshold p / r, which
+    :func:`electaudit.core.integer_row_assorter` converts.
+    """
+    types, beta = zip(*sorted(q.coefficients.items(), key=lambda c: c[0].name))
+    b, L = common_denominator(beta)
+    p, r = Fraction(q.rhs * L, q.n).as_integer_ratio() if q.rhs else (0, 1)
+    return integer_row_assorter(types, b, q.label, p, r)
+
+
+def load_batches_reference(path, contest: Contest, declared_sizes=None) -> BatchMatrix:
+    """A batch CSV read as records: one reported and one true ``Tally`` per
+    batch over ``contest``, each padded with invalid ballots up to the batch
+    size, then :func:`electaudit.core.batch_matrix`.  The reference for
+    :func:`electaudit.batchcomp.load_batches_csv`."""
+    per_batch: dict[str, dict[str, tuple[int, int]]] = {}
+    columns = ("batch_id", "party", "reported_votes", "true_votes")
+    for bid, party, rep, true in read_csv(path, columns, dict.fromkeys(columns[2:], int)):
+        cell = per_batch.setdefault(bid, {})
+        if party in cell:
+            raise ValueError(f"{path}: duplicate row for batch {bid!r} party {party!r}")
+        cell[party] = (rep, true)
+    batches = []
+    for bid in sorted(per_batch):
+        reported, truth = (contest.tally({p: rt[i] for p, rt in per_batch[bid].items()})
+                           for i in (0, 1))
+        size = (declared_sizes or {}).get(bid, max(reported.total, truth.total))
+        BatchRecord(bid, reported, truth, size)  # rejects a size of 0
+        if size < reported.total or size < truth.total:
+            raise ValueError(f"batch overflow: batch {bid!r} holds more ballots than declared "
+                             f"size {size}")
+        invalid = contest.invalid
+        pad = lambda t: Tally({**t.counts, invalid: t.get(invalid) + size - t.total})
+        batches.append(BatchRecord(bid, pad(reported), pad(truth), size))
+    return batch_matrix(batches)
+
+
+@dataclass(frozen=True)
+class Household:
+    """One row of a household CSV, the input of the exact census references."""
+
+    id: str
+    state: str
+    census_count: int
+    pes_count: int | None = None
+    in_pes_frame: bool = True
+
+    @property
+    def surveyed(self) -> bool:
+        return self.pes_count is not None
+
+
+def census_data(model: CensusModel, households: Sequence[Household]) -> CensusData:
+    """Columns of a household list: the reference for
+    :func:`electaudit.census.load_households_csv`."""
+    state_index = {s: i for i, s in enumerate(model.states)}
+    ids = set()
+    for h in households:
+        if h.id in ids:
+            raise ValueError(f"duplicate household id {h.id!r}")
+        ids.add(h.id)
+        if h.state not in state_index:
+            raise ValueError(f"household {h.id!r} names unknown state {h.state!r}")
+    return CensusData(
+        model,
+        [state_index[h.state] for h in households],
+        [h.census_count for h in households],
+        [h.census_count if h.pes_count is None else h.pes_count for h in households],
+        [h.surveyed for h in households],
+        [h.in_pes_frame for h in households],
+    )
+
+
+def by_value(loaded):
+    """A ``BatchMatrix`` as its types and arrays, a ``CensusData`` as its
+    columns, in lists that ``==`` compares by value (it compares the objects
+    themselves by identity); anything else as it is."""
+    if isinstance(loaded, BatchMatrix):
+        return loaded.types, [a.tolist() for a in (loaded.reported, loaded.truth, loaded.sizes)]
+    if isinstance(loaded, CensusData):
+        columns = (loaded.state_idx, loaded.cen, loaded.pes, loaded.has_pes, loaded.in_frame)
+        return [a.tolist() for a in columns]
+    return loaded

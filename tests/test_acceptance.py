@@ -22,7 +22,6 @@ from electaudit.batchcomp import batchcomp_audit, batch_assorter_value_exact, ma
 from electaudit.census import (
     CensusData,
     CensusModel,
-    Household,
     apportion,
     census_rla,
     generate_census_population,
@@ -98,13 +97,9 @@ def test_criterion_02_batchcomp_risk_guarantee():
 def test_criterion_03_census_risk_guarantee():
     """Full-survey allocation differs from the census: Pr[output <= 0.1] <= 0.1 + 3 sigma."""
     model = CensusModel(states=("X", "Y"), representatives=3, constants={}, g_max=3)
-    households = []
     # census says X=600/Y=400 (seats 2-1); the full survey says X=480/Y=520 (1-2)
-    for i in range(300):
-        households.append(Household(f"x{i}", "X", 2, 2 if i < 180 else 1))
-    for i in range(200):
-        households.append(Household(f"y{i}", "Y", 2, 3 if i < 120 else 2))
-    data = CensusData.from_households(model, households)
+    pes = [2] * 180 + [1] * 120 + [3] * 120 + [2] * 80
+    data = CensusData(model, [0] * 300 + [1] * 200, [2] * 500, pes)
     assert apportion(model, data.census_pops) == {"X": 2, "Y": 1}
     assert apportion(model, {"X": int(data.pes.sum() - data.pes[data.state_idx == 1].sum()),
                              "Y": int(data.pes[data.state_idx == 1].sum())}) == {"X": 1, "Y": 2}

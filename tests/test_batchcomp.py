@@ -13,14 +13,13 @@ from electaudit.batchcomp import (
     batchcomp_audit,
     load_batches_csv,
     make_batch_assorter,
-    pad_missing_ballots,
 )
 from electaudit.census import CensusPair
 from electaudit.core import BatchRecord, Contest, assorter_mean, batch_matrix, plurality_assorter
 from electaudit.harness import deal_matrix
 from electaudit.randomness import make_rng
 
-from .helpers import batchcomp_simplified_step
+from .helpers import batchcomp_simplified_step, by_value, load_batches_reference
 
 HALF = Fraction(1, 2)
 
@@ -37,35 +36,39 @@ def _batch(c, bid, rep, true, size=None):
     return BatchRecord(bid, reported, truth, size or max(reported.total, truth.total))
 
 
-def test_pad_short_truth(ab):
+def _load(tmp_path, c, rep, true, declared=None):
+    """One batch ``x`` with the given reported and true counts, read from a CSV."""
+    p = tmp_path / "batches.csv"
+    rows = [f"x,{party},{rep[party]},{true[party]}" for party in rep]
+    p.write_text("batch_id,party,reported_votes,true_votes\n" + "\n".join(rows) + "\n")
+    return load_batches_csv(p, c, None if declared is None else {"x": declared})
+
+
+def test_pad_short_truth(ab, tmp_path):
     c, _ = ab
-    b = _batch(c, "x", {"A": 10, "B": 5}, {"A": 7, "B": 3}, size=15)
-    p = pad_missing_ballots(b, 15)
-    assert p.truth.get(c.invalid) == 5
-    assert p.reported.total == p.truth.total == p.size == 15
+    m = _load(tmp_path, c, {"A": 10, "B": 5}, {"A": 7, "B": 3}, declared=15)
+    assert m.types == (c.by_name("A"), c.by_name("B"), c.invalid)
+    assert m.truth.tolist() == [[7, 3, 5]] and m.reported.tolist() == [[10, 5, 0]]
+    assert m.sizes.tolist() == [15]
 
 
-def test_pad_identity_when_equal(ab):
+def test_pad_identity_when_equal(ab, tmp_path):
     c, _ = ab
-    b = _batch(c, "x", {"A": 5, "B": 5}, {"A": 4, "B": 6})
-    p = pad_missing_ballots(b, 10)
-    assert p.reported.counts == b.reported.counts
-    assert p.truth.counts == b.truth.counts
+    m = _load(tmp_path, c, {"A": 5, "B": 5}, {"A": 4, "B": 6})
+    assert m.reported.tolist() == [[5, 5, 0]] and m.truth.tolist() == [[4, 6, 0]]
+    assert m.sizes.tolist() == [10]
 
 
-def test_pad_both_sides(ab):
+def test_pad_both_sides(ab, tmp_path):
     c, _ = ab
-    b = _batch(c, "x", {"A": 4, "B": 3}, {"A": 5, "B": 4}, size=10)
-    p = pad_missing_ballots(b, 10)
-    assert p.reported.get(c.invalid) == 3
-    assert p.truth.get(c.invalid) == 1
+    m = _load(tmp_path, c, {"A": 4, "B": 3}, {"A": 5, "B": 4}, declared=10)
+    assert m.reported.tolist() == [[4, 3, 3]] and m.truth.tolist() == [[5, 4, 1]]
 
 
-def test_pad_overflow(ab):
+def test_pad_overflow(ab, tmp_path):
     c, _ = ab
-    b = _batch(c, "x", {"A": 9, "B": 3}, {"A": 9, "B": 3})
     with pytest.raises(ValueError, match="batch overflow"):
-        pad_missing_ballots(b, 10)
+        _load(tmp_path, c, {"A": 9, "B": 3}, {"A": 9, "B": 3}, declared=10)
 
 
 def test_accurate_batches_share_one_value(ab):
@@ -275,13 +278,59 @@ def test_load_batches_csv(tmp_path, ab):
         "b2,A,3,4\n"
         "b2,B,7,5\n"
     )
-    batches = load_batches_csv(p)
-    assert [b.id for b in batches] == ["b1", "b2"]
-    assert batches[0].size == 15
+    c, _ = ab
+    m = load_batches_csv(p, c)
+    assert len(m) == 2 and m.types == (c.by_name("A"), c.by_name("B"), c.invalid)
     # b2 true total is 9 against 10 reported: padded with one invalid ballot
-    assert batches[1].size == 10
-    assert batches[1].truth.total == 10
-    declared = load_batches_csv(p, declared_sizes={"b1": 20})
-    assert declared[0].size == 20
+    assert m.sizes.tolist() == [15, 10]
+    assert m.truth.tolist() == [[9, 6, 0], [4, 5, 1]]
+    declared = load_batches_csv(p, c, declared_sizes={"b1": 20})
+    assert declared.sizes.tolist() == [20, 10]
     with pytest.raises(ValueError, match="batch overflow"):
-        load_batches_csv(p, declared_sizes={"b1": 10})
+        load_batches_csv(p, c, declared_sizes={"b1": 10})
+
+
+LOAD_ERRORS = ("duplicate row", "negative count", "non-positive size", "batch overflow",
+               "overflow the int64", "batch list is empty")
+
+
+@st.composite
+def batch_files(draw):
+    """A contest and a batch CSV over some of its types, with its declared
+    sizes: rows missing, sometimes one repeated, a rare negative count, an
+    all-invalid batch, a single batch, declared sizes at, above and below
+    the totals, and rare counts of 2**62, two of which overflow int64."""
+    contest = Contest.from_party_names([f"P{i}" for i in range(draw(st.integers(1, 3)))])
+    names = [bt.name for bt in contest.ballot_types]
+    count = st.integers(0, 40).map(lambda k: {39: 2**62, 40: -1}.get(k, k % 7))
+    rows, declared = [], {}
+    for b in range(draw(st.integers(0, 4))):
+        batch = [(f"b{b}", party, draw(count), draw(count))
+                 for party in draw(st.lists(st.sampled_from(names), min_size=1, unique=True))]
+        if draw(st.integers(0, 9)) == 0:
+            batch.append(batch[0][:2] + (1, 1))
+        if draw(st.booleans()):
+            totals = (sum(r[i] for r in batch) for i in (2, 3))
+            declared[f"b{b}"] = max(totals) + draw(st.integers(-1, 4))
+        rows += batch
+    return contest, draw(st.permutations(rows)), declared
+
+
+def _load_outcome(load, *args):
+    try:
+        return by_value(load(*args))
+    except ValueError as exc:
+        return next((kind for kind in LOAD_ERRORS if kind in str(exc)), str(exc))
+
+
+@given(batch_files())
+@settings(max_examples=300, deadline=None)
+def test_load_batches_csv_equals_the_record_reference(tmp_path_factory, case):
+    """The batch file read straight into count matrices gives the types, counts
+    and sizes of the padded-record reference, or the same error."""
+    contest, rows, declared = case
+    p = tmp_path_factory.mktemp("batches") / "batches.csv"
+    p.write_text("batch_id,party,reported_votes,true_votes\n"
+                 + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    got = _load_outcome(load_batches_csv, p, contest, declared)
+    assert got == _load_outcome(load_batches_reference, p, contest, declared)

@@ -6,6 +6,7 @@ through ``deal_batches`` and ``inject_ballot_errors``.  A break in either
 would otherwise show only when a benchmark run starts.
 """
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -31,6 +32,20 @@ def test_every_traced_layer_resolves_to_a_callable():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"span {span}: {module_name}.{attr} is not a callable"
+
+
+def test_every_workloads_import_resolves():
+    """Every name ``bench/workloads.py`` imports from the package, at module
+    level or inside a function, exists: a removed name would otherwise fail
+    only inside a benchmark trial's check."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "electaudit"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name} is gone"
 
 
 def test_bench_selftest_passes():

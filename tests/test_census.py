@@ -2,6 +2,7 @@ import copy
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from electaudit.census import (
     CensusData,
     CensusModel,
     CensusPair,
-    Household,
     apportion,
     census_pair,
     census_rla,
@@ -28,7 +28,10 @@ from electaudit.census import (
 from electaudit.randomness import make_rng
 
 from .helpers import (
+    Household,
+    by_value,
     census_assorter_value,
+    census_data,
     chi_square,
     comparison_assorter_value,
     inject_survey_disagreement_reference,
@@ -72,7 +75,7 @@ def _household_fixture():
 
 def test_pair_constants_positive():
     model, hh = _household_fixture()
-    data = CensusData.from_households(model, hh)
+    data = census_data(model, hh)
     seats = apportion(model, data.census_pops)
     for s1, s2 in (("X", "Y"), ("Y", "X")):
         pair = census_pair(data, seats, s1, s2)
@@ -82,7 +85,7 @@ def test_pair_constants_positive():
 
 def test_census_assorter_boundary_values():
     model, hh = _household_fixture()
-    data = CensusData.from_households(model, hh)
+    data = census_data(model, hh)
     seats = apportion(model, data.census_pops)
     pair = census_pair(data, seats, "X", "Y")
     # maximal-occupancy household in s2 zeroes the second term entirely
@@ -97,7 +100,7 @@ def test_census_assorter_constant_off_pair():
     hh = [Household(f"x{i}", "X", c, c) for i, c in enumerate([3, 2, 2, 1])]
     hh += [Household(f"y{i}", "Y", c, c) for i, c in enumerate([1, 1, 2])]
     hh += [Household(f"w{i}", "W", c, c) for i, c in enumerate([3, 3, 1])]
-    data = CensusData.from_households(model3, hh)
+    data = census_data(model3, hh)
     seats = apportion(model3, data.census_pops)
     pair = census_pair(data, seats, "X", "Y")
     expected = Fraction(model3.g_max, pair.d2) / pair.c
@@ -120,7 +123,7 @@ def test_household_assorter_matches_inequality_exhaustively():
     """
     model, base = _household_fixture()
     base = base + [Household("y3", "Y", 1, 1)]
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     seats = apportion(model, data.census_pops)
     c1, c2 = model.constants["X"], model.constants["Y"]
     for s1, s2 in (("X", "Y"), ("Y", "X")):
@@ -158,7 +161,7 @@ def _counts_with_sum(total, slots, g_max):
 
 def test_assorter_mean_depends_only_on_state_sums():
     model, base = _household_fixture()
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     seats = apportion(model, data.census_pops)
     pair = census_pair(data, seats, "X", "Y")
     rng = make_rng(8)
@@ -188,7 +191,7 @@ def _random_counts(rng, total, slots, g_max):
 def test_comparison_assorter_never_negative():
     """Exhaustive sweep over census/survey count pairs in every pair role."""
     model, base = _household_fixture()
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     seats = apportion(model, data.census_pops)
     g = model.g_max
     for s1, s2 in (("X", "Y"), ("Y", "X")):
@@ -201,7 +204,7 @@ def test_comparison_assorter_never_negative():
 
 def test_comparison_assorter_agreement_constant():
     model, base = _household_fixture()
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     seats = apportion(model, data.census_pops)
     pair = census_pair(data, seats, "X", "Y")
     values = {
@@ -215,7 +218,7 @@ def test_comparison_assorter_agreement_constant():
 def test_comparison_mean_crosses_half_with_survey_mean():
     """mean A > 1/2 iff mean a_pes > 1/2, swept over survey sums."""
     model, base = _household_fixture()
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     seats = apportion(model, data.census_pops)
     pair = census_pair(data, seats, "X", "Y")
     xs = [h for h in base if h.state == "X"]
@@ -241,7 +244,7 @@ def test_allocation_equivalence_theorem_small():
     over sums is exhaustive for 2 states, 7 households, counts up to 3.
     """
     model, base = _household_fixture()
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     census_seats = apportion(model, data.census_pops)
     pairs = {}
     for s1, s2 in (("X", "Y"), ("Y", "X")):
@@ -354,7 +357,7 @@ def test_household_draw_all_in_frame_is_one_shuffle_of_the_surveyed():
 def test_census_rla_no_survey_gives_risk_one():
     model, base = _household_fixture()
     silent = [Household(h.id, h.state, h.census_count, None) for h in base]
-    data = CensusData.from_households(model, silent)
+    data = census_data(model, silent)
     out = census_rla(data, AuditConfig(alpha=1.0, seed=0))
     assert out.risk_limit == 1.0
     assert all(r == 1.0 for r in out.pair_risks.values())
@@ -366,7 +369,7 @@ def test_census_rla_agreement_improves_with_more_survey():
     big = [
         Household(f"X{i}", "X", 2, 2) for i in range(300)
     ] + [Household(f"Y{i}", "Y", 1, 1) for i in range(150)]
-    data = CensusData.from_households(model, big)
+    data = census_data(model, big)
     risks = []
     for k in (50, 150, 300):
         mask = np.zeros(data.n, dtype=bool)
@@ -378,7 +381,7 @@ def test_census_rla_agreement_improves_with_more_survey():
 
 def test_census_rla_supplied_allocation_with_nonpositive_margin():
     model, base = _household_fixture()
-    data = CensusData.from_households(model, base)
+    data = census_data(model, base)
     honest = apportion(model, data.census_pops)
     assert honest == {"X": 2, "Y": 1}
     skewed = {"X": 1, "Y": 2}  # census numbers refute this allocation outright
@@ -431,7 +434,7 @@ def test_census_rla_agreement_risk_matches_closed_form():
 
 def test_census_rla_state_risks_cover_pairs():
     model, base = _household_fixture()
-    out = census_rla(CensusData.from_households(model, base), AuditConfig(alpha=1.0, seed=0))
+    out = census_rla(census_data(model, base), AuditConfig(alpha=1.0, seed=0))
     for s in model.states:
         relevant = [r for (a, b), r in out.pair_risks.items() if s in (a, b)]
         assert out.state_risks[s] == max(relevant)
@@ -517,7 +520,7 @@ def test_median_risk_monotone_in_sample_size():
 def test_counts_above_gmax_rejected():
     model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
     with pytest.raises(ValueError, match="outside"):
-        CensusData.from_households(model, [Household("h", "X", 4, None)])
+        census_data(model, [Household("h", "X", 4, None)])
     # arrays are checked by vectorised tests that name the first bad household
     with pytest.raises(ValueError, match=r"household 1 census count 4 outside \[0, 3\]"):
         CensusData(model, [0, 0], [2, 4])
@@ -552,19 +555,28 @@ def test_model_needs_a_state():
         generate_census_population({}, {1: 1.0}, 0.0, make_rng(0), representatives=1)
 
 
-def test_census_data_from_arrays_matches_household_rows():
+def _household_csv(path, households) -> Path:
+    rows = ["household_id,district,census_count,pes_count,surveyed,in_frame"]
+    for h in households:
+        pes = "" if h.pes_count is None else h.pes_count
+        rows.append(f"{h.id},{h.state},{h.census_count},{pes},{int(h.surveyed)},{int(h.in_pes_frame)}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_census_data_from_arrays_matches_household_rows(tmp_path):
     model, hh = _household_fixture()
     hh = hh + [Household("z", "Y", 2, None, in_pes_frame=False)]
-    rows = CensusData.from_households(model, hh)
+    rows = load_households_csv(_household_csv(tmp_path / "h.csv", hh), model)
     assert rows.state_idx.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     assert rows.pes.tolist() == rows.cen.tolist() == [3, 2, 2, 1, 1, 1, 2, 2]
     assert rows.has_pes.tolist() == rows.in_frame.tolist() == [True] * 7 + [False]
     assert rows.census_pops == {"X": 8, "Y": 6}
     assert rows.state_totals(np.ones(rows.n, dtype=np.int64)) == {"X": 4, "Y": 4}
     with pytest.raises(ValueError, match="unknown state 'W'"):
-        CensusData.from_households(model, [Household("w", "W", 1, 1)])
+        load_households_csv(_household_csv(tmp_path / "w.csv", [Household("w", "W", 1, 1)]), model)
     with pytest.raises(ValueError, match="duplicate household id 'x0'"):
-        CensusData.from_households(model, hh + [hh[0]])
+        load_households_csv(_household_csv(tmp_path / "d.csv", hh + [hh[0]]), model)
 
 
 def test_district_and_household_csv(tmp_path):
@@ -579,16 +591,16 @@ def test_district_and_household_csv(tmp_path):
         "a,X,2,2,1\n"
         "b,X,3,,0\n"
     )
-    hh = load_households_csv(h)
-    assert hh[0].surveyed and hh[0].pes_count == 2
-    assert not hh[1].surveyed and hh[1].pes_count is None
+    model = CensusModel(("X", "Y"), 2, constants, g_max=3)
+    data = load_households_csv(h, model)
+    assert data.has_pes.tolist() == [True, False] and data.pes.tolist() == [2, 3]
     bad = tmp_path / "bad.csv"
     bad.write_text(
         "household_id,district,census_count,pes_count,surveyed\n"
         "a,X,2,,1\n"
     )
     with pytest.raises(ValueError, match="lacks pes_count"):
-        load_households_csv(bad)
+        load_households_csv(bad, model)
 
 
 @pytest.mark.parametrize("probs", [
@@ -813,3 +825,33 @@ def test_state_totals_are_exact_across_slices(n, g_max):
     assert data.state_totals(np.ones(n, dtype=np.int8)) == {
         s: state_idx.tolist().count(i) for i, s in enumerate(model.states)
     }
+
+
+# counts in [0, g_max] = [0, 3] but for a rare -1 or 4; a rare unknown state W
+_counts = st.integers(0, 24).map(lambda k: {23: -1, 24: 4}.get(k, k % 4))
+households_lists = st.lists(st.builds(
+    Household,
+    st.integers(0, 40).map(str),
+    st.sampled_from("XYXYXYXYW"),
+    _counts,
+    st.none() | _counts,
+    st.booleans(),
+), max_size=8)
+
+
+@given(households_lists)
+@settings(max_examples=200, deadline=None)
+def test_load_households_csv_equals_the_household_reference(tmp_path_factory, households):
+    """The household file read straight into columns gives the columns of the
+    household-list reference, or the same error: a repeated id, a district
+    outside the model, a count outside [0, g_max] or no household at all."""
+    model = CensusModel(states=("X", "Y"), representatives=3, constants={}, g_max=3)
+    path = _household_csv(tmp_path_factory.mktemp("h") / "h.csv", households)
+
+    def outcome(load, *args):
+        try:
+            return by_value(load(*args))
+        except ValueError as exc:
+            return str(exc).removeprefix(f"{path}: ")
+
+    assert outcome(load_households_csv, path, model) == outcome(census_data, model, households)

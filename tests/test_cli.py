@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -17,8 +18,10 @@ from electaudit import census as census_mod
 from electaudit.alpha import AuditConfig
 from electaudit.census import load_districts_csv, load_households_csv
 from electaudit.cli import main
-from electaudit.core import load_contest_csv
+from electaudit.core import Contest, load_contest_csv
 from electaudit.harness import load_declared_sizes, load_household_distribution, write_census_outcome_csv
+
+from .helpers import by_value
 
 
 def _contest(tmp_path):
@@ -752,11 +755,13 @@ def test_knesset_threshold_dividing_by_zero_exits_2():
 
 
 FUZZ_DECLARED = [["batch_id", "declared_size"], ["b0", "320"], ["b2", "330"]]
+FUZZ_MODEL = census_mod.CensusModel(("X", "Y", "Z"), 5, {})
 LOADERS = {
     "contest": (load_contest_csv, FUZZ_CONTEST),
-    "batches": (load_batches_csv, FUZZ_BATCHES),
+    "batches": (functools.partial(load_batches_csv, contest=Contest.from_party_names(["P1", "P2", "P3"])),
+                FUZZ_BATCHES),
     "districts": (load_districts_csv, FUZZ_DISTRICTS),
-    "households": (load_households_csv, FUZZ_HOUSEHOLDS),
+    "households": (functools.partial(load_households_csv, model=FUZZ_MODEL), FUZZ_HOUSEHOLDS),
     "sizes": (load_household_distribution, FUZZ_SIZES),
     "declared_sizes": (load_declared_sizes, FUZZ_DECLARED),
 }
@@ -771,7 +776,20 @@ def test_padded_header_reads_as_plain(tmp_path, name):
     plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
     plain.write_text(",".join(rows[0]) + "\n" + body)
     padded.write_text(" " + ", ".join(rows[0]) + " \n" + body)
-    assert loader(padded) == loader(plain)
+    assert by_value(loader(padded)) == by_value(loader(plain))
+
+
+def test_batch_file_party_outside_the_contest_exits_2():
+    """A batch-file row for a party the contest lacks is an error naming the
+    file, the batch and the party."""
+    config = {"audit": "batchcomp", "contest": "contest.csv", "batches": "batches.csv", "trials": 2}
+    files = {
+        "contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
+        "batches.csv": "".join(",".join(r) + "\n" for r in FUZZ_BATCHES + [["b1", "P9", "3", "3"]]),
+        "cfg.json": json.dumps(config),
+    }
+    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS[:1])
+    assert rc == 2 and "batches.csv" in err and "'b1'" in err and "'P9'" in err, err
 
 
 def _declared_size_run(declared) -> list[tuple[int, str]]:

@@ -8,15 +8,13 @@ from electaudit.core import (
     Assorter,
     BallotType,
     Contest,
-    LinearInequality,
     Tally,
     assorter_mean,
-    inequality_to_assorter,
     load_contest_csv,
     plurality_assorter,
 )
 
-from .helpers import all_tallies
+from .helpers import LinearInequality, all_tallies, inequality_to_assorter
 
 HALF = Fraction(1, 2)
 
@@ -239,3 +237,17 @@ def test_contest_csv_requires_exact_columns(tmp_path):
     p.write_text("name,votes\nAlice,10\n")
     with pytest.raises(ValueError, match="expected columns"):
         load_contest_csv(p)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_plurality_assorter_equals_the_inequality_row(parties, data):
+    """The plurality row written straight is the row of v_W - v_L > 0 as a
+    ``LinearInequality``, for any pair of the contest's types."""
+    contest = Contest.from_party_names(data.draw(st.permutations([f"P{i}" for i in range(parties)])))
+    winner, loser = data.draw(st.lists(st.sampled_from(contest.ballot_types), min_size=2,
+                                       max_size=2, unique=True))
+    coefficients = {bt: (bt == winner) - (bt == loser) for bt in contest.ballot_types}
+    label = f"plurality:{winner.name}>{loser.name}"
+    want = inequality_to_assorter(LinearInequality(coefficients, label=label))
+    assert plurality_assorter(winner, loser, contest) == want

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from electaudit import census as census_mod
 from electaudit import harness
 from electaudit.alpha import AuditConfig, combined_reported
+from electaudit.batchcomp import load_batches_csv
 from electaudit.census import (
     census_rla,
     generate_census_population,
@@ -184,6 +185,16 @@ def test_inject_misreads_without_a_party_is_rejected():
     m = deal_matrix(Contest.from_party_names([]).tally({"__invalid__": 100}), make_rng(0), sizes=[100])
     with pytest.raises(ValueError, match="a party to land on"):
         inject_misreads(m, ErrorModel(kind="ballot_misread", p_misread=0.1), make_rng(1))
+
+
+def test_misreads_of_a_batch_file_land_on_every_contest_party(abc, tmp_path):
+    """A batch file is read over the contest's types, so a misread ballot can
+    land on a contest party the file omits, as on dealt batches."""
+    p = tmp_path / "batches.csv"
+    p.write_text("batch_id,party,reported_votes,true_votes\nb1,A,500,500\nb1,B,400,400\n")
+    m = load_batches_csv(p, abc)
+    out = inject_misreads(m, ErrorModel(kind="ballot_misread", p_misread=0.5), make_rng(0))
+    assert out.reported[0, m.types.index(abc.by_name("C"))] > 0
 
 
 def test_inject_preserves_batch_totals_and_rate(abc):
@@ -761,3 +772,93 @@ def test_summary_covers_each_assertion_over_the_trials_that_carry_it(tmp_path):
         std = rows[lbl]["std_ballots"]
         assert (float(std) == statistics.stdev(examined)) if len(runs) > 1 else std == ""
     assert (out / "run_meta.json").exists()
+
+
+def _batch_file_config(tmp_path) -> dict:
+    """A batch-file election: contest party D is absent from the file, batch
+    p02 lacks a C row, p05's true total falls 3 short of its reported one,
+    p01 and p08 are padded up to declared sizes, and p04/p09 overstate A."""
+    contest = tmp_path / "contest.csv"
+    contest.write_text("party,reported_votes\nA,300\nB,220\nC,80\nD,10\n__invalid__,10\n")
+    rows = ["batch_id,party,reported_votes,true_votes"]
+    for i in range(12):
+        a, b, c = 30 + 7 * i % 11, 22 + 5 * i % 9, 8 + 3 * i % 5
+        shift = 2 if i in (4, 9) else 0
+        rows += [f"p{i:02d},A,{a},{a - shift - 3 * (i == 5)}", f"p{i:02d},B,{b},{b + shift}"]
+        if i != 2:
+            rows.append(f"p{i:02d},C,{c},{c}")
+        if i % 4 == 0:
+            rows.append(f"p{i:02d},__invalid__,2,2")
+    batches = tmp_path / "batches.csv"
+    batches.write_text("\n".join(rows) + "\n")
+    declared = tmp_path / "declared.csv"
+    declared.write_text("batch_id,declared_size\np01,80\np08,75\n")
+    return {"contest": str(contest), "batches": {"file": str(batches),
+            "declared_sizes": str(declared)}, "alpha": 0.1}
+
+
+BATCH_FILE_SHA256 = {
+    ("alpha", "results"): "274b48ced8b31d3974a5916678ceca4b1cf85bed94cc479a9cbd3f697312162a",
+    ("alpha", "summary"): "c7e09fd0ae61a2e2b1de5a23e2bf7285fd29f4642d3876c73da89b85d2c08e71",
+    ("alpha_batch", "results"): "4176ff2f7fa305dd0466d393ddc89d15f7be63f129a2bc93accbba33342e7480",
+    ("alpha_batch", "summary"): "99a32ba1d19859318f60a7e51ac5662fd4782c7d587a913a2ce7efe7443143da",
+    ("batchcomp", "results"): "b48821c9a5be279c79458c16d5f288a5364fcb00f875135a179e04c251dfcad3",
+    ("batchcomp", "summary"): "f077a8a05c2f82064f4599c56f626f730c8a69f229a49da70c643e914426987b",
+    ("batchcomp", "trace_trial0"): "50235435bb1a89a0e7d4c4e56a22500295ae7c2f9e763de297751a76856c6cf3",
+}
+
+
+def test_batch_file_output_bytes_pinned(tmp_path):
+    """A run on a batch file with declared sizes keeps its tables and its
+    batchcomp trace byte-for-byte: the file reaches the audits as the same
+    counts over the same type index."""
+    config = _batch_file_config(tmp_path)
+    for kind in ("alpha", "alpha_batch", "batchcomp"):
+        out = tmp_path / kind
+        run_experiment(dict(config, audit=kind), out, seed=0, trials=2, trace=kind == "batchcomp")
+        for table in ("results", "summary") + (("trace_trial0",) if kind == "batchcomp" else ()):
+            data = (out / f"{table}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == BATCH_FILE_SHA256[kind, table], (kind, table)
+
+
+def _household_files(tmp_path) -> tuple[Path, Path]:
+    """Districts X, Y, Z and 90 households: every third surveyed, five of
+    those disagreeing with the census, and every seventh unsurveyed one
+    outside the survey frame."""
+    districts = tmp_path / "districts.csv"
+    districts.write_text("district,population,c_constant\nX,120,0\nY,80,1/2\nZ,50,0\n")
+    rows = ["household_id,district,census_count,pes_count,surveyed,in_frame"]
+    for i in range(90):
+        cen = 1 + (i * 5 + i // 4) % 4
+        surveyed = i % 3 == 0
+        pes = cen + (i % 27 == 0) - (i % 33 == 0) if surveyed else ""
+        frame = "" if surveyed or i % 7 else "0"
+        rows.append(f"h{i:02d},{'XXXYYZ'[i % 6]},{cen},{pes},{int(surveyed)},{frame}")
+    households = tmp_path / "households.csv"
+    households.write_text("\n".join(rows) + "\n")
+    return districts, households
+
+
+HOUSEHOLD_FILE_SHA256 = {
+    "risk_curve": "c585d353197d6cf06b73a0251ef83ef9d0a22fa26f2759932a1e7cd0dcb42bcd",
+    "census_risks": "dd96ade7185db9fe4cb82fd5ec5c50272fd7ba7348ea75d2c2a355d1c62a03d6",
+}
+
+
+def test_household_file_output_bytes_pinned(tmp_path, capsys):
+    """``audit run`` and ``audit census`` on one household file keep their
+    risk tables byte-for-byte."""
+    from electaudit.cli import main
+
+    districts, households = _household_files(tmp_path)
+    config = {"audit": "census", "districts": str(districts), "representatives": 5,
+              "g_max": 6, "households": str(households), "trials": 2}
+    run_experiment(config, tmp_path / "run", seed=0)
+    argv = ["census", "--model", str(districts), "--households", str(households),
+            "--representatives", "5", "--g-max", "6", "--out", str(tmp_path / "census")]
+    assert main(argv) == 0
+    tables = {"risk_curve": tmp_path / "run/risk_curve.csv",
+              "census_risks": tmp_path / "census/census_risks.csv"}
+    for table, path in tables.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == HOUSEHOLD_FILE_SHA256[table], table
+    assert capsys.readouterr().out.encode() == tables["census_risks"].read_bytes()

@@ -16,6 +16,7 @@ from electaudit.knesset import (
     generate_assertions,
     load_knesset_config,
 )
+from electaudit import knesset
 from electaudit.randomness import make_rng
 
 from .helpers import (
@@ -456,11 +457,9 @@ def threshold_houses(draw, max_seats=120, low_threshold=False):
 def test_allocation_equals_the_fraction_threshold_rule(house):
     """The integer test b v >= a valid gives the ``Fraction`` rule's above set
     and seats, at the boundary b v = a valid too."""
-    from electaudit.knesset import above_threshold_parties
-
     kc, tally, votes = house
     above, _, seats = _fraction_allocation(kc, votes, sum(votes.values()))
-    assert above_threshold_parties(kc, tally) == above
+    assert _above(kc, tally) == above
     if seats is None:
         with pytest.raises(ValueError, match="tie" if above else "no party clears"):
             allocate_seats(kc, tally)
@@ -490,9 +489,8 @@ def test_seatless_parties_equal_the_fraction_seat_price_rule(house):
 
 
 def _above(kc, tally):
-    from electaudit.knesset import above_threshold_parties
-
-    return above_threshold_parties(kc, tally)
+    """Parties with at least the threshold share of the tally's valid votes."""
+    return knesset._above(kc, *knesset._party_votes(kc, tally))
 
 
 def _unsound_pairs(kc, n):

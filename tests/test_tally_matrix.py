@@ -212,7 +212,7 @@ def test_assorter_row_matches_its_fractions(case, data):
     assert margin(assertion_margin) == margin(fraction_margin)
     mean = assorter_mean(a, truth)
     # a zero-count type the assorter has no value for needs none
-    reported = truth.with_added(missing[0], 0) if missing else truth
+    reported = Tally({**truth.counts, missing[0]: 0}) if missing else truth
     n = truth.total
     m = batch_matrix([BatchRecord("b", reported, reported, n)])
     eta = float(mean)
