@@ -90,23 +90,21 @@ from .core import batch_matrix, exact_matmul, exact_quotients
 from .randomness import Seed, make_rng
 
 _HALF = Fraction(1, 2)
+EPSILON = 1e-9  # keeps mu < eta < u strict in every audit's test
 
 TraceHook = Callable[[int, str, float, float, float, float], None]
 
 
 @dataclass
 class AuditConfig:
-    """Risk limit, the epsilon keeping mu < eta < u strict, and the shuffle seed."""
+    """Risk limit and shuffle seed."""
 
     alpha: float
-    epsilon: float = 1e-9
     seed: Seed = 0
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError("risk limit alpha must be in (0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 class AssertionSpec(NamedTuple):
@@ -440,7 +438,7 @@ def alpha_audit(
             results.append(AssertionOutcome(spec.label, False, False, n))
             continue
         approved, examined, _ = sequential_test(
-            _Gather(values[k], drawn), seen, n, spec, cfg.epsilon, 1.0 / cfg.alpha, trace
+            _Gather(values[k], drawn), seen, n, spec, EPSILON, 1.0 / cfg.alpha, trace
         )
         results.append(AssertionOutcome(spec.label, True, approved, examined))
 
@@ -480,7 +478,7 @@ def batch_audit_loop(
     tested = [k for k, spec in enumerate(specs) if spec.approvable]
     x = np.take(batch_values[tested], order, axis=1)
     outcomes = dict(zip(tested, sequential_test(
-        x, seen, n, [specs[k] for k in tested], cfg.epsilon, 1.0 / cfg.alpha, trace
+        x, seen, n, [specs[k] for k in tested], EPSILON, 1.0 / cfg.alpha, trace
     )))
     results = []
     for k, spec in enumerate(specs):

@@ -206,8 +206,9 @@ def load_batches_csv(
     A batch's size is its declared size, else the larger of its reported and
     true totals; each side is padded up to it with invalid ballots, so that
     no unexamined batch can hide extra ballots.  A party outside the contest,
-    a repeated (batch, party) row, a negative count, a size of 0 and a
-    declared size below either total (a batch overflow) are errors.
+    a repeated (batch, party) row, a negative count, a size of 0, a
+    declared size below either total (a batch overflow) and a declared size
+    for a batch the file lacks are errors.
     """
     types = tuple(sorted(contest.ballot_types, key=lambda bt: bt.name))
     column = {bt.name: k for k, bt in enumerate(types)}
@@ -223,6 +224,10 @@ def load_batches_csv(
         seen.add((bid, party))
         sides = counts.setdefault(bid, ([0] * len(types), [0] * len(types)))
         sides[0][column[party]], sides[1][column[party]] = rep, true
+    absent = sorted(set(declared_sizes or ()) - set(counts))
+    if absent:
+        raise ValueError(f"{path}: declared size for batch {', '.join(map(repr, absent))} "
+                         "absent from the batch file")
     if not counts:
         raise ValueError(f"{path}: batch list is empty")
 

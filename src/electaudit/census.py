@@ -24,7 +24,7 @@ audit.  All constants are exact rationals; the test runs floats.
 Every pair is tested by the one sequential test of the election audits,
 :func:`electaudit.alpha.sequential_test`, from the batch-comparison start
 of :func:`electaudit.alpha.comparison_spec` (eta fixed at the agreement
-constant, floored at mu + epsilon) and with no risk limit to stop at: T is
+constant, floored at mu + ``EPSILON``) and with no risk limit to stop at: T is
 the running product of the factors (1/U) (A eta/mu + (U - A)(U - eta)/(U - mu)),
 and the pair's risk is 1 / max T, or 0 once the sample alone forces the
 pair's mean above 1/2.
@@ -62,7 +62,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .alpha import AuditConfig, comparison_spec, sequential_test
+from .alpha import EPSILON, AuditConfig, comparison_spec, sequential_test
 from .apportionment import DIVISORS, Divisor, highest_averages
 from .core import read_csv
 from .randomness import make_rng
@@ -341,7 +341,7 @@ def census_rla(
     is tested along that one draw sequence by
     :func:`electaudit.alpha.sequential_test`.  ``cfg.alpha`` is ignored
     (this audit outputs the risk limit instead of testing one);
-    ``cfg.seed`` drives the sampling and ``cfg.epsilon`` the guess ordering.
+    ``cfg.seed`` drives the sampling.
     A pair whose census margin is not positive gets risk limit 1: the census
     contradicts the allocation on that pair by itself.  ``surveyed_mask``
     overrides the households' own surveyed flags, which lets simulations
@@ -378,7 +378,7 @@ def census_rla(
         spec, slope = test  # A = agreement value + (pes - cen) * slope[state]
         A = np.full(len(drawn), spec.eta)
         A[off] = spec.eta + off_diff * slope[off_state]
-        approved, _, T_max = sequential_test(A, seen, n, spec, cfg.epsilon, math.inf)
+        approved, _, T_max = sequential_test(A, seen, n, spec, EPSILON, math.inf)
         # approval here means mu fell below 0: the sample alone settles the pair
         pair_risks[pair] = 0.0 if approved else min(1.0, 1.0 / T_max)
 

@@ -2,7 +2,11 @@
 
     audit run     --config cfg.json --seed 7 --trials 10 --out results/
     audit margins --contest contest.csv [--knesset knesset.json] [--weaken P1:P2]
-    audit census  --model districts.csv (--households h.csv | --generate ...)
+    audit census  --model districts.csv (--households h.csv | --generate ...) --out out/
+
+``audit census`` builds a census experiment config from its flags and runs
+it through :func:`electaudit.harness.run_experiment`, as ``audit run`` would:
+one trial on a household file, ``--trials`` trials of generated households.
 
 Exit codes: 0 for a completed run (a full-recount outcome is still a
 completed run, and so is one whose stdout reader stopped reading), 2 for
@@ -16,19 +20,16 @@ import csv
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import census as census_mod
-from .alpha import AuditConfig
 from .harness import (
     ConfigError,
     _pct,
     election_assertions,
     load_election_inputs,
     run_experiment,
-    write_census_outcome_csv,
 )
-from .knesset import assertion_margin
+from .knesset import relabel_margin
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cens.add_argument("--trials", type=int, help="generated trials (10)")
     cens.add_argument("--seed", type=int, default=0)
-    cens.add_argument("--out", default=None, help="output directory (generated runs)")
+    cens.add_argument("--out", required=True, help="output directory for CSV tables")
     return parser
 
 
@@ -95,10 +96,12 @@ def _cmd_margins(args) -> int:
             raise ConfigError(f"--weaken wants GAINER:KEEPER, got {spec!r}")
         weaken.append((gainer, keeper))
     assertions = election_assertions(contest, kc, reported, weaken)
+    types = sorted(reported.counts, key=lambda bt: bt.name)
+    counts = [reported.counts[bt] for bt in types]
     writer = csv.writer(sys.stdout)
     writer.writerow(["assertion", "margin", "margin_pct"])
     for a in assertions:
-        m = assertion_margin(a, reported)
+        m = relabel_margin(*a.row(types), counts, a.label)
         writer.writerow([a.label, m, _pct(m, reported.total)])
     return 0
 
@@ -117,43 +120,25 @@ def _cmd_census(args) -> int:
             setattr(args, flag, default)
         elif not args.generate:
             raise ConfigError(f"--{flag.replace('_', '-')} applies only to --generate")
+    config = {
+        "audit": "census",
+        "districts": args.model,
+        "representatives": args.representatives,
+        "g_max": args.g_max,
+        "divisor": args.divisor,
+        "delta": args.delta,
+        "households": args.households,
+    }
     if args.generate:
-        if not args.household_dist or not args.sample_frac or not args.out:
-            raise ConfigError("--generate needs --household-dist, --sample-frac and --out")
-        config = {
-            "audit": "census",
-            "districts": args.model,
-            "representatives": args.representatives,
-            "g_max": args.g_max,
-            "divisor": args.divisor,
-            "delta": args.delta,
-            "disagreement_rate": args.disagree,
-            "sample_fractions": [float(x) for x in args.sample_frac.split(",")],
-            "households": {
-                "generate": {
-                    "household_dist": args.household_dist,
-                    "nonresponse": args.nonresponse,
-                }
-            },
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        run_experiment(config, args.out, seed=args.seed, trials=args.trials)
-        return 0
-
-    pops, constants = census_mod.load_districts_csv(args.model)
-    model = census_mod.CensusModel(
-        tuple(pops), args.representatives, constants, args.g_max, args.divisor
-    )
-    data = census_mod.load_households_csv(args.households, model)
-    cfg = AuditConfig(alpha=1.0, seed=args.seed)
-    outcome = census_mod.census_rla(data, cfg, delta=args.delta)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "census_risks.csv", "w", newline="", encoding="utf-8") as f:
-            write_census_outcome_csv(outcome, f)
-    write_census_outcome_csv(outcome, sys.stdout)
+        if not args.household_dist or not args.sample_frac:
+            raise ConfigError("--generate needs --household-dist and --sample-frac")
+        config.update(
+            disagreement_rate=args.disagree,
+            sample_fractions=[float(x) for x in args.sample_frac.split(",")],
+            households={"generate": {"household_dist": args.household_dist,
+                                     "nonresponse": args.nonresponse}},
+        )
+    run_experiment(config, args.out, seed=args.seed, trials=args.trials if args.generate else 1)
     return 0
 
 

@@ -8,9 +8,8 @@ assertions.  Each election assertion is a linear tally inequality, such as
 :mod:`electaudit.knesset`), written as integer weights over the name-sorted
 types and converted in Python ints straight into its assorter's integer row
 (:func:`integer_row_assorter`): numerators over the name-sorted type tuple
-and one common denominator, read by every audit and margin through
-:meth:`Assorter.row`.  The ``Fraction`` values are a view
-derived from the row.
+and one common denominator, the one form an :class:`Assorter` is built
+from, read by every audit and margin through :meth:`Assorter.row`.
 
 An election trial keeps its batches in one :class:`BatchMatrix`, from
 dealing or a batch file to the verdict: reported and true batch-by-type
@@ -141,12 +140,10 @@ class Assorter:
     the sequential test stays risk-limiting for any bound above its running
     guess, so callers may declare a looser one.
 
-    The values are stored as one integer row in lowest terms: ``types`` is
-    sorted by name, and ``num[i] / den`` is the value of ``types[i]``.
-    ``num`` is read-only int64 when every numerator fits, otherwise an object
-    array of Python ints.  ``Assorter(values, upper, label)`` builds the row
-    from a value map, :meth:`from_row` takes it as given, and ``values`` and
-    :meth:`value` are a ``Fraction`` view derived from it.
+    ``Assorter(types, num, den, upper, label)`` scores ``types[i]``, sorted
+    by name, ``num[i] / den``.  The row is stored in lowest terms: ``num``
+    is read-only int64 when every numerator fits, otherwise an object array
+    of Python ints.  :meth:`value` is one type's ``Fraction``.
     """
 
     types: tuple[BallotType, ...]
@@ -155,18 +152,7 @@ class Assorter:
     upper: Fraction
     label: str = ""
 
-    def __init__(self, values: Mapping[BallotType, Fraction], upper, label: str = ""):
-        types = tuple(sorted(values, key=lambda bt: bt.name))
-        self._store(types, *common_denominator(values[bt] for bt in types), upper, label)
-
-    @classmethod
-    def from_row(cls, types, num: list[int], den: int, upper, label: str = "") -> "Assorter":
-        """The assorter scoring ``types[i]`` ``num[i] / den``; ``types`` sorted by name."""
-        self = cls.__new__(cls)
-        self._store(types, num, den, upper, label)
-        return self
-
-    def _store(self, types, num: list[int], den: int, upper, label: str) -> None:
+    def __init__(self, types, num: Sequence[int], den: int, upper, label: str = ""):
         upper = Fraction(upper)
         top = max(num)
         if min(num) < 0:
@@ -177,17 +163,13 @@ class Assorter:
         g = math.gcd(den, *num)
         row = np.array([x // g for x in num], dtype=np.int64 if top // g < _INT64_LIMIT else object)
         row.flags.writeable = False
-        fields = {"types": types, "num": row, "den": den // g, "upper": upper, "label": label}
+        fields = dict(types=tuple(types), num=row, den=den // g, upper=upper, label=label)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         key = lambda a: (a.types, a.num.tolist(), a.den, a.upper, a.label)
         return key(self) == key(other) if isinstance(other, Assorter) else NotImplemented
-
-    @property
-    def values(self) -> dict[BallotType, Fraction]:
-        return {bt: Fraction(x, self.den) for bt, x in zip(self.types, self.num.tolist())}
 
     def value(self, bt: BallotType) -> Fraction:
         num, den = self.row([bt])
@@ -456,7 +438,7 @@ def integer_row_assorter(
             f"trivial inequality {label!r}: it is either always false or always true"
         )
     num = [(x - z) * r for x in b]
-    return Assorter.from_row(tuple(types), num, den, Fraction(max(num), den), label)
+    return Assorter(types, num, den, Fraction(max(num), den), label)
 
 
 def plurality_assorter(winner: BallotType, loser: BallotType, contest: Contest) -> Assorter:

@@ -18,9 +18,12 @@ and injects misreads into all its rows at once (:func:`inject_misreads`).
 The same matrix goes to whichever audit runs, which reads the reported
 tally as the column sum.  :func:`deal_batches` and
 :func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
-lists.  A census trial generates its households or takes the household
-file, read once straight into columns
-(:func:`electaudit.census.load_households_csv`).
+lists.  Its margins are each assertion's integer row over the reported
+column sums (:func:`electaudit.knesset.relabel_margin`).  A census trial,
+from ``audit run`` or ``audit census``, generates its households or takes
+the household file, read once straight into columns
+(:func:`electaudit.census.load_households_csv`), and writes
+``risk_curve.csv``, ``pair_risks.csv`` and ``risk_summary.csv``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
 from .core import ConfigError, as_float, as_int, check_int64_total, check_keys, load_contest_csv
 from .core import plurality_assorter, read_csv
-from .knesset import KnessetContest, assertion_margin, generate_assertions
+from .knesset import KnessetContest, generate_assertions, relabel_margin
 from .knesset import load_knesset_config
 from .randomness import make_rng
 
@@ -462,7 +465,8 @@ def _election_trial(inputs: ElectionInputs, trial_idx: int, trial_seed: int) -> 
         m = inject_misreads(m, inputs.error_model, data_rng)
     reported = m.combined(m.reported)
     assertions = election_assertions(inputs.contest, inputs.knesset, reported, inputs.weaken)
-    margins = {a.label: assertion_margin(a, reported) for a in assertions}
+    counts = [reported.counts[bt] for bt in m.types]
+    margins = {a.label: relabel_margin(*a.row(m.types), counts, a.label) for a in assertions}
     with _trace_hook(inputs.trace_dir, trial_idx) as hook:
         outcome = run_election_trial(inputs.kind, m, assertions, inputs.alpha, inputs.delta,
                                      audit_seed, hook)
@@ -606,6 +610,12 @@ def _write_census_csvs(reports: list[TrialReport], out_dir: Path) -> None:
         w.writerow(["sample_fraction", "trial", "seed", "risk_limit"])
         w.writerows([label(rep.sample_fraction), i // len(fractions), rep.seed,
                      repr(rep.risk_limit)] for i, rep in enumerate(reports))
+    with open(out_dir / "pair_risks.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["sample_fraction", "trial", "seed", "pair", "risk_limit"])
+        w.writerows([label(rep.sample_fraction), i // len(fractions), rep.seed, pair,
+                     repr(r["risk"])]
+                    for i, rep in enumerate(reports) for pair, r in rep.per_assertion.items())
     with open(out_dir / "risk_summary.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["sample_fraction", "median_risk_limit"])
@@ -632,12 +642,3 @@ def _inject_agreeing_disagreement(data, rate, dist, rng, max_tries: int = 50):
         "could not inject survey disagreement without changing the seat allocation; "
         "margins are too tight for this disagreement rate"
     )
-
-
-def write_census_outcome_csv(outcome: census_mod.CensusOutcome, stream) -> None:
-    """Pairwise risk limits and an overall line, to a text stream opened with ``newline=""``."""
-    w = csv.writer(stream)
-    w.writerow(["pair_s1", "pair_s2", "risk_limit"])
-    for (s1, s2), risk in sorted(outcome.pair_risks.items()):
-        w.writerow([s1, s2, repr(risk)])
-    w.writerow(["OVERALL", "", repr(outcome.risk_limit)])

@@ -39,7 +39,7 @@ Each inequality is an integer weight row over the contest's name-sorted
 ballot types, and becomes its half-average assorter through
 :func:`electaudit.core.integer_row_assorter`, ready for any of the
 sequential tests in this package.  Margins are counted on each assorter's
-integer row.
+integer row and one count vector (:func:`relabel_margin`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .apportionment import dhondt, highest_averages
 from .core import Assorter, Contest, Tally, as_int, check_keys, integer_row_assorter
@@ -257,27 +257,23 @@ def generate_assertions(
     return assertions
 
 
-def assertion_margin(assorter: Assorter, truth: Tally) -> int:
-    """Fewest single-ballot relabels that push the assorter mean to 1/2 or below.
+def relabel_margin(num: Sequence[int], den: int, counts: Sequence[int], label: str = "") -> int:
+    """Fewest single-ballot relabels that push an assorter mean to 1/2 or below.
 
+    The assorter scores type i ``num[i] / den``, and ``counts[i]`` ballots
+    (ints) are of type i; every type the assorter scores is listed, counted or not.
     Relabeling moves one ballot between categories; n stays fixed.  Greedily
     moving ballots from the highest-valued category into the lowest-valued
     one is optimal, since each move's effect is exactly the value difference.
-    Returns 0 when the mean is already at most 1/2.
-
-    The greedy runs on integers: with the assorter's values read from its
-    stored row ``num / den`` (:meth:`electaudit.core.Assorter.row`), the
-    sum's excess over n/2 and each move's effect are counted in units of
-    1/(2 den).
+    Returns 0 when the mean is already at most 1/2.  The greedy runs on
+    integers: the sum's excess over n/2 and each move's effect are counted
+    in units of 1/(2 den).
     """
-    counts = [truth.get(bt) for bt in assorter.types]
-    if sum(counts) != truth.total:
-        raise KeyError(f"assorter {assorter.label!r} has no value for a counted ballot type")
-    if not truth.total:
+    num = num.tolist() if hasattr(num, "tolist") else list(num)  # a row as Python ints
+    n = sum(counts)
+    if not n:
         raise ValueError("empty contest: cannot take an assorter mean over zero ballots")
-    num, den = assorter.row(assorter.types)
-    num = num.tolist()
-    deficit = 2 * sum(x * c for x, c in zip(num, counts)) - den * truth.total
+    deficit = 2 * sum(x * c for x, c in zip(num, counts)) - den * n
     lo = min(num)
     moves = 0
     for value, count in sorted(zip(num, counts), reverse=True):
@@ -288,10 +284,17 @@ def assertion_margin(assorter: Assorter, truth: Tally) -> int:
         moves += take
         deficit -= take * gain
     if deficit > 0:
-        raise ValueError(
-            f"assertion {assorter.label!r} cannot be falsified by relabelling ballots"
-        )
+        raise ValueError(f"assertion {label!r} cannot be falsified by relabelling ballots")
     return moves
+
+
+def assertion_margin(assorter: Assorter, truth: Tally) -> int:
+    """:func:`relabel_margin` of one assorter's row over ``truth``: a type the
+    tally counts must be one the assorter scores."""
+    counts = [truth.get(bt) for bt in assorter.types]
+    if sum(counts) != truth.total:
+        raise KeyError(f"assorter {assorter.label!r} has no value for a counted ballot type")
+    return relabel_margin(assorter.num, assorter.den, counts, assorter.label)
 
 
 def load_knesset_config(path) -> KnessetContest:

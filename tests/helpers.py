@@ -6,15 +6,17 @@ package's fast paths are tested against.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from electaudit.alpha import AssertionSpec, AuditConfig, sequential_test
+from electaudit.alpha import EPSILON, AssertionSpec, AuditConfig, sequential_test
 from electaudit.apportionment import Divisor, dhondt
 from electaudit import census as census_mod
 from electaudit.census import CensusData, CensusModel, CensusPair
@@ -106,6 +108,7 @@ def advance(
     n: int,
     cfg: AuditConfig,
     eta_floor: float | None,
+    eps: float,
 ) -> None:
     """One update of the sequential test, the step-by-step reference for
     :func:`electaudit.alpha.sequential_test`: T from the current (mu, eta, u),
@@ -114,7 +117,8 @@ def advance(
     ``eta_floor`` of None selects the remaining-reported-mean rule driven by
     ``state.eta_budget``; a float selects the fixed-target rule used by the
     comparison audits.  The guesses are refreshed in the order mu, eta, u so
-    each uses the value just computed before it.
+    each uses the value just computed before it, ``eps`` keeping
+    mu < eta < u strict.
     """
     if not state.active:
         raise ValueError(f"assertion {state.label!r} is no longer active")
@@ -144,8 +148,8 @@ def advance(
             target = (state.eta_budget - state.cum_sum) / remaining
         else:
             target = eta_floor
-        state.eta = max(state.mu + cfg.epsilon, target)
-        state.u = max(state.u, state.eta + cfg.epsilon)
+        state.eta = max(state.mu + eps, target)
+        state.u = max(state.u, state.eta + eps)
         if state.mu < 0:
             state.active = False
             state.approved = True
@@ -275,7 +279,7 @@ def alpha_step(
     """Consume one ballot worth ``value`` under the remaining-reported-mean
     rule; mutates and returns ``state``."""
     state.eta_budget = n * reported_mean
-    advance(state, value, 1, n, cfg, eta_floor=None)
+    advance(state, value, 1, n, cfg, None, EPSILON)
     return state
 
 
@@ -426,6 +430,49 @@ def deal_batches_reference(
     return batches
 
 
+def assorter_from_values(values: Mapping[BallotType, Fraction], upper, label: str = "") -> Assorter:
+    """The assorter scoring each type of ``values`` its value: the value map
+    written as one integer row over the name-sorted types and handed to the
+    one :class:`electaudit.core.Assorter` constructor and its checks."""
+    types = tuple(sorted(values, key=lambda bt: bt.name))
+    return Assorter(types, *common_denominator(values[bt] for bt in types), upper, label)
+
+
+def assorter_values(a: Assorter) -> dict[BallotType, Fraction]:
+    """The assorter's row as a ``Fraction`` value map."""
+    return {bt: Fraction(x, a.den) for bt, x in zip(a.types, a.num.tolist())}
+
+
+def tally_margin(assorter: Assorter, truth: Tally) -> int:
+    """The integer greedy read type by type off a ``Tally``: the reference for
+    :func:`electaudit.knesset.relabel_margin` over a row and a count vector.
+
+    Each type of the assorter, counted or not, is valued by its stored
+    numerator, so an uncounted type can be the lowest-valued target.
+    """
+    counts = [truth.get(bt) for bt in assorter.types]
+    if sum(counts) != truth.total:
+        raise KeyError(f"assorter {assorter.label!r} has no value for a counted ballot type")
+    if not truth.total:
+        raise ValueError("empty contest: cannot take an assorter mean over zero ballots")
+    num = assorter.num.tolist()
+    deficit = 2 * sum(x * c for x, c in zip(num, counts)) - assorter.den * truth.total
+    lo = min(num)
+    moves = 0
+    for value, count in sorted(zip(num, counts), reverse=True):
+        if deficit <= 0 or value == lo:
+            break
+        gain = 2 * (value - lo)
+        take = min(count, -(-deficit // gain))
+        moves += take
+        deficit -= take * gain
+    if deficit > 0:
+        raise ValueError(
+            f"assertion {assorter.label!r} cannot be falsified by relabelling ballots"
+        )
+    return moves
+
+
 def fraction_margin(assorter: Assorter, truth: Tally) -> int:
     """The ``Fraction`` greedy: the reference for the integer
     :func:`electaudit.knesset.assertion_margin`.
@@ -440,7 +487,7 @@ def fraction_margin(assorter: Assorter, truth: Tally) -> int:
     if mean <= Fraction(1, 2):
         return 0
     deficit = sum(assorter.value(bt) * c for bt, c in truth.counts.items()) - Fraction(total, 2)
-    lo = min(assorter.values.values())
+    lo = min(assorter_values(assorter).values())
     moves = 0
     by_value = sorted(truth.counts, key=lambda bt: assorter.value(bt), reverse=True)
     for bt in by_value:
@@ -589,7 +636,7 @@ def hand_derived_assorter(
             bt: high if bt.name in keeper else Fraction(0) if bt.name in gainer else half
             for bt in contest.ballot_types
         }
-    return Assorter(values, max(values.values()), label)
+    return assorter_from_values(values, max(values.values()), label)
 
 
 @dataclass(frozen=True)
@@ -646,6 +693,10 @@ def load_batches_reference(path, contest: Contest, declared_sizes=None) -> Batch
         if party in cell:
             raise ValueError(f"{path}: duplicate row for batch {bid!r} party {party!r}")
         cell[party] = (rep, true)
+    absent = sorted(set(declared_sizes or ()) - set(per_batch))
+    if absent:
+        raise ValueError(f"{path}: declared size for batch {', '.join(map(repr, absent))} "
+                         "absent from the batch file")
     batches = []
     for bid in sorted(per_batch):
         reported, truth = (contest.tally({p: rt[i] for p, rt in per_batch[bid].items()})
@@ -707,3 +758,25 @@ def by_value(loaded):
         columns = (loaded.state_idx, loaded.cen, loaded.pes, loaded.has_pes, loaded.in_frame)
         return [a.tolist() for a in columns]
     return loaded
+
+
+def check_census_cli_is_one_trial_run(argv: list[str], config: Mapping, run_out: Path) -> None:
+    """``audit census`` run with ``argv``, seed 0 and its ``--out``, writes
+    the ``risk_curve.csv`` of ``run_experiment(config)`` with one trial and
+    seed 0, written to ``run_out``; and each (sample fraction, trial) row's
+    risk limit is the largest of that row's ``pair_risks.csv`` risks."""
+    from electaudit.cli import main
+    from electaudit.harness import run_experiment
+
+    assert main(argv + ["--seed", "0"]) == 0
+    out = Path(argv[argv.index("--out") + 1])
+    run_experiment(config, run_out, seed=0, trials=1)
+    assert (out / "risk_curve.csv").read_bytes() == (run_out / "risk_curve.csv").read_bytes()
+    with open(out / "risk_curve.csv", newline="", encoding="utf-8") as f:
+        curve = {(r["sample_fraction"], r["trial"]): float(r["risk_limit"]) for r in csv.DictReader(f)}
+    largest: dict[tuple[str, str], float] = {}
+    with open(out / "pair_risks.csv", newline="", encoding="utf-8") as f:
+        for r in csv.DictReader(f):
+            key = (r["sample_fraction"], r["trial"])
+            largest[key] = max(largest.get(key, 0.0), float(r["risk_limit"]))
+    assert largest == curve

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from electaudit import alpha as alpha_mod
 from electaudit.alpha import (
+    EPSILON,
     AssertionSpec,
     AuditConfig,
     alpha_audit,
@@ -149,7 +150,7 @@ def test_vectorised_trajectory_matches_stepwise(two_party):
     rep = c.tally({"Alice": 171, "Bob": 129})
     st = start_state(alpha_init([a], ballot_batch(rep))[0], n)
     seen = np.arange(1, n + 1)
-    path = traced_path(x, seen, n, _spec(rep_mean, st.u), cfg.epsilon, 1 / cfg.alpha)
+    path = traced_path(x, seen, n, _spec(rep_mean, st.u), EPSILON, 1 / cfg.alpha)
     T, mu, eta, u = path.T, path.mu, path.eta, path.u
     for j in range(n):
         if not st.active:
@@ -239,7 +240,7 @@ def test_first_crossing_prefers_earliest_rule():
     # 4 ballots, bound 3: mu goes negative after draw 2, before T reaches 1/alpha
     x = np.array([1.5, 1.5, 3.0, 3.0])
     cfg = AuditConfig(alpha=0.1)
-    path = traced_path(x, np.arange(1, 5), 4, _spec(1.0, 3.0), cfg.epsilon, 1 / cfg.alpha)
+    path = traced_path(x, np.arange(1, 5), 4, _spec(1.0, 3.0), EPSILON, 1 / cfg.alpha)
     assert path.approved and path.examined == 2
     assert path.T_max == path.T[1] < 1 / cfg.alpha
     ref = AssertionState("ref", eta=1.0, u=3.0)
@@ -248,7 +249,7 @@ def test_first_crossing_prefers_earliest_rule():
     assert ref.approved and ref.mu < 0 and ref.T < 1 / cfg.alpha
     assert path.T_max == pytest.approx(ref.T_max, rel=1e-12)
     # with a threshold T passes at draw 1, the T rule comes first
-    early = sequential_test(x, np.arange(1, 5), 4, _spec(1.0, 3.0), cfg.epsilon, path.T[0] / 2)
+    early = sequential_test(x, np.arange(1, 5), 4, _spec(1.0, 3.0), EPSILON, path.T[0] / 2)
     assert early[:2] == (True, 1)
 
 
@@ -355,7 +356,7 @@ def _assert_follows_stepwise(path: KernelPath, x, sizes, n, eta0, u0, alpha, flo
     rows = []  # T after each draw, then the (mu, eta, u) it was tested with
     for value, weight in zip(x, sizes):
         tested = (ref.mu, ref.eta, ref.u)
-        advance(ref, float(value), int(weight), n, cfg, floor)
+        advance(ref, float(value), int(weight), n, cfg, floor, 1e-9)
         rows.append((ref.T, *tested))
         if not ref.active:
             break
@@ -430,7 +431,7 @@ def test_kernel_zero_mu_special_cases():
     cfg = AuditConfig(alpha=0.05)
     for last, approved in ((0.0, False), (0.5, True)):
         x = np.array([1.0, 1.0, last, 0.0])
-        path = traced_path(x, np.arange(1, 5), 4, _spec(0.9, 1.0), cfg.epsilon, 1 / cfg.alpha)
+        path = traced_path(x, np.arange(1, 5), 4, _spec(0.9, 1.0), EPSILON, 1 / cfg.alpha)
         assert path.mu[2] == 0.0
         assert not np.isnan(path.T).any()
         assert (path.approved, path.examined) == (approved, 3 if approved else 4)
@@ -517,12 +518,12 @@ def test_kernel_stop_on_block_edge(x, sizes, n, eta0, u0, threshold, approved, e
 def _stepwise_rows(x, sizes, n, eta0, u0, eps, floor):
     """The stepwise reference's (T after the draw, mu, eta, u it was tested
     with) per draw, with a threshold no T reaches."""
-    cfg = AuditConfig(alpha=1e-300, epsilon=eps)
+    cfg = AuditConfig(alpha=1e-300)
     ref = AssertionState("ref", eta=eta0, u=u0, eta_budget=n * eta0)
     rows = []
     for value, weight in zip(x, sizes):
         tested = (ref.mu, ref.eta, ref.u)
-        advance(ref, float(value), int(weight), n, cfg, floor)
+        advance(ref, float(value), int(weight), n, cfg, floor, eps)
         rows.append((ref.T, *tested))
         if not ref.active:
             break

@@ -291,7 +291,7 @@ def test_load_batches_csv(tmp_path, ab):
 
 
 LOAD_ERRORS = ("duplicate row", "negative count", "non-positive size", "batch overflow",
-               "overflow the int64", "batch list is empty")
+               "overflow the int64", "batch list is empty", "absent from the batch file")
 
 
 @st.composite
@@ -299,7 +299,8 @@ def batch_files(draw):
     """A contest and a batch CSV over some of its types, with its declared
     sizes: rows missing, sometimes one repeated, a rare negative count, an
     all-invalid batch, a single batch, declared sizes at, above and below
-    the totals, and rare counts of 2**62, two of which overflow int64."""
+    the totals, a rare declared size for a batch the file lacks, and rare
+    counts of 2**62, two of which overflow int64."""
     contest = Contest.from_party_names([f"P{i}" for i in range(draw(st.integers(1, 3)))])
     names = [bt.name for bt in contest.ballot_types]
     count = st.integers(0, 40).map(lambda k: {39: 2**62, 40: -1}.get(k, k % 7))
@@ -313,6 +314,8 @@ def batch_files(draw):
             totals = (sum(r[i] for r in batch) for i in (2, 3))
             declared[f"b{b}"] = max(totals) + draw(st.integers(-1, 4))
         rows += batch
+    if draw(st.integers(0, 9)) == 0:
+        declared["b9"] = draw(st.integers(1, 5))
     return contest, draw(st.permutations(rows)), declared
 
 

@@ -19,9 +19,9 @@ from electaudit.alpha import AuditConfig
 from electaudit.census import load_districts_csv, load_households_csv
 from electaudit.cli import main
 from electaudit.core import Contest, load_contest_csv
-from electaudit.harness import load_declared_sizes, load_household_distribution, write_census_outcome_csv
+from electaudit.harness import load_declared_sizes, load_household_distribution
 
-from .helpers import by_value
+from .helpers import by_value, check_census_cli_is_one_trial_run
 
 
 def _contest(tmp_path):
@@ -289,11 +289,23 @@ def test_census_file_mode(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    out = capsys.readouterr().out
-    out_rows = list(csv.reader(io.StringIO(out)))
-    assert out_rows[0] == ["pair_s1", "pair_s2", "risk_limit"]
-    assert out_rows[-1][0] == "OVERALL"
-    assert (tmp_path / "out/census_risks.csv").read_bytes() == out.encode()
+    assert capsys.readouterr().out == ""  # the tables go to --out only
+    [curve] = _read_rows(tmp_path / "out/risk_curve.csv")
+    pairs = _read_rows(tmp_path / "out/pair_risks.csv")
+    assert (curve["sample_fraction"], curve["trial"], curve["seed"]) == ("file", "0", "0")
+    assert [r["pair"] for r in pairs] == ["X->Y", "Y->X"]
+    assert {(r["sample_fraction"], r["trial"], r["seed"]) for r in pairs} == {("file", "0", "0")}
+    assert max(float(r["risk_limit"]) for r in pairs) == float(curve["risk_limit"])
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+def _pair_risks(out_dir) -> list[tuple[str, str]]:
+    """The (pair, risk) cells of a run's ``pair_risks.csv``."""
+    return [(r["pair"], r["risk_limit"]) for r in _read_rows(out_dir / "pair_risks.csv")]
 
 
 def _framed_households(tmp_path, flag=lambda i, surveyed: "1" if surveyed or i % 3 == 0 else "0"):
@@ -314,10 +326,10 @@ def _framed_households(tmp_path, flag=lambda i, surveyed: "1" if surveyed or i %
     return args, [i < 10 for i in range(16)], cen
 
 
-def test_census_file_mode_reads_in_frame(tmp_path, capsys):
-    """The households' in_frame column reaches the audit: the CLI's risks are
-    the library's with ``CensusData(in_frame=...)``, not those of an
-    all-in-frame survey."""
+def test_census_file_mode_reads_in_frame(tmp_path):
+    """The households' in_frame column reaches the audit: the CLI's pair
+    risks are the library's with ``CensusData(in_frame=...)`` on the audit
+    stream of seed 0, not those of an all-in-frame survey."""
     args, in_x, cen = _framed_households(tmp_path)
     assert main(args) == 0
     model = census_mod.CensusModel(("X", "Y"), 3, {"X": 0, "Y": 0}, 3, "dhondt")
@@ -325,13 +337,21 @@ def test_census_file_mode_reads_in_frame(tmp_path, capsys):
 
     def risks(in_frame):
         data = census_mod.CensusData(model, [0 if x else 1 for x in in_x], cen, cen, surveyed, in_frame)
-        out = io.StringIO()
-        write_census_outcome_csv(census_mod.census_rla(data, AuditConfig(alpha=1.0, seed=0)), out)
-        return out.getvalue().encode()
+        outcome = census_mod.census_rla(data, AuditConfig(alpha=1.0, seed=(0, 1)))
+        return [(f"{a}->{b}", repr(r)) for (a, b), r in sorted(outcome.pair_risks.items())]
 
     framed = risks([s or i % 3 == 0 for i, s in enumerate(surveyed)])
-    assert (tmp_path / "out/census_risks.csv").read_bytes() == framed != risks(None)
-    assert capsys.readouterr().out.encode() == framed
+    assert _pair_risks(tmp_path / "out") == framed != risks(None)
+
+
+def test_census_household_file_is_a_one_trial_run(tmp_path):
+    """``audit census --households`` writes the risk curve of ``run_experiment``
+    on the same household file with one trial, byte for byte, and each risk
+    limit is the largest of its pair risks."""
+    args, _, _ = _framed_households(tmp_path)
+    config = {"audit": "census", "districts": args[2], "households": args[4],
+              "representatives": 3, "g_max": 3}
+    check_census_cli_is_one_trial_run(args, config, tmp_path / "run")
 
 
 @pytest.mark.parametrize("cell", ["", "yes", "TRUE"])
@@ -339,11 +359,11 @@ def test_census_in_frame_cell_reads_in(tmp_path, cell):
     """Blank and every true spelling mean in frame, as does a file without the column."""
     args, _, _ = _framed_households(tmp_path, lambda i, surveyed: cell)
     assert main(args) == 0
-    framed = (tmp_path / "out/census_risks.csv").read_bytes()
+    framed = (tmp_path / "out/pair_risks.csv").read_bytes()
     h = Path(args[4])
     h.write_text("\n".join(",".join(r.split(",")[:5]) for r in h.read_text().splitlines()) + "\n")
     assert main(args) == 0
-    assert (tmp_path / "out/census_risks.csv").read_bytes() == framed
+    assert (tmp_path / "out/pair_risks.csv").read_bytes() == framed
 
 
 def test_census_surveyed_household_out_of_frame_exits_2(tmp_path, capsys):
@@ -361,13 +381,13 @@ def test_census_bad_in_frame_flag_exits_2(tmp_path, capsys):
 def test_census_mode_conflicts(tmp_path):
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,13,0\n")
-    assert main(["census", "--model", str(districts)]) == 2
+    assert main(["census", "--model", str(districts), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_census_generate_requires_args(tmp_path):
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,13,0\n")
-    assert main(["census", "--model", str(districts), "--generate"]) == 2
+    assert main(["census", "--model", str(districts), "--generate", "--out", str(tmp_path / "out")]) == 2
 
 
 def _generated_census_inputs(tmp_path):
@@ -402,7 +422,7 @@ def test_census_file_mode_unknown_district_exits_2(tmp_path, capsys):
         "household_id,district,census_count,pes_count,surveyed\nx0,X,2,2,1\nw0,W,1,1,1\n"
     )
     rc = main(["census", "--model", str(districts), "--households", str(households),
-               "--representatives", "1"])
+               "--representatives", "1", "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("audit: error:") and "unknown state 'W'" in err
@@ -548,7 +568,8 @@ FUZZ_CENSUS_PATHS = (
 )
 CENSUS_RUNS = (
     ["run", "--config", "cfg.json", "--out", "out"],
-    ["census", "--model", "districts.csv", "--households", "households.csv", "--representatives", "5"],
+    ["census", "--model", "districts.csv", "--households", "households.csv", "--representatives", "5",
+     "--out", "out"],
 )
 
 
@@ -817,6 +838,13 @@ def test_repeated_key_row_exits_2():
     assert _declared_size_run(FUZZ_DECLARED)[0][0] == 0
     [(rc, err)] = _declared_size_run(FUZZ_DECLARED + [["b0", "340"]])
     assert rc == 2 and "duplicate batch 'b0'" in err, err
+
+
+def test_declared_size_for_an_absent_batch_exits_2():
+    """A declared size whose batch the batch file lacks, as a misspelt id, is
+    an error naming every such id, not padding silently dropped."""
+    [(rc, err)] = _declared_size_run(FUZZ_DECLARED + [["b7", "340"], ["B1", "330"]])
+    assert rc == 2 and "declared size for batch 'B1', 'b7' absent from the batch file" in err, err
 
 
 # the column whose cell each loader gets as "x" in its second data row

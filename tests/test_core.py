@@ -14,7 +14,13 @@ from electaudit.core import (
     plurality_assorter,
 )
 
-from .helpers import LinearInequality, all_tallies, inequality_to_assorter
+from .helpers import (
+    LinearInequality,
+    all_tallies,
+    assorter_from_values,
+    assorter_values,
+    inequality_to_assorter,
+)
 
 HALF = Fraction(1, 2)
 
@@ -57,7 +63,7 @@ def test_assorter_mean_empty_contest(abc):
 
 
 def test_assorter_mean_missing_value_errors(abc):
-    a = Assorter({abc.by_name("Alice"): Fraction(1)}, upper=1, label="partial")
+    a = assorter_from_values({abc.by_name("Alice"): Fraction(1)}, upper=1, label="partial")
     with pytest.raises(KeyError):
         assorter_mean(a, abc.tally({"Alice": 1, "Bob": 1}))
 
@@ -77,9 +83,9 @@ def test_plurality_assorter_values(abc):
 
 def test_assorter_rejects_negative_or_low_upper(abc):
     with pytest.raises(ValueError):
-        Assorter({abc.by_name("Alice"): Fraction(-1, 2)}, upper=1)
+        assorter_from_values({abc.by_name("Alice"): Fraction(-1, 2)}, upper=1)
     with pytest.raises(ValueError):
-        Assorter({abc.by_name("Alice"): Fraction(2)}, upper=1)
+        assorter_from_values({abc.by_name("Alice"): Fraction(2)}, upper=1)
 
 
 @pytest.mark.parametrize("kind", [int, float, Fraction])
@@ -87,28 +93,28 @@ def test_assorter_values_are_exact_for_any_input_type(abc, kind):
     """int, float and Fraction inputs give the same Fraction values and bound,
     and the same errors."""
     alice, bob, carol = (abc.by_name(p) for p in ("Alice", "Bob", "Carol"))
-    a = Assorter({alice: kind(2), bob: kind(0), carol: kind(1)}, upper=kind(2), label="x")
-    assert a.values == {alice: 2, bob: 0, carol: 1} and a.upper == 2
-    assert all(type(v) is Fraction for v in (*a.values.values(), a.upper))
+    a = assorter_from_values({alice: kind(2), bob: kind(0), carol: kind(1)}, upper=kind(2), label="x")
+    assert assorter_values(a) == {alice: 2, bob: 0, carol: 1} and a.upper == 2
+    assert all(type(v) is Fraction for v in (*assorter_values(a).values(), a.upper))
     with pytest.raises(ValueError, match="'x' has a negative value"):
-        Assorter({alice: kind(-1)}, upper=kind(1), label="x")
+        assorter_from_values({alice: kind(-1)}, upper=kind(1), label="x")
     with pytest.raises(ValueError, match="'x' upper bound below a value"):
-        Assorter({alice: kind(3)}, upper=kind(2), label="x")
+        assorter_from_values({alice: kind(3)}, upper=kind(2), label="x")
     with pytest.raises(ValueError, match="'x' upper bound below a value"):
-        Assorter({alice: kind(0)}, upper=kind(0), label="x")
+        assorter_from_values({alice: kind(0)}, upper=kind(0), label="x")
 
 
 def test_row_factory_validates_and_reduces_like_the_value_map(abc):
     types = tuple(sorted(abc.ballot_types, key=lambda bt: bt.name))
-    a = Assorter.from_row(types, [4, 0, 2, 2], 4, 1, "x")
+    a = Assorter(types, [4, 0, 2, 2], 4, 1, "x")
     assert (a.num.tolist(), a.den, a.upper) == ([2, 0, 1, 1], 2, 1) and not a.num.flags.writeable
-    assert a == Assorter(dict(zip(types, [1, 0, HALF, HALF])), 1, "x")
-    assert a != Assorter(dict(zip(types, [1, 0, HALF, HALF])), 1, "y")
-    assert a.values == dict(zip(types, [1, 0, HALF, HALF])) and a.value(types[2]) == HALF
+    assert a == assorter_from_values(dict(zip(types, [1, 0, HALF, HALF])), 1, "x")
+    assert a != assorter_from_values(dict(zip(types, [1, 0, HALF, HALF])), 1, "y")
+    assert assorter_values(a) == dict(zip(types, [1, 0, HALF, HALF])) and a.value(types[2]) == HALF
     with pytest.raises(ValueError, match="'x' has a negative value"):
-        Assorter.from_row(types, [4, -1, 2, 2], 4, 1, "x")
+        Assorter(types, [4, -1, 2, 2], 4, 1, "x")
     with pytest.raises(ValueError, match="'x' upper bound below a value"):
-        Assorter.from_row(types, [4, 0, 2, 2], 4, Fraction(1, 2), "x")
+        Assorter(types, [4, 0, 2, 2], 4, Fraction(1, 2), "x")
 
 
 def test_inequality_to_assorter_majority(abc):
@@ -190,8 +196,8 @@ def test_inequality_round_trip_exhaustive(case):
             inequality_to_assorter(q)
         return
     a = inequality_to_assorter(q)
-    assert all(v >= 0 for v in a.values.values())
-    assert a.upper >= max(a.values.values())
+    assert all(v >= 0 for v in assorter_values(a).values())
+    assert a.upper >= max(assorter_values(a).values())
     for tally in all_tallies(contest, q.n):
         assert (assorter_mean(a, tally) > HALF) == q.holds(tally)
 

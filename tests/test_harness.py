@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from electaudit import census as census_mod
 from electaudit import harness
-from electaudit.alpha import AuditConfig, combined_reported
+from electaudit.alpha import combined_reported
 from electaudit.batchcomp import load_batches_csv
 from electaudit.census import (
     census_rla,
@@ -36,11 +36,14 @@ from electaudit.harness import (
     load_household_distribution,
     run_experiment,
     trial_rngs,
-    write_census_outcome_csv,
 )
 from electaudit.randomness import make_rng
 
-from .helpers import deal_batches_reference, inject_agreeing_disagreement_reference
+from .helpers import (
+    check_census_cli_is_one_trial_run,
+    deal_batches_reference,
+    inject_agreeing_disagreement_reference,
+)
 
 
 @pytest.fixture
@@ -404,21 +407,11 @@ def test_census_outputs_write_plain_floats(tmp_path):
         for frac in config["sample_fractions"]
     ]
 
-    rng = make_rng(5)
-    pops = {"X": 41000, "Y": 23000, "Z": 17000}
-    sizes = {1: 0.4, 2: 0.4, 3: 0.2}
-    data = generate_census_population(pops, sizes, 0.01, rng, 8)
-    data = inject_survey_disagreement(data, 0.02, sizes, rng)
-    mask = np.zeros(data.n, dtype=bool)
-    mask[rng.choice(data.n, size=data.n // 10, replace=False)] = True
-    outcome = census_rla(data, AuditConfig(alpha=1.0, seed=5), surveyed_mask=mask)
-    with open(tmp_path / "pairs.csv", "w", newline="") as f:
-        write_census_outcome_csv(outcome, f)
-    with open(tmp_path / "pairs.csv") as f:
-        rows = list(csv.DictReader(f))
-    expected = {**outcome.pair_risks, ("OVERALL", ""): outcome.risk_limit}
-    assert {(r["pair_s1"], r["pair_s2"]): float(r["risk_limit"]) for r in rows} == expected
-    assert any(0 < risk < 1 for risk in expected.values())
+    with open(tmp_path / "out/pair_risks.csv") as f:
+        rows = [(row["trial"], row["pair"], float(row["risk_limit"])) for row in csv.DictReader(f)]
+    assert rows == [(str(i // 2), pair, r["risk"]) for i, rep in enumerate(reports)
+                    for pair, r in rep.per_assertion.items()]
+    assert any(0 < risk < 1 for _, _, risk in rows)
 
 
 def test_agreeing_injection_matches_full_recount():
@@ -841,24 +834,18 @@ def _household_files(tmp_path) -> tuple[Path, Path]:
 
 HOUSEHOLD_FILE_SHA256 = {
     "risk_curve": "c585d353197d6cf06b73a0251ef83ef9d0a22fa26f2759932a1e7cd0dcb42bcd",
-    "census_risks": "dd96ade7185db9fe4cb82fd5ec5c50272fd7ba7348ea75d2c2a355d1c62a03d6",
 }
 
 
-def test_household_file_output_bytes_pinned(tmp_path, capsys):
-    """``audit run`` and ``audit census`` on one household file keep their
-    risk tables byte-for-byte."""
-    from electaudit.cli import main
-
+def test_household_file_output_bytes_pinned(tmp_path):
+    """``audit run`` on a household file keeps its risk table byte-for-byte,
+    and ``audit census`` on the same file writes that run's one-trial tables."""
     districts, households = _household_files(tmp_path)
     config = {"audit": "census", "districts": str(districts), "representatives": 5,
               "g_max": 6, "households": str(households), "trials": 2}
     run_experiment(config, tmp_path / "run", seed=0)
+    path = tmp_path / "run/risk_curve.csv"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == HOUSEHOLD_FILE_SHA256["risk_curve"]
     argv = ["census", "--model", str(districts), "--households", str(households),
             "--representatives", "5", "--g-max", "6", "--out", str(tmp_path / "census")]
-    assert main(argv) == 0
-    tables = {"risk_curve": tmp_path / "run/risk_curve.csv",
-              "census_risks": tmp_path / "census/census_risks.csv"}
-    for table, path in tables.items():
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == HOUSEHOLD_FILE_SHA256[table], table
-    assert capsys.readouterr().out.encode() == tables["census_risks"].read_bytes()
+    check_census_cli_is_one_trial_run(argv, config, tmp_path / "one_trial")

@@ -1,6 +1,7 @@
 import os
 import re
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -15,16 +16,20 @@ from electaudit.knesset import (
     assertion_margin,
     generate_assertions,
     load_knesset_config,
+    relabel_margin,
 )
 from electaudit import knesset
 from electaudit.randomness import make_rng
 
 from .helpers import (
     all_tallies,
+    assorter_from_values,
+    assorter_values,
     brute_force_highest_averages,
     brute_force_margin,
     fraction_margin,
     hand_derived_assorter,
+    tally_margin,
 )
 
 HALF = Fraction(1, 2)
@@ -124,8 +129,8 @@ def test_allocation_tie_aborts():
 
 def _check_holds_on_reported(assertions, tally):
     for a in assertions:
-        assert min(a.values.values()) >= 0
-        assert a.upper >= max(a.values.values())
+        assert min(assorter_values(a).values()) >= 0
+        assert a.upper >= max(assorter_values(a).values())
         # every assertion about the reported outcome holds on the reported tally
         assert assorter_mean(a, tally) > HALF
 
@@ -297,7 +302,7 @@ MARGIN_CONTEST = Contest.from_party_names(["P1", "P2", "P3", "P4"])
 
 def _margin_case(values, counts):
     values = dict(zip(MARGIN_CONTEST.ballot_types, values))
-    assorter = Assorter(values=values, upper=max(values.values()), label="case")
+    assorter = assorter_from_values(values, max(values.values()), "case")
     return assorter, Tally(dict(zip(MARGIN_CONTEST.ballot_types, counts)))
 
 
@@ -353,6 +358,70 @@ def test_integer_margin_matches_fraction_greedy_on_knesset_assertions(votes, inv
         return
     for a in assertions:
         _same_margin(a, tally)
+
+
+@st.composite
+def rows_and_counts(draw):
+    """An integer row over 1-5 name-sorted types, small or past 2**63, its
+    denominator and a count per type, some of them zero."""
+    k = draw(st.integers(1, 5))
+    num = draw(st.lists(st.integers(0, 24) | st.integers(0, 2**64), min_size=k, max_size=k))
+    counts = draw(st.lists(st.just(0) | st.integers(0, 40), min_size=k, max_size=k))
+    if not any(counts):
+        counts[draw(st.integers(0, k - 1))] = 1
+    return MARGIN_CONTEST.ballot_types[:k], num, draw(st.integers(1, 48)), counts
+
+
+def _margin_or_message(margin, *args):
+    try:
+        return margin(*args)
+    except ValueError as exc:  # no relabelling reaches 1/2
+        return str(exc)
+
+
+@given(rows_and_counts(), st.booleans())
+@example((MARGIN_CONTEST.ballot_types[:2], [1, 2**63], 1, [0, 1]), False)  # a list past int64
+@settings(max_examples=300, deadline=None)
+def test_relabel_margin_matches_the_tally_walk(case, omit_uncounted):
+    """The greedy over a row and a count vector gives the margin, or the
+    ``ValueError``, of the greedy read off a ``Tally`` of the reduced
+    assorter, whether the tally lists its uncounted types or not."""
+    types, num, den, counts = case
+    a = Assorter(types, num, den, Fraction(max(num) + 1, den), "case")
+    tally = Tally({bt: c for bt, c in zip(types, counts) if c or not omit_uncounted})
+    want = _margin_or_message(tally_margin, a, tally)
+    assert _margin_or_message(relabel_margin, num, den, counts, "case") == want
+    assert _margin_or_message(assertion_margin, a, tally) == want
+
+
+@pytest.mark.parametrize("num, den, counts, margin", [
+    ([1, 0], 1, [5, 5], 0),  # mean exactly 1/2
+    ([4, 3, 1], 4, [6, 4, 0], 6),  # the uncounted type is the lowest-valued target
+    ([1, 0], 1, [7, 0], 4),  # a single counted type
+])
+def test_relabel_margin_cases(num, den, counts, margin):
+    """Zero-filling the uncounted type, as the audits' stacked rows do, would
+    give the second case 4 moves into a value of 0 it does not have."""
+    types = MARGIN_CONTEST.ballot_types[:len(num)]
+    a = Assorter(types, num, den, Fraction(max(num), den), "case")
+    assert relabel_margin(num, den, counts) == tally_margin(a, Tally(dict(zip(types, counts)))) == margin
+
+
+def test_shipped_knesset_margins_from_rows():
+    """On the shipped Knesset contest the margins over the name-sorted types'
+    count vector, as trials and ``audit margins`` take them, equal the tally
+    walk's, the smallest 3 ballots (Carmel->Alon)."""
+    from electaudit.harness import election_assertions, load_election_inputs
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    contest, tally, kc = load_election_inputs(configs / "contest_synthetic.csv",
+                                              configs / "knesset_synthetic.json")
+    assertions = election_assertions(contest, kc, tally)
+    types = sorted(tally.counts, key=lambda bt: bt.name)
+    counts = [tally.counts[bt] for bt in types]
+    margins = {a.label: relabel_margin(*a.row(types), counts, a.label) for a in assertions}
+    assert margins == {a.label: tally_margin(a, tally) for a in assertions}
+    assert min(margins.values()) == margins["no-seat-move:Carmel->Alon"] == 3
 
 
 @st.composite

@@ -1,9 +1,12 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs and its command lines parse as documented."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from electaudit.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +26,31 @@ def test_library_quick_start_runs():
         exec(compile(_python_block("Quick start (library)"), str(README), "exec"), {})
     approved, examined = out.getvalue().split()
     assert approved in ("True", "False") and 0 < int(examined) <= 10000
+
+
+def _audit_command_lines() -> list[str]:
+    """Every ``audit ...`` command of the README's shell blocks, its
+    continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```(?:bash|sh|shell)\n(.*?)```", text, re.DOTALL)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("audit "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_command_lines_parse():
+    """Every ``audit`` command line of the README parses with the CLI's own
+    parser, its optional ``[...]`` parts included, so a removed or renamed
+    flag fails here."""
+    commands = _audit_command_lines()
+    assert {line.split()[1] for line in commands} == {"run", "margins", "census"}
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line.replace("[", " ").replace("]", " "))[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {line}") from None

@@ -34,7 +34,6 @@ from electaudit.batchcomp import (
     make_batch_assorter,
 )
 from electaudit.core import (
-    Assorter,
     BatchRecord,
     Contest,
     Tally,
@@ -54,7 +53,7 @@ from electaudit.knesset import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import fraction_margin
+from .helpers import assorter_from_values, fraction_margin
 
 HALF = Fraction(1, 2)
 PARTIES = ("A", "B", "C", "D")
@@ -190,7 +189,7 @@ def test_assorter_row_matches_its_fractions(case, data):
     it equal their ``Fraction`` references.  The constructor's errors keep
     their messages."""
     values, upper, truth = case
-    a = Assorter(values, upper, label="x")
+    a = assorter_from_values(values, upper, label="x")
     assert all(a.value(bt) == v for bt, v in values.items()) and a.upper == upper
     own, den = a.row(a.types)
     assert own is a.num and den == a.den
@@ -227,11 +226,11 @@ def test_assorter_row_matches_its_fractions(case, data):
 
     bt = next(iter(values))
     with pytest.raises(ValueError, match="'x' has a negative value"):
-        Assorter({**values, bt: Fraction(-1, 2**64)}, upper, label="x")
+        assorter_from_values({**values, bt: Fraction(-1, 2**64)}, upper, label="x")
     top = max(values.values())
     for low in [Fraction(0), Fraction(-1)] + ([top - Fraction(1, 2**80)] if top else []):
         with pytest.raises(ValueError, match="'x' upper bound below a value"):
-            Assorter(values, low, label="x")
+            assorter_from_values(values, low, label="x")
 
 
 def test_batch_matrix_layout():
@@ -291,7 +290,7 @@ def test_stacked_products_past_int64_match_fraction_references():
     the rows, the batch sums of both batch audits, eta and the full count's
     verdict fall back to Python ints and equal their ``Fraction`` references."""
     by = CONTEST.by_name
-    big = Assorter({by("A"): Fraction(2**64 + 1, 2**66), by("B"): Fraction(0),
+    big = assorter_from_values({by("A"): Fraction(2**64 + 1, 2**66), by("B"): Fraction(0),
                     by("C"): Fraction(1, 2), by("D"): Fraction(1, 2),
                     CONTEST.invalid: Fraction(1, 2)}, Fraction(1, 2), "big")
     assertions = plurality_assertions() + knesset_assertions(120, False) + [big]
