@@ -29,7 +29,7 @@ from .harness import (
     load_election_inputs,
     run_experiment,
 )
-from .knesset import relabel_margin
+from .knesset import assertion_margin
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,12 +96,10 @@ def _cmd_margins(args) -> int:
             raise ConfigError(f"--weaken wants GAINER:KEEPER, got {spec!r}")
         weaken.append((gainer, keeper))
     assertions = election_assertions(contest, kc, reported, weaken)
-    types = sorted(reported.counts, key=lambda bt: bt.name)
-    counts = [reported.counts[bt] for bt in types]
     writer = csv.writer(sys.stdout)
     writer.writerow(["assertion", "margin", "margin_pct"])
     for a in assertions:
-        m = relabel_margin(*a.row(types), counts, a.label)
+        m = assertion_margin(a, reported)
         writer.writerow([a.label, m, _pct(m, reported.total)])
     return 0
 
@@ -128,6 +126,8 @@ def _cmd_census(args) -> int:
         "divisor": args.divisor,
         "delta": args.delta,
         "households": args.households,
+        "trials": args.trials if args.generate else 1,
+        "seed": args.seed,
     }
     if args.generate:
         if not args.household_dist or not args.sample_frac:
@@ -138,7 +138,7 @@ def _cmd_census(args) -> int:
             households={"generate": {"household_dist": args.household_dist,
                                      "nonresponse": args.nonresponse}},
         )
-    run_experiment(config, args.out, seed=args.seed, trials=args.trials if args.generate else 1)
+    run_experiment(config, args.out)
     return 0
 
 

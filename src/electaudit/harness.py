@@ -19,7 +19,7 @@ The same matrix goes to whichever audit runs, which reads the reported
 tally as the column sum.  :func:`deal_batches` and
 :func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
 lists.  Its margins are each assertion's integer row over the reported
-column sums (:func:`electaudit.knesset.relabel_margin`).  A census trial,
+column sums (:func:`electaudit.knesset.assertion_margin`).  A census trial,
 from ``audit run`` or ``audit census``, generates its households or takes
 the household file, read once straight into columns
 (:func:`electaudit.census.load_households_csv`), and writes
@@ -46,7 +46,7 @@ from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
 from .core import ConfigError, as_float, as_int, check_int64_total, check_keys, load_contest_csv
 from .core import plurality_assorter, read_csv
-from .knesset import KnessetContest, generate_assertions, relabel_margin
+from .knesset import KnessetContest, assertion_margin, generate_assertions
 from .knesset import load_knesset_config
 from .randomness import make_rng
 
@@ -465,8 +465,7 @@ def _election_trial(inputs: ElectionInputs, trial_idx: int, trial_seed: int) -> 
         m = inject_misreads(m, inputs.error_model, data_rng)
     reported = m.combined(m.reported)
     assertions = election_assertions(inputs.contest, inputs.knesset, reported, inputs.weaken)
-    counts = [reported.counts[bt] for bt in m.types]
-    margins = {a.label: relabel_margin(*a.row(m.types), counts, a.label) for a in assertions}
+    margins = {a.label: assertion_margin(a, reported) for a in assertions}
     with _trace_hook(inputs.trace_dir, trial_idx) as hook:
         outcome = run_election_trial(inputs.kind, m, assertions, inputs.alpha, inputs.delta,
                                      audit_seed, hook)

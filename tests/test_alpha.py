@@ -345,7 +345,7 @@ def kernel_cases(draw):
 def test_kernel_matches_stepwise_reference(case):
     """sequential_test's trace reproduces the stepwise advance draw by draw, for both eta rules."""
     x, sizes, n, eta0, u0, alpha, floor = case
-    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), 1e-9, 1 / alpha)
+    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), EPSILON, 1 / alpha)
     _assert_follows_stepwise(path, x, sizes, n, eta0, u0, alpha, floor)
 
 
@@ -356,7 +356,7 @@ def _assert_follows_stepwise(path: KernelPath, x, sizes, n, eta0, u0, alpha, flo
     rows = []  # T after each draw, then the (mu, eta, u) it was tested with
     for value, weight in zip(x, sizes):
         tested = (ref.mu, ref.eta, ref.u)
-        advance(ref, float(value), int(weight), n, cfg, floor, 1e-9)
+        advance(ref, float(value), int(weight), n, cfg, floor, EPSILON)
         rows.append((ref.T, *tested))
         if not ref.active:
             break
