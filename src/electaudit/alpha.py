@@ -12,9 +12,10 @@ bound kept strictly above ``eta``.  An assertion is approved once T exceeds
 seen force the full mean above 1/2 no matter what remains).
 
 One kernel, :func:`sequential_test`, runs this test for every audit in the
-package: it takes a group of assertion rows that share one draw order, one
-start (an :class:`AssertionSpec`) per row, and computes each row's T as a
-running product of the factors above, with mu, eta and u from running sums.
+package: it takes a group of assertion rows that share one draw order and
+one eta rule, one start (an :class:`AssertionSpec`) per row, and computes
+each row's T as a running product of the factors above, with mu, eta and u
+from running sums.
 The ballot-level audit, both batch audits and the census audit call it, the
 two comparison audits with the start of :func:`comparison_spec`.  The
 step-by-step reference it is tested against lives in ``tests/helpers.py``;
@@ -91,6 +92,7 @@ from .randomness import Seed, make_rng
 
 _HALF = Fraction(1, 2)
 EPSILON = 1e-9  # keeps mu < eta < u strict in every audit's test
+DEFAULT_DELTA = 1e-10  # the comparison audits' sliver of u above eta (comparison_spec)
 
 TraceHook = Callable[[int, str, float, float, float, float], None]
 
@@ -201,7 +203,6 @@ def sequential_test(
     seen: np.ndarray,
     n: int,
     specs: Sequence[AssertionSpec] | AssertionSpec,
-    eps: float,
     threshold: float,
     trace: TraceHook | None = None,
 ):
@@ -213,9 +214,11 @@ def sequential_test(
     ``seen[j] - seen[j-1]`` ballots.  ``x`` is a rows x draws array.  Row r
     starts from ``specs[r]``: its ``eta`` and ``u``; ``eta_floor`` of None
     selects the remaining-reported-mean guess with ``eta`` as the reported
-    mean, and a float selects the fixed target of the comparison audits.  A
+    mean, and a float selects the fixed target of the comparison audits.
+    Every row of one call takes the same rule; a mix is a ValueError.  A
     row approves on the first draw after which T exceeds ``threshold``, or
-    after which mu falls below 0 while ballots remain.
+    after which mu falls below 0 while ballots remain.  ``EPSILON`` keeps
+    mu < eta < u strict.
 
     One spec in place of the sequence is the one-row call: ``x`` is that
     row, an array or anything whose slice ``x[i:j]`` is the array of draws
@@ -254,12 +257,14 @@ def sequential_test(
     steps = [[] for _ in specs] if trace is not None else None  # each row's trace calls
     live = list(range(len(specs)))  # the rows still testing
     rows = slice(None)  # ``live`` as an index into x: a view while every row is live
-    fixed = [s.eta_floor is not None for s in specs]
-    all_fixed, any_fixed = all(fixed), any(fixed)
-    start = [(s.eta, s.u, s.eta_floor if f else 0.0) for s, f in zip(specs, fixed)]
-    eta0, u_carry, floor = start[0] if one else np.array(start).reshape(-1, 3).T.copy()
-    # the (mu, eta, u) the next draw is tested with
-    mu_carry, eta_carry = 0.5 if one else np.full(len(specs), 0.5), eta0
+    fixed = any(s.eta_floor is not None for s in specs)  # else the remaining-reported-mean eta
+    if any((s.eta_floor is None) == fixed for s in specs):
+        raise ValueError("the rows of one call must share one eta rule")
+    # per row: eta and u before draw 1, and the fixed eta or the reported mean
+    start = [(s.eta, s.u, s.eta_floor if fixed else s.eta) for s in specs]
+    eta_carry, u_carry, target = start[0] if one else np.array(start).reshape(-1, 3).T.copy()
+    # with eta_carry and u_carry, the (mu, eta, u) the next draw is tested with
+    mu_carry = 0.5 if one else np.full(len(specs), 0.5)
     S_carry = T_carry = None
     peak = [-math.inf] * len(specs)  # max of T so far, NaN propagating as in one T.max()
     # one errstate for the whole loop: entering it per block costs more than a short block
@@ -289,22 +294,20 @@ def sequential_test(
             remaining = np.subtract(n, seen[i : i + k], out=(scratch if one else scratch[0])[:k])
             np.subtract(0.5 * n, S[..., :k], out=mu_next)
             mu_next /= remaining
-            if not all_fixed:
-                np.subtract(n * col(eta0), S[..., :k], out=eta_next)
+            if fixed:
+                eta_next[...] = col(target)
+            else:
+                np.subtract(n * col(target), S[..., :k], out=eta_next)
                 eta_next /= remaining
-            if all_fixed:
-                eta_next[...] = col(floor)
-            elif any_fixed:
-                eta_next[fixed] = floor[fixed, None]
-            np.maximum(np.add(mu_next, eps, out=scratch[..., :k]), eta_next, out=eta_next)
-            # u, the running max of eta + eps after the carried u, stays each row's
-            # u1 unless some row's max(eta) + eps passes it (rounding is monotone;
-            # False for NaN)
-            u1 = np.maximum(u_carry, at(eta_next, 0) + eps) if k else u_carry
-            grows = k and not every(eta_next.max(axis=-1) + eps <= u1)
+            np.maximum(np.add(mu_next, EPSILON, out=scratch[..., :k]), eta_next, out=eta_next)
+            # u, the running max of eta + EPSILON after the carried u, stays each
+            # row's u1 unless some row's max(eta) + EPSILON passes it (rounding is
+            # monotone; False for NaN)
+            u1 = np.maximum(u_carry, at(eta_next, 0) + EPSILON) if k else u_carry
+            grows = k and not every(eta_next.max(axis=-1) + EPSILON <= u1)
             if grows:
                 scratch[..., 0] = u_carry
-                np.add(eta_next, eps, out=scratch[..., 1 : k + 1])
+                np.add(eta_next, EPSILON, out=scratch[..., 1 : k + 1])
                 np.maximum.accumulate(scratch[..., : k + 1], axis=-1, out=scratch[..., : k + 1])
                 u, u1 = scratch[..., :b], at(scratch, k)
             scan = not mu[..., : k + 1].min() > 0  # for mu exactly 0 and the mu < 0 stop
@@ -353,9 +356,7 @@ def sequential_test(
                 go = np.ones(len(live), dtype=bool)
                 go[stops] = False
                 live = rows = [row for row, keep in zip(live, go) if keep]
-                fixed = [f for f, keep in zip(fixed, go) if keep]
-                all_fixed, any_fixed = all(fixed), any(fixed)
-                peak, eta0, floor = peak[go], eta0[go], floor[go]
+                peak, target = peak[go], target[go]
                 S_carry, mu_carry, eta_carry = S_carry[go], mu_carry[go], eta_carry[go]
                 T_carry, u_carry = T_carry[go], u_carry[go]
     for p, row in enumerate(live):
@@ -438,7 +439,7 @@ def alpha_audit(
             results.append(AssertionOutcome(spec.label, False, False, n))
             continue
         approved, examined, _ = sequential_test(
-            _Gather(values[k], drawn), seen, n, spec, EPSILON, 1.0 / cfg.alpha, trace
+            _Gather(values[k], drawn), seen, n, spec, 1.0 / cfg.alpha, trace
         )
         results.append(AssertionOutcome(spec.label, True, approved, examined))
 
@@ -478,7 +479,7 @@ def batch_audit_loop(
     tested = [k for k, spec in enumerate(specs) if spec.approvable]
     x = np.take(batch_values[tested], order, axis=1)
     outcomes = dict(zip(tested, sequential_test(
-        x, seen, n, [specs[k] for k in tested], EPSILON, 1.0 / cfg.alpha, trace
+        x, seen, n, [specs[k] for k in tested], 1.0 / cfg.alpha, trace
     )))
     results = []
     for k, spec in enumerate(specs):

@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alpha import (
+    DEFAULT_DELTA,
     AssertionSpec,
     AuditConfig,
     AuditOutcome,
@@ -61,8 +62,6 @@ from .core import (
 
 _HALF = Fraction(1, 2)
 
-DEFAULT_DELTA = 1e-10
-
 
 @dataclass(frozen=True)
 class BatchAssorter:
@@ -85,10 +84,6 @@ class BatchAssorter:
             )
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-
-    @property
-    def accurate_value(self) -> Fraction:
-        return _HALF + self.M / (2 * (self.w - self.M))
 
 
 def make_batch_assorter(

@@ -7,7 +7,9 @@ default).  A post-enumeration survey re-counts a random sample of households;
 the audit treats the census as the reported result and the survey as the
 truth, and outputs the smallest risk limit at which the census allocation can
 be approved, rather than taking a risk limit up front: the sample is whatever
-the survey collected, so the evidence, not the appetite, is the budget.
+the survey collected, so the evidence, not the appetite, is the budget.  So
+:func:`census_rla` takes only the sampling seed, and returns that risk limit,
+each pair's risk and the households examined.
 
 Per ordered pair of states (s1, s2), a household-level assorter certifies the
 pairwise inequality that keeps s1's last seat ahead of s2's next one, and a
@@ -62,13 +64,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .alpha import EPSILON, AuditConfig, comparison_spec, sequential_test
+from .alpha import DEFAULT_DELTA, comparison_spec, sequential_test
 from .apportionment import DIVISORS, Divisor, highest_averages
 from .core import read_csv
-from .randomness import make_rng
+from .randomness import Seed, make_rng
 
 DEFAULT_GMAX = 15
-DEFAULT_DELTA = 1e-10
 _SLICE = 65536  # households per slice of a state total or of injection's uniforms
 
 
@@ -133,17 +134,13 @@ class CensusPair:
     m: Fraction
     z: Fraction
 
-    @property
-    def agree_value(self) -> Fraction:
-        return Fraction(1, 2) + self.m / (2 * (self.z - self.m))
-
 
 def census_pair(data: CensusData, seats: Mapping[str, int], s1: str, s2: str) -> CensusPair:
     """Constants for the (s1, s2) assertion from the census aggregates of ``data``.
 
-    Raises for a non-positive normaliser or z <= m (no room for the test to
-    move); a non-positive margin m is *not* an error here, it means the
-    census refutes the assertion by itself and the caller pins its risk at 1.
+    Raises for a non-positive normaliser, or unless z > m > 0: the test needs
+    room to move, and for the allocation :func:`apportion` computes from the
+    same totals every pair's margin is positive (a boundary tie raises there).
     """
     if s1 == s2:
         raise ValueError("pair states must differ")
@@ -165,21 +162,18 @@ def census_pair(data: CensusData, seats: Mapping[str, int], s1: str, s2: str) ->
     ) / (c * n)
     m = mean_cen - Fraction(1, 2)
     z = max(Fraction(g) / (c * d2), Fraction(g) / (c * d1), Fraction(0))
-    if z <= m:
-        raise ValueError(f"degenerate pair ({s1}, {s2}): z={z} does not exceed margin m={m}")
+    if not z > m > 0:
+        raise ValueError(f"degenerate pair ({s1}, {s2}): need z > m > 0, got z={z}, m={m}")
     return CensusPair(s1=s1, s2=s2, r1=r1, r2=r2, d1=d1, d2=d2, g_max=g, c=c, m=m, z=z)
 
 
 @dataclass(frozen=True)
 class CensusOutcome:
-    """Smallest approvable risk limit overall, per pair and per state."""
+    """Smallest approvable risk limit overall and per pair."""
 
     risk_limit: float
     pair_risks: Mapping[tuple[str, str], float]
-    state_risks: Mapping[str, float]
     households_examined: int
-    total_households: int
-    census_seats: Mapping[str, int]
 
 
 class CensusData:
@@ -296,59 +290,43 @@ def _draw_households(surveyed: np.ndarray, in_frame: np.ndarray, rng) -> np.ndar
     return drawn
 
 
-def _pair_tests(data: CensusData, delta: float, census_seats) -> tuple:
-    """The allocation and each ordered pair's (AssertionSpec, slope), or None when
-    the census refutes the pair; built once per census, allocation and delta."""
-    key = (delta, None if census_seats is None else tuple(sorted(census_seats.items())))
-    if key in data._pair_tests:
-        return data._pair_tests[key]
+def _pair_tests(data: CensusData, delta: float) -> list:
+    """Each ordered pair of the census allocation with its (AssertionSpec, slope);
+    built once per census and delta."""
+    if delta in data._pair_tests:
+        return data._pair_tests[delta]
     model = data.model
-    if census_seats is None:
-        seats = apportion(model, data.census_pops)
-    else:
-        seats = dict(census_seats)
-        if sorted(seats) != sorted(model.states) or sum(seats.values()) != model.representatives:
-            raise ValueError("census_seats must allocate every representative to a known state")
+    seats = apportion(model, data.census_pops)
     tests = []
     for s1, s2 in permutations(model.states, 2):
         if seats[s1] == 0:
             continue  # no seat of s1 to defend; the pair condition is vacuous
         pair = census_pair(data, seats, s1, s2)
-        if pair.m <= 0:
-            tests.append(((s1, s2), None))
-            continue
         scale = 2 * (pair.z - pair.m)
         slope = np.zeros(len(model.states))
         slope[model.states.index(s1)] = float(1 / (Fraction(pair.d1) * pair.c * scale))
         slope[model.states.index(s2)] = float(-1 / (Fraction(pair.d2) * pair.c * scale))
         spec = comparison_spec(f"{s1}->{s2}", pair.m, pair.z, delta)
-        tests.append(((s1, s2), (spec, slope)))
-    data._pair_tests[key] = seats, tests
-    return seats, tests
+        tests.append(((s1, s2), spec, slope))
+    data._pair_tests[delta] = tests
+    return tests
 
 
 def census_rla(
     data: CensusData,
-    cfg: AuditConfig,
+    seed: Seed,
     delta: float = DEFAULT_DELTA,
     surveyed_mask: np.ndarray | None = None,
-    census_seats: Mapping[str, int] | None = None,
 ) -> CensusOutcome:
     """Process the survey sample and return the risk limit it supports.
 
-    Households are drawn without replacement (:func:`_draw_households`)
-    until every surveyed household has been seen; then each pair assertion
-    is tested along that one draw sequence by
-    :func:`electaudit.alpha.sequential_test`.  ``cfg.alpha`` is ignored
-    (this audit outputs the risk limit instead of testing one);
-    ``cfg.seed`` drives the sampling.
-    A pair whose census margin is not positive gets risk limit 1: the census
-    contradicts the allocation on that pair by itself.  ``surveyed_mask``
-    overrides the households' own surveyed flags, which lets simulations
-    re-divide one generated population into many survey samples cheaply.
-    ``census_seats`` audits a supplied allocation instead of the one the
-    census implies (some nations amend seat allocations by law rather than
-    recompute them).
+    Households are drawn without replacement (:func:`_draw_households`),
+    driven by ``seed``, until every surveyed household has been seen; then
+    each pair assertion of the census allocation is tested along that one
+    draw sequence by :func:`electaudit.alpha.sequential_test`, with no risk
+    limit to stop at.  ``surveyed_mask`` overrides the households' own
+    surveyed flags, which lets simulations re-divide one generated
+    population into many survey samples cheaply.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -362,8 +340,8 @@ def census_rla(
     if not data.in_frame[surveyed].all():
         raise ValueError("a surveyed household is marked outside the survey frame")
 
-    seats, tests = _pair_tests(data, delta, census_seats)
-    drawn = _draw_households(surveyed, data.in_frame, make_rng(cfg.seed))
+    tests = _pair_tests(data, delta)
+    drawn = _draw_households(surveyed, data.in_frame, make_rng(seed))
     seen = np.arange(1, len(drawn) + 1)
     # frame-absent draws carry no survey count and score as agreement
     diff = np.where(surveyed_mask[drawn], data.pes[drawn] - data.cen[drawn], 0)
@@ -371,30 +349,14 @@ def census_rla(
     off_diff, off_state = diff[off], data.state_idx[drawn[off]]
 
     pair_risks: dict[tuple[str, str], float] = {}
-    for pair, test in tests:
-        if test is None:
-            pair_risks[pair] = 1.0
-            continue
-        spec, slope = test  # A = agreement value + (pes - cen) * slope[state]
+    for pair, spec, slope in tests:  # A = agreement value + (pes - cen) * slope[state]
         A = np.full(len(drawn), spec.eta)
         A[off] = spec.eta + off_diff * slope[off_state]
-        approved, _, T_max = sequential_test(A, seen, n, spec, EPSILON, math.inf)
+        approved, _, T_max = sequential_test(A, seen, n, spec, math.inf)
         # approval here means mu fell below 0: the sample alone settles the pair
         pair_risks[pair] = 0.0 if approved else min(1.0, 1.0 / T_max)
-
-    state_risks = {
-        s: max((r for pair, r in pair_risks.items() if s in pair), default=0.0)
-        for s in data.model.states
-    }
     overall = max(pair_risks.values()) if pair_risks else 0.0
-    return CensusOutcome(
-        risk_limit=overall,
-        pair_risks=pair_risks,
-        state_risks=state_risks,
-        households_examined=len(drawn),
-        total_households=n,
-        census_seats=dict(seats),
-    )
+    return CensusOutcome(overall, pair_risks, len(drawn))
 
 
 def _size_distribution(

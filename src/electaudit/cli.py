@@ -22,6 +22,7 @@ import os
 import sys
 
 from . import census as census_mod
+from .alpha import DEFAULT_DELTA
 from .harness import (
     ConfigError,
     _pct,
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     cens.add_argument("--representatives", type=int, default=56)
     cens.add_argument("--g-max", type=int, default=census_mod.DEFAULT_GMAX)
     cens.add_argument("--divisor", default="dhondt")
-    cens.add_argument("--delta", type=float, default=census_mod.DEFAULT_DELTA)
+    cens.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     cens.add_argument(
         "--sample-frac",
         default=None,

@@ -22,8 +22,10 @@ lists.  Its margins are each assertion's integer row over the reported
 column sums (:func:`electaudit.knesset.assertion_margin`).  A census trial,
 from ``audit run`` or ``audit census``, generates its households or takes
 the household file, read once straight into columns
-(:func:`electaudit.census.load_households_csv`), and writes
-``risk_curve.csv``, ``pair_risks.csv`` and ``risk_summary.csv``.
+(:func:`electaudit.census.load_households_csv`), audits it with its audit
+seed alone, and writes ``risk_curve.csv``, ``pair_risks.csv`` and
+``risk_summary.csv``.  A :class:`TrialReport` holds no timing: the run's
+wall time goes to ``run_meta.json``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import census as census_mod
-from .alpha import AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit
+from .alpha import DEFAULT_DELTA, AuditConfig, AuditOutcome, alpha_audit, alpha_batch_audit
 from .batchcomp import batchcomp_audit, load_batches_csv
 from .core import Assorter, BatchMatrix, BatchRecord, Contest, Tally, batch_matrix
 from .core import ConfigError, as_float, as_int, check_int64_total, check_keys, load_contest_csv
@@ -51,6 +53,8 @@ from .knesset import load_knesset_config
 from .randomness import make_rng
 
 AUDIT_KINDS = ("alpha", "alpha_batch", "batchcomp", "census")
+DEFAULT_SIZE_RANGE = (250, 550)  # ballots per dealt batch, min and max
+_INJECT_TRIES = 50  # disagreement draws before a census trial gives up
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,6 @@ class TrialReport:
     per_assertion: dict[str, dict]
     risk_limit: float | None = None
     sample_fraction: float | None = None
-    wall_time: float = 0.0
 
 
 def trial_rngs(seed: int) -> tuple[np.random.Generator, tuple[int, int]]:
@@ -103,7 +106,7 @@ def deal_matrix(
     truth: Tally,
     rng,
     sizes: Sequence[int] | None = None,
-    size_range: tuple[int, int] = (250, 550),
+    size_range: tuple[int, int] = DEFAULT_SIZE_RANGE,
 ) -> BatchMatrix:
     """Partition a true tally into batches by dealing a shuffled deck.
 
@@ -188,7 +191,7 @@ def deal_batches(
     truth: Tally,
     rng,
     sizes: Sequence[int] | None = None,
-    size_range: tuple[int, int] = (250, 550),
+    size_range: tuple[int, int] = DEFAULT_SIZE_RANGE,
 ) -> list[BatchRecord]:
     """:func:`deal_matrix` as a batch list, ids ``batch-00000`` on: the same draws."""
     m = deal_matrix(truth, rng, sizes, size_range)
@@ -415,7 +418,7 @@ def _election_inputs(config: Mapping, kind: str, trace_dir: Path | None) -> Elec
     knesset_path = config.get("knesset") and _path(config, "knesset")
     contest, tally, knesset = load_election_inputs(_path(config, "contest"), knesset_path)
     alpha = _read(config, "alpha", as_float, 0.05)
-    delta = _read(config, "delta", as_float, 1e-10)
+    delta = _read(config, "delta", as_float, DEFAULT_DELTA)
     error_model = _read(config, "error_model", _error_model)
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
     _check_weaken(knesset, weaken)
@@ -438,7 +441,7 @@ def _batch_source(config: Mapping, contest: Contest, n: int) -> BatchMatrix | tu
     gen = _read(spec, "generate", _mapping, {})
     check_keys(gen, ("sizes", "size_range"), "config 'batches.generate'")
     sizes = _read(gen, "sizes", lambda v: v if v is None else [as_int(x) for x in v])
-    size_range = _read(gen, "size_range", lambda v: tuple(map(as_int, v)), (250, 550))
+    size_range = _read(gen, "size_range", lambda v: tuple(map(as_int, v)), DEFAULT_SIZE_RANGE)
     check_batch_rule(n, sizes, size_range)
     return sizes, size_range
 
@@ -456,7 +459,6 @@ def _trace_hook(trace_dir: Path | None, trial_idx: int):
 
 
 def _election_trial(inputs: ElectionInputs, trial_idx: int, trial_seed: int) -> list[TrialReport]:
-    t0 = time.perf_counter()
     data_rng, audit_seed = trial_rngs(trial_seed)
     m = inputs.batches
     if not isinstance(m, BatchMatrix):
@@ -475,8 +477,7 @@ def _election_trial(inputs: ElectionInputs, trial_idx: int, trial_seed: int) -> 
         for r in outcome.assertions
     }
     return [TrialReport(trial_seed, inputs.kind, outcome.approved, outcome.full_count,
-                        outcome.ballots_examined, outcome.total_ballots, per_assertion,
-                        wall_time=time.perf_counter() - t0)]
+                        outcome.ballots_examined, outcome.total_ballots, per_assertion)]
 
 
 def _write_election_csvs(reports: list[TrialReport], out_dir: Path) -> None:
@@ -539,7 +540,7 @@ def _census_inputs(config: Mapping) -> CensusInputs:
     representatives = _read(config, "representatives", as_int)
     g_max = _read(config, "g_max", as_int, census_mod.DEFAULT_GMAX)
     divisor = _read(config, "divisor", str, "dhondt")
-    delta = _read(config, "delta", as_float, census_mod.DEFAULT_DELTA)
+    delta = _read(config, "delta", as_float, DEFAULT_DELTA)
     disagree = _read(config, "disagreement_rate", as_float, 0.0)
     if not 0 <= disagree <= 1:
         raise ConfigError(f"config 'disagreement_rate' {disagree!r} is not in [0, 1]")
@@ -576,7 +577,6 @@ def _census_inputs(config: Mapping) -> CensusInputs:
 
 def _census_trial(inputs: CensusInputs, trial_idx: int, trial_seed: int) -> list[TrialReport]:
     """One census trial: one report per sample fraction, each its own survey draw."""
-    t0 = time.perf_counter()
     data_rng, audit_seed = trial_rngs(trial_seed)
     data = inputs.households
     if not isinstance(data, census_mod.CensusData):
@@ -592,12 +592,11 @@ def _census_trial(inputs: CensusInputs, trial_idx: int, trial_seed: int) -> list
         if frac is not None:
             mask = np.zeros(n, dtype=bool)
             mask[data_rng.choice(n, size=max(1, round(frac * n)), replace=False)] = True
-        cfg = AuditConfig(alpha=1.0, seed=audit_seed)
-        outcome = census_mod.census_rla(data, cfg, delta=inputs.delta, surveyed_mask=mask)
+        outcome = census_mod.census_rla(data, audit_seed, delta=inputs.delta, surveyed_mask=mask)
         pairs = {f"{a}->{b}": {"risk": r} for (a, b), r in sorted(outcome.pair_risks.items())}
         reports.append(TrialReport(trial_seed, "census", outcome.risk_limit < 1.0, False,
                                    outcome.households_examined, n, pairs, outcome.risk_limit,
-                                   frac, wall_time=time.perf_counter() - t0))
+                                   frac))
     return reports
 
 
@@ -623,14 +622,14 @@ def _write_census_csvs(reports: list[TrialReport], out_dir: Path) -> None:
             w.writerow([label(frac), repr(statistics.median(risks))])
 
 
-def _inject_agreeing_disagreement(data, rate, dist, rng, max_tries: int = 50):
+def _inject_agreeing_disagreement(data, rate, dist, rng):
     """Disagreement injection conditioned on an unchanged full-survey allocation.
 
     The efficiency question is only meaningful when the full survey would
     confirm the census, so redraws that flip a seat are rejected and retried.
     """
     base, pops = census_mod.apportion(data.model, data.census_pops), data.census_pops
-    for _ in range(max_tries):
+    for _ in range(_INJECT_TRIES):
         candidate = census_mod.inject_survey_disagreement(data, rate, dist, rng)
         at = np.flatnonzero(candidate.pes != data.cen)  # only these move a total off the census
         shift = np.bincount(data.state_idx[at], candidate.pes[at] - data.cen[at], len(pops))

@@ -18,6 +18,7 @@ import numpy as np
 
 from electaudit.alpha import EPSILON, AssertionSpec, AuditConfig, sequential_test
 from electaudit.apportionment import Divisor, dhondt
+from electaudit.batchcomp import BatchAssorter
 from electaudit import census as census_mod
 from electaudit.census import CensusData, CensusModel, CensusPair
 from electaudit.core import (
@@ -260,13 +261,13 @@ class KernelPath(NamedTuple):
     u: np.ndarray
 
 
-def traced_path(x, seen, n: int, spec: AssertionSpec, eps: float, threshold: float) -> KernelPath:
+def traced_path(x, seen, n: int, spec: AssertionSpec, threshold: float) -> KernelPath:
     """:func:`electaudit.alpha.sequential_test` with the T/mu/eta/u arrays
     rebuilt from its trace rows, which must number the draws 1, 2, ... and
     carry the spec's label."""
     rows = []
     approved, examined, T_max = sequential_test(
-        x, seen, n, spec, eps, threshold, lambda *row: rows.append(row)
+        x, seen, n, spec, threshold, lambda *row: rows.append(row)
     )
     assert [r[:2] for r in rows] == [(j, spec.label) for j in range(1, examined + 1)]
     columns = (np.array([r[c] for r in rows], dtype=float) for c in range(2, 6))
@@ -524,6 +525,16 @@ def draw_order_reference(sizes, rng) -> list[int]:
         pick = rng.choice(len(remaining), p=weights / weights.sum())
         order.append(remaining.pop(int(pick)))
     return order
+
+
+def accurate_value(A: BatchAssorter) -> Fraction:
+    """The score 1/2 + M/(2(w - M)) of every accurately counted batch."""
+    return Fraction(1, 2) + A.M / (2 * (A.w - A.M))
+
+
+def agree_value(pair: CensusPair) -> Fraction:
+    """The score 1/2 + m/(2(z - m)) of every household whose survey agrees."""
+    return Fraction(1, 2) + pair.m / (2 * (pair.z - pair.m))
 
 
 def batchcomp_simplified_step(T: float, A_value: float, mu: float) -> float:

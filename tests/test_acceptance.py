@@ -109,7 +109,7 @@ def test_criterion_03_census_risk_guarantee():
         rng = make_rng((s, 0))
         mask = np.zeros(data.n, dtype=bool)
         mask[rng.choice(data.n, size=250, replace=False)] = True
-        out = census_rla(data, AuditConfig(alpha=1.0, seed=(s, 1)), surveyed_mask=mask)
+        out = census_rla(data, (s, 1), surveyed_mask=mask)
         hits10 += out.risk_limit <= 0.1
         hits05 += out.risk_limit <= 0.05
     rate10, rate05 = hits10 / trials, hits05 / trials
@@ -341,7 +341,7 @@ def _cyprus_medians(fractions, disagreement, trials=10):
             k = round(frac * data.n)
             mask = np.zeros(data.n, dtype=bool)
             mask[data_rng.choice(data.n, size=k, replace=False)] = True
-            out = census_rla(data, AuditConfig(alpha=1.0, seed=audit_seed), surveyed_mask=mask)
+            out = census_rla(data, audit_seed, surveyed_mask=mask)
             risks[frac].append(out.risk_limit)
     return {f: statistics.median(r) for f, r in risks.items()}
 

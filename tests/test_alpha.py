@@ -150,7 +150,7 @@ def test_vectorised_trajectory_matches_stepwise(two_party):
     rep = c.tally({"Alice": 171, "Bob": 129})
     st = start_state(alpha_init([a], ballot_batch(rep))[0], n)
     seen = np.arange(1, n + 1)
-    path = traced_path(x, seen, n, _spec(rep_mean, st.u), EPSILON, 1 / cfg.alpha)
+    path = traced_path(x, seen, n, _spec(rep_mean, st.u), 1 / cfg.alpha)
     T, mu, eta, u = path.T, path.mu, path.eta, path.u
     for j in range(n):
         if not st.active:
@@ -189,14 +189,13 @@ def test_supermartingale_mean_stays_at_one(two_party):
     ballots = np.array([1.0] * 12 + [0.0] * 12)
     runs = 10_000
     rng = make_rng(99)
-    eps = 1e-9
     rep_mean = 0.54
     seen = np.arange(1, n + 1)
     paths = np.empty((runs, n))
     for r in range(runs):
         x = rng.permutation(ballots)
         # no risk limit: the path runs on until mu < 0 stops it
-        path = traced_path(x, seen, n, _spec(rep_mean, 1.0), eps, math.inf)
+        path = traced_path(x, seen, n, _spec(rep_mean, 1.0), math.inf)
         paths[r, : path.examined] = path.T
         paths[r, path.examined :] = path.T[-1]
     means = paths.mean(axis=0)
@@ -240,7 +239,7 @@ def test_first_crossing_prefers_earliest_rule():
     # 4 ballots, bound 3: mu goes negative after draw 2, before T reaches 1/alpha
     x = np.array([1.5, 1.5, 3.0, 3.0])
     cfg = AuditConfig(alpha=0.1)
-    path = traced_path(x, np.arange(1, 5), 4, _spec(1.0, 3.0), EPSILON, 1 / cfg.alpha)
+    path = traced_path(x, np.arange(1, 5), 4, _spec(1.0, 3.0), 1 / cfg.alpha)
     assert path.approved and path.examined == 2
     assert path.T_max == path.T[1] < 1 / cfg.alpha
     ref = AssertionState("ref", eta=1.0, u=3.0)
@@ -249,7 +248,7 @@ def test_first_crossing_prefers_earliest_rule():
     assert ref.approved and ref.mu < 0 and ref.T < 1 / cfg.alpha
     assert path.T_max == pytest.approx(ref.T_max, rel=1e-12)
     # with a threshold T passes at draw 1, the T rule comes first
-    early = sequential_test(x, np.arange(1, 5), 4, _spec(1.0, 3.0), EPSILON, path.T[0] / 2)
+    early = sequential_test(x, np.arange(1, 5), 4, _spec(1.0, 3.0), path.T[0] / 2)
     assert early[:2] == (True, 1)
 
 
@@ -345,7 +344,7 @@ def kernel_cases(draw):
 def test_kernel_matches_stepwise_reference(case):
     """sequential_test's trace reproduces the stepwise advance draw by draw, for both eta rules."""
     x, sizes, n, eta0, u0, alpha, floor = case
-    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), EPSILON, 1 / alpha)
+    path = traced_path(x, np.cumsum(sizes), n, _spec(eta0, u0, floor), 1 / alpha)
     _assert_follows_stepwise(path, x, sizes, n, eta0, u0, alpha, floor)
 
 
@@ -376,14 +375,16 @@ def _assert_follows_stepwise(path: KernelPath, x, sizes, n, eta0, u0, alpha, flo
 
 @st.composite
 def kernel_row_cases(draw):
-    """Assertion rows along one draw order, each with its own values, start
-    and eta rule: rows that stop at different draws or never, all-zero
-    rows, values on the half-integer grid (so mu hits 0 exactly), reported
-    means near the bound (so u grows in those rows only), and one draw."""
+    """Assertion rows along one draw order and under one eta rule, each with
+    its own values and start: rows that stop at different draws or never,
+    all-zero rows, values on the half-integer grid (so mu hits 0 exactly),
+    reported means near the bound (so u grows in those rows only), and one
+    draw."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=20))
     if draw(st.booleans()):
         sizes = [1] * len(sizes)
     n = sum(sizes) + draw(st.integers(0, 8))
+    fixed = draw(st.booleans())
     x, starts = [], []
     for r in range(draw(st.integers(1, 5))):
         u0 = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(0.6, 3.0))
@@ -392,7 +393,7 @@ def kernel_row_cases(draw):
         value = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0.0, 2 * u0)
         row = draw(st.lists(value, min_size=len(sizes), max_size=len(sizes)))
         x.append([0.0] * len(sizes) if draw(st.integers(0, 4)) == 0 else row)
-        starts.append((eta0, u0, eta0 if draw(st.booleans()) else None))
+        starts.append((eta0, u0, eta0 if fixed else None))
     alpha = draw(st.sampled_from([0.05, 0.2, 1e-6]))
     return np.array(x), np.array(sizes), n, starts, alpha
 
@@ -414,15 +415,22 @@ def test_kernel_rows_match_one_row_calls(case, block):
     specs = [AssertionSpec(f"row{r}", *start[:2], True, start[2]) for r, start in enumerate(starts)]
     args, traced = (seen, n), []
     with mock.patch.object(alpha_mod, "_BLOCK", block):
-        got = sequential_test(x, *args, specs, 1e-9, 1 / alpha)
-        assert sequential_test(x, *args, specs, 1e-9, 1 / alpha, lambda *t: traced.append(t)) == got
+        got = sequential_test(x, *args, specs, 1 / alpha)
+        assert sequential_test(x, *args, specs, 1 / alpha, lambda *t: traced.append(t)) == got
     assert [t[1] for t in traced] == [s.label for s, out in zip(specs, got) for _ in range(out[1])]
     for r, spec in enumerate(specs):
         one = []
-        assert sequential_test(x[r], *args, spec, 1e-9, 1 / alpha, lambda *t: one.append(t)) == got[r]
+        assert sequential_test(x[r], *args, spec, 1 / alpha, lambda *t: one.append(t)) == got[r]
         assert _bits([t for t in traced if t[1] == spec.label]) == _bits(one)
         path = KernelPath(*got[r], *(np.array([t[c] for t in one]) for c in range(2, 6)))
         _assert_follows_stepwise(path, x[r], sizes, n, *starts[r][:2], alpha, starts[r][2])
+
+
+def test_kernel_rejects_rows_of_both_eta_rules():
+    """One call takes one eta rule: a fixed-eta row beside an adaptive one is an error."""
+    specs = [_spec(0.6, 1.0), _spec(0.6, 1.0, 0.6)]
+    with pytest.raises(ValueError, match="one eta rule"):
+        sequential_test(np.ones((2, 3)), np.arange(1, 4), 3, specs, 20.0)
 
 
 def test_kernel_zero_mu_special_cases():
@@ -431,7 +439,7 @@ def test_kernel_zero_mu_special_cases():
     cfg = AuditConfig(alpha=0.05)
     for last, approved in ((0.0, False), (0.5, True)):
         x = np.array([1.0, 1.0, last, 0.0])
-        path = traced_path(x, np.arange(1, 5), 4, _spec(0.9, 1.0), EPSILON, 1 / cfg.alpha)
+        path = traced_path(x, np.arange(1, 5), 4, _spec(0.9, 1.0), 1 / cfg.alpha)
         assert path.mu[2] == 0.0
         assert not np.isnan(path.T).any()
         assert (path.approved, path.examined) == (approved, 3 if approved else 4)
@@ -463,7 +471,7 @@ def test_alpha_audit_trace_changes_nothing(two_party):
 
 def _kernel_args(x, seen, n, eta0, u0, eps, threshold, floor=None):
     """``sequential_test``'s arguments for ``run_path_reference``'s."""
-    return x, seen, n, _spec(eta0, u0, floor), eps, threshold
+    return x, seen, n, _spec(eta0, u0, floor), threshold
 
 
 def _in_blocks(size, fn, *args):

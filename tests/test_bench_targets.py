@@ -1,17 +1,23 @@
 """The benchmark's hooks into the package still hold.
 
-``bench/tracer.py`` rebinds each ``TARGETS`` entry at run time, and
+``bench/tracer.py`` rebinds each ``TARGETS`` entry at run time,
 ``bench/workloads.py`` checks a trial's margins by dealing its batches again
-through ``deal_batches`` and ``inject_ballot_errors``.  A break in either
-would otherwise show only when a benchmark run starts.
+through ``deal_batches`` and ``inject_ballot_errors``, and both bench
+modules read fields of the audits' outcomes and the trial reports.  A break
+in any would otherwise show only when a benchmark run starts.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from electaudit.alpha import AssertionOutcome, AuditOutcome
+from electaudit.census import CensusOutcome
+from electaudit.harness import TrialReport
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -46,6 +52,24 @@ def test_every_workloads_import_resolves():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name} is gone"
+
+
+# The fields ``bench/run_bench.py`` reads off a traced audit's outcome and
+# ``bench/workloads.py`` reads off a trial's reports.
+BENCH_READS = {
+    CensusOutcome: ("households_examined",),
+    AuditOutcome: ("total_ballots", "assertions"),
+    AssertionOutcome: ("approvable", "approved", "examined", "batches_examined"),
+    TrialReport: ("approved", "full_count", "ballots_examined", "total_ballots", "risk_limit",
+                  "sample_fraction", "per_assertion"),
+}
+
+
+def test_every_field_the_bench_reads_exists():
+    for cls, names in BENCH_READS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        missing = [name for name in names if name not in fields]
+        assert not missing, f"{cls.__name__} lost {missing}"
 
 
 def test_bench_selftest_passes():

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electaudit.alpha import AuditConfig
-from electaudit.apportionment import AllocationTieError
+from electaudit.apportionment import DIVISORS, AllocationTieError
 from electaudit import census as census_mod
 from electaudit.census import (
     CensusData,
@@ -29,6 +28,7 @@ from electaudit.randomness import make_rng
 
 from .helpers import (
     Household,
+    agree_value,
     by_value,
     census_assorter_value,
     census_data,
@@ -64,12 +64,12 @@ def test_apportion_constant_shifts_rows():
     assert apportion(m0, {"X": 100, "Y": 60}) == {"X": 2, "Y": 1}
 
 
-def _household_fixture():
+def _household_fixture(divisor_name="dhondt"):
     counts_x = [3, 2, 2, 1]
     counts_y = [1, 1, 2]
     hh = [Household(f"x{i}", "X", c, c) for i, c in enumerate(counts_x)]
     hh += [Household(f"y{i}", "Y", c, c) for i, c in enumerate(counts_y)]
-    model = CensusModel(states=("X", "Y"), representatives=3, constants={}, g_max=3)
+    model = CensusModel(("X", "Y"), 3, {}, g_max=3, divisor_name=divisor_name)
     return model, hh
 
 
@@ -212,7 +212,7 @@ def test_comparison_assorter_agreement_constant():
         for st in ("X", "Y")
         for g in range(model.g_max + 1)
     }
-    assert values == {pair.agree_value}
+    assert values == {agree_value(pair)}
 
 
 def test_comparison_mean_crosses_half_with_survey_mean():
@@ -238,34 +238,60 @@ def test_comparison_mean_crosses_half_with_survey_mean():
 
 
 def test_allocation_equivalence_theorem_small():
-    """Apportionments match iff every ordered-pair inequality holds.
+    """Apportionments match iff every ordered-pair inequality holds, under
+    either divisor rule.
 
     Both sides depend on the survey only through per-state sums, so the sweep
     over sums is exhaustive for 2 states, 7 households, counts up to 3.
     """
-    model, base = _household_fixture()
-    data = census_data(model, base)
-    census_seats = apportion(model, data.census_pops)
-    pairs = {}
-    for s1, s2 in (("X", "Y"), ("Y", "X")):
-        if census_seats[s1] == 0:
-            continue
-        pairs[(s1, s2)] = census_pair(data, census_seats, s1, s2)
-    max_x, max_y = 4 * model.g_max, 3 * model.g_max
-    checked = 0
-    for sum_x, sum_y in product(range(max_x + 1), range(max_y + 1)):
-        try:
-            pes_seats = apportion(model, {"X": sum_x, "Y": sum_y})
-        except (AllocationTieError, ValueError):
-            continue
-        holds = all(
-            Fraction(sum_x if s1 == "X" else sum_y, p.d1)
-            > Fraction(sum_x if s2 == "X" else sum_y, p.d2)
-            for (s1, s2), p in pairs.items()
-        )
-        assert holds == (pes_seats == census_seats), (sum_x, sum_y)
-        checked += 1
-    assert checked > 50
+    for divisor_name in sorted(DIVISORS):
+        model, base = _household_fixture(divisor_name)
+        data = census_data(model, base)
+        census_seats = apportion(model, data.census_pops)
+        pairs = {}
+        for s1, s2 in (("X", "Y"), ("Y", "X")):
+            if census_seats[s1] == 0:
+                continue
+            pairs[(s1, s2)] = census_pair(data, census_seats, s1, s2)
+        max_x, max_y = 4 * model.g_max, 3 * model.g_max
+        checked = 0
+        for sum_x, sum_y in product(range(max_x + 1), range(max_y + 1)):
+            try:
+                pes_seats = apportion(model, {"X": sum_x, "Y": sum_y})
+            except (AllocationTieError, ValueError):
+                continue
+            holds = all(
+                Fraction(sum_x if s1 == "X" else sum_y, p.d1)
+                > Fraction(sum_x if s2 == "X" else sum_y, p.d2)
+                for (s1, s2), p in pairs.items()
+            )
+            assert holds == (pes_seats == census_seats), (sum_x, sum_y)
+            checked += 1
+        assert checked > 50
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_pair_of_the_census_allocation_has_a_positive_margin(data):
+    """On small random censuses under either divisor, apportion raises or
+    every ordered pair it leaves a seat to defend has z > m > 0, so no pair of
+    the audited allocation is refuted by the census alone."""
+    k = data.draw(st.integers(2, 3))
+    g_max = data.draw(st.integers(1, 4))
+    model = CensusModel(tuple("XYZ"[:k]), data.draw(st.integers(1, 6)), {}, g_max,
+                        data.draw(st.sampled_from(sorted(DIVISORS))))
+    state_idx = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+    cen = data.draw(st.lists(st.integers(0, g_max), min_size=len(state_idx),
+                             max_size=len(state_idx)))
+    census = CensusData(model, np.array(state_idx), np.array(cen))
+    try:
+        seats = apportion(model, census.census_pops)
+    except (AllocationTieError, ValueError):
+        return
+    for s1, s2 in permutations(model.states, 2):
+        if seats[s1] > 0:
+            pair = census_pair(census, seats, s1, s2)
+            assert pair.z > pair.m > 0, (s1, s2, seats, census.census_pops)
 
 
 def test_sample_household_uniform_over_remaining():
@@ -358,7 +384,7 @@ def test_census_rla_no_survey_gives_risk_one():
     model, base = _household_fixture()
     silent = [Household(h.id, h.state, h.census_count, None) for h in base]
     data = census_data(model, silent)
-    out = census_rla(data, AuditConfig(alpha=1.0, seed=0))
+    out = census_rla(data, 0)
     assert out.risk_limit == 1.0
     assert all(r == 1.0 for r in out.pair_risks.values())
     assert out.households_examined == 0
@@ -374,20 +400,9 @@ def test_census_rla_agreement_improves_with_more_survey():
     for k in (50, 150, 300):
         mask = np.zeros(data.n, dtype=bool)
         mask[make_rng((k, 7)).choice(data.n, size=k, replace=False)] = True
-        out = census_rla(data, AuditConfig(alpha=1.0, seed=1), surveyed_mask=mask)
+        out = census_rla(data, 1, surveyed_mask=mask)
         risks.append(out.risk_limit)
     assert risks[0] >= risks[1] >= risks[2]
-
-
-def test_census_rla_supplied_allocation_with_nonpositive_margin():
-    model, base = _household_fixture()
-    data = census_data(model, base)
-    honest = apportion(model, data.census_pops)
-    assert honest == {"X": 2, "Y": 1}
-    skewed = {"X": 1, "Y": 2}  # census numbers refute this allocation outright
-    out = census_rla(data, AuditConfig(alpha=1.0, seed=0), census_seats=skewed)
-    assert out.risk_limit == 1.0
-    assert out.pair_risks[("Y", "X")] == 1.0
 
 
 def _agreement_risk_closed_form(pair: CensusPair, n: int, k: int) -> float:
@@ -396,7 +411,7 @@ def _agreement_risk_closed_form(pair: CensusPair, n: int, k: int) -> float:
     mu_i is the mean the remaining n - i households need under the null once
     i draws have each scored the agreement constant.
     """
-    agree = float(pair.agree_value)
+    agree = float(agree_value(pair))
     T = T_max = 1.0
     mu = 0.5
     for i in range(1, k + 1):
@@ -408,36 +423,30 @@ def _agreement_risk_closed_form(pair: CensusPair, n: int, k: int) -> float:
 
 def test_census_rla_agreement_risk_matches_closed_form():
     """With a survey that agrees everywhere, every pair's risk is the closed
-    form, so the reported risk depends on the inputs only through each pair's
-    m/z, the household count and the sample size."""
-    rng = make_rng(41)
-    data = generate_census_population(
-        {"X": 6100, "Y": 3900, "Z": 2300}, {1: 0.3, 2: 0.4, 3: 0.3}, 0.01, rng, representatives=7
-    )
-    seats = apportion(data.model, data.census_pops)
-    for frac in (0.05, 0.1):
-        k = round(frac * data.n)
-        mask = np.zeros(data.n, dtype=bool)
-        mask[rng.choice(data.n, size=k, replace=False)] = True
-        out = census_rla(data, AuditConfig(alpha=1.0, seed=3), surveyed_mask=mask)
-        assert out.households_examined == k
-        expected = {}
-        for s1, s2 in out.pair_risks:
-            pair = census_pair(data, seats, s1, s2)
-            assert pair.m > 0
-            expected[(s1, s2)] = _agreement_risk_closed_form(pair, data.n, k)
-        for key, risk in out.pair_risks.items():
-            assert math.isclose(risk, expected[key], rel_tol=1e-5), (key, risk, expected[key])
-        assert 0.001 < out.risk_limit < 0.5  # the binding pair is informative
-        assert out.risk_limit == max(out.pair_risks.values())
-
-
-def test_census_rla_state_risks_cover_pairs():
-    model, base = _household_fixture()
-    out = census_rla(census_data(model, base), AuditConfig(alpha=1.0, seed=0))
-    for s in model.states:
-        relevant = [r for (a, b), r in out.pair_risks.items() if s in (a, b)]
-        assert out.state_risks[s] == max(relevant)
+    form, under either divisor, so the reported risk depends on the inputs
+    only through each pair's m/z, the household count and the sample size."""
+    for divisor_name in sorted(DIVISORS):
+        rng = make_rng(41)
+        data = generate_census_population(
+            {"X": 6100, "Y": 3900, "Z": 2300}, {1: 0.3, 2: 0.4, 3: 0.3}, 0.01, rng,
+            representatives=7, divisor_name=divisor_name,
+        )
+        seats = apportion(data.model, data.census_pops)
+        for frac in (0.05, 0.1):
+            k = round(frac * data.n)
+            mask = np.zeros(data.n, dtype=bool)
+            mask[rng.choice(data.n, size=k, replace=False)] = True
+            out = census_rla(data, 3, surveyed_mask=mask)
+            assert out.households_examined == k
+            expected = {}
+            for s1, s2 in out.pair_risks:
+                pair = census_pair(data, seats, s1, s2)
+                assert pair.m > 0
+                expected[(s1, s2)] = _agreement_risk_closed_form(pair, data.n, k)
+            for key, risk in out.pair_risks.items():
+                assert math.isclose(risk, expected[key], rel_tol=1e-5), (key, risk, expected[key])
+            assert 0.001 < out.risk_limit < 0.5  # the binding pair is informative
+            assert out.risk_limit == max(out.pair_risks.values())
 
 
 def test_generation_degenerate_distribution():
@@ -509,7 +518,7 @@ def test_median_risk_monotone_in_sample_size():
             k = round(f * data.n)
             mask = np.zeros(data.n, dtype=bool)
             mask[data_rng.choice(data.n, size=k, replace=False)] = True
-            out = census_rla(data, AuditConfig(alpha=1.0, seed=(trial, 1)), surveyed_mask=mask)
+            out = census_rla(data, (trial, 1), surveyed_mask=mask)
             risks[f].append(out.risk_limit)
     import statistics
 
@@ -700,32 +709,25 @@ def _fresh(data):
 def test_pair_tests_are_built_once_and_reused_for_every_mask():
     """Every survey mask on one census gives the outcome of an audit of a
     fresh copy, while the pair constants are built only on the first call;
-    another delta or supplied allocation builds its own."""
+    another delta builds its own."""
     rng = make_rng(17)
     dist = {1: 0.3, 2: 0.4, 3: 0.3}
     data = generate_census_population(
         {"X": 6100, "Y": 3900, "Z": 2300}, dist, 0.01, rng, representatives=7
     )
     data = inject_survey_disagreement(data, 0.05, dist, rng)
-    seats = apportion(data.model, data.census_pops)
-    other = {"X": seats["X"] - 1, "Y": seats["Y"] + 1, "Z": seats["Z"]}
     masks = []
     for frac in (0.02, 0.05, 0.1):
         mask = np.zeros(data.n, dtype=bool)
         mask[rng.choice(data.n, size=round(frac * data.n), replace=False)] = True
         masks.append(mask)
-    cfgs = [AuditConfig(alpha=1.0, seed=seed) for seed in range(len(masks))]
-    for kwargs in ({}, {"delta": 1e-4}, {"census_seats": other}, {"census_seats": seats}):
+    for kwargs in ({}, {"delta": 1e-4}):
         with mock.patch.object(census_mod, "census_pair", wraps=census_mod.census_pair) as built:
-            got = [census_rla(data, c, surveyed_mask=m, **kwargs) for c, m in zip(cfgs, masks)]
+            got = [census_rla(data, seed, surveyed_mask=m, **kwargs) for seed, m in enumerate(masks)]
         assert built.call_count == 6  # 3 states: one build per ordered pair, not per mask
-        for c, m, out in zip(cfgs, masks, got):
-            assert out == census_rla(_fresh(data), c, surveyed_mask=m, **kwargs)
-    assert len(data._pair_tests) == 4
-    # the reported allocation is the caller's to keep
-    out = census_rla(data, AuditConfig(alpha=1.0), surveyed_mask=masks[0])
-    out.census_seats["X"] = 0
-    assert census_rla(data, AuditConfig(alpha=1.0), surveyed_mask=masks[0]).census_seats == seats
+        for seed, (m, out) in enumerate(zip(masks, got)):
+            assert out == census_rla(_fresh(data), seed, surveyed_mask=m, **kwargs)
+    assert len(data._pair_tests) == 2
 
 
 def _wide(data):
@@ -757,9 +759,8 @@ def test_counts_take_the_narrowest_signed_type_holding_gmax(g_max, dtype):
     for seed in range(3):
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=400, replace=False)] = True
-        cfg = AuditConfig(alpha=1.0, seed=seed)
-        got = census_rla(data, cfg, surveyed_mask=mask)
-        assert got == census_rla(_wide(data), cfg, surveyed_mask=mask)
+        got = census_rla(data, seed, surveyed_mask=mask)
+        assert got == census_rla(_wide(data), seed, surveyed_mask=mask)
         assert 0 < got.risk_limit < 1
 
 

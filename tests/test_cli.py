@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from electaudit.batchcomp import load_batches_csv
 from electaudit import census as census_mod
-from electaudit.alpha import AuditConfig
 from electaudit.census import load_districts_csv, load_households_csv
 from electaudit.cli import main
 from electaudit.core import Contest, load_contest_csv
@@ -337,7 +336,7 @@ def test_census_file_mode_reads_in_frame(tmp_path):
 
     def risks(in_frame):
         data = census_mod.CensusData(model, [0 if x else 1 for x in in_x], cen, cen, surveyed, in_frame)
-        outcome = census_mod.census_rla(data, AuditConfig(alpha=1.0, seed=(0, 1)))
+        outcome = census_mod.census_rla(data, (0, 1))
         return [(f"{a}->{b}", repr(r)) for (a, b), r in sorted(outcome.pair_risks.items())]
 
     framed = risks([s or i % 3 == 0 for i, s in enumerate(surveyed)])

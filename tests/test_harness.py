@@ -426,9 +426,10 @@ def test_agreeing_injection_matches_full_recount():
         for max_tries in (1, 50):
             got_rng, want_rng = make_rng(100 + seed), make_rng(100 + seed)
             with mock.patch.object(census_mod, "inject_survey_disagreement",
-                                   wraps=census_mod.inject_survey_disagreement) as drawn:
+                                   wraps=census_mod.inject_survey_disagreement) as drawn, \
+                    mock.patch.object(harness, "_INJECT_TRIES", max_tries):
                 try:
-                    got = _inject_agreeing_disagreement(data, 0.05, sizes, got_rng, max_tries).pes
+                    got = _inject_agreeing_disagreement(data, 0.05, sizes, got_rng).pes
                 except ValueError:
                     got = None
             tries += drawn.call_count

@@ -53,7 +53,7 @@ from electaudit.knesset import (
 )
 from electaudit.randomness import make_rng
 
-from .helpers import assorter_from_values, fraction_margin
+from .helpers import accurate_value, assorter_from_values, fraction_margin
 
 HALF = Fraction(1, 2)
 PARTIES = ("A", "B", "C", "D")
@@ -142,7 +142,7 @@ def test_integer_path_matches_fraction_reference(batches, seats, weaken, delta):
         assert (A.M, A.w) == (M, w)
         spec = comparison_spec(a.label, A.M, A.w, delta)
         assert (spec.eta, spec.u) == (
-            float(A.accurate_value), float(HALF + (M + Fraction(delta)) / (2 * (w - M)))
+            float(accurate_value(A)), float(HALF + (M + Fraction(delta)) / (2 * (w - M)))
         )
         assert make_batch_assorter(a, batches, delta) == A
         assert row.tolist() == [float(batch_assorter_value_exact(A, b)) for b in batches]
