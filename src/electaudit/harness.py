@@ -1,7 +1,7 @@
 """Data generation, error injection, Monte Carlo orchestration and reporting.
 
-Randomness contract: trial i draws its seed from the config's ``seeds`` list
-(default 0, 1, ..., trials-1).  Within a trial, stream 0 of that seed
+Randomness contract: trial i takes seed ``seed + i``, from the root ``seed``
+of the config (default 0) or of the caller.  Within a trial, stream 0 of that seed
 generates data and stream 1 drives the audit's sampling, so two audit methods
 run on the same trial see identical batches and identical draw randomness;
 comparisons between them are paired by construction.
@@ -19,9 +19,9 @@ The same matrix goes to whichever audit runs, which reads the reported
 tally as the column sum.  :func:`deal_batches` and
 :func:`inject_ballot_errors` make the same draws and return ``BatchRecord``
 lists.  Its margins are each assertion's integer row over the reported
-column sums (:func:`electaudit.knesset.assertion_margin`).  A census trial,
-from ``audit run`` or ``audit census``, generates its households or takes
-the household file, read once straight into columns
+column sums (:func:`electaudit.knesset.assertion_margin`).  A batch file
+must sum to the contest CSV's reported votes.  A census trial generates its
+households or takes the household file, read once straight into columns
 (:func:`electaudit.census.load_households_csv`), audits it with its audit
 seed alone, and writes ``risk_curve.csv``, ``pair_risks.csv`` and
 ``risk_summary.csv``.  A :class:`TrialReport` holds no timing: the run's
@@ -322,9 +322,9 @@ def run_experiment(
 ) -> list[TrialReport]:
     """Run the configured Monte Carlo experiment and write its CSV tables.
 
-    Outputs are byte-deterministic for a fixed config and seed list; wall
-    times go to run_meta.json only.  ``seed``/``trials`` override the config;
-    a ``seed`` given with a config that lists ``seeds`` is an error.  Trials
+    Outputs are byte-deterministic for a fixed config and root seed; wall
+    times go to run_meta.json only.  ``seed``/``trials`` override the config,
+    and trial i takes seed ``seed + i``.  Trials
     are independent (each owns its streams and audit state), so ``jobs > 1``
     runs them in a process pool; reports merge in trial order and the outputs
     stay identical to a sequential run.  ``trace`` applies to election audits.
@@ -342,16 +342,8 @@ def run_experiment(
     trials = trials if trials is not None else _read(config, "trials", as_int, 10)
     if trials <= 0:
         raise ConfigError("trials must be positive")
-    seeds = config.get("seeds")
-    if seeds is None:
-        base = seed if seed is not None else _read(config, "seed", as_int, 0)
-        seeds = [base + i for i in range(trials)]
-    elif seed is not None or "seed" in config:
-        raise ConfigError("give a seed or a 'seeds' list, not both")
-    else:
-        seeds = _read(config, "seeds", lambda v: [as_int(s) for s in _list(v)])[:trials]
-        if len(seeds) < trials:
-            raise ConfigError("seed list is shorter than the trial count")
+    base = seed if seed is not None else _read(config, "seed", as_int, 0)
+    seeds = [base + i for i in range(trials)]
     out_dir = Path(out_dir)
 
     started = time.perf_counter()
@@ -403,7 +395,7 @@ def load_declared_sizes(path) -> dict[str, int]:
     return out
 
 
-RUN_KEYS = ("audit", "trials", "seed", "seeds")  # read for every audit kind
+RUN_KEYS = ("audit", "trials", "seed")  # read for every audit kind
 
 
 # An election experiment's config, read once for all its trials.  ``batches``
@@ -423,26 +415,29 @@ def _election_inputs(config: Mapping, kind: str, trace_dir: Path | None) -> Elec
     weaken = _read(config, "weaken", lambda v: [tuple(map(str, pair)) for pair in v], [])
     _check_weaken(knesset, weaken)
     return ElectionInputs(kind, contest, tally, knesset, alpha, delta, error_model, weaken,
-                          _batch_source(config, contest, tally.total), trace_dir)
+                          _batch_source(config, contest, tally), trace_dir)
 
 
-def _batch_source(config: Mapping, contest: Contest, n: int) -> BatchMatrix | tuple:
-    """The batches of a batch CSV over ``contest``'s types, or the rule
-    dealing ``n`` ballots into batches."""
-    spec = _require(config, "batches")
-    if isinstance(spec, str):
-        return load_batches_csv(spec, contest)
+def _batch_source(config: Mapping, contest: Contest, tally: Tally) -> BatchMatrix | tuple:
+    """The batches of a batch CSV over ``contest``'s types, whose padded reported
+    counts must sum to ``tally``, or the rule dealing its ballots into batches."""
+    _require(config, "batches")
     spec = _read(config, "batches", _mapping)
     if "file" in spec:
         check_keys(spec, ("file", "declared_sizes"), "config 'batches'")
         declared = spec.get("declared_sizes") and load_declared_sizes(_path(spec, "declared_sizes"))
-        return load_batches_csv(_path(spec, "file"), contest, declared)
+        m = load_batches_csv(_path(spec, "file"), contest, declared)
+        for bt, total in zip(m.types, m.reported.sum(axis=0).tolist()):
+            if total != tally.get(bt):
+                raise ConfigError(f"{spec['file']}: reported {bt.name!r} votes sum to {total}, "
+                                  f"not the contest's {tally.get(bt)}")
+        return m
     check_keys(spec, ("generate",), "config 'batches'")
     gen = _read(spec, "generate", _mapping, {})
     check_keys(gen, ("sizes", "size_range"), "config 'batches.generate'")
     sizes = _read(gen, "sizes", lambda v: v if v is None else [as_int(x) for x in v])
     size_range = _read(gen, "size_range", lambda v: tuple(map(as_int, v)), DEFAULT_SIZE_RANGE)
-    check_batch_rule(n, sizes, size_range)
+    check_batch_rule(tally.total, sizes, size_range)
     return sizes, size_range
 
 

@@ -20,7 +20,7 @@ from electaudit.cli import main
 from electaudit.core import Contest, load_contest_csv
 from electaudit.harness import load_declared_sizes, load_household_distribution
 
-from .helpers import by_value, check_census_cli_is_one_trial_run
+from .helpers import by_value, check_risk_limit_is_largest_pair_risk
 
 
 def _contest(tmp_path):
@@ -163,7 +163,7 @@ def test_run_unknown_weaken_pair_exits_2(tmp_path, capsys):
     ("knesset", "seats", 119.9),  # allocated 119 seats
     ("knesset", "seats", True),  # allocated 1 seat
     ("config", "trials", 2.9),  # ran 2 trials
-    ("config", "seeds", [0.5, 1.7]),  # ran seeds 0 and 1
+    ("config", "seeds", [0.5, 1.7]),  # once ran seeds 0 and 1; no longer a key
     ("config", "seed", 1.5),
 ])
 def test_election_integer_value_of_the_wrong_kind_exits_2(tmp_path, capsys, where, key, value):
@@ -260,6 +260,14 @@ def test_run_bad_batch_size_range_exits_2(tmp_path, capsys):
     assert "audit: error: batch size range (-10, 0) must start at 1 or more" in capsys.readouterr().err
 
 
+def _census_run(tmp_path, **config) -> list[str]:
+    """The ``audit run`` argv of a one-trial census config that also holds
+    ``config``, its tables going to ``out``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"audit": "census", "trials": 1, **config}))
+    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
 def test_census_file_mode(tmp_path, capsys):
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,13,0\nY,5,0\n")
@@ -272,21 +280,8 @@ def test_census_file_mode(tmp_path, capsys):
     for i, c in enumerate(counts_y):
         rows.append(f"y{i},Y,{c},{c},1")
     households.write_text("\n".join(rows) + "\n")
-    rc = main(
-        [
-            "census",
-            "--model",
-            str(districts),
-            "--households",
-            str(households),
-            "--representatives",
-            "3",
-            "--g-max",
-            "3",
-            "--out",
-            str(tmp_path / "out"),
-        ]
-    )
+    rc = main(_census_run(tmp_path, districts=str(districts), households=str(households),
+                           representatives=3, g_max=3))
     assert rc == 0
     assert capsys.readouterr().out == ""  # the tables go to --out only
     [curve] = _read_rows(tmp_path / "out/risk_curve.csv")
@@ -308,9 +303,9 @@ def _pair_risks(out_dir) -> list[tuple[str, str]]:
 
 
 def _framed_households(tmp_path, flag=lambda i, surveyed: "1" if surveyed or i % 3 == 0 else "0"):
-    """Districts X and Y and a household CSV with an ``in_frame`` column:
-    every other household surveyed, in agreement, and ``flag(i, surveyed)``
-    as household i's in_frame cell."""
+    """Districts X and Y and a household CSV ``h.csv`` with an ``in_frame``
+    column: every other household surveyed, in agreement, and
+    ``flag(i, surveyed)`` as household i's in_frame cell."""
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,20,0\nY,8,0\n")
     cen = [3, 2, 2, 1, 3, 2, 1, 2, 3, 1, 1, 1, 2, 1, 2, 1]
@@ -320,8 +315,8 @@ def _framed_households(tmp_path, flag=lambda i, surveyed: "1" if surveyed or i %
         rows.append(f"h{i},{'X' if i < 10 else 'Y'},{c},{c if surveyed else ''},{int(surveyed)},{flag(i, surveyed)}")
     households = tmp_path / "h.csv"
     households.write_text("\n".join(rows) + "\n")
-    args = ["census", "--model", str(districts), "--households", str(households),
-            "--representatives", "3", "--g-max", "3", "--out", str(tmp_path / "out")]
+    args = _census_run(tmp_path, districts=str(districts), households=str(households),
+                       representatives=3, g_max=3)
     return args, [i < 10 for i in range(16)], cen
 
 
@@ -344,13 +339,13 @@ def test_census_file_mode_reads_in_frame(tmp_path):
 
 
 def test_census_household_file_is_a_one_trial_run(tmp_path):
-    """``audit census --households`` writes the risk curve of ``run_experiment``
-    on the same household file with one trial, byte for byte, and each risk
-    limit is the largest of its pair risks."""
+    """``audit run`` on a household file with one trial writes one
+    ``risk_curve.csv`` row, and its risk limit is the largest of its pair
+    risks."""
     args, _, _ = _framed_households(tmp_path)
-    config = {"audit": "census", "districts": args[2], "households": args[4],
-              "representatives": 3, "g_max": 3}
-    check_census_cli_is_one_trial_run(args, config, tmp_path / "run")
+    assert main(args) == 0
+    assert [r["sample_fraction"] for r in _read_rows(tmp_path / "out/risk_curve.csv")] == ["file"]
+    check_risk_limit_is_largest_pair_risk(tmp_path / "out")
 
 
 @pytest.mark.parametrize("cell", ["", "yes", "TRUE"])
@@ -359,7 +354,7 @@ def test_census_in_frame_cell_reads_in(tmp_path, cell):
     args, _, _ = _framed_households(tmp_path, lambda i, surveyed: cell)
     assert main(args) == 0
     framed = (tmp_path / "out/pair_risks.csv").read_bytes()
-    h = Path(args[4])
+    h = tmp_path / "h.csv"
     h.write_text("\n".join(",".join(r.split(",")[:5]) for r in h.read_text().splitlines()) + "\n")
     assert main(args) == 0
     assert (tmp_path / "out/pair_risks.csv").read_bytes() == framed
@@ -377,29 +372,38 @@ def test_census_bad_in_frame_flag_exits_2(tmp_path, capsys):
     assert "bad in_frame flag 'maybe'" in capsys.readouterr().err
 
 
-def test_census_mode_conflicts(tmp_path):
+def test_census_mode_conflicts(tmp_path, capsys):
+    """A census run generates its households or reads a household file: a
+    config with neither exits 2 naming ``households``."""
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,13,0\n")
-    assert main(["census", "--model", str(districts), "--out", str(tmp_path / "out")]) == 2
+    assert main(_census_run(tmp_path, districts=str(districts), representatives=1)) == 2
+    assert "config is missing 'households'" in capsys.readouterr().err
 
 
-def test_census_generate_requires_args(tmp_path):
-    districts = tmp_path / "d.csv"
-    districts.write_text("district,population,c_constant\nX,13,0\n")
-    assert main(["census", "--model", str(districts), "--generate", "--out", str(tmp_path / "out")]) == 2
-
-
-def _generated_census_inputs(tmp_path):
+def _generated_census_run(tmp_path, generate=None, **config) -> list[str]:
+    """The ``audit run`` argv of two trials on households generated for
+    districts X, Y and Z by ``generate``, from ``sizes.csv`` by default."""
     districts = tmp_path / "d.csv"
     districts.write_text("district,population,c_constant\nX,4100,0\nY,2300,0\nZ,1700,0\n")
     sizes = tmp_path / "sizes.csv"
     sizes.write_text("size,probability\n1,0.4\n2,0.4\n3,0.2\n")
-    return ["census", "--model", str(districts), "--generate", "--household-dist", str(sizes),
-            "--representatives", "5", "--trials", "2", "--out", str(tmp_path / "out")]
+    generate = generate or {"household_dist": str(sizes), "nonresponse": 0.01}
+    return _census_run(tmp_path, districts=str(districts), representatives=5, trials=2,
+                       households={"generate": generate}, **config)
+
+
+def test_census_generate_requires_args(tmp_path, capsys):
+    """A generated census run needs its sample fractions and its household
+    size distribution: a config without either exits 2 naming it."""
+    assert main(_generated_census_run(tmp_path)) == 2
+    assert "sample_fractions" in capsys.readouterr().err
+    assert main(_generated_census_run(tmp_path, {"nonresponse": 0.01}, sample_fractions=[0.05])) == 2
+    assert "'household_dist'" in capsys.readouterr().err
 
 
 def test_census_generate_runs_to_completion(tmp_path):
-    assert main(_generated_census_inputs(tmp_path) + ["--sample-frac", "0.05,0.1"]) == 0
+    assert main(_generated_census_run(tmp_path, sample_fractions=[0.05, 0.1])) == 0
     with open(tmp_path / "out/risk_curve.csv") as f:
         rows = list(csv.DictReader(f))
     assert sorted((r["sample_fraction"], r["trial"]) for r in rows) == [
@@ -409,7 +413,7 @@ def test_census_generate_runs_to_completion(tmp_path):
 
 
 def test_census_generate_rejects_zero_sample_fraction(tmp_path, capsys):
-    assert main(_generated_census_inputs(tmp_path) + ["--sample-frac", "0,0.01"]) == 2
+    assert main(_generated_census_run(tmp_path, sample_fractions=[0, 0.01])) == 2
     assert "audit: error:" in capsys.readouterr().err
 
 
@@ -420,14 +424,15 @@ def test_census_file_mode_unknown_district_exits_2(tmp_path, capsys):
     households.write_text(
         "household_id,district,census_count,pes_count,surveyed\nx0,X,2,2,1\nw0,W,1,1,1\n"
     )
-    rc = main(["census", "--model", str(districts), "--households", str(households),
-               "--representatives", "1", "--out", str(tmp_path / "out")])
+    rc = main(_census_run(tmp_path, districts=str(districts), households=str(households),
+                           representatives=1))
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("audit: error:") and "unknown state 'W'" in err
 
 
-FUZZ_CONTEST = [["party", "reported_votes"], ["P1", "500"], ["P2", "380"], ["P3", "60"], ["__invalid__", "20"]]
+# FUZZ_BATCHES' reported sums: a batch file must add up to its contest
+FUZZ_CONTEST = [["party", "reported_votes"], ["P1", "510"], ["P2", "360"], ["P3", "60"], ["__invalid__", "30"]]
 FUZZ_BATCHES = [["batch_id", "party", "reported_votes", "true_votes"]] + [
     [f"b{i}", party, str(votes), str(votes - (party == "P1"))]
     for i in range(3)
@@ -435,9 +440,9 @@ FUZZ_BATCHES = [["batch_id", "party", "reported_votes", "true_votes"]] + [
 ]
 FUZZ_KNESSET = {"parties": ["P1", "P2", "P3"], "seats": 9, "threshold": 0.05, "apparentments": [["P1", "P2"]]}
 FUZZ_PATHS = (
-    ("audit",), ("contest",), ("knesset",), ("batches",), ("batches", "generate"),
+    ("audit",), ("contest",), ("knesset",), ("batches",), ("batches", "file"), ("batches", "generate"),
     ("batches", "generate", "size_range"), ("batches", "generate", "sizes"), ("alpha",),
-    ("delta",), ("trials",), ("seeds",), ("weaken",), ("error_model",), ("error_model", "kind"),
+    ("delta",), ("trials",), ("weaken",), ("error_model",), ("error_model", "kind"),
     ("error_model", "p_misread"), ("error_model", "p_invalid"), ("knesset_file", "parties"),
     ("knesset_file", "seats"), ("knesset_file", "threshold"), ("knesset_file", "apparentments"),
 )
@@ -495,7 +500,7 @@ def fuzz_inputs(draw):
         "audit": draw(st.sampled_from(["alpha", "alpha_batch", "batchcomp"])),
         "contest": "contest.csv",
         "knesset": "knesset.json",
-        "batches": draw(st.sampled_from(["batches.csv", {"generate": {"size_range": [50, 120]}}])),
+        "batches": draw(st.sampled_from([{"file": "batches.csv"}, {"generate": {"size_range": [50, 120]}}])),
         "alpha": 0.05,
         "delta": 1e-10,
         "trials": 2,
@@ -563,13 +568,9 @@ FUZZ_CENSUS_PATHS = (
     ("audit",), ("districts",), ("representatives",), ("g_max",), ("divisor",), ("delta",),
     ("disagreement_rate",), ("households",), ("households", "generate"),
     ("households", "generate", "household_dist"), ("households", "generate", "nonresponse"),
-    ("sample_fractions",), ("trials",), ("seeds",),
+    ("sample_fractions",), ("trials",),
 )
-CENSUS_RUNS = (
-    ["run", "--config", "cfg.json", "--out", "out"],
-    ["census", "--model", "districts.csv", "--households", "households.csv", "--representatives", "5",
-     "--out", "out"],
-)
+CENSUS_RUNS = (["run", "--config", "cfg.json", "--out", "out"],)
 
 
 def _census_config(generate: bool) -> dict:
@@ -618,8 +619,8 @@ def census_fuzz_inputs(draw):
 @given(census_fuzz_inputs())
 @settings(max_examples=150, deadline=None)
 def test_mutated_census_inputs_exit_0_or_2(files):
-    """The same for ``audit run`` on a census config and for ``audit census``
-    on a household file."""
+    """The same for ``audit run`` on a census config, generated or on a
+    household file."""
     _exit_0_or_2(files, CENSUS_RUNS)
 
 
@@ -630,13 +631,13 @@ def test_mutated_census_inputs_exit_0_or_2(files):
     ("disagreement_rate", [1]),
     ("sample_fractions", 0.5),
     ("sample_fractions", "1"),  # read once as [1.0], character by character
-    ("seeds", "12"),  # read once as seeds 1 and 2
+    ("seeds", "12"),  # once read as seeds 1 and 2; no longer a key
     ("household_dist", 3),
     ("representatives", 5.5),  # read once as 5
     ("representatives", True),  # read once as 1
     ("g_max", 15.0),
     ("trials", 2.9),  # ran 2 trials
-    ("seeds", [0.5, 1.7]),  # ran seeds 0 and 1
+    ("seeds", [0.5, 1.7]),  # once ran seeds 0 and 1; no longer a key
     ("seed", 1.5),
 ])
 def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
@@ -645,23 +646,8 @@ def test_census_config_value_of_the_wrong_kind_exits_2(key, value):
     descriptor."""
     config = _census_config(True)
     (config["households"]["generate"] if key == "household_dist" else config)[key] = value
-    [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+    [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS)
     assert rc == 2 and key in err
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--sample-frac", "0.5"),
-    ("--household-dist", "sizes.csv"),
-    ("--disagree", "0.3"),
-    ("--nonresponse", "0.1"),
-    ("--trials", "3"),
-])
-def test_census_household_file_rejects_generation_flags(flag, value):
-    """A flag that only shapes generated households is an error with a
-    household file, not silently ignored."""
-    runs = [CENSUS_RUNS[1], CENSUS_RUNS[1] + [flag, value]]
-    [(rc, _), (rc_flag, err)] = _exit_0_or_2(_census_files(_census_config(False)), runs)
-    assert rc == 0 and rc_flag == 2 and f"{flag} applies only to --generate" in err
 
 
 def test_census_household_file_rejects_disagreement_rate():
@@ -671,7 +657,7 @@ def test_census_household_file_rejects_disagreement_rate():
     config = _census_config(False)
     for rate, code in ((0.9, 2), (0.0, 0)):
         config["disagreement_rate"] = rate
-        [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+        [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS)
         assert rc == code and (code == 0 or "'disagreement_rate'" in err), err
 
 
@@ -681,7 +667,7 @@ def test_census_null_sample_fractions_reads_as_absent():
     for generate, code in ((False, 0), (True, 2)):
         config = _census_config(generate)
         config["sample_fractions"] = None
-        [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+        [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS)
         assert rc == code and (code == 0 or "sample_fractions" in err)
 
 
@@ -700,7 +686,7 @@ def test_census_household_csv_survey_count_out_of_range_exits_2():
     households = [row[:] for row in FUZZ_HOUSEHOLDS]
     households[2][3], households[2][4] = "16", "1"
     [(rc, err)] = _exit_0_or_2(
-        _census_files(_census_config(False), households=households), CENSUS_RUNS[1:]
+        _census_files(_census_config(False), households=households), CENSUS_RUNS
     )
     assert rc == 2 and "household 1 survey count 16 outside [0, 15]" in err
 
@@ -735,29 +721,26 @@ def test_float_value_of_the_wrong_kind_exits_2(audit, path, value):
         parent = parent[key]
     parent[path[-1]] = value
     files["cfg.json"] = json.dumps(config)
-    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS[:1])
+    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS)
     named = "error_model" if path[0] == "error_model" else path[-1]
     assert rc == 2 and f"config {named!r} is malformed" in err, err
 
 
 @pytest.mark.parametrize("rate", [-0.5, 1.5])
-def test_census_disagreement_rate_outside_unit_interval_exits_2(tmp_path, capsys, rate):
-    """A disagreement rate outside [0, 1] is an error naming its key, from the
-    config and from ``--disagree``; a negative one used to inject nothing."""
+def test_census_disagreement_rate_outside_unit_interval_exits_2(rate):
+    """A disagreement rate outside [0, 1] is an error naming its key; a
+    negative one used to inject nothing."""
     config = _census_config(True)
     config["disagreement_rate"] = rate
-    [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS[:1])
+    [(rc, err)] = _exit_0_or_2(_census_files(config), CENSUS_RUNS)
     assert rc == 2 and "'disagreement_rate'" in err, err
-    argv = _generated_census_inputs(tmp_path) + ["--sample-frac", "0.05", "--disagree", str(rate)]
-    assert main(argv) == 2
-    assert "'disagreement_rate'" in capsys.readouterr().err
 
 
 def test_census_constant_dividing_by_zero_exits_2():
     """A ``1/0`` district constant is an error naming the file and the value."""
     districts = [row[:] for row in FUZZ_DISTRICTS]
     districts[2][2] = "1/0"
-    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(False), districts), CENSUS_RUNS[1:])
+    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(False), districts), CENSUS_RUNS)
     assert rc == 2 and "districts.csv" in err and "'1/0'" in err, err
 
 
@@ -802,13 +785,14 @@ def test_padded_header_reads_as_plain(tmp_path, name):
 def test_batch_file_party_outside_the_contest_exits_2():
     """A batch-file row for a party the contest lacks is an error naming the
     file, the batch and the party."""
-    config = {"audit": "batchcomp", "contest": "contest.csv", "batches": "batches.csv", "trials": 2}
+    config = {"audit": "batchcomp", "contest": "contest.csv", "batches": {"file": "batches.csv"},
+              "trials": 2}
     files = {
         "contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
         "batches.csv": "".join(",".join(r) + "\n" for r in FUZZ_BATCHES + [["b1", "P9", "3", "3"]]),
         "cfg.json": json.dumps(config),
     }
-    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS[:1])
+    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS)
     assert rc == 2 and "batches.csv" in err and "'b1'" in err and "'P9'" in err, err
 
 
@@ -819,20 +803,21 @@ def _declared_size_run(declared) -> list[tuple[int, str]]:
         "batches": {"file": "batches.csv", "declared_sizes": "declared.csv"},
         "trials": 2,
     }
+    contest = FUZZ_CONTEST[:-1] + [["__invalid__", "40"]]  # b2 padded up to 330
     files = {
-        "contest.csv": "".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
+        "contest.csv": "".join(",".join(r) + "\n" for r in contest),
         "batches.csv": "".join(",".join(r) + "\n" for r in FUZZ_BATCHES),
         "declared.csv": "".join(",".join(r) + "\n" for r in declared),
         "cfg.json": json.dumps(config),
     }
-    return _exit_0_or_2(files, CENSUS_RUNS[:1])
+    return _exit_0_or_2(files, CENSUS_RUNS)
 
 
 def test_repeated_key_row_exits_2():
     """A household size or a declared batch size given twice is an error, not
     a silent overwrite of the earlier row."""
     sizes = FUZZ_SIZES + [["2", "0.1"]]
-    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(True), sizes=sizes), CENSUS_RUNS[:1])
+    [(rc, err)] = _exit_0_or_2(_census_files(_census_config(True), sizes=sizes), CENSUS_RUNS)
     assert rc == 2 and "duplicate size 2" in err, err
     assert _declared_size_run(FUZZ_DECLARED)[0][0] == 0
     [(rc, err)] = _declared_size_run(FUZZ_DECLARED + [["b0", "340"]])
@@ -935,15 +920,12 @@ def test_unknown_config_key_exits_2(where, path):
         assert rc == 2 and f"unknown key {path[-1]!r}" in err, err
 
 
-@pytest.mark.parametrize("config_seeds, flags, message", [
-    ({"seeds": [5, 6]}, ["--seed", "99"], "'seeds' list, not both"),  # ran seeds 5 and 6
-    ({"seeds": [5, 6], "seed": 99}, [], "'seeds' list, not both"),
-    ({}, ["--jobs", "0"], "jobs must be at least 1"),  # ran sequentially
-], ids=["seed-flag-beside-seeds", "seed-key-beside-seeds", "jobs-0"])
-def test_run_override_that_would_be_ignored_exits_2(config_seeds, flags, message):
-    """A seed given beside a ``seeds`` list, and a job count below 1, exit 2
-    instead of being silently ignored."""
-    files = _election_files(dict(_election_config(), **config_seeds))
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "0"], "jobs must be at least 1"),  # ran sequentially
+], ids=["jobs-0"])
+def test_run_override_that_would_be_ignored_exits_2(flags, message):
+    """A job count below 1 exits 2 instead of being silently ignored."""
+    files = _election_files(_election_config())
     [(rc, err)] = _exit_0_or_2(files, [CENSUS_RUNS[0] + flags])
     assert rc == 2 and message in err, err
 
@@ -953,3 +935,53 @@ def test_census_trace_exits_2():
     census run given it exits 2 rather than writing no trace."""
     [(rc, err)] = _exit_0_or_2(_census_files(_census_config(True)), [CENSUS_RUNS[0] + ["--trace"]])
     assert rc == 2 and "trace applies only to election audits" in err, err
+
+
+def test_census_subcommand_is_gone(capsys):
+    """A census run is ``audit run`` on a census config; ``audit census`` is
+    no command, and argparse exits 2 naming it."""
+    with pytest.raises(SystemExit) as exited:
+        main(["census", "--model", "districts.csv", "--households", "households.csv", "--out", "out"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'census'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("election", "seeds", [0, 1]),
+    ("census", "seeds", [0, 1]),
+    ("election", "batches", "batches.csv"),
+])
+def test_removed_config_form_exits_2(where, key, value):
+    """A ``seeds`` list and a bare batch-file path are read no more: trial i
+    takes seed ``seed + i``, and a batch file is ``{"file": ...}``.  An old
+    config holding either exits 2 naming the key, never runs on other seeds
+    or dealt batches."""
+    config = dict(_election_config() if where == "election" else _census_config(True), **{key: value})
+    files = _election_files(config) if where == "election" else _census_files(config)
+    files["batches.csv"] = "".join(",".join(r) + "\n" for r in FUZZ_BATCHES)
+    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS)
+    assert rc == 2 and repr(key) in err, err
+
+
+@pytest.mark.parametrize("contest, batches, declared, message", [
+    ("party,reported_votes\nA,1000\nB,5\n__invalid__,0\n",
+     "batch_id,party,reported_votes,true_votes\nb1,A,55,55\nb1,B,40,40\n", None,
+     "reported 'A' votes sum to 55, not the contest's 1000"),
+    # the file's own sums, but b2 is padded with 10 invalid ballots up to its declared 330
+    ("".join(",".join(r) + "\n" for r in FUZZ_CONTEST),
+     "".join(",".join(r) + "\n" for r in FUZZ_BATCHES), FUZZ_DECLARED,
+     "reported '__invalid__' votes sum to 40, not the contest's 30"),
+], ids=["short-file", "padding"])
+def test_batch_file_disagreeing_with_the_contest_exits_2(contest, batches, declared, message):
+    """A batch file whose reported counts, padding included, do not add up to
+    the contest CSV's is an error naming the first differing type and both
+    totals, not an audit of the file's ballots under the contest's name."""
+    config = {"audit": "batchcomp", "contest": "contest.csv", "batches": {"file": "batches.csv"},
+              "trials": 1}
+    files = {"contest.csv": contest, "batches.csv": batches}
+    if declared:
+        config["batches"]["declared_sizes"] = "declared.csv"
+        files["declared.csv"] = "".join(",".join(r) + "\n" for r in declared)
+    files["cfg.json"] = json.dumps(config)
+    [(rc, err)] = _exit_0_or_2(files, CENSUS_RUNS)
+    assert rc == 2 and f"batches.csv: {message}" in err, err

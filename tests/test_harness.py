@@ -40,8 +40,8 @@ from electaudit.harness import (
 from electaudit.randomness import make_rng
 
 from .helpers import (
-    check_census_cli_is_one_trial_run,
     deal_batches_reference,
+    household_files,
     inject_agreeing_disagreement_reference,
 )
 
@@ -666,7 +666,7 @@ def test_batch_file_is_loaded_once_per_run(tmp_path):
         "b1,A,10,10\nb1,B,5,5\nb1,__invalid__,5,5\n"
         "b2,A,3,3\nb2,B,7,7\n"
     )
-    config = {"audit": "batchcomp", "contest": str(contest), "batches": str(batches),
+    config = {"audit": "batchcomp", "contest": str(contest), "batches": {"file": str(batches)},
               "alpha": 0.5}
     with mock.patch.object(harness, "load_batches_csv", wraps=harness.load_batches_csv) as loaded:
         reports = run_experiment(config, tmp_path / "out", seed=0, trials=5)
@@ -771,9 +771,10 @@ def test_summary_covers_each_assertion_over_the_trials_that_carry_it(tmp_path):
 def _batch_file_config(tmp_path) -> dict:
     """A batch-file election: contest party D is absent from the file, batch
     p02 lacks a C row, p05's true total falls 3 short of its reported one,
-    p01 and p08 are padded up to declared sizes, and p04/p09 overstate A."""
+    p01 and p08 are padded up to declared sizes, and p04/p09 overstate A.
+    The contest's counts are the file's reported sums, padding included."""
     contest = tmp_path / "contest.csv"
-    contest.write_text("party,reported_votes\nA,300\nB,220\nC,80\nD,10\n__invalid__,10\n")
+    contest.write_text("party,reported_votes\nA,415\nB,306\nC,110\nD,0\n__invalid__,15\n")
     rows = ["batch_id,party,reported_votes,true_votes"]
     for i in range(12):
         a, b, c = 30 + 7 * i % 11, 22 + 5 * i % 9, 8 + 3 * i % 5
@@ -815,38 +816,16 @@ def test_batch_file_output_bytes_pinned(tmp_path):
             assert hashlib.sha256(data).hexdigest() == BATCH_FILE_SHA256[kind, table], (kind, table)
 
 
-def _household_files(tmp_path) -> tuple[Path, Path]:
-    """Districts X, Y, Z and 90 households: every third surveyed, five of
-    those disagreeing with the census, and every seventh unsurveyed one
-    outside the survey frame."""
-    districts = tmp_path / "districts.csv"
-    districts.write_text("district,population,c_constant\nX,120,0\nY,80,1/2\nZ,50,0\n")
-    rows = ["household_id,district,census_count,pes_count,surveyed,in_frame"]
-    for i in range(90):
-        cen = 1 + (i * 5 + i // 4) % 4
-        surveyed = i % 3 == 0
-        pes = cen + (i % 27 == 0) - (i % 33 == 0) if surveyed else ""
-        frame = "" if surveyed or i % 7 else "0"
-        rows.append(f"h{i:02d},{'XXXYYZ'[i % 6]},{cen},{pes},{int(surveyed)},{frame}")
-    households = tmp_path / "households.csv"
-    households.write_text("\n".join(rows) + "\n")
-    return districts, households
-
-
 HOUSEHOLD_FILE_SHA256 = {
     "risk_curve": "c585d353197d6cf06b73a0251ef83ef9d0a22fa26f2759932a1e7cd0dcb42bcd",
 }
 
 
 def test_household_file_output_bytes_pinned(tmp_path):
-    """``audit run`` on a household file keeps its risk table byte-for-byte,
-    and ``audit census`` on the same file writes that run's one-trial tables."""
-    districts, households = _household_files(tmp_path)
+    """``audit run`` on a household file keeps its risk table byte-for-byte."""
+    districts, households = household_files(tmp_path)
     config = {"audit": "census", "districts": str(districts), "representatives": 5,
               "g_max": 6, "households": str(households), "trials": 2}
     run_experiment(config, tmp_path / "run", seed=0)
     path = tmp_path / "run/risk_curve.csv"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == HOUSEHOLD_FILE_SHA256["risk_curve"]
-    argv = ["census", "--model", str(districts), "--households", str(households),
-            "--representatives", "5", "--g-max", "6", "--out", str(tmp_path / "census")]
-    check_census_cli_is_one_trial_run(argv, config, tmp_path / "one_trial")

@@ -1,12 +1,17 @@
-"""The README's library example runs and its command lines parse as documented."""
+"""The README's library example and household-file census config run, and
+its command lines parse as documented."""
 
 import contextlib
+import csv
 import io
+import json
 import re
 import shlex
 from pathlib import Path
 
-from electaudit.cli import build_parser
+from electaudit.cli import build_parser, main
+
+from .helpers import household_files
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,7 +51,7 @@ def test_readme_command_lines_parse():
     parser, its optional ``[...]`` parts included, so a removed or renamed
     flag fails here."""
     commands = _audit_command_lines()
-    assert {line.split()[1] for line in commands} == {"run", "margins", "census"}
+    assert {line.split()[1] for line in commands} == {"run", "margins"}
     parser = build_parser()
     for line in commands:
         argv = shlex.split(line.replace("[", " ").replace("]", " "))[1:]
@@ -54,3 +59,18 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README command does not parse: {line}") from None
+
+
+def test_household_file_census_config_runs(tmp_path):
+    """The README's household-file census config, pointed at a small district
+    and household file, runs through ``audit run`` as one audit of the file."""
+    match = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert match, "no JSON block in the README"
+    config = json.loads(match.group(1))
+    districts, households = household_files(tmp_path)
+    config.update(districts=str(districts), households=str(households))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out/risk_curve.csv", newline="", encoding="utf-8") as f:
+        assert [r["sample_fraction"] for r in csv.DictReader(f)] == ["file"]
