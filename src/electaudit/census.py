@@ -37,7 +37,6 @@ survey frame, so the auditor sees a uniform draw of all households.
 
 A trial audits one census at many sample fractions, so the allocation and
 pair constants, which do not depend on the survey, are built once per census.
-Injection maps only the redrawn households to sizes: other draws are unused.
 
 Populations are columnar :class:`CensusData` from generation through the
 audit, which reads the model, the census totals and the household count
@@ -47,8 +46,13 @@ data: the state index the smallest unsigned type holding ``len(states) - 1``
 type holding ``g_max`` (int8 up to 127, int16 from 128; int64 past the
 int32 max), so a household takes 5 bytes with its two flags.  Values are
 range-checked as given, before the cast, and an integer column is required.
-State totals and the injection's uniforms go ``_SLICE`` = 65536 households
-at a time, so no household-length int64, intp or float64 array is built.
+No household-length int64, intp or float64 array is built: state totals go
+``_SLICE`` = 65536 households at a time, and generation and injection draw
+counts, not one uniform per household.  Generation draws each district's
+size counts and silent households per size; injection draws the positions
+of its hit households from the gaps between them, and only their new sizes.
+Both keep the law of the household-by-household draws, as the audit reads
+households in a uniform order (see :func:`generate_census_population`).
 A household CSV is read straight into these columns
 (:func:`load_households_csv`).
 """
@@ -70,7 +74,7 @@ from .core import read_csv
 from .randomness import Seed, make_rng
 
 DEFAULT_GMAX = 15
-_SLICE = 65536  # households per slice of a state total or of injection's uniforms
+_SLICE = 65536  # households per slice of a state total
 
 
 @dataclass(frozen=True)
@@ -363,25 +367,30 @@ def _size_distribution(
     household_dist: Mapping[int, float], g_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted household sizes in the count type of ``g_max`` and their
-    probabilities, normalised as ``rng.choice`` takes them."""
+    probabilities, normalised; every listed size must lie in [0, g_max]."""
     sizes = np.array(sorted(household_dist), dtype=np.int64)
     probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
     if not (0 < probs.sum() < math.inf and probs.min() >= 0):
         raise ValueError("household size distribution must be non-negative, finite and non-empty")
-    narrow = sizes.astype(_count_type(g_max))
-    if (narrow != sizes).any():  # such a size lies outside [0, g_max] too
-        raise ValueError(f"household size support must lie within [0, {g_max}]")
-    return narrow, probs / probs.sum()
+    if sizes[0] < 0 or sizes[-1] > g_max:
+        raise ValueError(f"household size distribution support must lie within [0, {g_max}]")
+    return sizes.astype(_count_type(g_max)), probs / probs.sum()
 
 
-def _draw_sizes(sizes: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``rng.choice(sizes, len(u), p=probs)`` from its uniforms ``u``: the index
-    ``cdf.searchsorted(u, "right")`` is the count of inner cdf entries at or below u."""
-    cdf = probs.cumsum()
-    idx = np.zeros(len(u), dtype=np.min_scalar_type(len(sizes)))  # holds every index
-    for c in cdf[:-1] / cdf[-1]:
-        idx += c <= u
-    return sizes[idx]
+def _hit_positions(n: int, rate: float, rng) -> np.ndarray:
+    """Indices below ``n``, each hit on its own with probability ``rate``: the
+    law of ``np.flatnonzero(rng.random(n) < rate)``, drawn as geometric gaps
+    between hits in time and memory proportional to the hits."""
+    if rate == 0 or n == 0:
+        return np.empty(0, dtype=np.int64)
+    batch = int(1.05 * rate * n) + 64  # gaps per draw: almost always past n in one
+    parts, last = [], -1
+    while last < n:
+        # a gap past n ends the walk; capping it at n + 1 keeps the sums in range
+        at = last + np.minimum(rng.geometric(rate, batch), n + 1).cumsum()
+        parts.append(at[at < n])
+        last = at[-1]
+    return np.concatenate(parts)
 
 
 def generate_census_population(
@@ -396,32 +405,36 @@ def generate_census_population(
     """Synthesize per-household census data matching real district totals.
 
     Each district gets round(population / mean household size) households,
-    with sizes drawn from ``household_dist`` (support must lie in
-    [0, g_max]) straight into the count type.  Non-responding households
-    (probability ``nonresponse``) are recorded with zero residents.  Each
-    district's constant is set to the real population minus the generated
-    one, so apportioning the generated census necessarily reproduces the real
-    apportionment.  Survey counts are initialized equal to the census counts;
-    disagreement is injected separately.
+    each with a size from ``household_dist`` (support must lie in
+    [0, g_max]) and, with probability ``nonresponse``, recorded with zero
+    residents.  Drawn as counts: one multinomial draw of the district's
+    households over the sizes, then one binomial draw of the silent ones
+    among each size's.  That is the joint law of the per-size and silent
+    counts that independent per-household draws give, and the district's
+    households are laid out grouped by recorded size, silent ones last.
+    Their order carries no information: the survey sample and the audit's
+    draw order are uniform over the households.  Each district's constant
+    is set to the real population minus the generated one, so apportioning
+    the generated census necessarily reproduces the real apportionment.
+    Survey counts are initialized equal to the census counts; disagreement
+    is injected separately.
     """
     if not 0 <= nonresponse < 1:
         raise ValueError("nonresponse must be in [0, 1)")
     sizes, probs = _size_distribution(household_dist, g_max)
-    if sizes.min() < 0 or sizes.max() > g_max:
-        raise ValueError(f"household size support must lie within [0, {g_max}]")
     mean_size = float((sizes * probs).sum())
     if mean_size <= 0:
         raise ValueError("household size distribution must have positive mean")
 
+    recorded_sizes = np.append(sizes, 0).astype(sizes.dtype)  # the silent ones' 0 last
     counts: list[np.ndarray] = []
     constants: dict[str, Fraction] = {}
     for district, pop in district_pops.items():
-        count = round(pop / mean_size)
-        drawn = _draw_sizes(sizes, probs, rng.random(count))
-        silent = rng.random(count) < nonresponse
-        recorded = np.where(silent, 0, drawn)
-        counts.append(recorded)
-        constants[district] = Fraction(pop - int(recorded.sum()))
+        per_size = rng.multinomial(round(pop / mean_size), probs)
+        silent = rng.binomial(per_size, nonresponse)
+        responding = per_size - silent
+        counts.append(np.repeat(recorded_sizes, np.append(responding, silent.sum())))
+        constants[district] = Fraction(pop - int(responding @ sizes))
     model = CensusModel(
         states=tuple(district_pops),
         representatives=representatives,
@@ -439,23 +452,21 @@ def inject_survey_disagreement(
     household_dist: Mapping[int, float],
     rng,
 ) -> CensusData:
-    """Re-draw the survey count of a random ``rate`` share of surveyed households,
-    with the stream of ``rng.choice(sizes, n, p)`` and its inverse CDF.
+    """Re-draw the survey count of a random ``rate`` share of surveyed households.
 
-    The stream is that of two ``rng.random(n)`` calls, one hit uniform per
-    household and then one redraw uniform per household, taken in slices of
-    ``_SLICE``: consecutive slices give the doubles of one call, and no
-    household-length float array is built.  Only the redrawn households'
-    uniforms are kept and mapped to sizes."""
+    Each household with a survey count is hit on its own with probability
+    ``rate``, and a hit one's count is redrawn from ``household_dist``.  The
+    hits are found from geometric gaps (:func:`_hit_positions`) and only
+    their sizes are drawn, so the draws take time and memory in proportion
+    to the hits, with the law of a hit uniform and a redraw per household.
+    Only the new survey counts are checked."""
     if not 0 <= rate <= 1:
         raise ValueError("disagreement rate must be in [0, 1]")
     sizes, probs = _size_distribution(household_dist, data.model.g_max)
-    starts = range(0, data.n, _SLICE)
-    flags = [data.has_pes[i : i + _SLICE] for i in starts]
-    hits = [np.flatnonzero((rng.random(len(f)) < rate) & f) for f in flags]
-    u = np.concatenate([rng.random(len(f))[h] for f, h in zip(flags, hits)])
+    hit = _hit_positions(data.n, rate, rng)
+    hit = hit[data.has_pes[hit]]  # only a household with a survey count is redrawn
     pes = data.pes.copy()
-    pes[np.concatenate([i + h for i, h in zip(starts, hits)])] = _draw_sizes(sizes, probs, u)
+    pes[hit] = rng.choice(sizes, hit.size, p=probs)
     return data.with_pes(pes)
 
 

@@ -343,6 +343,8 @@ def run_experiment(
     if trials <= 0:
         raise ConfigError("trials must be positive")
     base = seed if seed is not None else _read(config, "seed", as_int, 0)
+    if base < 0:  # numpy's seeding would reject it only once a trial runs
+        raise ConfigError(f"root 'seed' must be non-negative, got {base}")
     seeds = [base + i for i in range(trials)]
     out_dir = Path(out_dir)
 

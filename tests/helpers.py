@@ -581,12 +581,40 @@ def comparison_assorter_value(pair: CensusPair, household: Household):
     return Fraction(1, 2) + (pair.m + diff) / (2 * (pair.z - pair.m))
 
 
+def generate_census_population_reference(
+    district_pops: Mapping[str, int],
+    household_dist: Mapping[int, float],
+    nonresponse: float,
+    rng,
+    representatives: int,
+    g_max: int = census_mod.DEFAULT_GMAX,
+    divisor_name: str = "dhondt",
+) -> CensusData:
+    """Census generation household by household, a ``rng.choice`` size and a
+    response uniform for each: the reference for
+    :func:`electaudit.census.generate_census_population`, which draws the
+    same law as counts."""
+    sizes, probs = census_mod._size_distribution(household_dist, g_max)
+    mean_size = float((sizes * probs).sum())
+    counts, constants = [], {}
+    for district, pop in district_pops.items():
+        count = round(pop / mean_size)
+        drawn = rng.choice(sizes, size=count, p=probs)
+        recorded = np.where(rng.random(count) < nonresponse, 0, drawn)
+        counts.append(recorded)
+        constants[district] = Fraction(pop - int(recorded.sum()))
+    model = CensusModel(tuple(district_pops), representatives, constants, g_max, divisor_name)
+    states = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    return CensusData(model, states, np.concatenate(counts))
+
+
 def inject_survey_disagreement_reference(
     data: CensusData, rate: float, household_dist: Mapping[int, float], rng
 ) -> CensusData:
     """Survey disagreement with a ``rng.choice`` redraw for every household,
     kept where the household is hit and surveyed: the reference for
-    :func:`electaudit.census.inject_survey_disagreement`."""
+    :func:`electaudit.census.inject_survey_disagreement`, which draws the same
+    law from the hits alone."""
     sizes = np.array(sorted(household_dist), dtype=np.int64)
     probs = np.array([household_dist[int(s)] for s in sizes], dtype=np.float64)
     probs = probs / probs.sum()

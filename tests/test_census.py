@@ -34,6 +34,7 @@ from .helpers import (
     census_data,
     chi_square,
     comparison_assorter_value,
+    generate_census_population_reference,
     inject_survey_disagreement_reference,
     sample_household,
 )
@@ -621,62 +622,143 @@ def test_district_and_household_csv(tmp_path):
 @pytest.mark.parametrize("n", [1, 2, 17, 1000])
 def test_choice_is_its_inverse_cdf_of_uniforms(probs, n):
     """``Generator.choice(a, n, p=p)`` is ``a[cdf.searchsorted(random(n), "right")]``
-    with ``cdf = p.cumsum(); cdf /= cdf[-1]``, and ``census._draw_sizes`` of
-    ``random(n)`` is the same; both leave the generator at the same position:
-    the stream that census generation and survey injection take over."""
+    with ``cdf = p.cumsum(); cdf /= cdf[-1]`` and leaves the generator at the
+    same position: the size draws of the household-by-household references,
+    whose streams generation and injection took before they drew counts.
+    The count draws, like those, never give a zero-probability size."""
     sizes = np.array([0, 1, 3, 7], dtype=np.int64)
     p = np.array(probs) / np.sum(probs)
     cdf = p.cumsum()
     cdf /= cdf[-1]
     for seed in range(40):
-        chosen, mapped, counted = make_rng(seed), make_rng(seed), make_rng(seed)
+        chosen, mapped = make_rng(seed), make_rng(seed)
         want = chosen.choice(sizes, size=n, p=p)
         got = sizes[cdf.searchsorted(mapped.random(n), side="right")]
-        drawn = census_mod._draw_sizes(sizes, p, counted.random(n))
-        assert got.tolist() == want.tolist() == drawn.tolist()
+        assert got.tolist() == want.tolist()
         assert mapped.bit_generator.state == chosen.bit_generator.state
-        assert counted.bit_generator.state == chosen.bit_generator.state
-        for size, prob in zip(sizes, probs):
-            if prob == 0:
-                assert size not in drawn
+    dist = dict(zip(sizes.tolist(), probs))
+    rng = make_rng(n)
+    data = generate_census_population({"X": 4 * n}, dist, 0.0, rng, 1, g_max=7)
+    redrawn = inject_survey_disagreement(data, 1.0, dist, rng)
+    never = [size for size, prob in dist.items() if prob == 0]
+    assert not np.isin(data.cen, never).any() and not np.isin(redrawn.pes, never).any()
 
 
-@st.composite
-def injection_cases(draw):
-    n = draw(st.integers(1, 60))
-    states = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    cen = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    has_pes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    pes = [c if h else 0 for c, h in zip(cen, has_pes)]
-    support = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
-    weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.25, 1.0, 3.0]),
-                            min_size=len(support), max_size=len(support)))
-    if sum(weights) == 0:
-        weights[0] = 1.0
-    rate = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    return (states, cen, pes, has_pes), dict(zip(support, weights)), rate, draw(st.integers(0, 2**32))
+CHI2_999 = {3: 16.27, 5: 20.52, 6: 22.46, 8: 26.12}  # upper 0.001 quantiles by df
 
 
-@given(injection_cases())
-@settings(max_examples=200, deadline=None)
-def test_injection_matches_choice_reference(case):
-    """Mapping only the redrawn households' uniforms gives the survey counts
-    and the generator position of a ``rng.choice`` redraw of every household."""
-    columns, dist, rate, seed = case
+def _binomial_cells(trials: int, p: float, top: int) -> dict[int, float]:
+    """Binomial(trials, p) probabilities of 0, ..., top - 1, and of top or more."""
+    cells = {k: math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(top)}
+    cells[top] = 1 - sum(cells.values())
+    return cells
+
+
+def _tally(values) -> dict:
+    counts: dict = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def _assert_fits(counts: dict, probs: dict, draws: int) -> None:
+    """Pearson's statistic below its upper 0.001 quantile: a p floor of 0.001."""
+    stat = chi_square(counts, probs, draws)
+    assert stat < CHI2_999[len(probs) - 1], (stat, counts, probs)
+
+
+def test_injection_matches_choice_reference():
+    """Injection has the law of its household-by-household reference: over
+    3,000 fixed-seed injections into 9 surveyed households (survey counts 0,
+    so every hit shows), the hit count fits Binomial(9, 0.3), the hits fall
+    uniformly on the surveyed households and the redrawn sizes fit the size
+    distribution, for both, each at a p floor of 0.001.  Households with no
+    survey count are never touched, and the census is shared, not redrawn."""
     model = CensusModel(states=("X", "Y", "Z"), representatives=3, constants={}, g_max=5)
-    data = CensusData(model, *columns)
-    got_rng, want_rng = make_rng(seed), make_rng(seed)
-    got = inject_survey_disagreement(data, rate, dist, got_rng)
-    want = inject_survey_disagreement_reference(data, rate, dist, want_rng)
-    assert got.pes.tolist() == want.pes.tolist() and got.pes.dtype == want.pes.dtype
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert got.census_pops == want.census_pops
-    assert data.pes.tolist() == columns[2]  # the input is left alone
+    has_pes = np.arange(12) % 4 != 0  # the last household is surveyed
+    cen = np.arange(12) % 5 + 1
+    data = CensusData(model, np.arange(12) % 3, cen, np.where(has_pes, 0, cen), has_pes)
+    dist, rate, reps = {1: 0.1, 2: 0.2, 3: 0.3, 5: 0.4}, 0.3, 3000
+    for inject in (inject_survey_disagreement, inject_survey_disagreement_reference):
+        hit_counts, positions, redrawn = [], [], []
+        rng = make_rng(2026)
+        for _ in range(reps):
+            bumped = inject(data, rate, dist, rng)
+            assert bumped.pes[~has_pes].tolist() == cen[~has_pes].tolist()
+            assert bumped.census_pops == data.census_pops
+            hit = np.flatnonzero(bumped.pes != data.pes)
+            hit_counts.append(min(hit.size, 6))
+            positions += hit.tolist()
+            redrawn += bumped.pes[hit].tolist()
+        _assert_fits(_tally(hit_counts), _binomial_cells(9, rate, 6), reps)
+        _assert_fits(_tally(positions), {i: 1 / 9 for i in np.flatnonzero(has_pes)}, len(positions))
+        _assert_fits(_tally(redrawn), dist, len(redrawn))
+    assert data.pes.tolist() == np.where(has_pes, 0, cen).tolist()  # the input is left alone
+
+
+@pytest.mark.parametrize("generate", [generate_census_population,
+                                      generate_census_population_reference],
+                         ids=["counts", "reference"])
+def test_generation_matches_household_reference(generate):
+    """Generation has the law of its household-by-household reference: over
+    2,000 fixed-seed censuses of two districts (17 and 10 households), each
+    district's recorded sizes fit size x response cells (a silent household
+    records 0) and its count of silent households fits Binomial(count, 0.2),
+    each at a p floor of 0.001.  Exactly, every district has
+    round(population / mean size) households, and its census total plus its
+    constant is its population."""
+    pops, dist, nonresponse, reps = {"X": 40, "Y": 25}, {1: 0.2, 2: 0.5, 4: 0.3}, 0.2, 2000
+    cells = {0: nonresponse, **{size: (1 - nonresponse) * p for size, p in dist.items()}}
+    recorded = {s: [] for s in pops}
+    silent = {s: [] for s in pops}
+    rng = make_rng(2027)
+    for _ in range(reps):
+        data = generate(pops, dist, nonresponse, rng, 3)
+        for i, (state, pop) in enumerate(pops.items()):
+            cen = data.cen[data.state_idx == i]
+            assert cen.size == {"X": 17, "Y": 10}[state]
+            assert data.census_pops[state] + data.model.constants[state] == pop
+            recorded[state] += cen.tolist()
+            silent[state].append(min(int(np.count_nonzero(cen == 0)), 5))
+    for state in pops:
+        _assert_fits(_tally(recorded[state]), cells, len(recorded[state]))
+        count = {"X": 17, "Y": 10}[state]
+        _assert_fits(_tally(silent[state]), _binomial_cells(count, nonresponse, 5), reps)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+@pytest.mark.parametrize("dist", [{0: 0.5, 3: 0.5}, {2: 1.0}], ids=["with-0", "one-size"])
+def test_injection_at_rates_0_and_1(rate, dist):
+    """Rate 0 leaves every survey count; rate 1 redraws every surveyed
+    household's and no other, a size of 0 included."""
+    model = CensusModel(states=("X", "Y"), representatives=2, constants={}, g_max=3)
+    has_pes = np.arange(40) % 3 != 1  # the first and the last household are surveyed
+    data = CensusData(model, np.arange(40) % 2, np.ones(40, int), has_pes=has_pes)
+    bumped = inject_survey_disagreement(data, rate, dist, make_rng(5))
+    kept = ~has_pes if rate else np.ones(40, bool)
+    assert bumped.pes[kept].tolist() == data.pes[kept].tolist()
+    if rate:
+        assert set(bumped.pes[has_pes].tolist()) == set(dist)
+
+
+def test_generation_with_a_size_of_0_and_no_nonresponse():
+    """With no nonresponse the only zero counts are households of size 0;
+    each district's household count and census total plus constant are exact."""
+    pops, dist = {"X": 5000, "Y": 2100}, {0: 0.25, 1: 0.25, 3: 0.5}
+    data = generate_census_population(pops, dist, 0.0, make_rng(8), 4)
+    for i, (state, pop) in enumerate(pops.items()):
+        cen = data.cen[data.state_idx == i]
+        assert cen.size == round(pop / 1.75)
+        assert data.census_pops[state] + data.model.constants[state] == pop
+        assert set(cen.tolist()) == set(dist)
+    zeros = np.count_nonzero(data.cen == 0)
+    assert abs(zeros - 0.25 * data.n) <= 4 * math.sqrt(data.n * 0.25 * 0.75)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("dist", [{1: -0.5, 2: 1.0}, {1: float("nan")}, {1: 0.0, 2: 0.0},
-                                  {1: float("inf")}, {1: 1e308, 2: 1e308}, {}])
+                                  {1: float("inf")}, {1: 1e308, 2: 1e308}, {},
+                                  {1: 1.0, 9: 1e-12}])
 def test_injection_rejects_a_bad_size_distribution(dist):
     model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
     data = CensusData(model, [0, 0], [1, 2])
@@ -685,8 +767,9 @@ def test_injection_rejects_a_bad_size_distribution(dist):
 
 
 def test_derived_survey_counts_are_checked_like_a_new_census():
-    """New survey counts, set directly or by injection, keep the array check
-    and its message; the census columns and totals are shared, not rebuilt."""
+    """New survey counts set directly keep the array check and its message,
+    and injection rejects a size outside [0, g_max] before it draws; the
+    census columns and totals are shared, not rebuilt."""
     model = CensusModel(states=("X",), representatives=1, constants={}, g_max=3)
     data = CensusData(model, [0, 0, 0], [1, 2, 3], has_pes=[True, False, True])
     with pytest.raises(ValueError, match=r"household 2 survey count 4 outside \[0, 3\]"):
@@ -695,7 +778,7 @@ def test_derived_survey_counts_are_checked_like_a_new_census():
         data.with_pes([-1, 2, 3])
     with pytest.raises(ValueError, match="one length"):
         data.with_pes([1, 2])
-    with pytest.raises(ValueError, match=r"household 0 survey count 9 outside \[0, 3\]"):
+    with pytest.raises(ValueError, match=r"size distribution support must lie within \[0, 3\]"):
         inject_survey_disagreement(data, 1.0, {9: 1.0}, make_rng(0))
     copy = data.with_pes([0, -7, 0])  # an unsurveyed household's entry is not a count
     assert copy.census_pops is data.census_pops and copy.cen is data.cen

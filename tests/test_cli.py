@@ -937,6 +937,21 @@ def test_census_trace_exits_2():
     assert rc == 2 and "trace applies only to election audits" in err, err
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--seed", "-3"], {}),
+    ([], {"seed": -1}),
+], ids=["flag", "config-key"])
+def test_negative_root_seed_exits_2_naming_it(tmp_path, monkeypatch, capsys, flags, config):
+    """A negative root seed, from ``--seed`` or the config's ``seed``, exits 2
+    naming ``seed`` and leaves no output directory behind."""
+    for name, text in _election_files(dict(_election_config(), **config)).items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(CENSUS_RUNS[0] + flags) == 2
+    assert "root 'seed' must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_census_subcommand_is_gone(capsys):
     """A census run is ``audit run`` on a census config; ``audit census`` is
     no command, and argparse exits 2 naming it."""

@@ -457,19 +457,20 @@ def test_census_output_bytes_pinned(tmp_path):
     """The census tables of a fixed config and seed stay byte-for-byte the
     same: generation, disagreement injection, survey selection and the audit
     draws must keep their random calls and their order.  The bytes were
-    re-recorded when the audit's household draw became one shuffle."""
+    re-recorded when the audit's household draw became one shuffle, and
+    again when generation and injection began to draw counts."""
     run_experiment(_disagreeing_census_config(tmp_path), tmp_path / "out", seed=0)
     assert (tmp_path / "out/risk_curve.csv").read_bytes() == (
         b"sample_fraction,trial,seed,risk_limit\r\n"
-        b"0.05,0,0,0.10688291386990915\r\n"
-        b"0.1,0,0,0.013534390300257956\r\n"
-        b"0.05,1,1,0.12850017156669827\r\n"
-        b"0.1,1,1,0.032139174376817604\r\n"
+        b"0.05,0,0,0.20056333449536645\r\n"
+        b"0.1,0,0,0.025459756443893092\r\n"
+        b"0.05,1,1,0.12498687763956294\r\n"
+        b"0.1,1,1,0.023517776731690105\r\n"
     )
     assert (tmp_path / "out/risk_summary.csv").read_bytes() == (
         b"sample_fraction,median_risk_limit\r\n"
-        b"0.05,0.1176915427183037\r\n"
-        b"0.1,0.02283678233853778\r\n"
+        b"0.05,0.1627751060674647\r\n"
+        b"0.1,0.0244887665877916\r\n"
     )
 
 
@@ -494,7 +495,8 @@ def test_census_trial_memory_is_bounded(tmp_path, monkeypatch):
     """One shipped-config census trial at one sample fraction stays below a
     5 MB traced peak: its households are held in five one-byte columns, and
     no household-length int64, intp or float64 array is built on the way
-    (the state totals and the injection's uniforms go a slice at a time)."""
+    (the state totals go a slice at a time, generation draws per-size counts
+    and injection only its hits' positions and sizes)."""
     import tracemalloc
 
     monkeypatch.chdir(CENSUS_CONFIG.parent.parent)
