@@ -48,11 +48,8 @@ int32 max), so a household takes 5 bytes with its two flags.  Values are
 range-checked as given, before the cast, and an integer column is required.
 No household-length int64, intp or float64 array is built: state totals go
 ``_SLICE`` = 65536 households at a time, and generation and injection draw
-counts, not one uniform per household.  Generation draws each district's
-size counts and silent households per size; injection draws the positions
-of its hit households from the gaps between them, and only their new sizes.
-Both keep the law of the household-by-household draws, as the audit reads
-households in a uniform order (see :func:`generate_census_population`).
+counts and hit positions, not a uniform per household, with the law of the
+household-by-household draws (see :func:`generate_census_population`).
 A household CSV is read straight into these columns
 (:func:`load_households_csv`).
 """
@@ -381,7 +378,7 @@ def _hit_positions(n: int, rate: float, rng) -> np.ndarray:
     """Indices below ``n``, each hit on its own with probability ``rate``: the
     law of ``np.flatnonzero(rng.random(n) < rate)``, drawn as geometric gaps
     between hits in time and memory proportional to the hits."""
-    if rate == 0 or n == 0:
+    if rate == 0:
         return np.empty(0, dtype=np.int64)
     batch = int(1.05 * rate * n) + 64  # gaps per draw: almost always past n in one
     parts, last = [], -1
@@ -405,19 +402,17 @@ def generate_census_population(
     """Synthesize per-household census data matching real district totals.
 
     Each district gets round(population / mean household size) households,
-    each with a size from ``household_dist`` (support must lie in
-    [0, g_max]) and, with probability ``nonresponse``, recorded with zero
-    residents.  Drawn as counts: one multinomial draw of the district's
-    households over the sizes, then one binomial draw of the silent ones
-    among each size's.  That is the joint law of the per-size and silent
-    counts that independent per-household draws give, and the district's
-    households are laid out grouped by recorded size, silent ones last.
-    Their order carries no information: the survey sample and the audit's
-    draw order are uniform over the households.  Each district's constant
-    is set to the real population minus the generated one, so apportioning
-    the generated census necessarily reproduces the real apportionment.
-    Survey counts are initialized equal to the census counts; disagreement
-    is injected separately.
+    sized from ``household_dist`` (support must lie in [0, g_max]) and,
+    with probability ``nonresponse``, recorded with zero residents.  They
+    are drawn as counts, one multinomial draw over the sizes and one
+    binomial draw of the silent households per size, which is the law of
+    the counts that independent per-household draws give, and laid out
+    grouped by recorded size, silent ones last.  Household order carries no
+    information, as the survey sample and the audit's draw order are
+    uniform.  Each district's constant is set to the real population minus
+    the generated one, so apportioning the generated census necessarily
+    reproduces the real apportionment.  Survey counts are initialized equal
+    to the census counts; disagreement is injected separately.
     """
     if not 0 <= nonresponse < 1:
         raise ValueError("nonresponse must be in [0, 1)")

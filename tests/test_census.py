@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -654,13 +655,6 @@ def _binomial_cells(trials: int, p: float, top: int) -> dict[int, float]:
     return cells
 
 
-def _tally(values) -> dict:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 def _assert_fits(counts: dict, probs: dict, draws: int) -> None:
     """Pearson's statistic below its upper 0.001 quantile: a p floor of 0.001."""
     stat = chi_square(counts, probs, draws)
@@ -690,9 +684,9 @@ def test_injection_matches_choice_reference():
             hit_counts.append(min(hit.size, 6))
             positions += hit.tolist()
             redrawn += bumped.pes[hit].tolist()
-        _assert_fits(_tally(hit_counts), _binomial_cells(9, rate, 6), reps)
-        _assert_fits(_tally(positions), {i: 1 / 9 for i in np.flatnonzero(has_pes)}, len(positions))
-        _assert_fits(_tally(redrawn), dist, len(redrawn))
+        _assert_fits(Counter(hit_counts), _binomial_cells(9, rate, 6), reps)
+        _assert_fits(Counter(positions), {i: 1 / 9 for i in np.flatnonzero(has_pes)}, len(positions))
+        _assert_fits(Counter(redrawn), dist, len(redrawn))
     assert data.pes.tolist() == np.where(has_pes, 0, cen).tolist()  # the input is left alone
 
 
@@ -708,6 +702,7 @@ def test_generation_matches_household_reference(generate):
     round(population / mean size) households, and its census total plus its
     constant is its population."""
     pops, dist, nonresponse, reps = {"X": 40, "Y": 25}, {1: 0.2, 2: 0.5, 4: 0.3}, 0.2, 2000
+    households = {"X": 17, "Y": 10}  # round(population / 2.4)
     cells = {0: nonresponse, **{size: (1 - nonresponse) * p for size, p in dist.items()}}
     recorded = {s: [] for s in pops}
     silent = {s: [] for s in pops}
@@ -716,14 +711,13 @@ def test_generation_matches_household_reference(generate):
         data = generate(pops, dist, nonresponse, rng, 3)
         for i, (state, pop) in enumerate(pops.items()):
             cen = data.cen[data.state_idx == i]
-            assert cen.size == {"X": 17, "Y": 10}[state]
+            assert cen.size == households[state]
             assert data.census_pops[state] + data.model.constants[state] == pop
             recorded[state] += cen.tolist()
             silent[state].append(min(int(np.count_nonzero(cen == 0)), 5))
     for state in pops:
-        _assert_fits(_tally(recorded[state]), cells, len(recorded[state]))
-        count = {"X": 17, "Y": 10}[state]
-        _assert_fits(_tally(silent[state]), _binomial_cells(count, nonresponse, 5), reps)
+        _assert_fits(Counter(recorded[state]), cells, len(recorded[state]))
+        _assert_fits(Counter(silent[state]), _binomial_cells(households[state], nonresponse, 5), reps)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])
